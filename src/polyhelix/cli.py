@@ -195,8 +195,8 @@ def _cmd_classify(args, config: RunConfig, started: float) -> int:
     for solution in report.solutions:
         ks = ", ".join(f"{k:.12g}" for k in solution.spec.curvatures)
         lines.append(f"  ({ks})  residual {solution.residual:.3e}")
-    for certificate in report.certificates:
-        lines.append(f"  certificate: {certificate.get('statement', certificate)}")
+    for cert in report.certificates:
+        lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
     return _finish(config, payload, None, lines, started)
 
 
@@ -418,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="sweep the two-frequency solution family")
     p.add_argument("family", choices=("tri-hyperbola",))
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--csv", action="store_true",
-                   help="CSV output (the default text form already is CSV)")
     common(p)
     p.set_defaults(handler=_cmd_family)
 

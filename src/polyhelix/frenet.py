@@ -12,11 +12,14 @@ are constant, every iterated derivative of the unit tangent is a
 frame-coefficient vector of exact polynomials in the curvatures, and the
 higher-order tension field of the curve in a space form of sectional
 curvature ``K`` reduces to polynomial identities on those coefficients.
+:func:`tension_field` is the one assembly of that field, also used by
+:mod:`polyhelix.spherecurves`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .ratpoly import (
     AMBIENT,
@@ -73,6 +76,8 @@ class FrenetExpansion:
             self.frame_count, {j: factor * p for j, p in self.coeffs.items()}
         )
 
+    __rmul__ = scaled
+
     def __add__(self, other: "FrenetExpansion") -> "FrenetExpansion":
         n = max(self.frame_count, other.frame_count)
         out = dict(self.coeffs)
@@ -115,40 +120,51 @@ def frenet_derivative(v: FrenetExpansion, m: int) -> FrenetExpansion:
     return FrenetExpansion(n, out)
 
 
+def derivative_chain(depth: int, m: int) -> list[FrenetExpansion]:
+    """``[T, nabla T, ..., nabla^depth T]``, each entry one covariant
+    derivative of the one before."""
+    if depth < 0:
+        raise ValueError("derivative order must be >= 0")
+    if depth > 2 * m:
+        raise ValueError(f"order {depth} exceeds 2m = {2 * m}; truncation would distort it")
+    chain = [tangent(max(2, m + 2))]
+    for _ in range(depth):
+        chain.append(frenet_derivative(chain[-1], m))
+    return chain
+
+
 def iterated_derivative(l: int, m: int) -> FrenetExpansion:
     """``l``-th covariant derivative of the tangent; ``l = 0`` is ``T`` itself."""
-    if l < 0:
-        raise ValueError("derivative order must be >= 0")
-    if l > 2 * m:
-        raise ValueError(f"order {l} exceeds 2m = {2 * m}; truncation would distort it")
-    v = tangent(max(2, m + 2))
-    for _ in range(l):
-        v = frenet_derivative(v, m)
-    return v
+    return derivative_chain(l, m)[l]
+
+
+def tension_field(derivs: Sequence, r: int, K, tangential: Callable):
+    """Order-``r`` tension field in a space form of sectional curvature ``K``,
+
+        tau_r = nabla^(2r-1) T + K sum_{l=0}^{r-2} (-1)^l
+                (<T, nabla^l T> nabla^(2r-3-l) T - <T, nabla^(2r-3-l) T> nabla^l T),
+
+    from ``derivs = [T, nabla T, ..., nabla^(2r-1) T]``.  The fields need only
+    ``+``, ``-`` and scalar ``*``; ``tangential(v)`` reads ``<T, v>``.  The
+    curvature-tensor sum of the general Euler-Lagrange operator collapses in
+    constant curvature to these tangential projections.
+    """
+    tau = derivs[2 * r - 1]
+    for l in range(r - 1):
+        low, high = derivs[l], derivs[2 * r - 3 - l]
+        term = K * (tangential(low) * high - tangential(high) * low)
+        tau = tau - term if l % 2 else tau + term
+    return tau
 
 
 def tau_space_form(r: int) -> FrenetExpansion:
     """Order-``r`` tension field of a helix in a space form, as an exact
-    frame-coefficient expansion over ``k_1, ..., k_{2r-2}`` and ``K``.
-
-    The curvature-tensor sum of the general Euler-Lagrange operator collapses
-    in constant curvature to tangential projections, read off here as the
-    ``F_1`` coefficients of the lower derivatives.
-    """
+    frame-coefficient expansion over ``k_1, ..., k_{2r-2}`` and ``K``; the
+    tangential projections are the ``F_1`` coefficients."""
     if r < 2:
         raise ValueError("tension order must be >= 2")
-    m = 2 * r - 2
-    K = ambient()
-    derivs = [iterated_derivative(l, m) for l in range(2 * r)]
-    tau = derivs[2 * r - 1]
-    for l in range(r - 1):
-        sign = Poly.constant((-1) ** l)
-        low, high = derivs[l], derivs[2 * r - 3 - l]
-        t_low = low.coefficient(1)
-        t_high = high.coefficient(1)
-        contribution = high.scaled(t_low) - low.scaled(t_high)
-        tau = tau + contribution.scaled(sign * K)
-    return tau
+    derivs = derivative_chain(2 * r - 1, 2 * r - 2)
+    return tension_field(derivs, r, ambient(), lambda v: v.coefficient(1))
 
 
 def highest_derivative_structure_check(l: int, m: int) -> bool:

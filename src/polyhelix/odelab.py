@@ -7,7 +7,8 @@ Three instruments live here:
   step-halving error estimation and periodic frame re-orthonormalization;
 * conservation-law monitors that test, on sampled position data alone,
   whether the scalar first integrals of the order-three and order-four
-  variational equations stay constant along a curve;
+  variational equations stay constant along a curve (their covariant
+  derivatives come from :func:`polyhelix.spherecurves.covariant_jets`);
 * desk-scale scans for the inverse-power curvature profiles conjectured to
   produce higher-order harmonic curves, combining exact Laurent-series
   computations of the flat tension field with finite-difference estimates
@@ -31,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .frenet import SpaceForm
+from .spherecurves import covariant_jets
 
 MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
@@ -351,7 +353,14 @@ class CurveSamples:
             header = next(reader)
             if not header or header[0] != "s":
                 raise ValueError("first CSV column must be s")
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                values = [float(v) for v in row]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"non-finite value on CSV line {reader.line_num}")
+                rows.append(values)
         data = np.array(rows)
         if len(data) < 2:
             raise ValueError("need at least two samples")
@@ -540,42 +549,6 @@ def _position_derivatives(
     return s_sub, derivatives, stride, spacing
 
 
-def _covariant_jets(
-    gs: list[np.ndarray], ambient: SpaceForm, depth: int
-) -> list[np.ndarray]:
-    """Covariant derivatives of the tangent from plain derivatives.
-
-    Flat ambient: the covariant derivative is the plain one.  Unit-sphere
-    ambient: push-forward formulas for the first three covariant
-    derivatives of the tangent of an arclength spherical curve.
-    """
-
-    def dot(a, b):
-        return np.einsum("ni,ni->n", a, b)[:, None]
-
-    if ambient.K == 0:
-        return gs[2 : 2 + depth]
-    g0, g1, g2, g3 = gs[0], gs[1], gs[2], gs[3]
-    rho = dot(g1, g1)
-    x1 = g2 + rho * g0
-    fields = [x1]
-    if depth >= 2:
-        x2 = g3 + 3.0 * dot(g2, g1) * g0 + rho * g1
-        fields.append(x2)
-    if depth >= 3:
-        g4 = gs[4]
-        x3 = (
-            g4
-            + 4.0 * dot(g3, g1) * g0
-            + 3.0 * dot(g2, g2) * g0
-            + 5.0 * dot(g1, g2) * g1
-            + rho * g2
-            + rho**2 * g0
-        )
-        fields.append(x3)
-    return fields
-
-
 def _validate_monitor_inputs(
     samples: CurveSamples, ambient: SpaceForm, minimum: int
 ) -> None:
@@ -601,7 +574,7 @@ def conservation_monitor_tri(
     s_sub, gs, stride, spacing = _position_derivatives(
         samples, 3, target_spacing, min_points=budget
     )
-    fields = _covariant_jets(gs, ambient, 2)
+    fields = covariant_jets(gs, ambient.K, 2)
     a1 = np.einsum("ni,ni->n", fields[0], fields[0])
     a2 = np.einsum("ni,ni->n", fields[1], fields[1])
     window, d2a1 = central_difference(a1, spacing, 2)
@@ -632,7 +605,7 @@ def conservation_monitor_four(
     s_sub, gs, stride, spacing = _position_derivatives(
         samples, 4, target_spacing, min_points=budget
     )
-    fields = _covariant_jets(gs, ambient, 3)
+    fields = covariant_jets(gs, ambient.K, 3)
     a1 = np.einsum("ni,ni->n", fields[0], fields[0])
     a2 = np.einsum("ni,ni->n", fields[1], fields[1])
     a3 = np.einsum("ni,ni->n", fields[2], fields[2])

@@ -19,7 +19,9 @@ out of Gram-Schmidt with no sampling error.
 
 The covariant algebra runs in high-precision arithmetic because the target
 tolerances (1e-9 .. 1e-12) sit below the cancellation noise floor of double
-precision for these expressions.
+precision for these expressions.  The tension field is assembled by
+:func:`polyhelix.frenet.tension_field`; :func:`covariant_jets` applies the
+same connection to sampled derivative jets, here and in the odelab monitors.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 import mpmath
 import numpy as np
+
+from .frenet import tension_field
 
 Scalar = Union[int, float, Fraction, mpmath.mpf]
 
@@ -264,14 +268,14 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
 
     For this ansatz every scalar product is s-independent, so the nested
     ``d/ds`` terms acting on scalar factors collapse: only the vector factor
-    keeps differentiating.
+    keeps differentiating.  Terms in ``<gamma^(4), gamma'>`` are left out:
+    it vanishes by parity (``p - q`` odd).
     """
     _require_arclength(curve)
     if samples < 256:
         raise ValueError("need at least 256 samples per period")
     b2 = curve.inner(2, 2)            # |g''|^2
     c42 = curve.inner(4, 2)           # <g4, g''>
-    c41 = curve.inner(4, 1)           # <g4, g'>  (vanishes by parity)
     tangential = (
         curve.inner(8, 0)
         + 2.0 * curve.inner(6, 0)
@@ -280,12 +284,10 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
         + 6.0 * b2
         - 4.0
         + 2.0 * c42
-        + 5.0 * c41 * curve.inner(0, 3)
         - b2 * curve.inner(0, 4)
-        - 5.0 * c41 * curve.inner(0, 2)
     )
     s = np.linspace(0.0, curve.period(), samples, endpoint=False)
-    g = {l: curve.derivative(l)(s) for l in (0, 2, 3, 4, 6, 8)}
+    g = {l: curve.derivative(l)(s) for l in (0, 2, 4, 6, 8)}
     # -b2*g[4] appears twice: one copy from the plain product term, one from
     # the collapsed fourth derivative of (|g''|^2 gamma)
     residual = (
@@ -296,9 +298,7 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
         - 6.0 * b2 * g[2]
         + 4.0 * g[2]
         - 2.0 * c42 * g[2]
-        + 5.0 * c41 * g[3]
         - b2 * g[4]
-        - 5.0 * c41 * g[3]
         - tangential * g[0]
     )
     return float(np.linalg.norm(residual, axis=-1).max())
@@ -307,22 +307,23 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
 # -- covariant algebra over the derivative jet -------------------------------
 
 class _CovariantAlgebra:
-    """Fields along the curve as constant coefficient vectors over the jet
-    basis ``gamma, gamma', ..., gamma^(J)`` with the exact Gram matrix.
+    """Fields along the curve as constant coefficient vectors (object arrays
+    of ``mpf``) over the jet basis ``gamma, gamma', ..., gamma^(J)`` with the
+    exact Gram matrix.
 
     The sphere connection acts by ``X -> X' + <X, gamma'> gamma``; on jet
-    coefficients that is an index shift plus a Gram contraction.
+    coefficients that is an index shift plus the Gram column of ``gamma'``.
     """
 
     def __init__(self, curve: TrigCurve, max_order: int):
         self.size = max_order + 1
-        self.gram = [
-            [curve.inner_exact(p, q) for q in range(self.size)]
-            for p in range(self.size)
-        ]
+        self.gram = np.array(
+            [[curve.inner_exact(p, q) for q in range(self.size)] for p in range(self.size)],
+            dtype=object,
+        )
 
-    def tangent(self) -> list[mpmath.mpf]:
-        c = [mpmath.mpf(0)] * self.size
+    def tangent(self) -> np.ndarray:
+        c = np.array([mpmath.mpf(0)] * self.size, dtype=object)
         c[1] = mpmath.mpf(1)
         return c
 
@@ -339,26 +340,19 @@ class _CovariantAlgebra:
     def norm(self, c: Sequence) -> mpmath.mpf:
         return mpmath.sqrt(max(self.inner(c, c), mpmath.mpf(0)))
 
-    def nabla(self, c: Sequence) -> list[mpmath.mpf]:
+    def nabla(self, c: np.ndarray) -> np.ndarray:
         if c[-1]:
             raise ValueError("jet too short for another covariant derivative")
-        out = [mpmath.mpf(0)] * self.size
-        for j in range(self.size - 1):
-            out[j + 1] = c[j]
-        tangential = mpmath.mpf(0)
-        for j, cj in enumerate(c):
-            if cj:
-                tangential += cj * self.gram[j][1]
-        out[0] += tangential
+        out = np.roll(c, 1)
+        out[0] = c @ self.gram[:, 1]
         return out
 
-    def combine(self, *scaled: tuple[mpmath.mpf, Sequence]) -> list[mpmath.mpf]:
-        out = [mpmath.mpf(0)] * self.size
-        for factor, c in scaled:
-            if factor:
-                for j, cj in enumerate(c):
-                    out[j] += factor * cj
-        return out
+    def chain(self, depth: int) -> list[np.ndarray]:
+        """``[T, nabla T, ..., nabla^depth T]``."""
+        chain = [self.tangent()]
+        for _ in range(depth):
+            chain.append(self.nabla(chain[-1]))
+        return chain
 
 
 def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
@@ -373,18 +367,8 @@ def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
         raise ValueError("supported orders are 2, 3, 4")
     with mpmath.workdps(WORKING_DPS):
         alg = _CovariantAlgebra(curve, 2 * r)
-        derivs = [alg.tangent()]
-        for _ in range(2 * r - 1):
-            derivs.append(alg.nabla(derivs[-1]))
-        tangent = derivs[0]
-        tau = list(derivs[2 * r - 1])
-        for l in range(r - 1):
-            sign = mpmath.mpf((-1) ** l)
-            low, high = derivs[l], derivs[2 * r - 3 - l]
-            t_low = alg.inner(tangent, low)
-            t_high = alg.inner(tangent, high)
-            extra = alg.combine((sign * t_low, high), (-sign * t_high, low))
-            tau = [a + b for a, b in zip(tau, extra)]
+        derivs = alg.chain(2 * r - 1)
+        tau = tension_field(derivs, r, 1, lambda v: alg.inner(derivs[0], v))
         return float(alg.norm(tau))
 
 
@@ -413,13 +397,13 @@ def geodesic_curvatures(
         for j in range(count):
             v = alg.nabla(frames[j])
             if j >= 1:
-                v = alg.combine((mpmath.mpf(1), v), (prev_k, frames[j - 1]))
+                v = v + prev_k * frames[j - 1]
             norm = alg.norm(v)
             if norm < DEGENERACY_TOL:
                 if pad:
                     return tuple(curvatures) + (0.0,) * (count - len(curvatures))
                 raise FrameDegeneracyError(tuple(curvatures))
-            frames.append([c / norm for c in v])
+            frames.append(v / norm)
             curvatures.append(float(norm))
             prev_k = norm
         return tuple(curvatures)
@@ -441,75 +425,33 @@ class LagrangianValue:
     lagrange_multiplier: float | None
 
 
-def _density_from_moments(m1: float, m2: float, m3: float, m4: float, r: int) -> float:
-    if r == 2:
-        return m2 - m1**2
-    if r == 3:
-        return m3 + m1**3 - 2.0 * m1 * m2
-    if r == 4:
-        return m4 - m2**2 + 3.0 * m1**2 * m2 - m1**4 - 2.0 * m1 * m3
-    raise ValueError("supported orders are 2, 3, 4")
-
-
-def _jet_density(jet: Sequence[np.ndarray], r: int) -> np.ndarray:
-    """Density of the constrained variational problem evaluated on a jet of
-    ambient derivatives (works for any on-sphere parametrization)."""
-
-    def dot(a, b):
-        return np.einsum("...i,...i->...", a, b)
-
-    g = jet
-    if r == 2:
-        return dot(g[2], g[2]) - dot(g[1], g[1]) ** 2
-    if r == 3:
-        return (
-            dot(g[3], g[3])
-            + 9.0 * dot(g[2], g[1]) ** 2
-            + dot(g[1], g[1]) ** 3
-            + 6.0 * dot(g[2], g[1]) * dot(g[3], g[0])
-            + 2.0 * dot(g[1], g[1]) * dot(g[1], g[3])
-        )
-    if r == 4:
-        v1 = dot(g[1], g[1])
-        v2 = dot(g[2], g[2])
-        c21 = dot(g[2], g[1])
-        c31 = dot(g[3], g[1])
-        c40 = dot(g[4], g[0])
-        return (
-            dot(g[4], g[4])
-            + 16.0 * c31**2
-            + 9.0 * v2**2
-            + 35.0 * c21**2 * v1
-            + v1**2 * v2
-            - v1**4
-            + 8.0 * c31 * c40
-            + 6.0 * c40 * v2
-            + 10.0 * c21 * dot(g[4], g[1])
-            + 2.0 * v1 * dot(g[4], g[2])
-            + 2.0 * v1**2 * c40
-            + 24.0 * c31 * v2
-        )
-    raise ValueError("supported orders are 2, 3, 4")
+def _density(curve: TrigCurve, r: int) -> float:
+    """``|nabla^(r-1) gamma'|^2``, the order-``r`` density; on the unit sphere
+    it needs only ``|gamma| = 1``, not an arclength parametrization."""
+    with mpmath.workdps(WORKING_DPS):
+        alg = _CovariantAlgebra(curve, r)
+        top = alg.chain(r - 1)[-1]
+        return float(alg.inner(top, top))
 
 
 def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
     """Reduced density (and multiplier, when the constraint structure
     determines one) for the curve at order ``r``.
 
-    The moment closed form is cross-checked against a direct evaluation of
-    the full density on sampled jets before being returned.
+    The exact density is cross-checked against a direct evaluation on
+    sampled jets before being returned.
     """
     if r not in (2, 3, 4):
         raise ValueError("supported orders are 2, 3, 4")
-    moments = [curve.moment(l) for l in range(5)]
-    density = _density_from_moments(moments[1], moments[2], moments[3], moments[4], r)
+    density = _density(curve, r)
 
     s = np.linspace(0.0, curve.period(), 17)
-    jet = [curve.derivative(l)(s) for l in range(5)]
-    sampled = _jet_density(jet, r)
+    jet = [curve.derivative(l)(s) for l in range(r + 1)]
+    top = covariant_jets(jet, 1, r - 1)[-1]
+    sampled = np.einsum("...i,...i->...", top, top)
     scale = 1.0 + abs(density)
     if np.abs(sampled - density).max() > 1e-8 * scale:
-        raise AssertionError("moment form disagrees with sampled density")
+        raise AssertionError("exact density disagrees with sampled density")
 
     multiplier: float | None = None
     if r == 2:
@@ -518,9 +460,7 @@ def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
         (x, w1), (y, w3) = (
             (float(a), float(b)) for a, b in curve.blocks
         )
-        multiplier = -(
-            x**3 * (1.0 - 2.0 * w1) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * w3
-        )
+        multiplier = solve_lambda(x, y, w1, w3)
     return LagrangianValue(r, density, density, multiplier)
 
 
@@ -542,14 +482,12 @@ def reduced_lagrangian_gradient(
         raise ValueError("single block without constant direction has no free weight")
 
     def density_at(ws: Sequence[float]) -> float:
+        # the dependent weight keeps the squared weights summing to one
         if has_const:
-            full = list(ws)
+            probe = TrigCurve(tuple(zip(freqs, ws)), 1.0 - sum(ws))
         else:
-            full = list(ws) + [1.0 - sum(ws)]
-        m = [
-            math.fsum(w * x**l for w, x in zip(full, freqs)) for l in range(5)
-        ]
-        return _density_from_moments(m[1], m[2], m[3], m[4], r)
+            probe = TrigCurve(tuple(zip(freqs, list(ws) + [1.0 - sum(ws)])))
+        return _density(probe, r)
 
     grads = []
     for i in range(free):
@@ -656,31 +594,40 @@ def _jet_scale(u: list[np.ndarray], v: list[np.ndarray], orders: int) -> list[np
 
 
 def _jet_rsqrt(u: list[np.ndarray], orders: int) -> list[np.ndarray]:
-    """Jet of ``u^(-1/2)`` from the jet of a positive scalar ``u``."""
-    # work in Taylor coefficients, compose the binomial series, convert back
-    fact = [math.factorial(k) for k in range(orders + 1)]
-    taylor = [u[k] / fact[k] for k in range(orders + 1)]
-    u0 = taylor[0]
-    eps = [t / u0 for t in taylor]  # eps[0] == 1
-    # series of (1 + e)^(-1/2) with e = sum_{k>=1} eps_k h^k, truncated
-    series_coeffs = (1.0, -0.5, 0.375, -0.3125, 0.2734375)
-    result = [np.zeros_like(u0) for _ in range(orders + 1)]
-    result[0] = np.ones_like(u0)
-    power = [np.zeros_like(u0) for _ in range(orders + 1)]
-    power[0] = np.ones_like(u0)  # e^0
-    for n in range(1, orders + 1):
-        # power <- power * e  (truncated product, e has no constant term)
-        new = [np.zeros_like(u0) for _ in range(orders + 1)]
-        for i in range(orders + 1):
-            for j in range(1, orders + 1 - i):
-                new[i + j] = new[i + j] + power[i] * eps[j]
-        power = new
-        for k in range(orders + 1):
-            result[k] = result[k] + series_coeffs[n] * power[k]
-        if all(not np.any(p) for p in power):
-            break
-    scale = u0 ** -0.5
-    return [scale * result[k] * fact[k] for k in range(orders + 1)]
+    """Jet of ``f = u^(-1/2)`` from the jet of a positive scalar ``u``.
+
+    In Taylor coefficients, ``u f' = -u' f / 2`` gives the recurrence
+    ``k u_0 f_k = sum_{j=1..k} (j/2 - k) u_j f_(k-j)``."""
+    taylor = [u[k] / math.factorial(k) for k in range(orders + 1)]
+    f = [taylor[0] ** -0.5]
+    for k in range(1, orders + 1):
+        total = sum((j / 2 - k) * taylor[j] * f[k - j] for j in range(1, k + 1))
+        f.append(total / (k * taylor[0]))
+    return [f[k] * math.factorial(k) for k in range(orders + 1)]
+
+
+def covariant_jets(jet: Sequence[np.ndarray], K: float, depth: int) -> list[np.ndarray]:
+    """``[nabla T, ..., nabla^depth T]`` for ``T = gamma'`` from the sampled
+    derivative jet ``[gamma, gamma', ..., gamma^(depth+1)]``.
+
+    Each field is carried as its own derivative jet, and the connection
+    ``nabla X = X' + K <X, gamma'> gamma`` of the sphere of curvature ``K``
+    (``K = 0``: the plain derivative) acts on it through the Leibniz rule,
+    losing one order per step.
+    """
+    field = list(jet[1:])
+    fields = []
+    for _ in range(depth):
+        orders = len(field) - 2
+        derivative = field[1:]
+        if K:
+            tangential = _jet_dot(field, jet[1:], orders)
+            derivative = [
+                d + K * e for d, e in zip(derivative, _jet_scale(tangential, jet, orders))
+            ]
+        field = derivative
+        fields.append(field[0])
+    return fields
 
 
 def _projected_jet(
@@ -709,7 +656,8 @@ def _energy_on_support(
         s = mid + half * nodes
         beta_jet = perturbation.jet(s, r)
         jet = [gamma_deriv[l](s) + t * beta_jet[l] for l in range(r + 1)]
-        density = _jet_density(_projected_jet(jet, r), r)
+        top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
+        density = np.einsum("...i,...i->...", top, top)
         total += half * float(np.dot(weights, density))
     return total
 

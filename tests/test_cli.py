@@ -144,6 +144,14 @@ class TestClassify:
         assert payload["solutions"] == []
         assert payload["infeasibility_certificates"]
 
+    def test_text_certificates_are_rendered(self, capsys):
+        code, out = run(
+            capsys, "classify", "--order", "3", "--K", "-1", "--trials", "100",
+        )
+        assert code == 0
+        assert "{'frame'" not in out
+        assert "certificate F4: " in out
+
     def test_seed_resolution(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYHELIX_SEED", "7")
         code, out = run(
@@ -213,6 +221,9 @@ class TestFamily:
         assert len(lines) == 8  # 7 admissible samples on this grid
         assert all(len(line.split(",")) == 6 for line in lines[1:])
 
+    def test_csv_flag_is_gone(self, capsys):
+        assert dispatch(["family", "tri-hyperbola", "--csv"]) == 2
+
     def test_json_rows(self, capsys):
         code, out = run(
             capsys, "family", "tri-hyperbola", "--samples", "12", "--json"
@@ -268,6 +279,21 @@ class TestIntegrateConserve:
         payload = json.loads(out)["payload"]
         assert abs(payload["empirical_constant"] + 4.0) < 1e-5
         assert payload["drift"] < 1e-6
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_samples_are_usage_errors(self, capsys, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        rows = [f"{0.01 * i!r},{math.cos(0.01 * i)!r},{math.sin(0.01 * i)!r}"
+                for i in range(200)]
+        rows[100] = f"{0.01 * 100!r},{bad},0.0"
+        path.write_text("s,x1,x2\n" + "\n".join(rows) + "\n")
+        code = dispatch(
+            ["conserve", "--order", "3", "--in", str(path), "--ambient", "flat", "--json"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite value on CSV line 102" in captured.err
 
     def test_missing_input_is_usage_error(self, capsys, tmp_path):
         code = dispatch(

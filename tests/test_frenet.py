@@ -16,11 +16,13 @@ from polyhelix.frenet import (
     SpaceForm,
     constraint_system,
     curvature_sum_poly,
+    derivative_chain,
     frenet_derivative,
     highest_derivative_structure_check,
     iterated_derivative,
     tangent,
     tau_space_form,
+    tension_field,
 )
 from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
 
@@ -242,6 +244,31 @@ def test_structure_check_rejects_bad_order():
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_tension_field_top_frame(r):
     assert tau_space_form(r).top_frame() == 2 * r - 2
+
+
+def test_derivative_chain_steps_once_per_order():
+    chain = derivative_chain(6, 4)
+    assert len(chain) == 7
+    for l, v in enumerate(chain):
+        assert v == iterated_derivative(l, 4)
+    with pytest.raises(ValueError):
+        derivative_chain(9, 4)
+    with pytest.raises(ValueError):
+        derivative_chain(-1, 4)
+
+
+def test_polynomial_times_expansion():
+    v = iterated_derivative(2, 3)
+    assert kvar(2) * v == v.scaled(kvar(2))
+
+
+def test_tension_field_is_generic_in_the_field_type():
+    # K = 0 leaves the bare third derivative; the symbolic K reproduces
+    # tau_space_form from the same assembly
+    derivs = derivative_chain(3, 2)
+    flat = tension_field(derivs, 2, Poly.zero(), lambda v: v.coefficient(1))
+    assert flat == derivs[3]
+    assert tension_field(derivs, 2, ambient(), lambda v: v.coefficient(1)) == tau_space_form(2)
 
 
 def test_tension_field_order_bound():

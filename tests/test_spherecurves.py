@@ -18,11 +18,13 @@ from polyhelix.spherecurves import (
     BumpPerturbation,
     FrameDegeneracyError,
     TrigCurve,
+    _density,
     _jet_rsqrt,
     _projected_jet,
     biharmonic_circle,
     biharmonic_residual,
     biharmonic_two_freq,
+    covariant_jets,
     family_quartic_residual,
     first_variation,
     four_planar,
@@ -470,3 +472,79 @@ class TestFirstVariation:
         rng = np.random.default_rng(42)
         bump = random_bump(tri_planar().dimension, rng)
         assert abs(first_variation(tri_planar(), 2, bump)) > 1e-3
+
+
+class TestJets:
+    def test_reciprocal_square_root_at_order_six(self):
+        # u = (1 + s)^2 gives f = 1/(1 + s), f^(k) = (-1)^k k! (1 + s)^-(k+1)
+        s = np.linspace(0.0, 2.0, 7)
+        u = [(1.0 + s) ** 2, 2.0 * (1.0 + s), np.full_like(s, 2.0)] + [
+            np.zeros_like(s)
+        ] * 4
+        jet = _jet_rsqrt(u, 6)
+        for k in range(7):
+            expected = (-1) ** k * math.factorial(k) * (1.0 + s) ** -(k + 1)
+            assert np.abs(jet[k] - expected).max() < 1e-12 * math.factorial(k)
+        # u = e^s: every derivative of u is e^s, and f^(k) = (-1/2)^k e^(-s/2)
+        u = [np.exp(s)] * 7
+        jet = _jet_rsqrt(u, 6)
+        for k in range(7):
+            assert np.abs(jet[k] - (-0.5) ** k * np.exp(-s / 2)).max() < 1e-14
+
+    def test_covariant_jets_match_push_forward_formulas(self):
+        # oracle: hand push-forward of nabla^l T (l <= 3) for an arclength
+        # curve on the unit sphere
+        curve = tri_planar()
+        s = np.linspace(0.0, curve.period(), 33)
+        g = [curve.derivative(l)(s) for l in range(5)]
+
+        def dot(a, b):
+            return np.einsum("ni,ni->n", a, b)[:, None]
+
+        rho = dot(g[1], g[1])
+        oracle = [
+            g[2] + rho * g[0],
+            g[3] + 3.0 * dot(g[2], g[1]) * g[0] + rho * g[1],
+            g[4]
+            + 4.0 * dot(g[3], g[1]) * g[0]
+            + 3.0 * dot(g[2], g[2]) * g[0]
+            + 5.0 * dot(g[1], g[2]) * g[1]
+            + rho * g[2]
+            + rho**2 * g[0],
+        ]
+        for depth in (1, 2, 3):
+            fields = covariant_jets(g[: depth + 2], 1.0, depth)
+            assert len(fields) == depth
+            for got, want in zip(fields, oracle):
+                assert np.abs(got - want).max() < 1e-12
+
+    def test_flat_covariant_jets_are_plain_derivatives(self):
+        curve = four_planar()
+        s = np.linspace(0.0, 1.0, 5)
+        g = [curve.derivative(l)(s) for l in range(5)]
+        fields = covariant_jets(g, 0.0, 3)
+        for l, field in enumerate(fields, start=2):
+            assert np.array_equal(field, g[l])
+
+    def test_density_matches_moment_closed_forms(self):
+        # oracle: hand expansions of |nabla^(r-1) gamma'|^2 in the moments
+        # m_l = sum_i alpha_i^2 (a_i^2)^l, valid off arclength too
+        def closed_form(m, r):
+            if r == 2:
+                return m[2] - m[1] ** 2
+            if r == 3:
+                return m[3] + m[1] ** 3 - 2.0 * m[1] * m[2]
+            return m[4] - m[2] ** 2 + 3.0 * m[1] ** 2 * m[2] - m[1] ** 4 - 2.0 * m[1] * m[3]
+
+        curves = (
+            biharmonic_two_freq(),
+            tri_hyperbola_curve(0.5),
+            TrigCurve(((3, Fraction(3, 10)),), Fraction(7, 10)),  # not arclength
+            TrigCurve(((Fraction(5, 2), Fraction(1, 5)), (Fraction(1, 3), Fraction(1, 2))),
+                      Fraction(3, 10)),
+        )
+        for curve in curves:
+            m = [curve.moment(l) for l in range(5)]
+            for r in (2, 3, 4):
+                want = closed_form(m, r)
+                assert abs(_density(curve, r) - want) < 1e-12 * (1.0 + abs(want))
