@@ -34,34 +34,14 @@ SNAP_TOL = 1e-12
 GRID_POINTS_PER_DIM = 7
 
 
-def xvar(i: int) -> Poly:
-    # same variable ids as the curvature ring, reinterpreted as x_i = k_i^2
-    return kvar(i)
+def _square_name(vid: int) -> str:
+    return "K" if vid == AMBIENT else f"x{vid}"
 
 
 def render_squares(poly: Poly) -> str:
     """Render an x-space polynomial with ``x1, x2, ...`` variable names so it
     is not mistaken for a polynomial in the curvatures themselves."""
-    if poly.is_zero():
-        return "0"
-    pieces: list[str] = []
-    for i, (mono, coeff) in enumerate(poly.sorted_terms()):
-        factors = []
-        ordered = sorted(mono.exps, key=lambda p: (p[0] != AMBIENT, p[0]))
-        for vid, exp in ordered:
-            name = "K" if vid == AMBIENT else f"x{vid}"
-            factors.append(name if exp == 1 else f"{name}^{exp}")
-        if not factors:
-            body = str(abs(coeff))
-        else:
-            if abs(coeff) != 1:
-                factors.insert(0, str(abs(coeff)))
-            body = "*".join(factors)
-        if i == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-    return "".join(pieces)
+    return poly.render(_square_name)
 
 
 def squared_form(poly: Poly) -> Poly:
@@ -310,6 +290,10 @@ def solve_helix(
         raise ValueError("order must be between 2 and 6")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(K):
+        raise ValueError(f"ambient curvature K must be finite, got {K}")
+    if trials < 1:
+        raise ValueError(f"need at least 1 multistart trial, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
     compiled = CompiledSystem(system)
@@ -509,18 +493,21 @@ def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseRepo
     """
     spherical = K > 0
 
+    # the squared curvatures x_i = k_i^2 keep the ids of the curvature ring
+    x1, x2, x3, x4 = (kvar(i) for i in range(1, 5))
+
     # exact x-space forms of the two full-system equations
     full = constraint_system(3)
     E1 = squared_form(full.equations[0].factored)
     Etop = squared_form(full.equations[1].factored)
-    assert Etop == xvar(1) + xvar(2) + xvar(3) + xvar(4) - ambient()
+    assert Etop == x1 + x2 + x3 + x4 - ambient()
 
     Kp = ambient()
     cases: list[TriCase] = []
 
     # case 1: circle
     circle_eq = squared_form(constraint_system(3, {2, 3, 4}).equations[0].factored)
-    assert circle_eq == xvar(1) - 2 * Kp
+    assert circle_eq == x1 - 2 * Kp
     if spherical:
         sol = (HelixSpec(3, K, (math.sqrt(2.0 * K), 0.0, 0.0, 0.0)),)
         cases.append(
@@ -536,7 +523,7 @@ def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseRepo
 
     # case 2: two-curvature family
     family_eq = squared_form(constraint_system(3, {3, 4}).equations[0].factored)
-    assert family_eq == (xvar(1) + xvar(2)) ** 2 - Kp * (2 * xvar(1) + xvar(2))
+    assert family_eq == (x1 + x2) ** 2 - Kp * (2 * x1 + x2)
     if spherical:
         samples = _tri_family_samples(K, family_samples)
         cases.append(
@@ -555,10 +542,10 @@ def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseRepo
     # x1 > 0, then substitute back -- all steps exact in the ring
     E1_case3 = E1.substitute_zero({4})
     Etop_case3 = Etop.substitute_zero({4})
-    s1 = E1_case3.substitute(3, Kp - xvar(1) - xvar(2))
-    assert s1 == xvar(1) * (xvar(1) + xvar(2) - 2 * Kp)
-    cert3 = E1_case3.substitute(1, 2 * Kp - xvar(2))
-    assert cert3 == Kp * xvar(2) + xvar(2) * xvar(3)
+    s1 = E1_case3.substitute(3, Kp - x1 - x2)
+    assert s1 == x1 * (x1 + x2 - 2 * Kp)
+    cert3 = E1_case3.substitute(1, 2 * Kp - x2)
+    assert cert3 == Kp * x2 + x2 * x3
     if spherical:
         _positivity_certificate(cert3, {2, 3})
         status3, note3 = "infeasible", None
@@ -579,10 +566,10 @@ def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseRepo
 
     # case 4: all four curvatures; the certificate is an exact ideal member:
     # cert = -E1 + (x1 + x2) * Etop
-    inter = E1.substitute(3, Kp - xvar(1) - xvar(2) - xvar(4))
-    assert inter == xvar(1) * (xvar(1) + xvar(2)) - xvar(2) * xvar(4) - 2 * Kp * xvar(1)
-    cert4 = xvar(1) * (Kp + xvar(3) + xvar(4)) + xvar(2) * xvar(4)
-    assert cert4 == -E1 + (xvar(1) + xvar(2)) * Etop
+    inter = E1.substitute(3, Kp - x1 - x2 - x4)
+    assert inter == x1 * (x1 + x2) - x2 * x4 - 2 * Kp * x1
+    cert4 = x1 * (Kp + x3 + x4) + x2 * x4
+    assert cert4 == -E1 + (x1 + x2) * Etop
     if spherical:
         _positivity_certificate(cert4, {1, 2, 3, 4})
     cases.append(

@@ -102,7 +102,10 @@ def _parse_span(text: str) -> tuple[float, float]:
     pieces = text.split(":")
     if len(pieces) != 2:
         raise argparse.ArgumentTypeError("span must look like lo:hi")
-    return float(pieces[0]), float(pieces[1])
+    lo, hi = float(pieces[0]), float(pieces[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"span bounds must be finite, got {text}")
+    return lo, hi
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -110,6 +113,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(pieces) != 3:
         raise argparse.ArgumentTypeError("grid must look like lo:hi:n")
     lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
     return [float(v) for v in np.linspace(lo, hi, count)]

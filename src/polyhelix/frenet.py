@@ -1,19 +1,21 @@
 """Symbolic Frenet calculus for helices in space forms.
 
-A helix (curve with constant geodesic curvatures ``k_1, ..., k_m``) carries a
-Frenet frame ``F_1, ..., F_n`` satisfying
+A curve with geodesic curvatures ``k_1, ..., k_m`` carries a Frenet frame
+``F_1, ..., F_n`` satisfying
 
     F_1' = k_1 F_2,
     F_i' = -k_{i-1} F_{i-1} + k_i F_{i+1},
     F_n' = -k_{n-1} F_{n-1},
 
-with the truncation rule ``k_j = 0`` for ``j > m``.  Because the curvatures
-are constant, every iterated derivative of the unit tangent is a
+with the truncation rule ``k_j = 0`` for ``j > m``.  For a helix the
+curvatures are constant, every iterated derivative of the unit tangent is a
 frame-coefficient vector of exact polynomials in the curvatures, and the
 higher-order tension field of the curve in a space form of sectional
 curvature ``K`` reduces to polynomial identities on those coefficients.
 :func:`tension_field` is the one assembly of that field, also used by
-:mod:`polyhelix.spherecurves`.
+:mod:`polyhelix.spherecurves`.  Curvatures that are polynomials in the
+inverse arclength ``u = 1/s`` (the profiles of :mod:`polyhelix.odelab`) run
+through the same :func:`frenet_derivative`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .ratpoly import (
-    AMBIENT,
-    CurvaturePolynomial,
-    Monomial,
-    ambient,
-    kvar,
-)
+from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial, ambient, kvar
 
 Poly = CurvaturePolynomial
 
@@ -99,23 +95,34 @@ def tangent(frame_count: int) -> FrenetExpansion:
     return FrenetExpansion(frame_count, {1: Poly.constant(1)})
 
 
-def frenet_derivative(v: FrenetExpansion, m: int) -> FrenetExpansion:
-    """One covariant derivative along the curve of a constant-coefficient
-    frame field, using the Frenet relations with ``k_j = 0`` for ``j > m``."""
+def frenet_derivative(
+    v: FrenetExpansion, m: int, curvatures: Sequence[Poly] | None = None
+) -> FrenetExpansion:
+    """One covariant derivative along the curve of a frame field, using the
+    Frenet relations with ``k_j = 0`` for ``j > m``.
+
+    The curvatures are the helix symbols ``k_1 .. k_m`` unless ``curvatures``
+    gives them as polynomials.  When one of those carries the inverse
+    arclength ``u``, the coefficients vary along the curve and each one also
+    contributes its own ``d/ds``; otherwise they are constants."""
     if v.top_frame() > m + 1:
         raise ValueError(
             f"expansion reaches frame {v.top_frame()} but only {m} curvatures exist"
         )
+    ks = [kvar(j) for j in range(1, m + 1)] if curvatures is None else curvatures
+    moving = curvatures is not None and any(INVERSE_ARCLENGTH in k.variables() for k in ks)
     out: dict[int, Poly] = {}
 
     def add(j: int, p: Poly) -> None:
         out[j] = out.get(j, Poly.zero()) + p
 
     for j, c in v.coeffs.items():
+        if moving:
+            add(j, c.arclength_derivative())
         if j >= 2 and j - 1 <= m:
-            add(j - 1, -c * kvar(j - 1))
+            add(j - 1, -c * ks[j - 2])
         if j <= m:
-            add(j + 1, c * kvar(j))
+            add(j + 1, c * ks[j - 1])
     n = max(v.frame_count, max(out) if out else 1)
     return FrenetExpansion(n, out)
 

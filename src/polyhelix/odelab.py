@@ -10,9 +10,16 @@ Three instruments live here:
   variational equations stay constant along a curve (their covariant
   derivatives come from :func:`polyhelix.spherecurves.covariant_jets`);
 * desk-scale scans for the inverse-power curvature profiles conjectured to
-  produce higher-order harmonic curves, combining exact Laurent-series
-  computations of the flat tension field with finite-difference estimates
-  from integrated trajectories.
+  produce higher-order harmonic curves, combining exact computations of the
+  flat tension field with finite-difference estimates from integrated
+  trajectories.
+
+The exact side writes a profile curvature ``c/s^p`` as the polynomial
+``c u^p`` in the inverse arclength ``u = 1/s`` of :mod:`polyhelix.ratpoly`
+(``d/ds = -u^2 d/du``) and runs it through the one Frenet recursion,
+:func:`polyhelix.frenet.frenet_derivative`.  Each conservation law is written
+once, as a row of :data:`CONSERVATION_LAWS`; the sampled monitors and the
+exact scans both read it.
 
 Finite differencing policy: every derivative is taken directly from the
 position samples in a single Fornberg-weight stencil application on an
@@ -27,16 +34,26 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frenet import SpaceForm
+from .frenet import FrenetExpansion, SpaceForm, frenet_derivative, tangent
+from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial as Poly, Monomial
 from .spherecurves import covariant_jets
 
 MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
 REORTHO_INTERVAL = 100
+
+# Once-integrated conservation law of each order, as the terms
+# c * d^k/ds^k |nabla^l T|^2 listed by (c, k, l); the law says the sum of the
+# terms is constant along a solution.
+CONSERVATION_LAWS = {
+    3: ((1, 2, 1), (-1, 0, 2)),
+    4: ((1, 4, 1), (-2, 2, 2), (1, 0, 3)),
+}
 
 
 # -- finite differences ------------------------------------------------------
@@ -121,68 +138,28 @@ def spectral_derivative(
     return np.real(np.fft.ifft(spectrum, axis=0))
 
 
-# -- Laurent polynomials -----------------------------------------------------
+# -- polynomials in the inverse arclength ------------------------------------
 
-@dataclass(frozen=True)
-class Laurent:
-    """Finite Laurent polynomial ``sum_p coeff_p s^p`` with float
-    coefficients; powers may be negative.  Enough exact calculus for the
-    inverse-power curvature profiles."""
+def _u_terms(poly: Poly) -> list[tuple[int, Fraction]]:
+    """``(e, c)`` for each term ``c u^e``, lowest power of ``s`` first."""
+    return sorted(((m.exponent(INVERSE_ARCLENGTH), c) for m, c in poly.terms()), reverse=True)
 
-    coeffs: tuple[tuple[int, float], ...]
 
-    @staticmethod
-    def of(mapping: dict[int, float]) -> "Laurent":
-        cleaned = {p: c for p, c in mapping.items() if c != 0.0}
-        return Laurent(tuple(sorted(cleaned.items())))
+def _evaluate(poly: Poly, s: np.ndarray) -> np.ndarray:
+    """Values of a polynomial in ``u = 1/s`` on an arclength grid, summed as
+    ``c * s^(-e)`` in ascending power of ``s``."""
+    total = np.zeros_like(s)
+    for e, coeff in _u_terms(poly):
+        total = total + float(coeff) * s ** float(-e)
+    return total
 
-    @staticmethod
-    def zero() -> "Laurent":
-        return Laurent(())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.coeffs)
-        for p, c in other.coeffs:
-            out[p] = out.get(p, 0.0) + c
-        return Laurent.of(out)
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + other.scaled(-1.0)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict[int, float] = {}
-        for p, c in self.coeffs:
-            for q, d in other.coeffs:
-                out[p + q] = out.get(p + q, 0.0) + c * d
-        return Laurent.of(out)
-
-    def scaled(self, factor: float) -> "Laurent":
-        return Laurent.of({p: factor * c for p, c in self.coeffs})
-
-    def differentiate(self, times: int = 1) -> "Laurent":
-        current = self
-        for _ in range(times):
-            current = Laurent.of({p - 1: p * c for p, c in current.coeffs if p})
-        return current
-
-    def leading(self) -> tuple[int, float]:
-        """Dominant term as s -> infinity: the highest power present."""
-        if not self.coeffs:
-            return (0, 0.0)
-        return self.coeffs[-1]
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        total = np.zeros_like(s)
-        for p, c in self.coeffs:
-            total = total + c * s**float(p)
-        return total
-
-    def coefficient(self, power: int) -> float:
-        return dict(self.coeffs).get(power, 0.0)
+def _leading(poly: Poly) -> tuple[int, float]:
+    """Dominant term as s -> infinity, ``(power of s, coefficient)``."""
+    if poly.is_zero():
+        return (0, 0.0)
+    e, coeff = _u_terms(poly)[-1]
+    return (-e, float(coeff))
 
 
 # -- curvature profiles ------------------------------------------------------
@@ -195,8 +172,7 @@ _PROFILE_RE = re.compile(
 
 @dataclass(frozen=True)
 class ProfileTerm:
-    """One curvature function ``coefficient / s^power`` (power 0, 1 or 2),
-    carrying its first two derivatives in closed form."""
+    """One curvature function ``coefficient / s^power`` (power 0, 1 or 2)."""
 
     coefficient: float
     power: int = 0
@@ -204,20 +180,18 @@ class ProfileTerm:
     def __post_init__(self):
         if self.power not in (0, 1, 2):
             raise ValueError("supported powers are 0 (constant), 1 and 2")
+        if not math.isfinite(self.coefficient):
+            raise ValueError(
+                f"curvature coefficient must be finite, got {self.coefficient}"
+            )
 
     def value(self, s):
         return self.coefficient / np.asarray(s, dtype=float) ** self.power
 
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        return -self.power * self.coefficient / s ** (self.power + 1)
-
-    def second_derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        return self.power * (self.power + 1) * self.coefficient / s ** (self.power + 2)
-
-    def laurent(self) -> Laurent:
-        return Laurent.of({-self.power: self.coefficient})
+    def poly(self) -> Poly:
+        """The exact curvature ``coefficient * u^power``, ``u = 1/s``."""
+        mono = Monomial([(INVERSE_ARCLENGTH, self.power)])
+        return Poly({mono: Fraction(self.coefficient)})
 
     def render(self) -> str:
         if self.power == 0:
@@ -558,6 +532,47 @@ def _validate_monitor_inputs(
         raise ValueError(f"need at least {minimum} samples")
 
 
+def _conservation_monitor(
+    r: int,
+    samples: CurveSamples,
+    ambient: SpaceForm,
+    target_spacing: float,
+    minimum: int,
+) -> DriftReport:
+    """Drift of the order-``r`` law of :data:`CONSERVATION_LAWS` on sampled
+    positions: each term differentiated by one stencil, all of them aligned on
+    the narrowest window and summed in table order."""
+    _validate_monitor_inputs(samples, ambient, minimum)
+    law = CONSERVATION_LAWS[r]
+    widest = max(k for _, k, _ in law)
+    budget = 2 * _central_halfwidth(r) + 2 * _central_halfwidth(widest) + 8
+    s_sub, gs, stride, spacing = _position_derivatives(
+        samples, r, target_spacing, min_points=budget
+    )
+    fields = covariant_jets(gs, ambient.K, r - 1)
+    norms = [np.einsum("ni,ni->n", f, f) for f in fields]  # |nabla^l T|^2
+    parts = [(c, *central_difference(norms[l - 1], spacing, k)) for c, k, l in law]
+    start = max(window.start for _, window, _ in parts)
+    window = slice(start, len(norms[0]) - start)
+    invariant = None
+    for c, part_window, values in parts:
+        lead = start - part_window.start
+        term = c * values[lead : lead + window.stop - start]
+        invariant = term if invariant is None else invariant + term
+    mean = float(invariant.mean())
+    return DriftReport(
+        order=r,
+        ambient_curvature=float(ambient.K),
+        drift=float(np.abs(invariant - mean).max()),
+        empirical_constant=mean,
+        interior_count=len(invariant),
+        stride=stride,
+        spacing=spacing,
+        values=invariant,
+        s_values=s_sub[window],
+    )
+
+
 def conservation_monitor_tri(
     samples: CurveSamples,
     ambient: SpaceForm,
@@ -569,28 +584,7 @@ def conservation_monitor_tri(
     Reports the drift ``max |Q - mean(Q)|`` and the mean as the empirical
     integration constant.
     """
-    _validate_monitor_inputs(samples, ambient, 64)
-    budget = 2 * _central_halfwidth(3) + 2 * _central_halfwidth(2) + 8
-    s_sub, gs, stride, spacing = _position_derivatives(
-        samples, 3, target_spacing, min_points=budget
-    )
-    fields = covariant_jets(gs, ambient.K, 2)
-    a1 = np.einsum("ni,ni->n", fields[0], fields[0])
-    a2 = np.einsum("ni,ni->n", fields[1], fields[1])
-    window, d2a1 = central_difference(a1, spacing, 2)
-    q = d2a1 - a2[window]
-    mean = float(q.mean())
-    return DriftReport(
-        order=3,
-        ambient_curvature=float(ambient.K),
-        drift=float(np.abs(q - mean).max()),
-        empirical_constant=mean,
-        interior_count=len(q),
-        stride=stride,
-        spacing=spacing,
-        values=q,
-        s_values=s_sub[window],
-    )
+    return _conservation_monitor(3, samples, ambient, target_spacing, minimum=64)
 
 
 def conservation_monitor_four(
@@ -600,99 +594,48 @@ def conservation_monitor_four(
 ) -> DriftReport:
     """Constancy of the once-integrated order-four conservation law
     ``d^4/ds^4 |nabla_T T|^2 - 2 d^2/ds^2 |nabla_T^2 T|^2 + |nabla_T^3 T|^2``."""
-    _validate_monitor_inputs(samples, ambient, 128)
-    budget = 2 * _central_halfwidth(4) + 2 * _central_halfwidth(4) + 8
-    s_sub, gs, stride, spacing = _position_derivatives(
-        samples, 4, target_spacing, min_points=budget
-    )
-    fields = covariant_jets(gs, ambient.K, 3)
-    a1 = np.einsum("ni,ni->n", fields[0], fields[0])
-    a2 = np.einsum("ni,ni->n", fields[1], fields[1])
-    a3 = np.einsum("ni,ni->n", fields[2], fields[2])
-    window4, d4a1 = central_difference(a1, spacing, 4)
-    window2, d2a2 = central_difference(a2, spacing, 2)
-    # align both differentiated arrays on the narrower window
-    lead = window4.start - window2.start
-    d2a2 = d2a2[lead : lead + len(d4a1)]
-    invariant = d4a1 - 2.0 * d2a2 + a3[window4]
-    mean = float(invariant.mean())
-    return DriftReport(
-        order=4,
-        ambient_curvature=float(ambient.K),
-        drift=float(np.abs(invariant - mean).max()),
-        empirical_constant=mean,
-        interior_count=len(invariant),
-        stride=stride,
-        spacing=spacing,
-        values=invariant,
-        s_values=s_sub[window4],
-    )
+    return _conservation_monitor(4, samples, ambient, target_spacing, minimum=128)
 
 
-# -- the scalar law for inverse-arclength profiles ---------------------------
+# -- exact flat calculus for inverse-power profiles --------------------------
+
+def flat_tangent_chain(profile: CurvatureProfile, depth: int) -> list[FrenetExpansion]:
+    """Frame expansions of ``T, nabla_T T, ..., nabla_T^depth T`` for a flat
+    ambient, with coefficients exact polynomials in ``u = 1/s``.  The chain
+    respects the truncation ``k_j = 0`` beyond the profile's curvature count."""
+    ks = [term.poly() for term in profile.terms]
+    chain = [tangent(profile.count + 1)]
+    for _ in range(depth):
+        chain.append(frenet_derivative(chain[-1], profile.count, ks))
+    return chain
+
+
+def conservation_law_terms(chain: Sequence[FrenetExpansion], r: int) -> list[Poly]:
+    """The exact terms ``c * d^k/ds^k |nabla^l T|^2`` of the order-``r`` law
+    from a flat chain reaching ``nabla^(r-1) T``."""
+    terms = []
+    for c, k, l in CONSERVATION_LAWS[r]:
+        term = sum(p * p for p in chain[l].coeffs.values())
+        for _ in range(k):
+            term = term.arclength_derivative()
+        terms.append(c * term)
+    return terms
+
 
 def curvature_ode_values(
     profile: CurvatureProfile, c_1: float, s_samples: Iterable[float]
 ) -> np.ndarray:
-    """Pointwise residual of the scalar first integral
-    ``(k_1')^2 + 2 k_1 k_1'' - k_1^4 - k_1^2 k_2^2 = c_1``."""
+    """Pointwise residual of the order-three law ``Q = c_1`` in a flat
+    ambient, where ``Q = (k_1')^2 + 2 k_1 k_1'' - k_1^4 - k_1^2 k_2^2``."""
     s = np.asarray(list(s_samples), dtype=float)
-    k1 = profile.terms[0]
-    k2v = profile.terms[1].value(s) if profile.count > 1 else np.zeros_like(s)
-    v = k1.value(s)
-    return (
-        k1.derivative(s) ** 2
-        + 2.0 * v * k1.second_derivative(s)
-        - v**4
-        - v**2 * k2v**2
-        - c_1
-    )
+    law = sum(conservation_law_terms(flat_tangent_chain(profile, 2), 3))
+    return _evaluate(law, s) - c_1
 
 
 def curvature_ode_residual(
     profile: CurvatureProfile, c_1: float, s_samples: Iterable[float]
 ) -> float:
     return float(np.abs(curvature_ode_values(profile, c_1, s_samples)).max())
-
-
-# -- exact flat covariant derivatives for inverse-power profiles -------------
-
-def flat_tangent_chain(profile: CurvatureProfile, depth: int) -> list[list[Laurent]]:
-    """Frame coefficients of ``T, nabla_T T, ..., nabla_T^depth T`` for a flat
-    ambient, as Laurent polynomials in arclength.  The chain respects the
-    truncation ``k_j = 0`` beyond the profile's curvature count."""
-    frames = profile.count + 1
-    ks = [term.laurent() for term in profile.terms]
-
-    def k_of(j: int) -> Laurent:
-        return ks[j - 1] if 1 <= j <= len(ks) else Laurent.zero()
-
-    chain = [[Laurent.of({0: 1.0})] + [Laurent.zero()] * (frames - 1)]
-    for _ in range(depth):
-        prev = chain[-1]
-        nxt = []
-        for j in range(1, frames + 1):
-            entry = prev[j - 1].differentiate()
-            if j >= 2:
-                entry = entry + k_of(j - 1) * prev[j - 2]
-            if j < frames:
-                entry = entry - k_of(j) * prev[j]
-            nxt.append(entry)
-        chain.append(nxt)
-    return chain
-
-
-def flat_tension_laurent(profile: CurvatureProfile, r: int) -> list[Laurent]:
-    """Flat-ambient tension field of order ``r``: with zero ambient curvature
-    the correction sum drops and only ``nabla^(2r-1) T`` survives."""
-    return flat_tangent_chain(profile, 2 * r - 1)[2 * r - 1]
-
-
-def _laurent_norm_sup(coeffs: Sequence[Laurent], s: np.ndarray) -> float:
-    total = np.zeros_like(s)
-    for c in coeffs:
-        total = total + c(s) ** 2
-    return float(np.sqrt(total.max()))
 
 
 # -- conjecture scans --------------------------------------------------------
@@ -752,30 +695,6 @@ def _fd_tension_sup(
     return float(np.linalg.norm(values, axis=1).max()), "fd", window
 
 
-def _conservation_law_laurent(profile: CurvatureProfile) -> tuple[
-    tuple[tuple[int, float], ...], Laurent
-]:
-    """Exact Laurent form of the order-four conservation law terms
-    ``d^5 A1, -2 d^3 A2, d A3`` (A_l the squared norm of the l-th covariant
-    tangent derivative) and their sum."""
-    chain = flat_tangent_chain(profile, 3)
-
-    def norm_sq(coeffs: Sequence[Laurent]) -> Laurent:
-        total = Laurent.zero()
-        for c in coeffs:
-            total = total + c * c
-        return total
-
-    a1, a2, a3 = (norm_sq(chain[l]) for l in (1, 2, 3))
-    terms = (
-        a1.differentiate(5),
-        a2.differentiate(3).scaled(-2.0),
-        a3.differentiate(1),
-    )
-    law = terms[0] + terms[1] + terms[2]
-    return tuple(term.leading() for term in terms), law
-
-
 def conjecture_scan(
     r: int,
     alpha: float,
@@ -786,44 +705,54 @@ def conjecture_scan(
     """Grid scan over the second curvature coefficient for the inverse-power
     first-curvature profiles of order ``r``.
 
-    Order three: first curvature ``alpha/s``; the scalar law residual is the
-    exact ``alpha^2 (5 - alpha^2 - beta^2) / s^4`` quantity, the exact
-    tension column is the Laurent-evaluated flat tension sup, and the FD
-    column differentiates an integrated trajectory six times.
+    Order three: first curvature ``alpha/s``; the law residual is the exact
+    ``alpha^2 (5 - alpha^2 - beta^2) / s^4`` left by the order-three law with
+    constant zero, the exact tension column is the flat tension sup, and the
+    FD column differentiates an integrated trajectory six times.
 
-    Order four: first curvature ``alpha/s^2``; rows carry the leading
-    large-s behavior of the three conservation-law terms (the dimensional
-    diagnostic) alongside the law sup and an eighth-derivative FD estimate.
-    No assertion is attached to order four: it is a conjecture scan.
+    Order four: first curvature ``alpha/s^2``; the law residual is the sup of
+    the law's derivative, and rows carry the leading large-s behavior of its
+    three terms (the dimensional diagnostic) alongside an eighth-derivative
+    FD estimate.  No assertion is attached to order four: it is a conjecture
+    scan.
     """
     if r not in (3, 4):
         raise ValueError("supported orders are 3 and 4")
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
+    if not math.isfinite(alpha) or alpha == 0:
+        raise ValueError(f"alpha must be finite and nonzero, got {alpha}")
+    betas = sorted(float(b) for b in beta_grid)
+    bad = [b for b in betas if not math.isfinite(b)]
+    if bad:
+        raise ValueError(f"beta values must be finite, got {bad}")
     power = r - 2
     s_grid = np.linspace(span[0], span[1], 257)
     rows = []
-    for beta in sorted(float(b) for b in beta_grid):
+    for beta in betas:
         coefficients = [alpha, beta] if beta != 0.0 else [alpha]
         profile = inverse_power_profile(coefficients, power)
-        tension = flat_tension_laurent(profile, r)
+        chain = flat_tangent_chain(profile, 2 * r - 1)
+        terms = conservation_law_terms(chain, r)
         samples = integrate_frenet(profile, profile.count + 1, span, step)
         scaling = None
         if r == 3:
-            law_residual = curvature_ode_residual(profile, 0.0, s_grid)
             fd_sup, method, window = _fd_tension_sup(samples, 6, 0.02)
         else:
-            scaling, law = _conservation_law_laurent(profile)
-            law_residual = float(np.abs(law(s_grid)).max())
+            terms = [term.arclength_derivative() for term in terms]
+            scaling = tuple(_leading(term) for term in terms)
             fd_sup, method, window = _fd_tension_sup(samples, 8, 0.04)
-        # exact column on the same window so the two sups are comparable
-        exact_sup = _laurent_norm_sup(tension, window)
+        law_residual = float(np.abs(_evaluate(sum(terms), s_grid)).max())
+        # flat ambient: the tension is nabla^(2r-1) T alone; evaluate it on the
+        # FD window so the two sups are comparable
+        tension = chain[2 * r - 1]
+        total = np.zeros_like(window)
+        for j in tension.frames():
+            total = total + _evaluate(tension.coefficient(j), window) ** 2
         rows.append(
             ConjectureRow(
                 order=r,
                 beta=beta,
                 law_residual=law_residual,
-                exact_tension_sup=exact_sup,
+                exact_tension_sup=float(np.sqrt(total.max())),
                 fd_tension_sup=fd_sup,
                 fd_method=method,
                 scaling=scaling,

@@ -1,19 +1,27 @@
-"""Exact sparse polynomials in the geodesic curvatures and the ambient curvature.
+"""Exact sparse polynomials in the geodesic curvatures, the ambient curvature
+and the inverse arclength.
 
 Variables are identified by small integers: ``i >= 1`` is the i-th geodesic
-curvature ``k_i`` and ``0`` (the constant :data:`AMBIENT`) is the sectional
-curvature ``K`` of the ambient space form.  The canonical variable order is
-``k_1 < k_2 < ... < k_m < K``.  Coefficients are arbitrary-precision
-rationals (:class:`fractions.Fraction`), so every identity checked with this
-module is exact, never approximate.
+curvature ``k_i``, ``0`` (the constant :data:`AMBIENT`) is the sectional
+curvature ``K`` of the ambient space form, and ``-1`` (the constant
+:data:`INVERSE_ARCLENGTH`) is the inverse arclength ``u = 1/s``.  The
+canonical variable order is ``u < k_1 < k_2 < ... < k_m < K``.  Coefficients
+are arbitrary-precision rationals (:class:`fractions.Fraction`), so every
+identity checked with this module is exact, never approximate.
+
+Along a curve the helix curvatures and ``K`` are constants and ``u`` is the
+only variable that moves: :meth:`CurvaturePolynomial.arclength_derivative`
+is ``d/ds = -u^2 d/du``, which makes the inverse-power curvature profiles
+``k = c/s^p = c u^p`` of :mod:`polyhelix.odelab` exact polynomials too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 AMBIENT = 0
+INVERSE_ARCLENGTH = -1
 
 Scalar = Union[int, Fraction]
 
@@ -31,11 +39,13 @@ class ZeroPolynomialError(ValueError):
 
 
 def variable_name(vid: int) -> str:
-    return "K" if vid == AMBIENT else f"k{vid}"
+    if vid == AMBIENT:
+        return "K"
+    return "u" if vid == INVERSE_ARCLENGTH else f"k{vid}"
 
 
 def _sort_key(vid: int) -> tuple[bool, int]:
-    # curvatures ascending, ambient curvature last
+    # inverse arclength, then curvatures ascending, ambient curvature last
     return (vid == AMBIENT, vid)
 
 
@@ -100,6 +110,7 @@ class Monomial:
 
 
 _ONE_MONO = Monomial()
+_U_MONO = Monomial([(INVERSE_ARCLENGTH, 1)])
 
 
 class CurvaturePolynomial:
@@ -287,6 +298,16 @@ class CurvaturePolynomial:
             terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
         return CurvaturePolynomial(terms)
 
+    def arclength_derivative(self) -> "CurvaturePolynomial":
+        """``d/ds = -u^2 d/du``: every variable but ``u = 1/s`` is constant
+        along the curve."""
+        terms: dict[Monomial, Fraction] = {}
+        for mono, coeff in self._terms.items():
+            e = mono.exponent(INVERSE_ARCLENGTH)
+            if e:
+                terms[mono * _U_MONO] = -e * coeff
+        return CurvaturePolynomial(terms)
+
     def factor_monomial_gcd(self) -> tuple[Monomial, "CurvaturePolynomial"]:
         """Split off the largest monomial dividing every term.
 
@@ -327,25 +348,22 @@ class CurvaturePolynomial:
             return Fraction(0)
         return self.sorted_terms()[0][1]
 
-    def render(self) -> str:
-        """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``."""
-        if not self._terms:
-            return "0"
-        pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
-            body = _render_term(mono, abs(coeff), sep="*", caret="^")
-            if i == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
-        return "".join(pieces)
+    def render(self, name: Callable[[int], str] = variable_name) -> str:
+        """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``;
+        ``name`` gives each variable id its display name."""
+        return self._render_terms(
+            "*", lambda vid, exp: name(vid) if exp == 1 else f"{name(vid)}^{exp}"
+        )
 
     def render_latex(self) -> str:
+        return self._render_terms(" ", _latex_factor)
+
+    def _render_terms(self, sep: str, factor: Callable[[int, int], str]) -> str:
         if not self._terms:
             return "0"
         pieces: list[str] = []
         for i, (mono, coeff) in enumerate(self.sorted_terms()):
-            body = _render_term(mono, abs(coeff), sep=" ", caret=None)
+            body = _render_term(mono, abs(coeff), sep, factor)
             if i == 0:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -356,22 +374,22 @@ class CurvaturePolynomial:
         return f"CurvaturePolynomial({self.render()})"
 
 
-def _render_term(mono: Monomial, coeff: Fraction, sep: str, caret: str | None) -> str:
-    # display order inside a term: ambient curvature first, then k1, k2, ...
-    factors: list[str] = []
+def _render_term(
+    mono: Monomial, coeff: Fraction, sep: str, factor: Callable[[int, int], str]
+) -> str:
+    # display order inside a term: ambient curvature first, then u, k1, k2, ...
     ordered = sorted(mono.exps, key=lambda p: (p[0] != AMBIENT, p[0]))
-    for vid, exp in ordered:
-        if caret is None:  # latex
-            name = "K" if vid == AMBIENT else f"k_{{{vid}}}"
-            factors.append(name if exp == 1 else f"{name}^{{{exp}}}")
-        else:
-            name = variable_name(vid)
-            factors.append(name if exp == 1 else f"{name}{caret}{exp}")
+    factors = [factor(vid, exp) for vid, exp in ordered]
     if not factors:
         return str(coeff)
     if coeff != 1:
         factors.insert(0, str(coeff))
     return sep.join(factors)
+
+
+def _latex_factor(vid: int, exp: int) -> str:
+    name = f"k_{{{vid}}}" if vid > 0 else variable_name(vid)
+    return name if exp == 1 else f"{name}^{{{exp}}}"
 
 
 def kvar(i: int) -> CurvaturePolynomial:

@@ -63,6 +63,18 @@ def test_solver_argument_validation():
         solve_helix(3, 1.0, tol=0.0)
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_solver_needs_a_trial(trials):
+    with pytest.raises(ValueError, match=f"at least 1 multistart trial, got {trials}"):
+        solve_helix(3, 1.0, trials=trials)
+
+
+@pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+def test_solver_needs_a_finite_K(K):
+    with pytest.raises(ValueError, match=f"K must be finite, got {K}"):
+        solve_helix(3, K)
+
+
 # -- multistart solver -------------------------------------------------------
 
 def test_circle_solution_order_three():

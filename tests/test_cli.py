@@ -332,6 +332,33 @@ class TestConjecture:
         )
 
 
+# -- non-finite and empty requests -------------------------------------------
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (["integrate", "--profile", "k1=1e400", "--span", "1:2"], "inf"),
+            (["conjecture", "--order", "3", "--alpha", "nan", "--beta-grid", "0:1:2"], "nan"),
+            (["conjecture", "--order", "3", "--alpha", "inf", "--beta-grid", "0:1:2"], "inf"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:inf:2"], "0:inf:2"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:2",
+              "--span", "1:inf"], "1:inf"),
+            (["integrate", "--profile", "k1=1", "--span", "0:nan"], "0:nan"),
+            (["classify", "--order", "3", "--K", "nan"], "nan"),
+            (["classify", "--order", "3", "--K", "inf"], "inf"),
+            (["classify", "--order", "3", "--K", "1", "--trials", "0"], "got 0"),
+            (["classify", "--order", "3", "--K", "1", "--trials", "-5"], "got -5"),
+        ],
+    )
+    def test_usage_error_names_the_value(self, capsys, argv, value):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert value in captured.err
+
+
 # -- acceptance driver -------------------------------------------------------
 
 

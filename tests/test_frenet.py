@@ -24,7 +24,13 @@ from polyhelix.frenet import (
     tau_space_form,
     tension_field,
 )
-from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
+from polyhelix.ratpoly import (
+    AMBIENT,
+    INVERSE_ARCLENGTH,
+    CurvaturePolynomial as Poly,
+    ambient,
+    kvar,
+)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -113,6 +119,21 @@ def test_tangent_and_first_derivative():
     v = frenet_derivative(t, 2)
     assert v.coefficient(2) == kvar(1)
     assert v.frames() == [2]
+
+
+def test_explicit_curvatures_match_the_helix_symbols():
+    v = iterated_derivative(3, 3)
+    assert frenet_derivative(v, 3, [kvar(1), kvar(2), kvar(3)]) == frenet_derivative(v, 3)
+
+
+def test_arclength_curvatures_differentiate_the_coefficients():
+    # k1 = 1/s: nabla (k1 F2) = k1' F2 + k1 (-k1 F1) = -u^2 F2 - u^2 F1
+    u = Poly.variable(INVERSE_ARCLENGTH)
+    v = frenet_derivative(tangent(2), 1, [u])
+    assert v.coefficient(2) == u
+    w = frenet_derivative(v, 1, [u])
+    assert w.coefficient(1) == -(u**2)
+    assert w.coefficient(2) == -(u**2)
 
 
 def test_derivative_rejects_frames_beyond_truncation():

@@ -1,7 +1,7 @@
 """Tests for the curvature-profile integration and monitoring laboratory.
 
 Expected values were derived independently before being frozen here: frame
-coefficient Laurent series against a symbolic oracle, monitor constants from
+coefficients in the inverse arclength against a symbolic oracle, monitor constants from
 the closed-form helix identities (every squared covariant norm of a helix is
 constant, so the once-integrated invariants reduce to the undifferentiated
 term), and pointwise invariant profiles by hand differentiation of the
@@ -9,6 +9,7 @@ inverse-arclength curvature laws.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,17 +21,18 @@ from polyhelix.odelab import (
     ConjectureRow,
     CurvatureProfile,
     CurveSamples,
-    Laurent,
     ProfileTerm,
+    _evaluate,
     _fd_tension_sup,
+    _leading,
     central_difference,
     conjecture_scan,
+    conservation_law_terms,
     conservation_monitor_four,
     conservation_monitor_tri,
     curvature_ode_residual,
     curvature_ode_values,
     flat_tangent_chain,
-    flat_tension_laurent,
     fornberg_weights,
     integrate_frenet,
     inverse_power_profile,
@@ -44,6 +46,7 @@ from polyhelix.spherecurves import (
     great_circle,
     tri_planar,
 )
+from polyhelix.ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial as Poly, Monomial
 
 FLAT = SpaceForm(0)
 SPHERE = SpaceForm(1)
@@ -51,6 +54,11 @@ SPHERE = SpaceForm(1)
 
 def sqrt5_profile() -> CurvatureProfile:
     return parse_profile("k1=1/s,k2=2/s")
+
+
+def upoly(coeffs: dict[int, float]) -> Poly:
+    """``sum_e c_e u^e`` with ``u = 1/s``: the coefficient of ``s^(-e)``."""
+    return Poly({Monomial([(INVERSE_ARCLENGTH, e)]): Fraction(c) for e, c in coeffs.items()})
 
 
 # -- finite differences ------------------------------------------------------
@@ -126,55 +134,50 @@ class TestFiniteDifferences:
 
 
 class TestLaurent:
+    """The lab's Laurent polynomials in ``s`` are polynomials in ``u = 1/s``."""
+
     def test_product_difference_of_squares(self):
-        f = Laurent.of({1: 1.0, -1: 2.0})
-        g = Laurent.of({1: 1.0, -1: -2.0})
-        assert (f * g).coeffs == ((-2, -4.0), (2, 1.0))
+        f = upoly({0: 1.0, 2: 2.0})
+        g = upoly({0: 1.0, 2: -2.0})
+        assert f * g == upoly({0: 1.0, 4: -4.0})
 
     def test_differentiate_inverse_square(self):
-        f = Laurent.of({-2: 1.0})
-        assert f.differentiate().coeffs == ((-3, -2.0),)
-        assert f.differentiate(2).coeffs == ((-4, 6.0),)
+        f = upoly({2: 1.0})
+        assert f.arclength_derivative() == upoly({3: -2.0})
+        assert f.arclength_derivative().arclength_derivative() == upoly({4: 6.0})
 
     def test_differentiate_kills_constants(self):
-        assert Laurent.of({0: 5.0}).differentiate().is_zero()
+        assert upoly({0: 5.0}).arclength_derivative().is_zero()
 
     def test_leading_is_large_s_dominant(self):
-        f = Laurent.of({-9: 2.0, -5: 3.0})
-        assert f.leading() == (-5, 3.0)
-        assert Laurent.zero().leading() == (0, 0.0)
+        assert _leading(upoly({9: 2.0, 5: 3.0})) == (-5, 3.0)
+        assert _leading(Poly.zero()) == (0, 0.0)
 
     def test_evaluation_and_coefficient_lookup(self):
-        f = Laurent.of({-1: 2.0, 3: 0.5})
+        f = upoly({1: 2.0, 0: 0.5})
         s = np.array([1.0, 2.0])
-        assert np.allclose(f(s), [2.5, 5.0])
-        assert f.coefficient(-1) == 2.0
-        assert f.coefficient(7) == 0.0
+        assert np.allclose(_evaluate(f, s), [2.5, 1.5])
+        assert f.coefficient(Monomial([(INVERSE_ARCLENGTH, 1)])) == 2
+        assert f.coefficient(Monomial([(INVERSE_ARCLENGTH, 7)])) == 0
 
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-4, max_value=4),
-                st.floats(min_value=-3.0, max_value=3.0),
-            ),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=-3, max_value=3),
             max_size=4,
         ),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-4, max_value=4),
-                st.floats(min_value=-3.0, max_value=3.0),
-            ),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=-3, max_value=3),
             max_size=4,
         ),
     )
     @settings(max_examples=60, deadline=None)
     def test_product_rule(self, pairs_f, pairs_g):
-        f = Laurent.of(dict(pairs_f))
-        g = Laurent.of(dict(pairs_g))
-        lhs = (f * g).differentiate()
-        rhs = f.differentiate() * g + f * g.differentiate()
-        diff = lhs - rhs
-        assert all(abs(c) < 1e-9 for _, c in diff.coeffs)
+        f = upoly(pairs_f)
+        g = upoly(pairs_g)
+        lhs = (f * g).arclength_derivative()
+        assert lhs == f.arclength_derivative() * g + f * g.arclength_derivative()
 
 
 # -- curvature profiles ------------------------------------------------------
@@ -204,12 +207,22 @@ class TestProfiles:
             assert np.allclose(profile.values(1.7), again.values(1.7))
 
     def test_term_derivatives_match_closed_form(self):
-        term = ProfileTerm(2.0, 1)
-        assert term.derivative(2.0) == -0.5
-        assert term.second_derivative(2.0) == 0.5
-        square = ProfileTerm(3.0, 2)
-        assert square.derivative(1.0) == -6.0
-        assert square.second_derivative(1.0) == 18.0
+        term = ProfileTerm(2.0, 1).poly()
+        assert term == upoly({1: 2.0})
+        assert _evaluate(term.arclength_derivative(), np.array([2.0]))[0] == -0.5
+        second = term.arclength_derivative().arclength_derivative()
+        assert _evaluate(second, np.array([2.0]))[0] == 0.5
+        square = ProfileTerm(3.0, 2).poly().arclength_derivative()
+        assert _evaluate(square, np.array([1.0]))[0] == -6.0
+        assert _evaluate(square.arclength_derivative(), np.array([1.0]))[0] == 18.0
+        assert ProfileTerm(0.8).poly() == Poly.constant(Fraction(0.8))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ProfileTerm(bad, 1)
+        with pytest.raises(ValueError, match="finite"):
+            parse_profile("k1=1e400/s")
 
     def test_parse_rejects_malformed(self):
         for bad in ("j1=5", "k1=1/s^3", "k1=", "k1=1;k2=2"):
@@ -381,46 +394,42 @@ class TestScalarLaw:
 class TestFlatChain:
     def test_first_links(self):
         chain = flat_tangent_chain(sqrt5_profile(), 2)
-        assert chain[0][0].coeffs == ((0, 1.0),)
-        assert chain[1][0].is_zero()
-        assert chain[1][1].coeffs == ((-1, 1.0),)
+        assert chain[0].coefficient(1) == 1
+        assert chain[0].frames() == [1]
+        assert chain[1].coefficient(1).is_zero()
+        assert chain[1].coefficient(2) == upoly({1: 1.0})
         # nabla^2: (-k1^2, k1', k1 k2) = (-1/s^2, -1/s^2, 2/s^2)
-        assert chain[2][0].coefficient(-2) == -1.0
-        assert chain[2][1].coefficient(-2) == -1.0
-        assert chain[2][2].coefficient(-2) == 2.0
+        assert chain[2].coefficient(1) == upoly({2: -1.0})
+        assert chain[2].coefficient(2) == upoly({2: -1.0})
+        assert chain[2].coefficient(3) == upoly({2: 2.0})
 
     def test_constant_profile_tension(self):
         chain = flat_tangent_chain(parse_profile("k1=0.7"), 3)
-        assert chain[3][0].is_zero()
-        assert math.isclose(chain[3][1].coefficient(0), -(0.7**3))
-        tension = flat_tension_laurent(parse_profile("k1=0.7"), 2)
-        assert math.isclose(tension[1].coefficient(0), -(0.7**3))
+        assert chain[3].coefficient(1).is_zero()
+        # order-two flat tension: nabla^3 T
+        assert chain[3].coefficient(2) == Poly.constant(-Fraction(0.7) ** 3)
 
     def test_square_sum_five_tension_collapses_to_normal(self):
-        tension = flat_tension_laurent(sqrt5_profile(), 3)
-        assert tension[0].is_zero()
-        assert tension[2].is_zero()
-        assert tension[1].coeffs == ((-5, -126.0),)
+        tension = flat_tangent_chain(sqrt5_profile(), 5)[5]
+        assert tension.frames() == [2]
+        assert tension.coefficient(2) == upoly({5: -126.0})
 
     def test_normal_coefficient_scales_with_alpha(self):
-        tension = flat_tension_laurent(parse_profile("k1=2/s,k2=1/s"), 3)
-        assert tension[0].is_zero()
-        assert tension[2].is_zero()
-        assert tension[1].coeffs == ((-5, -252.0),)
+        tension = flat_tangent_chain(parse_profile("k1=2/s,k2=1/s"), 5)[5]
+        assert tension.frames() == [2]
+        assert tension.coefficient(2) == upoly({5: -252.0})
 
     def test_tri_law_holds_exactly_in_laurent_form(self):
-        chain = flat_tangent_chain(sqrt5_profile(), 2)
+        terms = conservation_law_terms(flat_tangent_chain(sqrt5_profile(), 2), 3)
+        assert sum(terms).is_zero()
+        assert sum(t.arclength_derivative() for t in terms).is_zero()
 
-        def norm_sq(coeffs):
-            total = Laurent.zero()
-            for c in coeffs:
-                total = total + c * c
-            return total
-
-        a1 = norm_sq(chain[1])
-        a2 = norm_sq(chain[2])
-        law = a1.differentiate(3) - a2.differentiate(1)
-        assert all(abs(c) < 1e-12 for _, c in law.coeffs)
+    def test_law_table_terms(self):
+        # k1 = 1/s alone: A1 = u^2, A2 = u^4 + u^4, so d^2 A1 - A2 = 4 u^4
+        chain = flat_tangent_chain(parse_profile("k1=1/s"), 2)
+        d2a1, minus_a2 = conservation_law_terms(chain, 3)
+        assert d2a1 == upoly({4: 6.0})
+        assert minus_a2 == upoly({4: -2.0})
 
 
 # -- conservation monitors ---------------------------------------------------
@@ -528,6 +537,12 @@ class TestConjectureScan:
         assert best.beta == 2.0
         assert best.law_residual < 1e-13
 
+    def test_order_three_planted_beta_is_exactly_zero(self):
+        # beta^2 = 5 - alpha^2: the exact law vanishes identically
+        rows = conjecture_scan(3, 1.0, [2.0], (1.0, 3.0))
+        assert rows[0].law_residual == 0.0
+        assert curvature_ode_residual(parse_profile("k1=2/s,k2=1/s"), 0.0, [1.0, 2.0]) == 0.0
+
     def test_order_three_single_curvature_residual(self):
         rows = conjecture_scan(3, 1.0, [0.0], (1.0, 3.0))
         assert math.isclose(rows[0].law_residual, 4.0, rel_tol=1e-12)
@@ -561,6 +576,11 @@ class TestConjectureScan:
             conjecture_scan(2, 1.0, [0.0], (1.0, 3.0))
         with pytest.raises(ValueError, match="nonzero"):
             conjecture_scan(3, 0.0, [0.0], (1.0, 3.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"alpha must be finite.*{bad}"):
+                conjecture_scan(3, bad, [0.0], (1.0, 3.0))
+            with pytest.raises(ValueError, match=f"beta values must be finite.*{bad}"):
+                conjecture_scan(3, 1.0, [0.0, bad], (1.0, 3.0))
 
     def test_row_serialization(self):
         row = ConjectureRow(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polyhelix.ratpoly import (
     AMBIENT,
+    INVERSE_ARCLENGTH,
     CurvaturePolynomial,
     Monomial,
     UnboundVariableError,
@@ -98,6 +99,22 @@ def test_differentiate():
     assert p.differentiate(5).is_zero()
 
 
+def test_arclength_derivative_moves_only_u():
+    u = P.variable(INVERSE_ARCLENGTH)
+    # d/ds (3 u^2 k1 + K) = -6 u^3 k1: u = 1/s, the curvatures are constant
+    p = 3 * u**2 * kvar(1) + ambient()
+    assert p.arclength_derivative() == -6 * u**3 * kvar(1)
+    assert (kvar(1) ** 2 + 5).arclength_derivative().is_zero()
+
+
+def test_inverse_arclength_naming():
+    u = P.variable(INVERSE_ARCLENGTH)
+    p = 2 * ambient() * u**3 * kvar(1) - u
+    assert p.render() == "2*K*u^3*k1 - u"
+    assert p.render_latex() == "2 K u^{3} k_{1} - u"
+    assert p.render(lambda vid: f"v{vid}") == "2*v0*v-1^3*v1 - v-1"
+
+
 def test_factor_monomial_gcd_exact_split():
     k1, k2, K = kvar(1), kvar(2), ambient()
     p = k1**5 - 2 * K * k1**3
@@ -158,3 +175,4 @@ def test_render_roundtrip_determinism(p):
     for mono, c in reversed(list(p.terms())):
         rebuilt = rebuilt + P({mono: c})
     assert rebuilt.render() == p.render()
+
