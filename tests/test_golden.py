@@ -6,8 +6,15 @@ Each file under ``tests/golden/`` is the standard output of the command of
 the same name below.  Recapture a file only for an intended output change,
 by running its command with ``--out`` pointing at the file.  The ``conserve``
 cases read a trajectory that the test first writes with :data:`TRAJECTORY`.
+
+The ``classify`` snapshots guard the multistart solver.  Floating-point
+evaluation order may change under a refactor, so they are compared field by
+field rather than byte for byte: counts, flags, certificates and search
+metadata exactly, curvatures to :data:`CURVATURE_TOL`, and every residual
+must stay below the search tolerance.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -44,6 +51,19 @@ CASES = {
     ],
 }
 
+CLASSIFY_CASES = {
+    "classify_r2_K1": ["--order", "2", "--K", "1", "--trials", "100"],
+    "classify_r3_K1": ["--order", "3", "--K", "1", "--trials", "200"],
+    "classify_r3_K1_zeros34": ["--order", "3", "--K", "1", "--zeros", "3,4", "--trials", "200"],
+    "classify_r3_K1_zeros234": ["--order", "3", "--K", "1", "--zeros", "2,3,4", "--trials", "50"],
+    "classify_r4_K1_zeros2": ["--order", "4", "--K", "1", "--zeros", "2", "--trials", "200"],
+    "classify_r4_K1_zeros3": ["--order", "4", "--K", "1", "--zeros", "3", "--trials", "200"],
+    "classify_r3_Km1": ["--order", "3", "--K", "-1", "--trials", "200"],
+    "classify_r3_K0_zeros34": ["--order", "3", "--K", "0", "--zeros", "3,4", "--trials", "100"],
+}
+
+CURVATURE_TOL = 1e-12
+
 TRAJECTORY = ["integrate", "--profile", "k1=1/s,k2=2/s", "--span", "1:3", "--step", "1e-3"]
 
 CONSERVE_CASES = {
@@ -53,7 +73,7 @@ CONSERVE_CASES = {
 
 
 def test_every_golden_file_has_a_case():
-    expected = [f"{name}.json" for name in CASES] + list(CONSERVE_CASES)
+    expected = [f"{name}.json" for name in {**CASES, **CLASSIFY_CASES}] + list(CONSERVE_CASES)
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
 
@@ -71,3 +91,22 @@ def test_conserve_report_is_byte_identical(capsys, tmp_path, name):
     capsys.readouterr()
     assert dispatch(CONSERVE_CASES[name] + ["--in", str(trajectory)]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
+def test_classify_report_matches_snapshot(capsys, name):
+    assert dispatch(["classify", *CLASSIFY_CASES[name], "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    got_payload, want_payload = got.pop("payload"), want.pop("payload")
+    assert got == want
+    got_solutions = got_payload.pop("solutions")
+    want_solutions = want_payload.pop("solutions")
+    assert got_payload == want_payload  # certificates, search metadata, K, pattern
+    assert len(got_solutions) == len(want_solutions)
+    tol = got_payload["search"]["tol"]
+    for got_solution, want_solution in zip(got_solutions, want_solutions):
+        assert got_solution["curvatures"] == pytest.approx(
+            want_solution["curvatures"], abs=CURVATURE_TOL, rel=0
+        )
+        assert got_solution["residual"] < tol
