@@ -32,6 +32,10 @@ from .ratpoly import (
 DEDUP_TOL = 1e-8
 SNAP_TOL = 1e-12
 GRID_POINTS_PER_DIM = 7
+# Each Newton iteration holds a power table of trials x monomials floats; at
+# r = 6 (282 monomials) the cap keeps it near 110 MiB, where the full 7^10
+# start grid would need hundreds of GiB.
+MAX_TRIALS = 50_000
 
 
 def _square_name(vid: int) -> str:
@@ -65,35 +69,15 @@ def squared_form(poly: Poly) -> Poly:
 
 # -- compiled evaluation -----------------------------------------------------
 
-class _CompiledPoly:
-    """Dense exponent-matrix form of a polynomial for vectorized evaluation
-    over batches of points.  Column order is fixed by the parent system."""
-
-    def __init__(self, poly: Poly, columns: Sequence[int]):
-        col_index = {v: i for i, v in enumerate(columns)}
-        rows = []
-        coeffs = []
-        for mono, coeff in poly.terms():
-            row = [0] * len(columns)
-            for vid, e in mono.exps:
-                row[col_index[vid]] = e
-            rows.append(row)
-            coeffs.append(float(coeff))
-        self.exps = np.array(rows, dtype=np.int64).reshape(len(coeffs), len(columns))
-        self.coeffs = np.array(coeffs)
-
-    def eval_batch(self, points: np.ndarray) -> np.ndarray:
-        if not len(self.coeffs):
-            return np.zeros(points.shape[0])
-        powers = points[:, None, :] ** self.exps[None, :, :]
-        return powers.prod(axis=2) @ self.coeffs
-
-
 class CompiledSystem:
     """A factored constraint system compiled to numpy, in squared variables.
 
     Columns are ``[K, x_{j1}, ..., x_{jd}]`` where the ``j``s are the
-    curvature indices that actually appear in the equations.
+    curvature indices that actually appear in the equations.  One monomial
+    table serves the ``n`` equations and their ``n * d`` partial derivatives:
+    ``exps`` holds the distinct monomials (one row each, one exponent per
+    column) and ``coeffs`` has one column per polynomial, the equations first,
+    then the Jacobian entries row by row.
     """
 
     def __init__(self, system: ConstraintSystem):
@@ -105,30 +89,44 @@ class CompiledSystem:
             unknowns |= p.variables() - {AMBIENT}
         self.unknowns: tuple[int, ...] = tuple(sorted(unknowns))
         self.columns = (AMBIENT,) + self.unknowns
-        self._fns = [_CompiledPoly(p, self.columns) for p in self.x_equations]
-        self._jac = [
-            [_CompiledPoly(p.differentiate(v), self.columns) for v in self.unknowns]
-            for p in self.x_equations
+        polys = self.x_equations + [
+            p.differentiate(v) for p in self.x_equations for v in self.unknowns
         ]
+        rows: dict[Monomial, int] = {}
+        for poly in polys:
+            for mono, _ in poly.terms():
+                rows.setdefault(mono, len(rows))
+        col_index = {v: i for i, v in enumerate(self.columns)}
+        self.exps = np.zeros((len(rows), len(self.columns)), dtype=np.int64)
+        for mono, row in rows.items():
+            for vid, e in mono.exps:
+                self.exps[row, col_index[vid]] = e
+        self.coeffs = np.zeros((len(rows), len(polys)))
+        for k, poly in enumerate(polys):
+            for mono, coeff in poly.terms():
+                self.coeffs[rows[mono], k] = float(coeff)
 
     @property
     def dimension(self) -> int:
         return len(self.unknowns)
 
-    def _with_ambient(self, X: np.ndarray, K: float) -> np.ndarray:
-        col = np.full((X.shape[0], 1), K)
-        return np.hstack([col, X])
+    def _powers(self, X: np.ndarray, K: float) -> np.ndarray:
+        """The power table: every monomial at every point, ``(points, rows)``.
+        Multiplying in one column at a time gives the same products as
+        ``(full[:, None, :] ** exps).prod(axis=2)`` without its 3-d temporary."""
+        full = np.hstack([np.full((X.shape[0], 1), K), X])
+        powers = np.ones((X.shape[0], len(self.exps)))
+        for values, exps in zip(full.T, self.exps.T):
+            powers *= values[:, None] ** exps
+        return powers
 
     def residuals(self, X: np.ndarray, K: float) -> np.ndarray:
-        full = self._with_ambient(X, K)
-        return np.stack([f.eval_batch(full) for f in self._fns], axis=1)
+        return self._powers(X, K) @ self.coeffs[:, : len(self.x_equations)]
 
     def jacobians(self, X: np.ndarray, K: float) -> np.ndarray:
-        full = self._with_ambient(X, K)
-        rows = [
-            np.stack([d.eval_batch(full) for d in row], axis=1) for row in self._jac
-        ]
-        return np.stack(rows, axis=1)
+        n = len(self.x_equations)
+        J = self._powers(X, K) @ self.coeffs[:, n:]
+        return J.reshape(X.shape[0], n, self.dimension)
 
     def raw_residual(self, x: Sequence[float], K: float) -> float:
         assign = {AMBIENT: K}
@@ -239,12 +237,11 @@ def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
     return P, Q
 
 
-def _negative_K_certificates(system: ConstraintSystem, K: float) -> list[dict]:
+def _negative_K_certificates(compiled: CompiledSystem) -> list[dict]:
     """For K < 0 every surviving equation is a sum of nonnegative terms, and
     the top-frame equation even contains the strictly positive constant -K."""
     certs: list[dict] = []
-    for eq in system.equations:
-        x_eq = squared_form(eq.factored)
+    for eq, x_eq in zip(compiled.system.equations, compiled.x_equations):
         split = _nonnegative_split(x_eq)
         if split is None:
             continue
@@ -282,6 +279,12 @@ def solve_helix(
     system by damped Newton iteration from a deterministic multistart grid
     over the squared curvatures.
 
+    Every x-space system is weighted-homogeneous in ``(x_j, K)``, so the
+    search runs at the unit ambient curvature ``K/|K|`` (``K = 0`` as it is)
+    and each curvature is then scaled by ``sqrt(|K|)``.  ``tol`` and the
+    reported residuals refer to that unit-``|K|`` system, which keeps them
+    meaningful for any magnitude of ``K``.
+
     Pseudoinverse Newton steps handle underdetermined systems, in which case
     the converged points sample the solution family.  An empty solution list
     is a valid outcome and, for ``K < 0``, comes with analytic certificates.
@@ -294,12 +297,12 @@ def solve_helix(
         raise ValueError(f"ambient curvature K must be finite, got {K}")
     if trials < 1:
         raise ValueError(f"need at least 1 multistart trial, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
     compiled = CompiledSystem(system)
-    certificates: list[dict] = []
-    if K < 0:
-        certificates = _negative_K_certificates(system, K)
+    certificates = _negative_K_certificates(compiled) if K < 0 else []
 
     m = 2 * r - 2
     if not system.equations:
@@ -310,19 +313,18 @@ def solve_helix(
             r, K, pattern, (), (sol,), tuple(certificates), seed, 0, tol, False
         )
 
+    scale = abs(K) or 1.0
+    unit_K = K / scale
     d = compiled.dimension
-    hi = 4.0 * abs(K) + 4.0
+    hi = 4.0 * abs(unit_K) + 4.0
     axis = np.linspace(0.0, hi, GRID_POINTS_PER_DIM)
     grid_size = GRID_POINTS_PER_DIM**d
     rng = np.random.default_rng(seed)
     if grid_size <= trials:
-        starts = np.array(list(itertools.product(axis, repeat=d)))
+        flat = np.arange(grid_size)
     else:
-        chosen = np.sort(rng.choice(grid_size, size=trials, replace=False))
-        starts = np.empty((trials, d))
-        for row, flat in enumerate(chosen):
-            idx = np.unravel_index(flat, (GRID_POINTS_PER_DIM,) * d)
-            starts[row] = axis[list(idx)]
+        flat = np.sort(rng.choice(grid_size, size=trials, replace=False))
+    starts = axis[np.stack(np.unravel_index(flat, (GRID_POINTS_PER_DIM,) * d), axis=1)]
     jitter_scale = hi / (GRID_POINTS_PER_DIM - 1) / 8.0
     starts = starts + rng.uniform(-jitter_scale, jitter_scale, starts.shape)
     starts = np.clip(starts, 0.0, hi)
@@ -330,8 +332,8 @@ def solve_helix(
     X = starts.copy()
     step_cap = 2.0 * hi
     for _ in range(60):
-        F = compiled.residuals(X, K)
-        J = compiled.jacobians(X, K)
+        F = compiled.residuals(X, unit_K)
+        J = compiled.jacobians(X, unit_K)
         with np.errstate(all="ignore"):
             step = -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
         step = np.clip(step, -step_cap, step_cap)
@@ -340,42 +342,34 @@ def solve_helix(
         X = np.where(ok[:, None], X_new, X)
         X = np.clip(X, -hi, 1e7)
 
-    F = compiled.residuals(X, K)
+    F = compiled.residuals(X, unit_K)
     converged = np.abs(F).max(axis=1) < tol
     nonneg = (X > -DEDUP_TOL).all(axis=1)
     candidates = np.clip(X[converged & nonneg], 0.0, None)
+    # values that converged to numerical zero are snapped to exact zero when
+    # that preserves convergence, so geodesic components are reported as 0.0
+    # rather than sqrt(roundoff); sorting after the snap keeps roundoff in
+    # those components from deciding the order of the roots
+    snapped = np.where(candidates < SNAP_TOL, 0.0, candidates)
+    keeps_root = np.abs(compiled.residuals(snapped, unit_K)).max(axis=1) < tol
+    candidates = np.where(keeps_root[:, None], snapped, candidates)
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    worst = np.abs(compiled.residuals(candidates, unit_K)).max(axis=1)
+    accepted: list[int] = []
+    for i in np.flatnonzero(worst < tol):
+        if all(np.abs(candidates[i] - candidates[j]).max() > DEDUP_TOL for j in accepted):
+            accepted.append(i)
 
-    accepted: list[np.ndarray] = []
-    if len(candidates):
-        order_idx = np.lexsort(candidates.T[::-1])
-        for row in candidates[order_idx]:
-            # values that converged to numerical zero are snapped to exact
-            # zero when that preserves convergence, so geodesic components
-            # are reported as 0.0 rather than sqrt(roundoff)
-            snapped = np.where(row < SNAP_TOL, 0.0, row)
-            if float(np.abs(compiled.residuals(snapped[None, :], K)).max()) < tol:
-                row = snapped
-            res = float(np.abs(compiled.residuals(row[None, :], K)).max())
-            if res >= tol:
-                continue
-            if any(np.abs(row - kept).max() <= DEDUP_TOL for kept in accepted):
-                continue
-            accepted.append(row)
-
-    underdetermined = False
-    solutions: list[Solution] = []
-    for row in accepted:
-        res = float(np.abs(compiled.residuals(row[None, :], K)).max())
-        raw = compiled.raw_residual(row, K)
-        jac = compiled.jacobians(row[None, :], K)[0]
-        rank = int(np.linalg.matrix_rank(jac)) if jac.size else 0
-        if rank < d:
-            underdetermined = True
-        x_full = [0.0] * m
-        for v, value in zip(compiled.unknowns, row):
-            x_full[v - 1] = float(value)
-        curvatures = tuple(math.sqrt(x) for x in x_full)
-        solutions.append(Solution(HelixSpec(r, K, curvatures), res, raw, rank))
+    roots = candidates[accepted]
+    ranks = np.linalg.matrix_rank(compiled.jacobians(roots, unit_K))
+    curvatures = np.zeros((len(roots), m))
+    curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(roots) * math.sqrt(scale)
+    solutions = [
+        Solution(
+            HelixSpec(r, K, tuple(ks)), float(res), compiled.raw_residual(x, unit_K), int(rank)
+        )
+        for ks, x, res, rank in zip(curvatures.tolist(), roots, worst[accepted], ranks)
+    ]
 
     return SolutionReport(
         r,
@@ -387,7 +381,7 @@ def solve_helix(
         seed,
         len(starts),
         tol,
-        underdetermined,
+        any(s.jacobian_rank < d for s in solutions),
     )
 
 

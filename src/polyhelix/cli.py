@@ -117,6 +117,10 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
+    if count > odelab.MAX_SCAN_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {count} points, at most {odelab.MAX_SCAN_POINTS}: {text}"
+        )
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 def _parse_zeros(text: str) -> set[int]:

@@ -27,6 +27,10 @@ from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial, ambient, kvar
 
 Poly = CurvaturePolynomial
 
+# The derivation costs about 0.4 s at order 8 and grows about x3 per order,
+# so order 10 already takes seconds and order 20 would take hours.
+MAX_TENSION_ORDER = 10
+
 
 @dataclass(frozen=True)
 class SpaceForm:
@@ -168,8 +172,10 @@ def tau_space_form(r: int) -> FrenetExpansion:
     """Order-``r`` tension field of a helix in a space form, as an exact
     frame-coefficient expansion over ``k_1, ..., k_{2r-2}`` and ``K``; the
     tangential projections are the ``F_1`` coefficients."""
-    if r < 2:
-        raise ValueError("tension order must be >= 2")
+    if not 2 <= r <= MAX_TENSION_ORDER:
+        raise ValueError(
+            f"tension order must be between 2 and {MAX_TENSION_ORDER}, got {r}"
+        )
     derivs = derivative_chain(2 * r - 1, 2 * r - 2)
     return tension_field(derivs, r, ambient(), lambda v: v.coefficient(1))
 

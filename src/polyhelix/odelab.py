@@ -46,6 +46,13 @@ from .spherecurves import covariant_jets
 MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
 REORTHO_INTERVAL = 100
+# An integration stores (steps + 1) x (m + 1) x d frame values; 2^25 float64s
+# are 256 MiB, and at about 30 us per RK4 step (run at h and at h/2) the
+# integration already takes minutes before reaching it.
+MAX_FRAME_VALUES = 2**25
+# Each scan point integrates its own trajectory (about 0.3 s at the default
+# span and step), so 1000 points are already several minutes of work.
+MAX_SCAN_POINTS = 1000
 
 # Once-integrated conservation law of each order, as the terms
 # c * d^k/ds^k |nabla^l T|^2 listed by (c, k, l); the law says the sum of the
@@ -440,7 +447,14 @@ def integrate_frenet(
             f"ambient dimension must be at least {profile.count + 1}"
         )
     profile.check_span(span)
-    steps = int(round((span[1] - span[0]) / h))
+    intervals = (span[1] - span[0]) / h
+    values = (intervals + 1) * (profile.count + 1) * d
+    if values > MAX_FRAME_VALUES:
+        raise ValueError(
+            f"step {h} over span {span[0]}:{span[1]} in dimension {d} would store "
+            f"{values:.3g} frame values, more than {MAX_FRAME_VALUES}"
+        )
+    steps = int(round(intervals))
     if steps < 1:
         raise ValueError("span shorter than one step")
     actual_span = (span[0], span[0] + steps * h)
@@ -644,7 +658,9 @@ def curvature_ode_residual(
 class ConjectureRow:
     """One grid row of a curvature-profile scan.
 
-    ``law_residual`` is the exact scalar conservation-law residual; the
+    ``law_residual`` is the exact scalar conservation-law residual: the sup
+    of ``|Q|`` (the once-integrated law with constant zero) at order three,
+    and the sup of ``|dQ/ds|`` (its derivative) at order four.  The
     finite-difference tension estimate is reported for comparison but is not
     a certification (the scalar law is necessary, not sufficient).
     """
@@ -720,6 +736,8 @@ def conjecture_scan(
         raise ValueError("supported orders are 3 and 4")
     if not math.isfinite(alpha) or alpha == 0:
         raise ValueError(f"alpha must be finite and nonzero, got {alpha}")
+    if len(beta_grid) > MAX_SCAN_POINTS:
+        raise ValueError(f"at most {MAX_SCAN_POINTS} beta values, got {len(beta_grid)}")
     betas = sorted(float(b) for b in beta_grid)
     bad = [b for b in betas if not math.isfinite(b)]
     if bad:

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from polyhelix.classify import (
+    MAX_TRIALS,
+    CompiledSystem,
     HelixSpec,
     canonical_pattern,
     negative_K_scan,
@@ -20,7 +22,8 @@ from polyhelix.classify import (
     sum_of_squares_check,
     triharmonic_case_analysis,
 )
-from polyhelix.ratpoly import CurvaturePolynomial as Poly, ambient, kvar
+from polyhelix.frenet import constraint_system
+from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
 
 
 def family_residual(x1: float, x2: float, K: float = 1.0) -> float:
@@ -67,6 +70,12 @@ def test_solver_argument_validation():
 def test_solver_needs_a_trial(trials):
     with pytest.raises(ValueError, match=f"at least 1 multistart trial, got {trials}"):
         solve_helix(3, 1.0, trials=trials)
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 7**10])
+def test_solver_caps_trials_before_allocating(trials):
+    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} multistart trials, got {trials}"):
+        solve_helix(6, 1.0, trials=trials)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
@@ -135,6 +144,53 @@ def test_reports_are_reproducible():
     a = solve_helix(3, 1.0, {3, 4}, trials=150).to_json_dict()
     b = solve_helix(3, 1.0, {3, 4}, trials=150).to_json_dict()
     assert a == b
+
+
+# -- compiled monomial table -------------------------------------------------
+
+@pytest.mark.parametrize("r, pattern", [(2, ()), (3, ()), (4, {3}), (5, ())])
+def test_compiled_table_matches_polynomial_evaluation(r, pattern):
+    compiled = CompiledSystem(constraint_system(r, pattern))
+    n, d = len(compiled.x_equations), compiled.dimension
+    assert compiled.exps.shape == (len(compiled.coeffs), d + 1)
+    assert compiled.coeffs.shape[1] == n + n * d
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.0, 3.0, (5, d))
+    F = compiled.residuals(X, 1.5)
+    J = compiled.jacobians(X, 1.5)
+    assert F.shape == (5, n) and J.shape == (5, n, d)
+    for b, x in enumerate(X):
+        assign = {AMBIENT: 1.5, **dict(zip(compiled.unknowns, x))}
+        for i, eq in enumerate(compiled.x_equations):
+            assert F[b, i] == pytest.approx(eq.evaluate(assign), rel=1e-12, abs=1e-12)
+            for j, v in enumerate(compiled.unknowns):
+                expected = eq.differentiate(v).evaluate(assign)
+                assert J[b, i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# -- unit-|K| rescaling ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "r, pattern, K, ratio",
+    [(3, {2, 3, 4}, 1e7, 2), (3, {2, 3, 4}, 1e300, 2), (4, {2}, 1e8, 3), (3, {2, 3, 4}, 1e-300, 2)],
+)
+def test_isolated_root_survives_any_magnitude_of_K(r, pattern, K, ratio):
+    report = solve_helix(r, K, pattern, trials=50)
+    (root,) = report.proper_solutions()
+    assert root.spec.K == K
+    assert root.spec.curvatures[0] ** 2 == pytest.approx(ratio * K, rel=1e-12)
+    assert root.residual < report.tol
+
+
+def test_roots_scale_exactly_with_K():
+    unit = solve_helix(3, 1.0, {3, 4}, trials=150)
+    scaled = solve_helix(3, 4.0, {3, 4}, trials=150)
+    assert [s.residual for s in scaled.solutions] == [s.residual for s in unit.solutions]
+    assert [s.spec.curvatures for s in scaled.solutions] == [
+        tuple(2.0 * k for k in s.spec.curvatures) for s in unit.solutions
+    ]
+    negative = solve_helix(3, -4.0, trials=50)
+    assert negative.certificates == solve_helix(3, -1.0, trials=50).certificates
 
 
 def test_scaling_coherence_circle():

@@ -350,6 +350,14 @@ class TestBadNumbers:
             (["classify", "--order", "3", "--K", "inf"], "inf"),
             (["classify", "--order", "3", "--K", "1", "--trials", "0"], "got 0"),
             (["classify", "--order", "3", "--K", "1", "--trials", "-5"], "got -5"),
+            # work bounds, checked before anything is allocated
+            (["classify", "--order", "6", "--K", "1", "--trials", "282475249"], "got 282475249"),
+            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "1e-12"], "step 1e-12"),
+            (["integrate", "--profile", "k1=1", "--span", "1:2", "--dimension", "1000000000"],
+             "dimension 1000000000"),
+            (["tau", "--order", "1000000"], "got 1000000"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:10000000000"],
+             "10000000000 points"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

@@ -11,6 +11,7 @@ import pytest
 import sympy as sp
 
 from polyhelix.frenet import (
+    MAX_TENSION_ORDER,
     ConstraintEquation,
     FrenetExpansion,
     SpaceForm,
@@ -295,6 +296,11 @@ def test_tension_field_is_generic_in_the_field_type():
 def test_tension_field_order_bound():
     with pytest.raises(ValueError):
         tau_space_form(1)
+    too_high = MAX_TENSION_ORDER + 1
+    with pytest.raises(ValueError, match=f"between 2 and {MAX_TENSION_ORDER}, got {too_high}"):
+        tau_space_form(too_high)
+    with pytest.raises(ValueError, match="got 1000000000"):
+        constraint_system(10**9)
 
 
 # -- constraint systems ------------------------------------------------------

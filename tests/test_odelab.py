@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from polyhelix.frenet import SpaceForm
 from polyhelix.odelab import (
+    MAX_FRAME_VALUES,
+    MAX_SCAN_POINTS,
     ConjectureRow,
     CurvatureProfile,
     CurveSamples,
@@ -367,6 +369,11 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="one step"):
             integrate_frenet(profile, 3, (1.0, 1.0001), 1e-3)
 
+    @pytest.mark.parametrize("h, d", [(1e-12, 3), (5e-324, 3), (1e-3, 10**9)])
+    def test_storage_bound_fires_before_allocation(self, h, d):
+        with pytest.raises(ValueError, match=f"step {h} .* dimension {d} .*more than {MAX_FRAME_VALUES}"):
+            integrate_frenet(sqrt5_profile(), d, (1.0, 3.0), h)
+
 
 # -- scalar first integral ---------------------------------------------------
 
@@ -581,6 +588,9 @@ class TestConjectureScan:
                 conjecture_scan(3, bad, [0.0], (1.0, 3.0))
             with pytest.raises(ValueError, match=f"beta values must be finite.*{bad}"):
                 conjecture_scan(3, 1.0, [0.0, bad], (1.0, 3.0))
+        too_many = MAX_SCAN_POINTS + 1
+        with pytest.raises(ValueError, match=f"at most {MAX_SCAN_POINTS} beta values, got {too_many}"):
+            conjecture_scan(3, 1.0, [0.0] * too_many, (1.0, 3.0))
 
     def test_row_serialization(self):
         row = ConjectureRow(
