@@ -1,6 +1,7 @@
-"""Golden CLI outputs: the ``tau``, ``verify``, ``family``, ``conjecture``
-and ``conserve`` reports must stay byte-identical across refactors of the
-Frenet engine, the sphere-curve algebra and the curvature-profile lab.
+"""Golden CLI outputs: the ``tau``, ``verify``, ``family``, ``conjecture``,
+``conserve`` and ``integrate`` reports must stay byte-identical across
+refactors of the Frenet engine, the sphere-curve algebra and the
+curvature-profile lab.
 
 Each file under ``tests/golden/`` is the standard output of the command of
 the same name below.  Recapture a file only for an intended output change,
@@ -71,9 +72,17 @@ CONSERVE_CASES = {
     "conserve_r4_flat.json": ["conserve", "--order", "4", "--ambient", "flat", "--json"],
 }
 
+# 201 RK4 steps (an odd count) of a constant-curvature helix in R^4
+INTEGRATE_CASES = {
+    "integrate_helix_odd.csv": [
+        "integrate", "--profile", "k1=0.6,k2=0.4,k3=0.3", "--span", "0:2.01", "--step", "0.01",
+    ],
+}
+
 
 def test_every_golden_file_has_a_case():
-    expected = [f"{name}.json" for name in {**CASES, **CLASSIFY_CASES}] + list(CONSERVE_CASES)
+    expected = [f"{name}.json" for name in {**CASES, **CLASSIFY_CASES}]
+    expected += list(CONSERVE_CASES) + list(INTEGRATE_CASES)
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
 
 
@@ -90,6 +99,12 @@ def test_conserve_report_is_byte_identical(capsys, tmp_path, name):
     assert dispatch(TRAJECTORY + ["--out", str(trajectory)]) == 0
     capsys.readouterr()
     assert dispatch(CONSERVE_CASES[name] + ["--in", str(trajectory)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
+def test_integrate_csv_is_byte_identical(capsys, name):
+    assert dispatch(INTEGRATE_CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
