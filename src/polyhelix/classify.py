@@ -346,6 +346,10 @@ def solve_helix(
     converged = np.abs(F).max(axis=1) < tol
     nonneg = (X > -DEDUP_TOL).all(axis=1)
     candidates = np.clip(X[converged & nonneg], 0.0, None)
+    if K == 0:
+        # every equation is homogeneous, so the geodesic x = 0 solves it; it
+        # sits on the corner of the orthant, which jittered starts miss
+        candidates = np.vstack([np.zeros(d), candidates])
     # values that converged to numerical zero are snapped to exact zero when
     # that preserves convergence, so geodesic components are reported as 0.0
     # rather than sqrt(roundoff); sorting after the snap keeps roundoff in

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -302,6 +302,10 @@ def _cmd_integrate(args, config: RunConfig, started: float) -> int:
     profile = odelab.parse_profile(args.profile)
     dimension = args.dimension or profile.count + 1
     samples = odelab.integrate_frenet(profile, dimension, args.span, args.step)
+    if config.out is None:
+        samples.to_csv(sys.stdout)
+        return 0
+    samples.to_csv(config.out)
     summary = {
         "profile": profile.render(),
         "dimension": dimension,
@@ -311,21 +315,12 @@ def _cmd_integrate(args, config: RunConfig, started: float) -> int:
         "error_estimate": samples.error_estimate,
         "frame_defect": samples.gram_defect(),
     }
-    if config.out is not None:
-        samples.to_csv(config.out)
-        if config.fmt == "json":
-            report = Report(command=config.command, payload=summary)
-            if config.timing:
-                report.wall_time = time.perf_counter() - started
-            sys.stdout.write(report.to_json())
-        else:
-            sys.stdout.write(
-                f"wrote {len(samples)} samples to {config.out} "
-                f"(error estimate {samples.error_estimate:.3e})\n"
-            )
-        return 0
-    samples.to_csv(sys.stdout)
-    return 0
+    line = (
+        f"wrote {len(samples)} samples to {config.out} "
+        f"(error estimate {samples.error_estimate:.3e})"
+    )
+    # the samples went to --out, so the report goes to stdout
+    return _finish(replace(config, out=None), summary, None, [line], started)
 
 
 def _cmd_conserve(args, config: RunConfig, started: float) -> int:
@@ -383,11 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag: bool = True):
+    def common(p, json_flag: bool = True, tol_flag: bool = False):
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
-        p.add_argument("--tol", type=_positive_float, default=None,
-                       help="override default tolerances")
+        if tol_flag:
+            p.add_argument("--tol", type=_positive_float, default=None,
+                           help="override default tolerances")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock time in the report")
         if json_flag:
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--zeros", default="")
     p.add_argument("--trials", type=int, default=1000)
-    common(p)
+    common(p, tol_flag=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify", help="check a closed-form solution curve")
@@ -421,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--params", default=None, help="e.g. a2=1.2,b2=0.8 or y=2.5")
-    common(p)
+    common(p, tol_flag=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("family", help="sweep the two-frequency solution family")
@@ -476,7 +472,7 @@ def dispatch(argv: list[str]) -> int:
         config = RunConfig(
             command=args.command,
             seed=_resolve_seed(args.seed),
-            tol=args.tol,
+            tol=getattr(args, "tol", None),
             out=args.out,
             fmt=fmt,
             timing=args.timing,

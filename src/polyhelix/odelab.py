@@ -3,8 +3,10 @@ curvature functions.
 
 Three instruments live here:
 
-* a fixed-step Frenet-frame integrator for Euclidean ambient space, with
-  step-halving error estimation and periodic frame re-orthonormalization;
+* a fixed-step RK4 Frenet-frame integrator for Euclidean ambient space,
+  with periodic frame re-orthonormalization and a Richardson error estimate
+  that refers to the returned samples (a pass at twice the step over the
+  first 2*floor(steps/2) steps, compared at that sample);
 * conservation-law monitors that test, on sampled position data alone,
   whether the scalar first integrals of the order-three and order-four
   variational equations stay constant along a curve (their covariant
@@ -47,8 +49,10 @@ MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
 REORTHO_INTERVAL = 100
 # An integration stores (steps + 1) x (m + 1) x d frame values; 2^25 float64s
-# are 256 MiB, and at about 30 us per RK4 step (run at h and at h/2) the
-# integration already takes minutes before reaching it.
+# are 256 MiB, and at about 30 us per RK4 step the integration already takes
+# minutes before reaching it.  The 2h pass of the error estimate stores half
+# as many frames again, and each pass holds a steps x 3 x m table of stage
+# curvatures, never larger than its frames.
 MAX_FRAME_VALUES = 2**25
 # Each scan point integrates its own trajectory (about 0.3 s at the default
 # span and step), so 1000 points are already several minutes of work.
@@ -277,7 +281,7 @@ def inverse_power_profile(
 @dataclass
 class CurveSamples:
     """Uniformly spaced samples of a curve, optionally with frame samples
-    and a step-halving error estimate from the integrator."""
+    and the integrator's Richardson error estimate."""
 
     h: float
     span: tuple[float, float]
@@ -369,15 +373,6 @@ def sample_trig_curve(curve, span: tuple[float, float], count: int) -> CurveSamp
 
 # -- Frenet integration ------------------------------------------------------
 
-def _frenet_matrix(profile: CurvatureProfile, s: float, size: int) -> np.ndarray:
-    ks = [term.value(s) for term in profile.terms]
-    matrix = np.zeros((size, size))
-    for i, k in enumerate(ks):
-        matrix[i, i + 1] = k
-        matrix[i + 1, i] = -k
-    return matrix
-
-
 def _reorthonormalize(frame: np.ndarray) -> np.ndarray:
     # QR on the transpose, sign-fixed so the frame varies continuously
     q, r = np.linalg.qr(frame.T)
@@ -391,40 +386,39 @@ def _integrate_once(
     d: int,
     span: tuple[float, float],
     h: float,
-    keep_frames: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 for the position and the Frenet frame at fixed step
+    ``h``; returns the positions and the frames at every step."""
     size = profile.count + 1
     steps = int(round((span[1] - span[0]) / h))
-    position = np.zeros(d)
+    s = span[0] + h * np.arange(steps)
+    # curvatures at the stage arclengths s, s + h/2, s + h of every step
+    stage_ks = profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(1, 2, 0)
+    generators = np.zeros((3, size, size))
+    b_start, b_mid, b_end = generators
+    upper, lower = np.arange(size - 1), np.arange(1, size)
     frame = np.eye(size, d)
-    positions = np.empty((steps + 1, d))
-    positions[0] = position
-    frames = np.empty((steps + 1, size, d)) if keep_frames else None
-    if frames is not None:
-        frames[0] = frame
-    constant = not profile.has_pole
-    matrix = _frenet_matrix(profile, max(span[0], 1.0), size) if constant else None
-
-    s = span[0]
+    positions = np.zeros((steps + 1, d))
+    frames = np.empty((steps + 1, size, d))
+    frames[0] = frame
     for step in range(steps):
-        def rates(sv: float, frm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            b = matrix if constant else _frenet_matrix(profile, sv, size)
-            return frm[0], b @ frm
-
-        p1, f1 = rates(s, frame)
-        p2, f2 = rates(s + h / 2, frame + (h / 2) * f1)
-        p3, f3 = rates(s + h / 2, frame + (h / 2) * f2)
-        p4, f4 = rates(s + h, frame + h * f3)
-        position = position + (h / 6) * (p1 + 2 * p2 + 2 * p3 + p4)
+        generators[:, upper, lower] = stage_ks[step]
+        generators[:, lower, upper] = -stage_ks[step]
+        f1 = b_start @ frame
+        y2 = frame + (h / 2) * f1
+        f2 = b_mid @ y2
+        y3 = frame + (h / 2) * f2
+        f3 = b_mid @ y3
+        y4 = frame + h * f3
+        f4 = b_end @ y4
+        tangents = frame[0] + 2 * y2[0] + 2 * y3[0] + y4[0]
+        positions[step + 1] = positions[step] + (h / 6) * tangents
         frame = frame + (h / 6) * (f1 + 2 * f2 + 2 * f3 + f4)
-        s = span[0] + (step + 1) * h
         if (step + 1) % REORTHO_INTERVAL == 0:
             gram = frame @ frame.T
             if np.abs(gram - np.eye(size)).max() > FRAME_DEFECT_LIMIT:
                 frame = _reorthonormalize(frame)
-        positions[step + 1] = position
-        if frames is not None:
-            frames[step + 1] = frame
+        frames[step + 1] = frame
     return positions, frames
 
 
@@ -437,8 +431,9 @@ def integrate_frenet(
     """Integrate the position together with the Frenet frame equations
     by classical fourth-order Runge-Kutta at fixed step ``h``.
 
-    A second pass at step h/2 yields a Richardson error estimate for the
-    endpoint position, stored on the returned samples.
+    ``error_estimate`` is the Richardson estimate ``|p_h - p_2h| / 15`` of
+    the error of the returned sample 2*floor(steps/2), from a second pass at
+    step 2h over the steps up to it; the span must cover at least two steps.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -455,13 +450,14 @@ def integrate_frenet(
             f"{values:.3g} frame values, more than {MAX_FRAME_VALUES}"
         )
     steps = int(round(intervals))
-    if steps < 1:
-        raise ValueError("span shorter than one step")
+    if steps < 2:
+        raise ValueError(f"span {span[0]}:{span[1]} is shorter than one step at 2h = {2 * h}")
     actual_span = (span[0], span[0] + steps * h)
 
-    positions, frames = _integrate_once(profile, d, actual_span, h, True)
-    fine, _ = _integrate_once(profile, d, actual_span, h / 2, False)
-    estimate = float(np.linalg.norm(positions[-1] - fine[-1]) / 15.0)
+    positions, frames = _integrate_once(profile, d, actual_span, h)
+    paired = 2 * (steps // 2)
+    coarse, _ = _integrate_once(profile, d, (span[0], span[0] + paired * h), 2 * h)
+    estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
     return CurveSamples(
         h=h,
         span=actual_span,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from polyhelix.classify import (
+    GRID_POINTS_PER_DIM,
     MAX_TRIALS,
     CompiledSystem,
     HelixSpec,
@@ -127,6 +128,17 @@ def test_order_two_solutions_fill_the_circle():
 def test_full_order_three_system_has_no_proper_solutions():
     report = solve_helix(3, 1.0, trials=600)
     assert report.proper_solutions() == []
+
+
+@pytest.mark.parametrize("r, zeros", [(3, {3, 4}), (2, set()), (3, set()), (4, {2})])
+def test_flat_ambient_reports_the_geodesic(r, zeros):
+    # at K = 0 the only nonnegative root is x = 0, on the corner of the orthant;
+    # at r = 4 {2} Newton reaches it too, and it is reported once
+    report = solve_helix(r, 0.0, zeros, trials=100)
+    assert [s.spec.curvatures for s in report.solutions] == [(0.0,) * (2 * r - 2)]
+    assert report.solutions[0].residual == 0.0
+    assert report.proper_solutions() == []
+    assert report.starts == min(GRID_POINTS_PER_DIM ** len(report.unknowns), 100)
 
 
 @pytest.mark.parametrize("pattern", [

@@ -358,6 +358,9 @@ class TestBadNumbers:
             (["tau", "--order", "1000000"], "got 1000000"),
             (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:10000000000"],
              "10000000000 points"),
+            # the error estimate's 2h pass needs two steps
+            (["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.01"],
+             "span 0.0:0.01 is shorter than one step at 2h = 0.02"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
@@ -416,6 +419,26 @@ class TestContract:
         assert dispatch(["tau"]) == 2  # missing required --order
         assert dispatch(["verify", "--curve", "unknown-curve"]) == 2
         assert dispatch(["tau", "--order", "3", "--tol", "-1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "--order", "3"],
+        ["family", "tri-hyperbola"],
+        ["integrate", "--profile", "k1=1", "--span", "0:1"],
+        ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"],
+        ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"],
+        ["reproduce"],
+    ])
+    def test_tol_is_not_a_flag_of_commands_that_ignore_it(self, capsys, argv):
+        assert dispatch(argv + ["--tol", "1e-3"]) == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--order", "2", "--K", "1"],
+        ["verify", "--curve", "tri-planar"],
+    ])
+    def test_negative_tol_is_rejected(self, capsys, argv):
+        assert dispatch(argv + ["--tol", "-1"]) == 2
+        assert "--tol: must be positive" in capsys.readouterr().err
 
     def test_help_exits_zero(self):
         assert dispatch(["--help"]) == 0

@@ -369,6 +369,22 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="one step"):
             integrate_frenet(profile, 3, (1.0, 1.0001), 1e-3)
 
+    @pytest.mark.parametrize("h", [5e-3, 1e-2, 2e-2])
+    def test_error_estimate_measures_the_returned_endpoint(self, h):
+        # identity initial frame: gamma(s) = (sin s, 1 - cos s)
+        samples = integrate_frenet(parse_profile("k1=1"), 2, (0.0, 10.0), h)
+        exact = np.array([math.sin(10.0), 1.0 - math.cos(10.0)])
+        ratio = np.linalg.norm(samples.positions[-1] - exact) / samples.error_estimate
+        assert 0.5 <= ratio <= 2.0
+
+    def test_error_estimate_with_an_odd_step_count(self):
+        # 1001 steps: the 2h pass pairs the first 1000, ending at s = 10
+        samples = integrate_frenet(parse_profile("k1=1"), 2, (0.0, 10.01), 1e-2)
+        assert len(samples) == 1002
+        exact = np.array([math.sin(10.0), 1.0 - math.cos(10.0)])
+        ratio = np.linalg.norm(samples.positions[1000] - exact) / samples.error_estimate
+        assert 0.5 <= ratio <= 2.0
+
     @pytest.mark.parametrize("h, d", [(1e-12, 3), (5e-324, 3), (1e-3, 10**9)])
     def test_storage_bound_fires_before_allocation(self, h, d):
         with pytest.raises(ValueError, match=f"step {h} .* dimension {d} .*more than {MAX_FRAME_VALUES}"):
