@@ -8,6 +8,11 @@ the same name below.  Recapture a file only for an intended output change,
 by running its command with ``--out`` pointing at the file.  The ``conserve``
 cases read a trajectory that the test first writes with :data:`TRAJECTORY`.
 
+Every canonical constraint system of orders 2..8 (the full system and each
+upward-closed zero pattern, 63 in all) must render to the SHA-256 digest
+that ``perfbench/reference.json`` records for it; the test only reads that
+file.
+
 The ``classify`` snapshots guard the multistart solver.  Floating-point
 evaluation order may change under a refactor, so they are compared field by
 field rather than byte for byte: counts, flags, certificates and search
@@ -15,14 +20,18 @@ metadata exactly, curvatures to :data:`CURVATURE_TOL`, and every residual
 must stay below the search tolerance.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from polyhelix.cli import dispatch
+from polyhelix.frenet import constraint_system
 
 GOLDEN = Path(__file__).parent / "golden"
+REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
+DIGEST_ORDERS = range(2, 9)
 
 VERIFY_CURVES = (
     "biharmonic-circle",
@@ -106,6 +115,29 @@ def test_conserve_report_is_byte_identical(capsys, tmp_path, name):
 def test_integrate_csv_is_byte_identical(capsys, name):
     assert dispatch(INTEGRATE_CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def canonical_patterns(r: int) -> list[tuple[int, ...]]:
+    """The full system and each upward-closed zero pattern of order ``r``."""
+    m = 2 * r - 2
+    return [()] + [tuple(range(t, m + 1)) for t in range(1, m + 1)]
+
+
+def test_digest_cases_cover_the_reference():
+    digests = json.loads(REFERENCE.read_text())["derive_sha256"]
+    keys = [f"{r}/{','.join(map(str, z))}" for r in DIGEST_ORDERS for z in canonical_patterns(r)]
+    assert len(keys) == 63
+    assert sorted(keys) == sorted(digests)
+
+
+@pytest.mark.parametrize("r", DIGEST_ORDERS)
+def test_canonical_systems_match_reference_digests(r):
+    digests = json.loads(REFERENCE.read_text())["derive_sha256"]
+    for zeros in canonical_patterns(r):
+        payload = constraint_system(r, set(zeros)).to_json_dict()
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        key = f"{r}/{','.join(map(str, zeros))}"
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[key], key
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
