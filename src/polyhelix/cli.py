@@ -123,10 +123,16 @@ def _parse_grid(text: str) -> list[float]:
         )
     return [float(v) for v in np.linspace(lo, hi, count)]
 
+
 def _parse_zeros(text: str) -> set[int]:
     if not text:
         return set()
-    return {int(piece) for piece in text.split(",")}
+    try:
+        return {int(piece) for piece in text.split(",")}
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated curvature indices such as 3,4, got {text!r}"
+        ) from None
 
 
 def _parse_params(text: str | None) -> dict[str, float]:
@@ -180,7 +186,7 @@ def _finish(
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_tau(args, config: RunConfig, started: float) -> int:
-    system = constraint_system(args.order, _parse_zeros(args.zeros))
+    system = constraint_system(args.order, args.zeros)
     text = system.render_latex() if args.format == "latex" else system.render()
     return _finish(config, system.to_json_dict(), None, [text], started)
 
@@ -189,7 +195,7 @@ def _cmd_classify(args, config: RunConfig, started: float) -> int:
     report = classify.solve_helix(
         args.order,
         args.K,
-        _parse_zeros(args.zeros),
+        args.zeros,
         tol=config.tol if config.tol is not None else 1e-10,
         trials=args.trials,
         seed=config.seed,
@@ -391,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tau", help="print a helix constraint system")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--zeros", default="", help="comma-separated vanishing k indices")
+    p.add_argument("--zeros", type=_parse_zeros, default="",
+                   help="comma-separated vanishing k indices")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
     common(p, json_flag=False)
     p.set_defaults(handler=_cmd_tau)
@@ -399,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="search for constant-curvature solutions")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--K", type=float, required=True)
-    p.add_argument("--zeros", default="")
+    p.add_argument("--zeros", type=_parse_zeros, default="")
     p.add_argument("--trials", type=int, default=1000)
     common(p, tol_flag=True)
     p.set_defaults(handler=_cmd_classify)

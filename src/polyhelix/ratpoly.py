@@ -6,7 +6,9 @@ curvature ``k_i``, ``0`` (the constant :data:`AMBIENT`) is the sectional
 curvature ``K`` of the ambient space form, and ``-1`` (the constant
 :data:`INVERSE_ARCLENGTH`) is the inverse arclength ``u = 1/s``.  The
 canonical variable order is ``u < k_1 < k_2 < ... < k_m < K``.  Coefficients
-are arbitrary-precision rationals (:class:`fractions.Fraction`), so every
+are exact: an integral coefficient is an ``int`` (every helix tension
+coefficient is one), and a :class:`fractions.Fraction` appears only with a
+real denominator, such as a curvature profile coefficient ``0.3``.  Every
 identity checked with this module is exact, never approximate.
 
 Along a curve the helix curvatures and ``K`` are constants and ``u`` is the
@@ -24,6 +26,14 @@ AMBIENT = 0
 INVERSE_ARCLENGTH = -1
 
 Scalar = Union[int, Fraction]
+
+
+def _exact(value: Scalar) -> Scalar:
+    """``value`` as an ``int`` when integral, else as a :class:`Fraction`."""
+    if type(value) is int:
+        return value
+    c = Fraction(value)
+    return c.numerator if c.denominator == 1 else c
 
 
 class UnboundVariableError(ValueError):
@@ -115,19 +125,20 @@ _U_MONO = Monomial([(INVERSE_ARCLENGTH, 1)])
 
 class CurvaturePolynomial:
     """Canonical sparse polynomial: a map from :class:`Monomial` to nonzero
-    rational coefficients.  Supports ring arithmetic, evaluation, zero
-    substitution, monomial-GCD factoring and deterministic text rendering."""
+    exact coefficients (``int`` where integral, else ``Fraction``).  Supports
+    ring arithmetic, evaluation, zero substitution, monomial-GCD factoring
+    and deterministic text rendering."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        canonical: dict[Monomial, Fraction] = {}
+        canonical: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c:
-                    canonical[mono] = canonical.get(mono, Fraction(0)) + c
-        self._terms = {m: c for m, c in canonical.items() if c}
+                    canonical[mono] = c
+        self._terms = canonical
 
     # -- constructors -------------------------------------------------------
 
@@ -137,19 +148,19 @@ class CurvaturePolynomial:
 
     @staticmethod
     def constant(value: Scalar) -> "CurvaturePolynomial":
-        return CurvaturePolynomial({_ONE_MONO: Fraction(value)})
+        return CurvaturePolynomial({_ONE_MONO: value})
 
     @staticmethod
     def variable(vid: int) -> "CurvaturePolynomial":
-        return CurvaturePolynomial({Monomial([(vid, 1)]): Fraction(1)})
+        return CurvaturePolynomial({Monomial([(vid, 1)]): 1})
 
     # -- inspection ---------------------------------------------------------
 
-    def terms(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Scalar:
+        return self._terms.get(mono, 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -196,7 +207,7 @@ class CurvaturePolynomial:
             return NotImplemented
         terms = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
+            terms[mono] = terms.get(mono, 0) + coeff
         return CurvaturePolynomial(terms)
 
     __radd__ = __add__
@@ -220,11 +231,11 @@ class CurvaturePolynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in rhs._terms.items():
                 prod = m1 * m2
-                terms[prod] = terms.get(prod, Fraction(0)) + c1 * c2
+                terms[prod] = terms.get(prod, 0) + c1 * c2
         return CurvaturePolynomial(terms)
 
     __rmul__ = __mul__
@@ -287,7 +298,7 @@ class CurvaturePolynomial:
         return out
 
     def differentiate(self, vid: int) -> "CurvaturePolynomial":
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             e = mono.exponent(vid)
             if not e:
@@ -295,13 +306,13 @@ class CurvaturePolynomial:
             lowered = Monomial(
                 [(v, x) for v, x in mono.exps if v != vid] + [(vid, e - 1)]
             )
-            terms[lowered] = terms.get(lowered, Fraction(0)) + coeff * e
+            terms[lowered] = terms.get(lowered, 0) + coeff * e
         return CurvaturePolynomial(terms)
 
     def arclength_derivative(self) -> "CurvaturePolynomial":
         """``d/ds = -u^2 d/du``: every variable but ``u = 1/s`` is constant
         along the curve."""
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
             e = mono.exponent(INVERSE_ARCLENGTH)
             if e:
@@ -317,24 +328,30 @@ class CurvaturePolynomial:
         if not self._terms:
             raise ZeroPolynomialError("monomial gcd of the zero polynomial")
         monos = iter(self._terms)
-        g = next(monos)
-        for m in monos:
-            g = g.gcd(m)
-            if not g.exps:
+        low = dict(next(monos).exps)
+        for mono in monos:
+            if not low:
                 break
+            exps = dict(mono.exps)
+            low = {v: min(e, exps[v]) for v, e in low.items() if v in exps}
+        if not low:
+            return _ONE_MONO, self
         quotient = CurvaturePolynomial(
-            {m.quotient(g): c for m, c in self._terms.items()}
+            {
+                Monomial((v, e - low.get(v, 0)) for v, e in mono.exps): c
+                for mono, c in self._terms.items()
+            }
         )
-        return g, quotient
+        return Monomial(low.items()), quotient
 
     # -- ordering and rendering ---------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in graded-lexicographic order, highest degree first."""
         var_order = sorted(self.variables(), key=_sort_key)
         index = {v: i for i, v in enumerate(var_order)}
 
-        def key(item: tuple[Monomial, Fraction]):
+        def key(item: tuple[Monomial, Scalar]):
             mono = item[0]
             vec = [0] * len(var_order)
             for v, e in mono.exps:
@@ -343,9 +360,9 @@ class CurvaturePolynomial:
 
         return sorted(self._terms.items(), key=key)
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         if not self._terms:
-            return Fraction(0)
+            return 0
         return self.sorted_terms()[0][1]
 
     def render(self, name: Callable[[int], str] = variable_name) -> str:
@@ -375,7 +392,7 @@ class CurvaturePolynomial:
 
 
 def _render_term(
-    mono: Monomial, coeff: Fraction, sep: str, factor: Callable[[int, int], str]
+    mono: Monomial, coeff: Scalar, sep: str, factor: Callable[[int, int], str]
 ) -> str:
     # display order inside a term: ambient curvature first, then u, k1, k2, ...
     ordered = sorted(mono.exps, key=lambda p: (p[0] != AMBIENT, p[0]))

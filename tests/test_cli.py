@@ -361,6 +361,13 @@ class TestBadNumbers:
             # the error estimate's 2h pass needs two steps
             (["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.01"],
              "span 0.0:0.01 is shorter than one step at 2h = 0.02"),
+            # a malformed zero pattern names the flag and the text given
+            (["tau", "--order", "3", "--zeros", "2,,3"], "--zeros: expected comma-separated"
+             " curvature indices such as 3,4, got '2,,3'"),
+            (["tau", "--order", "3", "--zeros", "a"], "--zeros: expected comma-separated"
+             " curvature indices such as 3,4, got 'a'"),
+            (["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
+             "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

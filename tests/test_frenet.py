@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from polyhelix import frenet
 from polyhelix.frenet import (
     MAX_TENSION_ORDER,
     ConstraintEquation,
@@ -301,6 +302,50 @@ def test_tension_field_order_bound():
         tau_space_form(too_high)
     with pytest.raises(ValueError, match="got 1000000000"):
         constraint_system(10**9)
+
+
+def canonical_patterns(r: int) -> list[set[int]]:
+    """The full system and each upward-closed zero pattern: 2r - 1 in all."""
+    m = 2 * r - 2
+    return [set()] + [set(range(t, m + 1)) for t in range(1, m + 1)]
+
+
+def test_pattern_sweep_derives_the_order_once(monkeypatch):
+    r = 5
+    original = frenet.frenet_derivative
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(frenet, "frenet_derivative", counting)
+    tau_space_form.cache_clear()
+    for pattern in canonical_patterns(r):
+        constraint_system(r, pattern)
+    assert len(canonical_patterns(r)) == 2 * r - 1
+    assert len(calls) == 2 * r - 1  # one chain T, nabla T, ..., nabla^(2r-1) T
+
+
+def test_cached_tension_field_is_never_mutated():
+    r = 4
+    tau_space_form.cache_clear()
+    before = tau_space_form(r).render()
+    for pattern in canonical_patterns(r):
+        constraint_system(r, pattern).to_json_dict()
+    cached = tau_space_form(r)
+    assert cached is tau_space_form(r)
+    assert cached.render() == before
+    tau_space_form.cache_clear()
+    assert tau_space_form(r) == cached
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_tension_coefficients_are_ints(r):
+    tau = tau_space_form(r)
+    coefficients = [c for j in tau.frames() for _, c in tau.coefficient(j).terms()]
+    assert coefficients
+    assert all(type(c) is int for c in coefficients)
 
 
 # -- constraint systems ------------------------------------------------------

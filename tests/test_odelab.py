@@ -219,6 +219,13 @@ class TestProfiles:
         assert _evaluate(square.arclength_derivative(), np.array([1.0]))[0] == 18.0
         assert ProfileTerm(0.8).poly() == Poly.constant(Fraction(0.8))
 
+    def test_coefficient_with_a_denominator_stays_a_fraction(self):
+        # the exact value of the float the integrator also uses
+        [(_, third)] = ProfileTerm(0.3, 1).poly().terms()
+        assert type(third) is Fraction and third == Fraction(0.3)
+        [(_, whole)] = ProfileTerm(2.0, 1).poly().terms()
+        assert type(whole) is int and whole == 2
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficient_raises(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -132,6 +132,19 @@ def test_factor_monomial_gcd_exact_split():
     assert q2 == P.constant(3)
 
 
+def test_integral_coefficients_are_ints():
+    tenth = P.constant(Fraction(3, 10))
+    assert [type(c) for _, c in tenth.terms()] == [Fraction]
+    assert tenth.coefficient(Monomial()) == Fraction(3, 10)
+    whole = tenth * 10 + kvar(1) * Fraction(4, 2)
+    assert all(type(c) is int for _, c in whole.terms())
+    assert whole.coefficient(Monomial()) == 3
+    assert P.constant(Fraction(6, 2)) == P.constant(3)
+    assert hash(P({Monomial([(1, 2)]): Fraction(8, 4)})) == hash(2 * kvar(1) ** 2)
+    assert (Fraction(1, 2) * kvar(1) + P.constant(Fraction(5, 1))).render() == "1/2*k1 + 5"
+    assert P.zero().coefficient(Monomial()) == 0 and P.zero().leading_coefficient() == 0
+
+
 # -- ring axioms on random small polynomials --------------------------------
 
 coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
@@ -164,6 +177,27 @@ def test_factor_gcd_roundtrip(p, q):
         return
     g, cof = prod.factor_monomial_gcd()
     assert P({g: 1}) * cof == prod
+
+
+rational_polys = st.dictionaries(
+    st.dictionaries(
+        st.integers(min_value=-1, max_value=3),
+        st.integers(min_value=1, max_value=4),
+        max_size=4,
+    ).map(lambda d: Monomial(d.items())),
+    st.fractions(max_denominator=6).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(CurvaturePolynomial)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys)
+def test_factor_gcd_is_exact_and_maximal(p):
+    g, q = p.factor_monomial_gcd()
+    assert P({g: 1}) * q == p
+    for vid in q.variables():
+        assert any(mono.exponent(vid) == 0 for mono, _ in q.terms())
 
 
 @settings(max_examples=60, deadline=None)
