@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from polyhelix.classify import (
+    DEDUP_TOL,
     GRID_POINTS_PER_DIM,
     MAX_TRIALS,
+    SNAP_TOL,
     CompiledSystem,
     HelixSpec,
     canonical_pattern,
@@ -178,6 +180,84 @@ def test_compiled_table_matches_polynomial_evaluation(r, pattern):
             for j, v in enumerate(compiled.unknowns):
                 expected = eq.differentiate(v).evaluate(assign)
                 assert J[b, i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# -- reference Newton loop --------------------------------------------------
+
+CURVATURE_TOL = 1e-12
+
+
+def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
+    """The multistart solve as a fixed 60-iteration Newton loop over every
+    start, with the power table built by ``**``: the reference the solver's
+    roots are compared with.  Same starts, filters, snap, order and dedup as
+    :func:`solve_helix`; returns the curvature rows of the accepted roots."""
+    compiled = CompiledSystem(constraint_system(r, set(pattern)))
+    n, d = len(compiled.x_equations), compiled.dimension
+    scale = abs(K) or 1.0
+    unit_K = K / scale
+
+    def table(X):
+        full = np.hstack([np.full((len(X), 1), unit_K), X])
+        return (full[:, None, :] ** compiled.exps).prod(axis=2)
+
+    def residuals(X):
+        return table(X) @ compiled.coeffs[:, :n]
+
+    def jacobians(X):
+        return (table(X) @ compiled.coeffs[:, n:]).reshape(len(X), n, d)
+
+    hi = 4.0 * abs(unit_K) + 4.0
+    axis = np.linspace(0.0, hi, GRID_POINTS_PER_DIM)
+    grid_size = GRID_POINTS_PER_DIM**d
+    rng = np.random.default_rng(seed)
+    if grid_size <= trials:
+        flat = np.arange(grid_size)
+    else:
+        flat = np.sort(rng.choice(grid_size, size=trials, replace=False))
+    X = axis[np.stack(np.unravel_index(flat, (GRID_POINTS_PER_DIM,) * d), axis=1)]
+    jitter = hi / (GRID_POINTS_PER_DIM - 1) / 8.0
+    X = np.clip(X + rng.uniform(-jitter, jitter, X.shape), 0.0, hi)
+    for _ in range(60):
+        with np.errstate(all="ignore"):
+            step = -np.einsum("bij,bj->bi", np.linalg.pinv(jacobians(X)), residuals(X))
+        X_new = X + np.clip(step, -2.0 * hi, 2.0 * hi)
+        X = np.where(np.isfinite(X_new).all(axis=1)[:, None], X_new, X)
+        X = np.clip(X, -hi, 1e7)
+
+    converged = np.abs(residuals(X)).max(axis=1) < tol
+    candidates = np.clip(X[converged & (X > -DEDUP_TOL).all(axis=1)], 0.0, None)
+    if K == 0:
+        candidates = np.vstack([np.zeros(d), candidates])
+    snapped = np.where(candidates < SNAP_TOL, 0.0, candidates)
+    keeps_root = np.abs(residuals(snapped)).max(axis=1) < tol
+    candidates = np.where(keeps_root[:, None], snapped, candidates)
+    candidates = candidates[np.lexsort(candidates.T[::-1])]
+    accepted = []
+    for x in candidates[np.abs(residuals(candidates)).max(axis=1) < tol]:
+        if all(np.abs(x - y).max() > DEDUP_TOL for y in accepted):
+            accepted.append(x)
+    curvatures = np.zeros((len(accepted), 2 * r - 2))
+    if accepted:
+        curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(accepted) * math.sqrt(scale)
+    return curvatures
+
+
+REFERENCE_CASES = [(r, pattern, 1.0) for r in (3, 4, 5) for pattern in ((), (2,), (3,))]
+REFERENCE_CASES += [(3, (3, 4), 0.0), (3, (), -1.0), (4, (), -1.0)]
+
+
+@pytest.mark.parametrize(
+    "r, pattern, K",
+    REFERENCE_CASES,
+    ids=[f"r{r}-zeros{''.join(map(str, p))}-K{K:g}" for r, p, K in REFERENCE_CASES],
+)
+def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
+    report = solve_helix(r, K, pattern, trials=300)
+    got = np.array([s.spec.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
+    want = reference_curvatures(r, K, pattern, trials=300)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=CURVATURE_TOL)
 
 
 # -- unit-|K| rescaling ------------------------------------------------------
