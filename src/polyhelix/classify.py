@@ -31,6 +31,11 @@ from .ratpoly import (
 
 DEDUP_TOL = 1e-8
 SNAP_TOL = 1e-12
+# a start leaves the Newton iteration once an update moves it by at most this
+# much in max-norm; a residual test instead would freeze slowly converging
+# starts (the rank-0 geodesic at K = 0) before they come within SNAP_TOL
+STEP_TOL = 1e-14
+NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
 # Each Newton iteration holds a power table of trials x monomials floats; at
 # r = 6 (282 monomials) the cap keeps it near 110 MiB, where the full 7^10
@@ -101,6 +106,7 @@ class CompiledSystem:
         for mono, row in rows.items():
             for vid, e in mono.exps:
                 self.exps[row, col_index[vid]] = e
+        self.top_exps = self.exps.max(axis=0, initial=0)
         self.coeffs = np.zeros((len(rows), len(polys)))
         for k, poly in enumerate(polys):
             for mono, coeff in poly.terms():
@@ -112,12 +118,22 @@ class CompiledSystem:
 
     def _powers(self, X: np.ndarray, K: float) -> np.ndarray:
         """The power table: every monomial at every point, ``(points, rows)``.
-        Multiplying in one column at a time gives the same products as
-        ``(full[:, None, :] ** exps).prod(axis=2)`` without its 3-d temporary."""
+        Multiplying in one column at a time gives the products of
+        ``(full[:, None, :] ** exps).prod(axis=2)`` without its 3-d temporary.
+        Each column's powers ``v**0 .. v**top`` come from one ladder of
+        repeated multiplications, a few ulp from ``**`` and far cheaper than
+        an elementwise ``float ** int`` per monomial; a column whose
+        exponents are all 0 contributes nothing."""
         full = np.hstack([np.full((X.shape[0], 1), K), X])
         powers = np.ones((X.shape[0], len(self.exps)))
-        for values, exps in zip(full.T, self.exps.T):
-            powers *= values[:, None] ** exps
+        for values, exps, top in zip(full.T, self.exps.T, self.top_exps):
+            if top == 0:
+                continue
+            ladder = np.empty((X.shape[0], top + 1))
+            ladder[:, 0] = 1.0
+            for e in range(1, top + 1):
+                np.multiply(ladder[:, e - 1], values, out=ladder[:, e])
+            powers *= ladder[:, exps]
         return powers
 
     def residuals(self, X: np.ndarray, K: float) -> np.ndarray:
@@ -331,16 +347,22 @@ def solve_helix(
 
     X = starts.copy()
     step_cap = 2.0 * hi
-    for _ in range(60):
-        F = compiled.residuals(X, unit_K)
-        J = compiled.jacobians(X, unit_K)
+    active = np.arange(len(X))
+    for _ in range(NEWTON_ITERATIONS):
+        X_active = X[active]
+        F = compiled.residuals(X_active, unit_K)
+        J = compiled.jacobians(X_active, unit_K)
         with np.errstate(all="ignore"):
             step = -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
         step = np.clip(step, -step_cap, step_cap)
-        X_new = X + step
+        X_new = X_active + step
         ok = np.isfinite(X_new).all(axis=1)
-        X = np.where(ok[:, None], X_new, X)
-        X = np.clip(X, -hi, 1e7)
+        X_new = np.clip(np.where(ok[:, None], X_new, X_active), -hi, 1e7)
+        X[active] = X_new
+        # a start that no longer moves has reached its fixed point
+        active = active[np.abs(X_new - X_active).max(axis=1) > STEP_TOL]
+        if not active.size:
+            break
 
     F = compiled.residuals(X, unit_K)
     converged = np.abs(F).max(axis=1) < tol

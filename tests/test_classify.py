@@ -182,6 +182,19 @@ def test_compiled_table_matches_polynomial_evaluation(r, pattern):
                 assert J[b, i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("r, pattern", [(2, ()), (3, ()), (4, {3}), (5, ()), (6, ())])
+def test_power_ladder_matches_pow(r, pattern, K):
+    compiled = CompiledSystem(constraint_system(r, pattern))
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-3.0, 3.0, (60, compiled.dimension))
+    X[rng.random(X.shape) < 0.25] = 0.0
+    X[0] = 0.0  # with K = 0 every base is zero, so 0**0 = 1 must hold
+    full = np.hstack([np.full((len(X), 1), K), X])
+    want = (full[:, None, :] ** compiled.exps).prod(axis=2)
+    np.testing.assert_allclose(compiled._powers(X, K), want, rtol=1e-14, atol=0)
+
+
 # -- reference Newton loop --------------------------------------------------
 
 CURVATURE_TOL = 1e-12
