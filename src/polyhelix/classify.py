@@ -37,10 +37,16 @@ SNAP_TOL = 1e-12
 STEP_TOL = 1e-14
 NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
-# Each Newton iteration holds a power table of trials x monomials floats; at
-# r = 6 (282 monomials) the cap keeps it near 110 MiB, where the full 7^10
-# start grid would need hundreds of GiB.
+# Work bounds, checked before anything is allocated.  Orders above 8 have
+# more unknowns than a multistart grid can cover (r = 8: 14 unknowns, 2168
+# monomials).  Each residual or Jacobian evaluation holds a power table of
+# trials x monomials floats, and one temporary of that shape, so the product
+# is bounded: 2^24 entries are 128 MiB, which admits MAX_TRIALS starts up to
+# r = 6 (282 monomials) and 7738 at r = 8.  MAX_TRIALS bounds the starts
+# themselves, where the full 7^d grid would need hundreds of GiB.
+MAX_SOLVE_ORDER = 8
 MAX_TRIALS = 50_000
+MAX_POWER_TABLE = 2**24
 
 
 def _square_name(vid: int) -> str:
@@ -305,8 +311,8 @@ def solve_helix(
     the converged points sample the solution family.  An empty solution list
     is a valid outcome and, for ``K < 0``, comes with analytic certificates.
     """
-    if not 2 <= r <= 6:
-        raise ValueError("order must be between 2 and 6")
+    if not 2 <= r <= MAX_SOLVE_ORDER:
+        raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if not math.isfinite(K):
@@ -318,6 +324,11 @@ def solve_helix(
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
     compiled = CompiledSystem(system)
+    if trials * len(compiled.exps) > MAX_POWER_TABLE:
+        raise ValueError(
+            f"{trials} multistart trials x {len(compiled.exps)} monomials is "
+            f"{trials * len(compiled.exps)} power-table entries, at most {MAX_POWER_TABLE}"
+        )
     certificates = _negative_K_certificates(compiled) if K < 0 else []
 
     m = 2 * r - 2

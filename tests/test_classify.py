@@ -13,6 +13,8 @@ import pytest
 from polyhelix.classify import (
     DEDUP_TOL,
     GRID_POINTS_PER_DIM,
+    MAX_POWER_TABLE,
+    MAX_SOLVE_ORDER,
     MAX_TRIALS,
     SNAP_TOL,
     CompiledSystem,
@@ -63,8 +65,10 @@ def test_helix_spec_validation():
 
 
 def test_solver_argument_validation():
-    with pytest.raises(ValueError):
-        solve_helix(7, 1.0)
+    with pytest.raises(ValueError, match=f"between 2 and {MAX_SOLVE_ORDER}, got 9"):
+        solve_helix(MAX_SOLVE_ORDER + 1, 1.0)
+    with pytest.raises(ValueError, match="got 1"):
+        solve_helix(1, 1.0)
     with pytest.raises(ValueError):
         solve_helix(3, 1.0, tol=0.0)
 
@@ -79,6 +83,13 @@ def test_solver_needs_a_trial(trials):
 def test_solver_caps_trials_before_allocating(trials):
     with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} multistart trials, got {trials}"):
         solve_helix(6, 1.0, trials=trials)
+
+
+@pytest.mark.parametrize("r, trials, monomials", [(8, 7739, 2168), (7, 21346, 786)])
+def test_solver_bounds_the_power_table(r, trials, monomials):
+    assert trials * monomials > MAX_POWER_TABLE >= (trials - 1) * monomials
+    with pytest.raises(ValueError, match=f"{trials} multistart trials x {monomials} monomials"):
+        solve_helix(r, 1.0, trials=trials)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
@@ -98,6 +109,15 @@ def test_circle_solution_order_three():
     assert sol.residual < 1e-10
     assert sol.raw_residual < 1e-9
     assert not report.underdetermined
+
+
+@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+def test_planar_circle_at_every_order(r):
+    # with k2 = 0 only k1 is left: the planar circle k1^2 = (r - 1) K
+    report = solve_helix(r, 1.0, {2}, trials=50)
+    (root,) = report.proper_solutions()
+    assert root.spec.curvatures[0] ** 2 == pytest.approx(r - 1, rel=1e-12)
+    assert root.spec.curvatures[1:] == (0.0,) * (2 * r - 3)
 
 
 def test_two_curvature_family_is_sampled():

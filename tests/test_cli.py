@@ -368,6 +368,9 @@ class TestBadNumbers:
              " curvature indices such as 3,4, got 'a'"),
             (["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
              "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
+            (["classify", "--order", "9", "--K", "1"], "between 2 and 8, got 9"),
+            (["classify", "--order", "8", "--K", "1", "--trials", "8000"],
+             "8000 multistart trials x 2168 monomials"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
