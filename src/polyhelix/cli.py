@@ -92,27 +92,35 @@ def validate_report(body: dict) -> None:
 # -- small parsers -----------------------------------------------------------
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
     if not value > 0:
-        raise argparse.ArgumentTypeError("must be positive")
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
 def _parse_span(text: str) -> tuple[float, float]:
-    pieces = text.split(":")
-    if len(pieces) != 2:
-        raise argparse.ArgumentTypeError("span must look like lo:hi")
-    lo, hi = float(pieces[0]), float(pieces[1])
+    try:
+        lo, hi = (float(piece) for piece in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi with numeric bounds, got {text!r}"
+        ) from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"span bounds must be finite, got {text}")
     return lo, hi
 
 
 def _parse_grid(text: str) -> list[float]:
-    pieces = text.split(":")
-    if len(pieces) != 3:
-        raise argparse.ArgumentTypeError("grid must look like lo:hi:n")
-    lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+    try:
+        lo_text, hi_text, count_text = text.split(":")
+        lo, hi, count = float(lo_text), float(hi_text), int(count_text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi:n with numeric bounds and a whole number n, got {text!r}"
+        ) from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     if count < 1:
@@ -140,10 +148,15 @@ def _parse_params(text: str | None) -> dict[str, float]:
         return {}
     out: dict[str, float] = {}
     for chunk in text.split(","):
-        name, _, value = chunk.partition("=")
-        if not _ or not name:
-            raise argparse.ArgumentTypeError("parameters must look like name=value")
-        out[name.strip()] = float(value)
+        name, equals, value = chunk.partition("=")
+        try:
+            if not equals or not name.strip():
+                raise ValueError
+            out[name.strip()] = float(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected name=value pairs such as a2=1.2,b2=0.8, got {text!r}"
+            ) from None
     return out
 
 
@@ -259,7 +272,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
 
 
 def _cmd_verify(args, config: RunConfig, started: float) -> int:
-    order, parameters, values = _verify_checks(args.curve, _parse_params(args.params))
+    order, parameters, values = _verify_checks(args.curve, args.params)
     checks = {}
     passed = True
     for check, value in values.items():
@@ -423,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
             "four-planar",
         ),
     )
-    p.add_argument("--params", default=None, help="e.g. a2=1.2,b2=0.8 or y=2.5")
+    p.add_argument("--params", type=_parse_params, default="",
+                   help="e.g. a2=1.2,b2=0.8 or y=2.5")
     common(p, tol_flag=True)
     p.set_defaults(handler=_cmd_verify)
 

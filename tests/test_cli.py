@@ -371,6 +371,21 @@ class TestBadNumbers:
             (["classify", "--order", "9", "--K", "1"], "between 2 and 8, got 9"),
             (["classify", "--order", "8", "--K", "1", "--trials", "8000"],
              "8000 multistart trials x 2168 monomials"),
+            # text that is no number names the flag and the text given
+            (["integrate", "--profile", "k1=1", "--span", "a:b"],
+             "--span: expected lo:hi with numeric bounds, got 'a:b'"),
+            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "abc"],
+             "--step: expected a positive number, got 'abc'"),
+            (["classify", "--order", "3", "--K", "1", "--tol", "1e-x"],
+             "--tol: expected a positive number, got '1e-x'"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:x"],
+             "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got '0:1:x'"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:y:3"],
+             "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got '0:y:3'"),
+            (["verify", "--curve", "tri-hyperbola", "--params", "y=abc"],
+             "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'y=abc'"),
+            (["verify", "--curve", "tri-hyperbola", "--params", "abc"],
+             "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'abc'"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
