@@ -37,9 +37,9 @@ SNAP_TOL = 1e-12
 STEP_TOL = 1e-14
 NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
-# Work bounds, checked before anything is allocated.  Orders above 8 have
-# more unknowns than a multistart grid can cover (r = 8: 14 unknowns, 2168
-# monomials).  Each residual or Jacobian evaluation holds a power table of
+# Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
+# 2168 monomials) 1000 starts of the full system already take about 6 s, so
+# higher orders are not solved.  Each residual or Jacobian evaluation holds a power table of
 # trials x monomials floats, and one temporary of that shape, so the product
 # is bounded: 2^24 entries are 128 MiB, which admits MAX_TRIALS starts up to
 # r = 6 (282 monomials) and 7738 at r = 8.  MAX_TRIALS bounds the starts
@@ -112,7 +112,13 @@ class CompiledSystem:
         for mono, row in rows.items():
             for vid, e in mono.exps:
                 self.exps[row, col_index[vid]] = e
-        self.top_exps = self.exps.max(axis=0, initial=0)
+        # each column with a nonzero exponent: the rows it enters, and with
+        # which exponents; about three quarters of the entries are 0 at r >= 5
+        self.factors = []
+        for column, exps in enumerate(self.exps.T):
+            entered = np.flatnonzero(exps)
+            if entered.size:
+                self.factors.append((column, entered, exps[entered]))
         self.coeffs = np.zeros((len(rows), len(polys)))
         for k, poly in enumerate(polys):
             for mono, coeff in poly.terms():
@@ -126,21 +132,20 @@ class CompiledSystem:
         """The power table: every monomial at every point, ``(points, rows)``.
         Multiplying in one column at a time gives the products of
         ``(full[:, None, :] ** exps).prod(axis=2)`` without its 3-d temporary.
-        Each column's powers ``v**0 .. v**top`` come from one ladder of
+        Each column's powers ``v**1 .. v**top`` come from one ladder of
         repeated multiplications, a few ulp from ``**`` and far cheaper than
-        an elementwise ``float ** int`` per monomial; a column whose
-        exponents are all 0 contributes nothing."""
-        full = np.hstack([np.full((X.shape[0], 1), K), X])
-        powers = np.ones((X.shape[0], len(self.exps)))
-        for values, exps, top in zip(full.T, self.exps.T, self.top_exps):
-            if top == 0:
-                continue
-            ladder = np.empty((X.shape[0], top + 1))
-            ladder[:, 0] = 1.0
-            for e in range(1, top + 1):
-                np.multiply(ladder[:, e - 1], values, out=ladder[:, e])
-            powers *= ladder[:, exps]
-        return powers
+        an elementwise ``float ** int`` per entry, and multiply in only the
+        rows whose exponent is not 0.  The table is built monomial-major so
+        that those rows are contiguous; the returned array is its transpose."""
+        values = np.vstack([np.full(X.shape[0], K), X.T])
+        table = np.ones((len(self.exps), X.shape[0]))
+        for column, rows, exps in self.factors:
+            ladder = np.empty((exps.max() + 1, X.shape[0]))
+            ladder[0] = 1.0
+            for e in range(1, len(ladder)):
+                np.multiply(ladder[e - 1], values[column], out=ladder[e])
+            table[rows] *= ladder[exps]
+        return table.T
 
     def residuals(self, X: np.ndarray, K: float) -> np.ndarray:
         return self._powers(X, K) @ self.coeffs[:, : len(self.x_equations)]
@@ -307,9 +312,12 @@ def solve_helix(
     reported residuals refer to that unit-``|K|`` system, which keeps them
     meaningful for any magnitude of ``K``.
 
-    Pseudoinverse Newton steps handle underdetermined systems, in which case
-    the converged points sample the solution family.  An empty solution list
-    is a valid outcome and, for ``K < 0``, comes with analytic certificates.
+    Each start takes Newton steps until one moves it by at most ``STEP_TOL``
+    in max-norm, at most ``NEWTON_ITERATIONS`` of them; only the starts still
+    moving are evaluated.  Pseudoinverse steps handle underdetermined
+    systems, in which case the converged points sample the solution family.
+    An empty solution list is a valid outcome and, for ``K < 0``, comes with
+    analytic certificates.
     """
     if not 2 <= r <= MAX_SOLVE_ORDER:
         raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
