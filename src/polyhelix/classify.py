@@ -39,11 +39,12 @@ NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
 # Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
 # 2168 monomials) 1000 starts of the full system already take about 6 s, so
-# higher orders are not solved.  Each residual or Jacobian evaluation holds a power table of
-# trials x monomials floats, and one temporary of that shape, so the product
-# is bounded: 2^24 entries are 128 MiB, which admits MAX_TRIALS starts up to
-# r = 6 (282 monomials) and 7738 at r = 8.  MAX_TRIALS bounds the starts
-# themselves, where the full 7^d grid would need hundreds of GiB.
+# higher orders are not solved.  Each residual or Jacobian evaluation holds
+# a power table of trials x monomials floats, and a temporary of at most
+# that shape, so the product is bounded: 2^24 entries are 128 MiB, which
+# admits MAX_TRIALS starts up to r = 6 (282 monomials) and 7738 at r = 8.
+# MAX_TRIALS bounds the starts themselves, where the full 7^d grid would
+# need hundreds of GiB.
 MAX_SOLVE_ORDER = 8
 MAX_TRIALS = 50_000
 MAX_POWER_TABLE = 2**24

@@ -146,17 +146,18 @@ def _parse_zeros(text: str) -> set[int]:
 def _parse_params(text: str | None) -> dict[str, float]:
     if not text:
         return {}
+    usage = argparse.ArgumentTypeError(
+        f"expected name=value pairs such as a2=1.2,b2=0.8, got {text!r}"
+    )
     out: dict[str, float] = {}
     for chunk in text.split(","):
         name, equals, value = chunk.partition("=")
+        if not equals or not name.strip():
+            raise usage
         try:
-            if not equals or not name.strip():
-                raise ValueError
             out[name.strip()] = float(value)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected name=value pairs such as a2=1.2,b2=0.8, got {text!r}"
-            ) from None
+            raise usage from None
     return out
 
 
