@@ -19,6 +19,7 @@ from polyhelix.spherecurves import (
     FrameDegeneracyError,
     TrigCurve,
     _density,
+    _energy_on_support,
     _jet_rsqrt,
     _projected_jet,
     biharmonic_circle,
@@ -472,6 +473,29 @@ class TestFirstVariation:
         rng = np.random.default_rng(42)
         bump = random_bump(tri_planar().dimension, rng)
         assert abs(first_variation(tri_planar(), 2, bump)) > 1e-3
+
+    @pytest.mark.parametrize(
+        "curve, matched, wrong",
+        [(tri_planar(), 3, 2), (four_planar(), 4, 3), (biharmonic_circle(), 2, 3)],
+        ids=["tri-planar", "four-planar", "biharmonic-circle"],
+    )
+    def test_agrees_with_five_point_stencil_oracle(self, curve, matched, wrong):
+        # oracle: fourth-order central difference of the real-t energy at a
+        # fixed 64-panel rule, fine enough that quadrature error is negligible
+        def stencil(r, bump, h=1e-4, panels=64):
+            energy = lambda t: _energy_on_support(curve, bump, r, t, panels)
+            return (
+                -energy(2 * h) + 8 * energy(h) - 8 * energy(-h) + energy(-2 * h)
+            ) / (12 * h)
+
+        rng = np.random.default_rng(11)
+        bump = random_bump(curve.dimension, rng)
+        want = stencil(wrong, bump)
+        got = first_variation(curve, wrong, bump)
+        assert abs(want) > 1e-3
+        assert abs(got - want) <= 1e-7 * abs(want)
+        assert abs(stencil(matched, bump)) < 1e-6
+        assert abs(first_variation(curve, matched, bump)) < 1e-6
 
 
 class TestJets:
