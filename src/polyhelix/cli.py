@@ -37,6 +37,15 @@ VERIFY_TOLERANCES = {
     "multiplier_residual": 1e-10,
 }
 
+# names each verify curve takes in --params; any other name is a usage error
+VERIFY_PARAMETERS = {
+    "biharmonic-circle": (),
+    "biharmonic-two-freq": ("a2", "b2"),
+    "tri-planar": (),
+    "tri-hyperbola": ("y",),
+    "four-planar": (),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -273,6 +282,13 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
 
 
 def _cmd_verify(args, config: RunConfig, started: float) -> int:
+    accepted = VERIFY_PARAMETERS[args.curve]
+    unknown = sorted(set(args.params) - set(accepted))
+    if unknown:
+        takes = ", ".join(accepted) if accepted else "no parameters"
+        raise ValueError(
+            f"--params: curve {args.curve} takes {takes}, got {', '.join(unknown)}"
+        )
     order, parameters, values = _verify_checks(args.curve, args.params)
     checks = {}
     passed = True
@@ -429,13 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--curve",
         required=True,
-        choices=(
-            "biharmonic-circle",
-            "biharmonic-two-freq",
-            "tri-planar",
-            "tri-hyperbola",
-            "four-planar",
-        ),
+        choices=tuple(VERIFY_PARAMETERS),
     )
     p.add_argument("--params", type=_parse_params, default="",
                    help="e.g. a2=1.2,b2=0.8 or y=2.5")

@@ -30,6 +30,7 @@ Poly = CurvaturePolynomial
 
 # The derivation takes about 0.1 s at order 8 and 0.7 s at order 10 on a
 # shared 2-core Xeon and grows about x3 per order, so order 20 would take hours.
+# The numeric sphere-curve checks in spherecurves take the same order range.
 MAX_TENSION_ORDER = 10
 
 
@@ -169,6 +170,14 @@ def tension_field(derivs: Sequence, r: int, K, tangential: Callable):
     return tau
 
 
+def check_tension_order(r: int) -> None:
+    """Reject a tension order outside ``2..MAX_TENSION_ORDER``."""
+    if not 2 <= r <= MAX_TENSION_ORDER:
+        raise ValueError(
+            f"tension order must be between 2 and {MAX_TENSION_ORDER}, got {r}"
+        )
+
+
 @cache
 def tau_space_form(r: int) -> FrenetExpansion:
     """Order-``r`` tension field of a helix in a space form, as an exact
@@ -178,10 +187,7 @@ def tau_space_form(r: int) -> FrenetExpansion:
     Each order is derived once per process and the result is cached (at most
     ``MAX_TENSION_ORDER - 1`` entries): every caller receives the same
     object, so it must not be mutated."""
-    if not 2 <= r <= MAX_TENSION_ORDER:
-        raise ValueError(
-            f"tension order must be between 2 and {MAX_TENSION_ORDER}, got {r}"
-        )
+    check_tension_order(r)
     derivs = derivative_chain(2 * r - 1, 2 * r - 2)
     return tension_field(derivs, r, ambient(), lambda v: v.coefficient(1))
 

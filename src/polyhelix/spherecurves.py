@@ -34,12 +34,14 @@ from typing import Callable, Iterable, Sequence, Union
 import mpmath
 import numpy as np
 
-from .frenet import tension_field
+from .frenet import check_tension_order, tension_field
 
 Scalar = Union[int, float, Fraction, mpmath.mpf]
 
 WORKING_DPS = 50          # decimal digits for the covariant algebra
 DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
+GRADIENT_STEP = 1e-3      # weight step of the reduced-density gradient stencil
+QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
 
 # phase table: cos((p-q) pi/2) for (p-q) mod 4
 _C4 = (1, 0, -1, 0)
@@ -363,8 +365,7 @@ def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
     is the sup over any interval.
     """
     _require_arclength(curve)
-    if r not in (2, 3, 4):
-        raise ValueError("supported orders are 2, 3, 4")
+    check_tension_order(r)
     with mpmath.workdps(WORKING_DPS):
         alg = _CovariantAlgebra(curve, 2 * r)
         derivs = alg.chain(2 * r - 1)
@@ -441,8 +442,7 @@ def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
     The exact density is cross-checked against a direct evaluation on
     sampled jets before being returned.
     """
-    if r not in (2, 3, 4):
-        raise ValueError("supported orders are 2, 3, 4")
+    check_tension_order(r)
     density = _density(curve, r)
 
     s = np.linspace(0.0, curve.period(), 17)
@@ -464,9 +464,7 @@ def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
     return LagrangianValue(r, density, density, multiplier)
 
 
-def reduced_lagrangian_gradient(
-    curve: TrigCurve, r: int, h: float = 1e-3
-) -> tuple[float, ...]:
+def reduced_lagrangian_gradient(curve: TrigCurve, r: int) -> tuple[float, ...]:
     """Partial derivatives of the reduced density with respect to the free
     squared weights (frequencies held fixed, the dependent weight eliminated
     through the unit-sphere constraint).  Certified curves sit at a critical
@@ -489,6 +487,7 @@ def reduced_lagrangian_gradient(
             probe = TrigCurve(tuple(zip(freqs, list(ws) + [1.0 - sum(ws)])))
         return _density(probe, r)
 
+    h = GRADIENT_STEP
     grads = []
     for i in range(free):
         base = weights[:free]
@@ -574,7 +573,7 @@ def random_bump(
 def _jet_dot(a: list[np.ndarray], b: list[np.ndarray], orders: int) -> list[np.ndarray]:
     out = []
     for k in range(orders + 1):
-        total = np.zeros(a[0].shape[:-1])
+        total = np.zeros(a[0].shape[:-1], dtype=np.result_type(a[0], b[0]))
         for i in range(k + 1):
             total = total + math.comb(k, i) * np.einsum(
                 "...i,...i->...", a[i], b[k - i]
@@ -643,63 +642,56 @@ def _energy_on_support(
     curve: TrigCurve,
     perturbation: BumpPerturbation,
     r: int,
-    t: float,
+    t: complex,
     panels: int,
-) -> float:
+) -> complex:
+    """Order-``r`` energy of the projected curve ``gamma + t beta`` over the
+    support, by ``panels`` equal 24-node Gauss-Legendre panels evaluated as
+    one array.  Every step is analytic in ``t``, so a complex ``t`` carries
+    the derivative in the imaginary part."""
     lo, hi = perturbation.support
     nodes, weights = np.polynomial.legendre.leggauss(24)
-    edges = np.linspace(lo, hi, panels + 1)
-    total = 0.0
-    gamma_deriv = [curve.derivative(l) for l in range(r + 1)]
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        s = mid + half * nodes
-        beta_jet = perturbation.jet(s, r)
-        jet = [gamma_deriv[l](s) + t * beta_jet[l] for l in range(r + 1)]
-        top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
-        density = np.einsum("...i,...i->...", top, top)
-        total += half * float(np.dot(weights, density))
-    return total
+    half = 0.5 * (hi - lo) / panels
+    s = (lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes
+    beta_jet = perturbation.jet(s, r)
+    jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
+    top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
+    density = np.einsum("...i,...i->...", top, top)
+    return half * np.sum(density @ weights)
 
 
 def first_variation(
-    curve: TrigCurve,
-    r: int,
-    perturbation: BumpPerturbation,
-    h: float = 1e-4,
-    quad_tol: float = 1e-10,
+    curve: TrigCurve, r: int, perturbation: BumpPerturbation
 ) -> float:
     """d/dt of the order-``r`` energy of the radially projected perturbed
-    curve at t = 0, by a fourth-order central difference in ``t``.
+    curve at t = 0, by the complex step ``Im E(ih) / h``.
 
-    Only the support of the perturbation is integrated: outside it the
-    projected curve does not depend on ``t``.  The quadrature refines panel
-    subdivisions until two consecutive levels agree to ``quad_tol``.
+    The complex step subtracts nothing, so ``h`` can sit far below any
+    truncation error without cancellation.  Only the support of the
+    perturbation is integrated: outside it the projected curve does not
+    depend on ``t``.  The quadrature doubles its panel count from 8 up to
+    512 and stops once two consecutive derivatives agree to ``QUAD_TOL``
+    relative to ``1 + |value|``.
     """
-    if r not in (2, 3, 4):
-        raise ValueError("supported orders are 2, 3, 4")
-
-    # Calibrate the panel count once at the base curve, then reuse the same
-    # rule at every stencil point so residual quadrature error is smooth in t
-    # and cancels in the difference.
-    panels = 8
-    previous = _energy_on_support(curve, perturbation, r, 0.0, panels)
-    while panels < 512:
-        current = _energy_on_support(curve, perturbation, r, 0.0, 2 * panels)
-        panels *= 2
-        if abs(current - previous) <= quad_tol * (1.0 + abs(current)):
+    check_tension_order(r)
+    h = 1e-30
+    previous = math.inf
+    for panels in (8, 16, 32, 64, 128, 256, 512):
+        energy = _energy_on_support(curve, perturbation, r, 1j * h, panels)
+        current = float(energy.imag) / h
+        if abs(current - previous) <= QUAD_TOL * (1.0 + abs(current)):
             break
         previous = current
-
-    def energy(t: float) -> float:
-        return _energy_on_support(curve, perturbation, r, t, panels)
-
-    return (
-        -energy(2 * h) + 8.0 * energy(h) - 8.0 * energy(-h) + energy(-2 * h)
-    ) / (12.0 * h)
+    return current
 
 
 # -- the two-frequency family ------------------------------------------------
+
+# Each sample is certified by an order-3 tension residual in 50-digit
+# arithmetic, about 1.3 ms on a shared 2-core Xeon, and every row is kept:
+# 10^5 samples take about 2 minutes, far past any resolution the CSV needs.
+MAX_FAMILY_SAMPLES = 10**5
+
 
 def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]:
     """Sweep ``y = b^2`` over (0, 4], solve the family quartic for
@@ -708,8 +700,10 @@ def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]
 
     Entries come back sorted by ``y`` as ``(x, y, alpha_1^2, alpha_3^2)``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= samples <= MAX_FAMILY_SAMPLES:
+        raise ValueError(
+            f"samples must be between 1 and {MAX_FAMILY_SAMPLES}, got {samples}"
+        )
     out = []
     for i in range(1, samples + 1):
         y = 4.0 * i / samples

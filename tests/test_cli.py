@@ -386,6 +386,13 @@ class TestBadNumbers:
              "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'y=abc'"),
             (["verify", "--curve", "tri-hyperbola", "--params", "abc"],
              "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'abc'"),
+            # a name the curve does not take names it and the accepted ones
+            (["verify", "--curve", "tri-planar", "--params", "y=0.5"],
+             "--params: curve tri-planar takes no parameters, got y"),
+            (["verify", "--curve", "biharmonic-two-freq", "--params", "a2=1.5,b2=0.5,c=3"],
+             "--params: curve biharmonic-two-freq takes a2, b2, got c"),
+            # work bound on the family sweep, checked before the sweep
+            (["family", "tri-hyperbola", "--samples", "100000000"], "got 100000000"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

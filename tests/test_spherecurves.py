@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.spherecurves import (
     BumpPerturbation,
     FrameDegeneracyError,
@@ -58,6 +59,12 @@ def arclength_two_block(x: float, y: float) -> TrigCurve | None:
     if not 0.02 < a1sq < 0.98:
         return None
     return TrigCurve(((x, a1sq), (y, 1.0 - a1sq)))
+
+
+def r_planar(r: int) -> TrigCurve:
+    """Planar curve critical at order r: squared frequency r, weight 1/r
+    (k1^2 = r - 1); tri_planar and four_planar are r = 3 and 4."""
+    return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
 
 
 # -- construction ------------------------------------------------------------
@@ -226,8 +233,19 @@ class TestIntrinsicTension:
         assert intrinsic_tau_residual(four_planar(), 3) > 0.1
 
     def test_rejects_unsupported_order(self):
-        with pytest.raises(ValueError):
-            intrinsic_tau_residual(biharmonic_circle(), 5)
+        bump = BumpPerturbation(start=1.0, width=2.0, direction=(1.0, 0.0, 0.0))
+        for r in (1, MAX_TENSION_ORDER + 1):
+            with pytest.raises(ValueError, match=f"got {r}$"):
+                intrinsic_tau_residual(biharmonic_circle(), r)
+            with pytest.raises(ValueError, match=f"got {r}$"):
+                lagrangian(biharmonic_circle(), r)
+            with pytest.raises(ValueError, match=f"got {r}$"):
+                first_variation(biharmonic_circle(), r, bump)
+
+    @pytest.mark.parametrize("r", [5, 6, 7])
+    def test_r_planar_curve_is_critical_only_at_its_order(self, r):
+        assert intrinsic_tau_residual(r_planar(r), r) < 1e-9
+        assert intrinsic_tau_residual(r_planar(r), r + 1) > 0.1
 
     def test_tension_and_ode_residual_agree_across_sweep(self):
         # planted solutions plus random two-block curves: the intrinsic and
@@ -473,6 +491,13 @@ class TestFirstVariation:
         rng = np.random.default_rng(42)
         bump = random_bump(tri_planar().dimension, rng)
         assert abs(first_variation(tri_planar(), 2, bump)) > 1e-3
+
+    @pytest.mark.parametrize("r", [5, 6, 7])
+    def test_r_planar_curve_is_stationary_only_at_its_order(self, r):
+        curve = r_planar(r)
+        bump = random_bump(curve.dimension, np.random.default_rng(r))
+        assert abs(first_variation(curve, r, bump)) < 1e-6
+        assert abs(first_variation(curve, r + 1, bump)) > 1e-3
 
     @pytest.mark.parametrize(
         "curve, matched, wrong",
