@@ -210,3 +210,76 @@ def test_render_roundtrip_determinism(p):
         rebuilt = rebuilt + P({mono: c})
     assert rebuilt.render() == p.render()
 
+
+
+# -- reference orderings ------------------------------------------------------
+# Independent copies of the ordering rules a polynomial renders by: terms in
+# graded-lexicographic order over a dense vector of the polynomial's own
+# variables (u < k1 < k2 < ... < K), factors inside a term with K first, and
+# the monomial gcd as a fold of pairwise gcds.
+
+
+def _reference_sorted_terms(p):
+    var_order = sorted(p.variables(), key=lambda v: (v == AMBIENT, v))
+    index = {v: i for i, v in enumerate(var_order)}
+
+    def key(item):
+        vec = [0] * len(var_order)
+        for v, e in item[0].exps:
+            vec[index[v]] = e
+        return (-item[0].degree(), tuple(-x for x in vec))
+
+    return sorted(p.terms(), key=key)
+
+
+def _reference_render(p):
+    def term(mono, coeff):
+        ordered = sorted(mono.exps, key=lambda pair: (pair[0] != AMBIENT, pair[0]))
+        factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in ordered]
+        if not factors:
+            return str(coeff)
+        return "*".join(([] if coeff == 1 else [str(coeff)]) + factors)
+
+    def name(v):
+        return "K" if v == AMBIENT else "u" if v == INVERSE_ARCLENGTH else f"k{v}"
+
+    pieces = []
+    for i, (mono, coeff) in enumerate(_reference_sorted_terms(p)):
+        body = term(mono, abs(coeff))
+        sign = ("" if coeff > 0 else "-") if i == 0 else (" + " if coeff > 0 else " - ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+def _reference_gcd(a, b):
+    return Monomial((v, min(e, b.exponent(v))) for v, e in a.exps if b.exponent(v))
+
+
+wide_polys = st.dictionaries(
+    st.dictionaries(
+        st.integers(min_value=-1, max_value=18),
+        st.integers(min_value=1, max_value=3),
+        max_size=4,
+    ).map(lambda d: Monomial(d.items())),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=6,
+).map(CurvaturePolynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys)
+def test_orderings_match_reference(p):
+    terms = _reference_sorted_terms(p)
+    assert p.sorted_terms() == terms
+    assert p.leading_coefficient() == terms[0][1]
+    assert p.render() == _reference_render(p)
+    monos = [mono for mono, _ in p.terms()]
+    want = monos[0]
+    for mono in monos[1:]:
+        want = _reference_gcd(want, mono)
+    g, q = p.factor_monomial_gcd()
+    assert g == want
+    assert q == P({
+        Monomial((v, e - want.exponent(v)) for v, e in mono.exps): c for mono, c in p.terms()
+    })
