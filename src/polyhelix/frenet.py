@@ -28,8 +28,9 @@ from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial, ambient, kvar
 
 Poly = CurvaturePolynomial
 
-# The derivation takes about 0.1 s at order 8 and 0.7 s at order 10 on a
+# The derivation takes about 0.04 s at order 8 and 0.28 s at order 10 on a
 # shared 2-core Xeon and grows about x3 per order, so order 20 would take hours.
+# Its curvatures k_1 .. k_{2r-2} must fit ratpoly.MAX_CURVATURE_INDEX.
 # The numeric sphere-curve checks in spherecurves take the same order range.
 MAX_TENSION_ORDER = 10
 
@@ -239,9 +240,6 @@ class ConstraintSystem:
     order: int
     zero_pattern: frozenset[int]
     equations: tuple[ConstraintEquation, ...]
-
-    def factored_polys(self) -> list[Poly]:
-        return [eq.factored for eq in self.equations]
 
     def to_json_dict(self) -> dict:
         return {

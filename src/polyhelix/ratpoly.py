@@ -1,15 +1,19 @@
 """Exact sparse polynomials in the geodesic curvatures, the ambient curvature
 and the inverse arclength.
 
-Variables are identified by small integers: ``i >= 1`` is the i-th geodesic
-curvature ``k_i``, ``0`` (the constant :data:`AMBIENT`) is the sectional
-curvature ``K`` of the ambient space form, and ``-1`` (the constant
-:data:`INVERSE_ARCLENGTH`) is the inverse arclength ``u = 1/s``.  The
-canonical variable order is ``u < k_1 < k_2 < ... < k_m < K``.  Coefficients
-are exact: an integral coefficient is an ``int`` (every helix tension
-coefficient is one), and a :class:`fractions.Fraction` appears only with a
-real denominator, such as a curvature profile coefficient ``0.3``.  Every
-identity checked with this module is exact, never approximate.
+Variables are identified by small integers: ``1 <= i <=``
+:data:`MAX_CURVATURE_INDEX` is the i-th geodesic curvature ``k_i``, ``0``
+(the constant :data:`AMBIENT`) is the sectional curvature ``K`` of the
+ambient space form, and ``-1`` (the constant :data:`INVERSE_ARCLENGTH`) is
+the inverse arclength ``u = 1/s``.  A :class:`Monomial` is the dense tuple of
+the exponents of every variable in the canonical order
+``u, k_1, k_2, ..., k_N, K``, so comparing two monomials as tuples compares
+them lexicographically, and products, gcds and quotients are slot-wise sums,
+minima and differences.  Coefficients are exact: an integral coefficient is
+an ``int`` (every helix tension coefficient is one), and a
+:class:`fractions.Fraction` appears only with a real denominator, such as a
+curvature profile coefficient ``0.3``.  Every identity checked with this
+module is exact, never approximate.
 
 Along a curve the helix curvatures and ``K`` are constants and ``u`` is the
 only variable that moves: :meth:`CurvaturePolynomial.arclength_derivative`
@@ -20,10 +24,22 @@ is ``d/ds = -u^2 d/du``, which makes the inverse-power curvature profiles
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 AMBIENT = 0
 INVERSE_ARCLENGTH = -1
+# The highest curvature index a monomial holds: the tension field of order
+# r involves k_1 .. k_{2r-2}, so this covers every order up to
+# frenet.MAX_TENSION_ORDER = 10.
+MAX_CURVATURE_INDEX = 18
+
+# variable id of each exponent slot, in the canonical order u, k_1 .. k_N, K
+_SLOT_VARIABLES = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
+_SLOT = {vid: slot for slot, vid in enumerate(_SLOT_VARIABLES)}
+# display order of the factors inside a term: K, then u, k_1, k_2, ...
+_DISPLAY_SLOTS = (len(_SLOT_VARIABLES) - 1, *range(len(_SLOT_VARIABLES) - 1))
 
 Scalar = Union[int, Fraction]
 
@@ -54,70 +70,60 @@ def variable_name(vid: int) -> str:
     return "u" if vid == INVERSE_ARCLENGTH else f"k{vid}"
 
 
-def _sort_key(vid: int) -> tuple[bool, int]:
-    # inverse arclength, then curvatures ascending, ambient curvature last
-    return (vid == AMBIENT, vid)
+def _slot(vid: int) -> int:
+    slot = _SLOT.get(vid)
+    if slot is None:
+        raise ValueError(
+            f"variable id {vid} is not u (-1), K (0) or a curvature k1..k{MAX_CURVATURE_INDEX}"
+        )
+    return slot
 
 
-class Monomial:
-    """An exponent map ``variable -> positive exponent``, hashable and ordered."""
+class Monomial(tuple):
+    """The exponents of every variable in the canonical slot order
+    ``u, k_1, ..., k_N, K``; hashable, immutable and ordered as a tuple.
 
-    __slots__ = ("exps",)
+    ``Monomial(pairs)`` builds one from ``(variable, exponent)`` pairs and is
+    the only constructor that validates; ring operations build their results
+    slot by slot with :func:`_from_layout`."""
 
-    def __init__(self, exps: Iterable[tuple[int, int]] = ()):
-        pairs = [(v, e) for v, e in exps if e != 0]
-        for v, e in pairs:
+    __slots__ = ()
+
+    def __new__(cls, exps: Iterable[tuple[int, int]] = ()) -> "Monomial":
+        layout = [0] * len(_SLOT_VARIABLES)
+        for vid, e in exps:
+            slot = _slot(vid)
             if e < 0:
-                raise ValueError(f"negative exponent for {variable_name(v)}")
-        pairs.sort(key=lambda p: _sort_key(p[0]))
-        seen = {v for v, _ in pairs}
-        if len(seen) != len(pairs):
-            raise ValueError("repeated variable in monomial")
-        object.__setattr__(self, "exps", tuple(pairs))
+                raise ValueError(f"negative exponent for {variable_name(vid)}")
+            if e and layout[slot]:
+                raise ValueError("repeated variable in monomial")
+            layout[slot] = e
+        return tuple.__new__(cls, layout)
 
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Monomial is immutable")
+    @property
+    def exps(self) -> tuple[tuple[int, int], ...]:
+        """The ``(variable, exponent)`` pairs with a nonzero exponent, in the
+        canonical order."""
+        return tuple((vid, e) for vid, e in zip(_SLOT_VARIABLES, self) if e)
 
     def degree(self) -> int:
-        return sum(e for _, e in self.exps)
+        return sum(self)
 
     def exponent(self, vid: int) -> int:
-        for v, e in self.exps:
-            if v == vid:
-                return e
-        return 0
+        return self[_slot(vid)]
 
     def variables(self) -> frozenset[int]:
-        return frozenset(v for v, _ in self.exps)
+        return frozenset(vid for vid, e in zip(_SLOT_VARIABLES, self) if e)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged.items())
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(other.exponent(v) >= e for v, e in self.exps)
-
-    def quotient(self, divisor: "Monomial") -> "Monomial":
-        if not divisor.divides(self):
-            raise ValueError("monomial division is not exact")
-        return Monomial((v, e - divisor.exponent(v)) for v, e in self.exps)
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            (v, min(e, other.exponent(v))) for v, e in self.exps if other.exponent(v)
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
+        return _from_layout(map(add, self, other))
 
     def __repr__(self) -> str:
         return f"Monomial({list(self.exps)!r})"
 
+
+# a monomial from an iterable of exponents already in slot order, not validated
+_from_layout = partial(tuple.__new__, Monomial)
 
 _ONE_MONO = Monomial()
 _U_MONO = Monomial([(INVERSE_ARCLENGTH, 1)])
@@ -170,11 +176,6 @@ class CurvaturePolynomial:
         for mono in self._terms:
             out.update(mono.variables())
         return frozenset(out)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(m.degree() for m in self._terms)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -280,32 +281,32 @@ class CurvaturePolynomial:
 
     def substitute_zero(self, variables: Iterable[int]) -> "CurvaturePolynomial":
         """Set the listed variables to zero: drop every term containing one."""
-        dead = set(variables)
+        dead = [_slot(vid) for vid in set(variables)]
         return CurvaturePolynomial(
-            {m: c for m, c in self._terms.items() if not (m.variables() & dead)}
+            {m: c for m, c in self._terms.items() if not any(m[s] for s in dead)}
         )
 
     def substitute(self, vid: int, replacement: "CurvaturePolynomial") -> "CurvaturePolynomial":
         """Replace a variable by a polynomial (used for eliminations)."""
         out = CurvaturePolynomial.zero()
         powers: dict[int, CurvaturePolynomial] = {0: CurvaturePolynomial.constant(1)}
+        slot = _slot(vid)
         for mono, coeff in self._terms.items():
-            e = mono.exponent(vid)
-            rest = Monomial((v, x) for v, x in mono.exps if v != vid)
+            e = mono[slot]
+            rest = _from_layout(mono[:slot] + (0,) + mono[slot + 1 :])
             if e not in powers:
                 powers[e] = replacement**e
             out = out + powers[e] * CurvaturePolynomial({rest: coeff})
         return out
 
     def differentiate(self, vid: int) -> "CurvaturePolynomial":
+        slot = _slot(vid)
         terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
-            e = mono.exponent(vid)
+            e = mono[slot]
             if not e:
                 continue
-            lowered = Monomial(
-                [(v, x) for v, x in mono.exps if v != vid] + [(vid, e - 1)]
-            )
+            lowered = _from_layout(mono[:slot] + (e - 1,) + mono[slot + 1 :])
             terms[lowered] = terms.get(lowered, 0) + coeff * e
         return CurvaturePolynomial(terms)
 
@@ -314,7 +315,7 @@ class CurvaturePolynomial:
         along the curve."""
         terms: dict[Monomial, Scalar] = {}
         for mono, coeff in self._terms.items():
-            e = mono.exponent(INVERSE_ARCLENGTH)
+            e = mono[_SLOT[INVERSE_ARCLENGTH]]
             if e:
                 terms[mono * _U_MONO] = -e * coeff
         return CurvaturePolynomial(terms)
@@ -327,43 +328,24 @@ class CurvaturePolynomial:
         """
         if not self._terms:
             raise ZeroPolynomialError("monomial gcd of the zero polynomial")
-        monos = iter(self._terms)
-        low = dict(next(monos).exps)
-        for mono in monos:
-            if not low:
-                break
-            exps = dict(mono.exps)
-            low = {v: min(e, exps[v]) for v, e in low.items() if v in exps}
-        if not low:
+        low = _from_layout(map(min, zip(*self._terms)))
+        if not any(low):
             return _ONE_MONO, self
         quotient = CurvaturePolynomial(
-            {
-                Monomial((v, e - low.get(v, 0)) for v, e in mono.exps): c
-                for mono, c in self._terms.items()
-            }
+            {_from_layout(map(sub, mono, low)): c for mono, c in self._terms.items()}
         )
-        return Monomial(low.items()), quotient
+        return low, quotient
 
     # -- ordering and rendering ---------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in graded-lexicographic order, highest degree first."""
-        var_order = sorted(self.variables(), key=_sort_key)
-        index = {v: i for i, v in enumerate(var_order)}
-
-        def key(item: tuple[Monomial, Scalar]):
-            mono = item[0]
-            vec = [0] * len(var_order)
-            for v, e in mono.exps:
-                vec[index[v]] = e
-            return (-mono.degree(), tuple(-x for x in vec))
-
-        return sorted(self._terms.items(), key=key)
+        return sorted(self._terms.items(), key=_graded, reverse=True)
 
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
             return 0
-        return self.sorted_terms()[0][1]
+        return max(self._terms.items(), key=_graded)[1]
 
     def render(self, name: Callable[[int], str] = variable_name) -> str:
         """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``;
@@ -391,12 +373,15 @@ class CurvaturePolynomial:
         return f"CurvaturePolynomial({self.render()})"
 
 
+def _graded(item: tuple[Monomial, Scalar]) -> tuple[int, Monomial]:
+    # graded order: total degree, then the exponents in slot order
+    return (item[0].degree(), item[0])
+
+
 def _render_term(
     mono: Monomial, coeff: Scalar, sep: str, factor: Callable[[int, int], str]
 ) -> str:
-    # display order inside a term: ambient curvature first, then u, k1, k2, ...
-    ordered = sorted(mono.exps, key=lambda p: (p[0] != AMBIENT, p[0]))
-    factors = [factor(vid, exp) for vid, exp in ordered]
+    factors = [factor(_SLOT_VARIABLES[s], mono[s]) for s in _DISPLAY_SLOTS if mono[s]]
     if not factors:
         return str(coeff)
     if coeff != 1:

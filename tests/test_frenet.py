@@ -391,7 +391,7 @@ def test_order_four_raw_system_matches_sympy():
         assert sp.expand(to_sympy(eq.raw) - oracle[eq.frame]) == 0
 
 
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("r", range(2, MAX_TENSION_ORDER + 1))
 def test_top_equation_is_curvature_sum(r):
     system = constraint_system(r)
     eq = system.equations[-1]

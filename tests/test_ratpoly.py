@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.ratpoly import (
     AMBIENT,
     INVERSE_ARCLENGTH,
+    MAX_CURVATURE_INDEX,
     CurvaturePolynomial,
     Monomial,
     UnboundVariableError,
@@ -36,14 +38,18 @@ def test_monomial_drops_zero_exponents_and_rejects_negative():
         Monomial([(1, 1), (1, 2)])
 
 
-def test_monomial_gcd_and_quotient():
-    a = Monomial([(1, 3), (2, 1), (AMBIENT, 2)])
-    b = Monomial([(1, 1), (3, 4), (AMBIENT, 2)])
-    g = a.gcd(b)
-    assert g == Monomial([(1, 1), (AMBIENT, 2)])
-    assert a.quotient(g) == Monomial([(1, 2), (2, 1)])
+def test_variable_ids_are_bounded():
+    assert Monomial([(MAX_CURVATURE_INDEX, 1)]).exponent(MAX_CURVATURE_INDEX) == 1
     with pytest.raises(ValueError):
-        b.quotient(a)
+        Monomial([(MAX_CURVATURE_INDEX + 1, 1)])
+    with pytest.raises(ValueError):
+        Monomial([(-2, 1)])
+    with pytest.raises(ValueError):
+        kvar(MAX_CURVATURE_INDEX + 1)
+    with pytest.raises(ValueError):
+        kvar(0)
+    # every order the tension field is derived at fits in the layout
+    assert 2 * MAX_TENSION_ORDER - 2 <= MAX_CURVATURE_INDEX
 
 
 def test_polynomial_cancellation_keeps_canonical_form():
