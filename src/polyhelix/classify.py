@@ -13,7 +13,6 @@ that negative ambient curvature admits no proper solutions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -706,28 +705,23 @@ def negative_K_scan(
     curvature and certify that only geodesics remain.
 
     All ``2^(2r-2)`` patterns collapse to ``2r - 1`` distinct systems under
-    the truncation rule; the multistart budget is split across those.
+    the truncation rule: the full system, and ``t..2r-2`` for each ``t``,
+    which merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``.
+    The multistart budget is split across those, shortest pattern first.
     """
     if K >= 0:
         raise ValueError("rigidity scan requires K < 0")
     if trials < 1000:
         raise ValueError("need at least 1000 multistart trials")
     m = 2 * r - 2
-    groups: dict[tuple[int, ...], int] = {}
-    for bits in itertools.product((False, True), repeat=m):
-        pattern = tuple(i + 1 for i, z in enumerate(bits) if z)
-        groups[canonical_pattern(pattern, m)] = (
-            groups.get(canonical_pattern(pattern, m), 0) + 1
-        )
-    canonicals = sorted(groups, key=len)
+    canonicals = [()] + [canonical_pattern({t}, m) for t in range(m, 0, -1)]
+    counts = [1] + [2 ** (m - t) for t in range(m, 0, -1)]
     per = trials // len(canonicals)
     extra = trials - per * len(canonicals)
     reports = []
-    counts = []
     for i, pattern in enumerate(canonicals):
         budget = per + (1 if i < extra else 0)
         reports.append(solve_helix(r, K, pattern, trials=budget, seed=seed + i))
-        counts.append(groups[pattern])
     witness_poly = squared_form(curvature_sum_poly(r))
     witness = (
         f"{render_squares(witness_poly)} = 0 has no solution with nonnegative x_j "

@@ -5,11 +5,13 @@ family quadratic, the exact family point (2 - sqrt(2), 2*sqrt(2) - 2)) were
 derived independently by brute-force residual checks before being frozen.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from polyhelix import classify
 from polyhelix.classify import (
     DEDUP_TOL,
     GRID_POINTS_PER_DIM,
@@ -435,6 +437,35 @@ def test_negative_scan_argument_validation():
         negative_K_scan(3, 1.0)
     with pytest.raises(ValueError):
         negative_K_scan(3, -1.0, trials=10)
+
+
+def _enumerated_merges(r: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every zero pattern of order r grouped by its upward closure, shortest
+    closure first."""
+    m = 2 * r - 2
+    groups: dict[tuple[int, ...], int] = {}
+    for bits in itertools.product((False, True), repeat=m):
+        closure = canonical_pattern([i + 1 for i, z in enumerate(bits) if z], m)
+        groups[closure] = groups.get(closure, 0) + 1
+    closures = sorted(groups, key=len)
+    return closures, [groups[c] for c in closures]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_negative_scan_merges_match_enumeration(r, monkeypatch):
+    solved = []
+
+    def record(r, K, pattern, trials, seed):
+        solved.append((pattern, trials, seed))
+        return pattern
+
+    monkeypatch.setattr(classify, "solve_helix", record)
+    report = negative_K_scan(r, -1.0, trials=1000, seed=7)
+    closures, counts = _enumerated_merges(r)
+    assert [pattern for pattern, _, _ in solved] == closures
+    assert list(report.merged_counts) == counts
+    assert sum(trials for _, trials, _ in solved) == 1000
+    assert [seed for _, _, seed in solved] == [7 + i for i in range(len(closures))]
 
 
 @pytest.mark.parametrize("r", [3, 4])
