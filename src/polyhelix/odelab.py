@@ -119,7 +119,8 @@ def central_difference(
             f"need at least {npts + 2} samples for an order-{order} stencil"
         )
     offsets = np.arange(-half, half + 1, dtype=float)
-    weights = fornberg_weights(0.0, offsets, order)[:, order] / h**order
+    # a NumPy power: a step too large for float range gives inf, not OverflowError
+    weights = fornberg_weights(0.0, offsets, order)[:, order] / np.float64(h) ** order
     out = np.zeros((n - 2 * half,) + np.shape(values)[1:])
     for k, w in enumerate(weights):
         if w:
@@ -293,6 +294,10 @@ class CurveSamples:
         self.positions = np.asarray(self.positions, dtype=float)
         if self.positions.ndim != 2:
             raise ValueError("positions must be a (samples, dimension) array")
+        if self.positions.shape[1] == 0:
+            raise ValueError("samples need at least one coordinate column")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"sample spacing must be positive and finite, got {self.h}")
         expected = self.span[0] + self.h * (len(self.positions) - 1)
         if abs(expected - self.span[1]) > 1e-9 * max(1.0, abs(self.span[1])):
             raise ValueError("span, step and sample count are inconsistent")
@@ -335,7 +340,7 @@ class CurveSamples:
     def from_csv(path) -> "CurveSamples":
         with open(path, newline="") as handle:
             reader = csv.reader(handle)
-            header = next(reader)
+            header = next(reader, None)
             if not header or header[0] != "s":
                 raise ValueError("first CSV column must be s")
             rows = []
@@ -350,9 +355,12 @@ class CurveSamples:
         if len(data) < 2:
             raise ValueError("need at least two samples")
         s = data[:, 0]
-        steps = np.diff(s)
-        h = float(steps[0])
-        if np.abs(steps - h).max() > 1e-9 * max(1.0, abs(h)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps = np.diff(s)
+            h = float(steps[0])
+            # written so that an overflowed step reads as not uniform
+            uniform = np.all(np.abs(steps - h) <= 1e-9 * max(1.0, abs(h)))
+        if not uniform:
             raise ValueError("samples are not uniformly spaced")
         return CurveSamples(
             h=h, span=(float(s[0]), float(s[-1])), positions=data[:, 1:]
@@ -381,6 +389,7 @@ def _reorthonormalize(frame: np.ndarray) -> np.ndarray:
     return (q * signs).T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # integrate_frenet reports an overflow
 def _integrate_once(
     profile: CurvatureProfile,
     d: int,
@@ -457,6 +466,10 @@ def integrate_frenet(
     positions, frames = _integrate_once(profile, d, actual_span, h)
     paired = 2 * (steps // 2)
     coarse, _ = _integrate_once(profile, d, (span[0], span[0] + paired * h), 2 * h)
+    if not all(np.isfinite(a).all() for a in (positions, frames, coarse)):
+        raise ValueError(
+            f"integration at step {h} overflowed: the curvatures are too large for this step"
+        )
     estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
     return CurveSamples(
         h=h,
@@ -496,10 +509,9 @@ class DriftReport:
 
 
 def _choose_stride(n: int, h: float, target_spacing: float, min_points: int) -> int:
-    stride = max(1, int(round(target_spacing / h)))
-    while stride > 1 and n // stride < min_points:
-        stride -= 1
-    return stride
+    # the stride nearest the target spacing that still leaves min_points
+    # samples: n // stride >= min_points exactly when stride <= n // min_points
+    return max(1, int(round(min(target_spacing / h, n // min_points))))
 
 
 def _position_derivatives(
@@ -542,6 +554,7 @@ def _validate_monitor_inputs(
         raise ValueError(f"need at least {minimum} samples")
 
 
+@np.errstate(all="ignore")  # an overflow shows as a non-finite invariant, checked below
 def _conservation_monitor(
     r: int,
     samples: CurveSamples,
@@ -570,6 +583,11 @@ def _conservation_monitor(
         term = c * values[lead : lead + window.stop - start]
         invariant = term if invariant is None else invariant + term
     mean = float(invariant.mean())
+    if not np.isfinite(invariant).all():
+        raise ValueError(
+            f"the order-{r} invariant overflowed at spacing {spacing:g}: "
+            "the sample values are too large for their spacing"
+        )
     return DriftReport(
         order=r,
         ambient_curvature=float(ambient.K),

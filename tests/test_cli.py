@@ -6,8 +6,12 @@ reports can be asserted directly.
 
 import json
 import math
+import os
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polyhelix import acceptance, odelab, spherecurves
 from polyhelix.cli import (
@@ -302,6 +306,78 @@ class TestIntegrateConserve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("s_column, coordinates, message", [
+        (None, None, "first CSV column must be s"),  # empty file
+        ([1.0] * 200, 2, "spacing must be positive and finite, got 0.0"),
+        ([0.01 * (199 - i) for i in range(200)], 2, "spacing must be positive"),
+        ([0.01 * i for i in range(200)], 0, "at least one coordinate column"),
+    ])
+    def test_malformed_samples_are_usage_errors(
+        self, capsys, tmp_path, s_column, coordinates, message
+    ):
+        path = tmp_path / "samples.csv"
+        if s_column is None:
+            path.write_text("")
+        else:
+            header = ",".join(["s"] + [f"x{i + 1}" for i in range(coordinates)])
+            rows = [",".join([repr(s)] + [repr(math.cos(s)), repr(math.sin(s))][:coordinates])
+                    for s in s_column]
+            path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        code = dispatch(
+            ["conserve", "--order", "4", "--in", str(path), "--ambient", "sphere"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+@st.composite
+def sample_csv_texts(draw) -> str:
+    """CSV text near the format conserve reads: a header, an arithmetic s
+    column of any step and coordinates of any scale, sometimes with arbitrary
+    text spliced in; or arbitrary text alone."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=200))
+
+    def usually(typical, rare):
+        return draw(rare if draw(st.integers(0, 4)) == 0 else typical)
+
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    n = usually(st.integers(64, 300), st.integers(0, 8))
+    dimension = usually(st.integers(1, 3), st.just(0))
+    start = usually(st.floats(-10.0, 10.0), finite)
+    step = usually(st.floats(1e-3, 0.1),
+                   st.one_of(finite, st.sampled_from([0.0, 5e-324, -0.01])))
+    scale = usually(st.floats(0.1, 10.0), finite)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(all="ignore"):
+        s = start + step * np.arange(n)
+        x = scale * rng.standard_normal((n, dimension))
+    header = "s" + "".join(f",x{i + 1}" for i in range(dimension))
+    header = usually(st.just(header), st.sampled_from(["s", "t,x1", ""]))
+    lines = [header] + [",".join(repr(float(v)) for v in (si, *xi)) for si, xi in zip(s, x)]
+    text = "\n".join(lines) + "\n"
+    if usually(st.just(False), st.just(True)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(max_size=12)) + text[at:]
+    return text
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=sample_csv_texts(), order=st.sampled_from(["3", "4"]),
+       ambient=st.sampled_from(["flat", "sphere"]))
+def test_conserve_on_arbitrary_csv_exits_cleanly(capsys, tmp_path, text, order, ambient):
+    path = tmp_path / "samples.csv"
+    path.write_text(text, encoding="utf-8")
+    code = dispatch(["conserve", "--order", order, "--in", str(path), "--ambient", ambient])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.err.startswith("polyhelix conserve: ")
+        assert captured.out == ""
+
 
 class TestConjecture:
     def test_order_three_table(self, capsys):
@@ -393,6 +469,11 @@ class TestBadNumbers:
              "--params: curve biharmonic-two-freq takes a2, b2, got c"),
             # work bound on the family sweep, checked before the sweep
             (["family", "tri-hyperbola", "--samples", "100000000"], "got 100000000"),
+            # arithmetic overflow in the integrator is reported, never written out
+            (["integrate", "--profile", "k1=1e308", "--span", "0:1", "--step", "0.01",
+              "--out", os.devnull], "integration at step 0.01 overflowed"),
+            (["conjecture", "--order", "3", "--alpha", "1e200", "--beta-grid", "0:1:2"],
+             "integration at step 0.001 overflowed"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
