@@ -39,7 +39,7 @@ MAX_CURVATURE_INDEX = 18
 _SLOT_VARIABLES = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
 _SLOT = {vid: slot for slot, vid in enumerate(_SLOT_VARIABLES)}
 # display order of the factors inside a term: K, then u, k_1, k_2, ...
-_DISPLAY_SLOTS = (len(_SLOT_VARIABLES) - 1, *range(len(_SLOT_VARIABLES) - 1))
+_DISPLAY_SLOTS = (_SLOT[AMBIENT], *range(_SLOT[AMBIENT]))
 
 Scalar = Union[int, Fraction]
 
@@ -97,7 +97,7 @@ class Monomial(tuple):
                 raise ValueError(f"negative exponent for {variable_name(vid)}")
             if e and layout[slot]:
                 raise ValueError("repeated variable in monomial")
-            layout[slot] = e
+            layout[slot] += e
         return tuple.__new__(cls, layout)
 
     @property

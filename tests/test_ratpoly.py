@@ -32,6 +32,7 @@ def test_monomial_canonical_order():
 
 def test_monomial_drops_zero_exponents_and_rejects_negative():
     assert Monomial([(1, 0)]) == Monomial()
+    assert Monomial([(1, 2), (1, 0)]) == Monomial([(1, 2)])
     with pytest.raises(ValueError):
         Monomial([(1, -1)])
     with pytest.raises(ValueError):
