@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .classify import HelixSpec, negative_K_scan, solve_helix
 from .frenet import (
-    SpaceForm,
     constraint_system,
     frenet_derivative,
     iterated_derivative,
@@ -47,7 +46,6 @@ __all__ = [
     "CurvatureProfile",
     "HelixSpec",
     "Monomial",
-    "SpaceForm",
     "UnboundVariableError",
     "ZeroPolynomialError",
     "__version__",

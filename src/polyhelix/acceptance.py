@@ -22,6 +22,16 @@ import numpy as np
 from . import classify, frenet, odelab, spherecurves
 from .ratpoly import CurvaturePolynomial as Poly, ambient, kvar
 
+# Certification tolerance of each closed-form sphere-curve check; criteria
+# #4-#6 and the ``verify`` subcommand read the same table.
+TOLERANCES = {
+    "equation_residual": 1e-12,
+    "tension_residual": 1e-9,
+    "fourth_order_residual": 1e-10,
+    "quartic_residual": 1e-12,
+    "multiplier_residual": 1e-10,
+}
+
 
 def _squares(*idx: int) -> Poly:
     total = Poly.zero()
@@ -165,7 +175,7 @@ def _run_top_equation() -> tuple[bool, str]:
 
 
 def _run_biharmonic() -> tuple[bool, str]:
-    tol = 1e-12
+    tol = TOLERANCES["equation_residual"]
     worst = spherecurves.biharmonic_residual(spherecurves.biharmonic_circle())
     worst = max(worst, spherecurves.biharmonic_residual(spherecurves.great_circle()))
     for a2, b2 in ((1.5, 0.5), (1.2, 0.8), (1.75, 0.25)):
@@ -178,7 +188,7 @@ def _run_biharmonic() -> tuple[bool, str]:
 
 def _run_triharmonic() -> tuple[bool, str]:
     planar = spherecurves.intrinsic_tau_residual(spherecurves.tri_planar(), 3)
-    if planar >= 1e-9:
+    if planar >= TOLERANCES["tension_residual"]:
         return False, f"planar curve residual {planar:.3e}"
     family = spherecurves.tri_hyperbola_family(32)
     if len(family) < 16:
@@ -186,11 +196,11 @@ def _run_triharmonic() -> tuple[bool, str]:
     worst_tau = max(s.tau3_residual for s in family)
     worst_quartic = max(s.quartic_residual for s in family)
     worst_lambda = max(s.lambda_residual for s in family)
-    if worst_tau >= 1e-9:
+    if worst_tau >= TOLERANCES["tension_residual"]:
         return False, f"family tension residual {worst_tau:.3e}"
-    if worst_quartic >= 1e-12:
+    if worst_quartic >= TOLERANCES["quartic_residual"]:
         return False, f"family quartic residual {worst_quartic:.3e}"
-    if worst_lambda >= 1e-10:
+    if worst_lambda >= TOLERANCES["multiplier_residual"]:
         return False, f"family multiplier residual {worst_lambda:.3e}"
     return True, (
         f"planar {planar:.1e}; {len(family)} family samples, "
@@ -204,9 +214,9 @@ def _run_fourharmonic() -> tuple[bool, str]:
     ode = spherecurves.fourharmonic_residual(curve)
     tau = spherecurves.intrinsic_tau_residual(curve, 4)
     control = spherecurves.fourharmonic_residual(spherecurves.biharmonic_circle())
-    if ode >= 1e-10:
+    if ode >= TOLERANCES["fourth_order_residual"]:
         return False, f"solution curve residual {ode:.3e}"
-    if tau >= 1e-9:
+    if tau >= TOLERANCES["tension_residual"]:
         return False, f"solution tension residual {tau:.3e}"
     if control <= 0.1:
         return False, f"control curve residual {control:.3e} not > 0.1"
@@ -275,17 +285,15 @@ def _run_negative_curvature(seed: int) -> tuple[bool, str]:
 
 
 def _run_conservation() -> tuple[bool, str]:
-    sphere = frenet.SpaceForm(1)
-    flat = frenet.SpaceForm(0)
     curve = spherecurves.tri_planar()
     samples = odelab.sample_trig_curve(curve, (0.0, curve.period()), 513)
-    tri_report = odelab.conservation_monitor_tri(samples, sphere)
+    tri_report = odelab.conservation_monitor_tri(samples, 1.0)
     if tri_report.drift >= 1e-6:
         return False, f"closed-form drift {tri_report.drift:.3e}"
 
     profile = odelab.parse_profile("k1=1/s,k2=2/s")
     trajectory = odelab.integrate_frenet(profile, 3, (1.0, 3.0), 1e-3)
-    flat_report = odelab.conservation_monitor_tri(trajectory, flat)
+    flat_report = odelab.conservation_monitor_tri(trajectory, 0.0)
     if abs(flat_report.empirical_constant) >= 1e-5:
         return False, f"flat constant {flat_report.empirical_constant:.3e}"
 

@@ -36,6 +36,7 @@ SNAP_TOL = 1e-12
 STEP_TOL = 1e-14
 NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
+FAMILY_SAMPLES = 64  # points reported on the order-three two-curvature branch
 # Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
 # 2168 monomials) 1000 starts of the full system already take about 6 s, so
 # higher orders are not solved.  Each residual or Jacobian evaluation holds
@@ -492,12 +493,12 @@ class TriCaseReport:
         }
 
 
-def _tri_family_samples(K: float, count: int = 64) -> list[HelixSpec]:
+def _tri_family_samples(K: float) -> list[HelixSpec]:
     """Sample the one-parameter branch of two-curvature solutions: for
     ``x1`` in ``(0, 2K)`` take the positive root of the family quadratic."""
     out = []
-    for i in range(1, count + 1):
-        x1 = 2.0 * K * i / (count + 1)
+    for i in range(1, FAMILY_SAMPLES + 1):
+        x1 = 2.0 * K * i / (FAMILY_SAMPLES + 1)
         x2 = 0.5 * ((K - 2.0 * x1) + math.sqrt(K * K + 4.0 * K * x1))
         out.append(HelixSpec(3, K, (math.sqrt(x1), math.sqrt(x2), 0.0, 0.0)))
     return out
@@ -515,7 +516,7 @@ def _positivity_certificate(cert: Poly, positive_vars: set[int]) -> None:
             raise AssertionError(f"certificate uses a variable of unknown sign")
 
 
-def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseReport:
+def triharmonic_case_analysis(K: float) -> TriCaseReport:
     """Full case-by-case treatment of the order-three constraint system on a
     round sphere (K > 0), with exact elimination identities checked in the
     polynomial ring.  Nonpositive K is reported as empty in every case.
@@ -564,7 +565,7 @@ def triharmonic_case_analysis(K: float, family_samples: int = 64) -> TriCaseRepo
     family_eq = squared_form(constraint_system(3, {3, 4}).equations[0].factored)
     assert family_eq == (x1 + x2) ** 2 - Kp * (2 * x1 + x2)
     if spherical:
-        samples = _tri_family_samples(K, family_samples)
+        samples = _tri_family_samples(K)
         cases.append(
             TriCase(2, (1, 2), (3, 4), "family", tuple(samples),
                     derivation=(f"{render_squares(family_eq)} = 0",

@@ -20,82 +20,23 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__, acceptance, classify, odelab, spherecurves
-from .frenet import SpaceForm, constraint_system
+from .frenet import constraint_system
 
 DEFAULT_SEED = 42
 
-VERIFY_TOLERANCES = {
-    "equation_residual": 1e-12,
-    "tension_residual": 1e-9,
-    "fourth_order_residual": 1e-10,
-    "quartic_residual": 1e-12,
-    "multiplier_residual": 1e-10,
-}
-
-# names each verify curve takes in --params; any other name is a usage error
+# the parameters each verify curve takes in --params, with their defaults;
+# any other name is a usage error
 VERIFY_PARAMETERS = {
-    "biharmonic-circle": (),
-    "biharmonic-two-freq": ("a2", "b2"),
-    "tri-planar": (),
-    "tri-hyperbola": ("y",),
-    "four-planar": (),
+    "biharmonic-circle": {},
+    "biharmonic-two-freq": {"a2": 1.5, "b2": 0.5},
+    "tri-planar": {},
+    "tri-hyperbola": {"y": 2.0},
+    "four-planar": {},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand plus the cross-cutting flags."""
-
-    command: str
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "text"
-    timing: bool = False
-
-    def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("tolerance override must be positive")
-
-
-@dataclass
-class Report:
-    """Envelope for machine-readable command output."""
-
-    command: str
-    payload: object
-    passed: bool | None = None
-    wall_time: float | None = None
-
-    def to_json(self) -> str:
-        body: dict = {
-            "command": self.command,
-            "version": __version__,
-            "payload": self.payload,
-        }
-        if self.passed is not None:
-            body["passed"] = self.passed
-        if self.wall_time is not None:
-            body["wall_time"] = self.wall_time
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
-
-
-def validate_report(body: dict) -> None:
-    """Schema check for the JSON envelope; raises ValueError on defects."""
-    required = {"command", "version", "payload"}
-    missing = required - set(body)
-    if missing:
-        raise ValueError(f"report missing keys {sorted(missing)}")
-    extras = set(body) - required - {"passed", "wall_time"}
-    if extras:
-        raise ValueError(f"report carries unknown keys {sorted(extras)}")
-    if not isinstance(body["command"], str) or not isinstance(body["version"], str):
-        raise ValueError("command and version must be strings")
 
 
 # -- small parsers -----------------------------------------------------------
@@ -170,12 +111,6 @@ def _parse_params(text: str | None) -> dict[str, float]:
     return out
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    return int(os.environ.get("POLYHELIX_SEED", DEFAULT_SEED))
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -185,22 +120,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _finish(
-    config: RunConfig,
+    args: argparse.Namespace,
     payload: object,
     passed: bool | None,
     text_lines: list[str],
     started: float,
 ) -> int:
-    if config.fmt == "json":
-        report = Report(command=config.command, payload=payload, passed=passed)
-        if config.timing:
-            report.wall_time = time.perf_counter() - started
-        _emit(report.to_json(), config.out)
+    if getattr(args, "json", False) or getattr(args, "format", None) == "json":
+        body: dict = {"command": args.command, "version": __version__, "payload": payload}
+        if passed is not None:
+            body["passed"] = passed
+        if args.timing:
+            body["wall_time"] = time.perf_counter() - started
+        _emit(json.dumps(body, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        body = "\n".join(text_lines) + "\n"
-        if config.timing:
-            body += f"wall time: {time.perf_counter() - started:.2f}s\n"
-        _emit(body, config.out)
+        text = "\n".join(text_lines) + "\n"
+        if args.timing:
+            text += f"wall time: {time.perf_counter() - started:.2f}s\n"
+        _emit(text, args.out)
     if passed is False:
         return 1
     return 0
@@ -208,20 +145,20 @@ def _finish(
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_tau(args, config: RunConfig, started: float) -> int:
+def _cmd_tau(args, started: float) -> int:
     system = constraint_system(args.order, args.zeros)
     text = system.render_latex() if args.format == "latex" else system.render()
-    return _finish(config, system.to_json_dict(), None, [text], started)
+    return _finish(args, system.to_json_dict(), None, [text], started)
 
 
-def _cmd_classify(args, config: RunConfig, started: float) -> int:
+def _cmd_classify(args, started: float) -> int:
     report = classify.solve_helix(
         args.order,
         args.K,
         args.zeros,
-        tol=config.tol if config.tol is not None else 1e-10,
+        tol=args.tol if args.tol is not None else 1e-10,
         trials=args.trials,
-        seed=config.seed,
+        seed=args.seed,
     )
     payload = report.to_json_dict()
     lines = [
@@ -235,11 +172,12 @@ def _cmd_classify(args, config: RunConfig, started: float) -> int:
         lines.append(f"  ({ks})  residual {solution.residual:.3e}")
     for cert in report.certificates:
         lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
-    return _finish(config, payload, None, lines, started)
+    return _finish(args, payload, None, lines, started)
 
 
 def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict]:
-    """Order, parameter echo and check values for one named curve."""
+    """Order, parameter echo and check values for one named curve, given
+    every parameter it takes."""
     if name == "biharmonic-circle":
         curve = spherecurves.biharmonic_circle()
         return 2, {}, {
@@ -247,10 +185,8 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }
     if name == "biharmonic-two-freq":
-        a2 = params.get("a2", 1.5)
-        b2 = params.get("b2", 0.5)
-        curve = spherecurves.biharmonic_two_freq(a2, b2)
-        return 2, {"a2": a2, "b2": b2}, {
+        curve = spherecurves.biharmonic_two_freq(params["a2"], params["b2"])
+        return 2, params, {
             "equation_residual": spherecurves.biharmonic_residual(curve),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }
@@ -260,7 +196,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 3),
         }
     if name == "tri-hyperbola":
-        y = params.get("y", 2.0)
+        y = params["y"]
         curve = spherecurves.tri_hyperbola_curve(y)
         (x, a1sq), (yy, a3sq) = (
             (float(f), float(w)) for f, w in curve.blocks
@@ -281,19 +217,19 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
     raise ValueError(f"unknown curve {name!r}")
 
 
-def _cmd_verify(args, config: RunConfig, started: float) -> int:
-    accepted = VERIFY_PARAMETERS[args.curve]
-    unknown = sorted(set(args.params) - set(accepted))
+def _cmd_verify(args, started: float) -> int:
+    defaults = VERIFY_PARAMETERS[args.curve]
+    unknown = sorted(set(args.params) - set(defaults))
     if unknown:
-        takes = ", ".join(accepted) if accepted else "no parameters"
+        takes = ", ".join(defaults) if defaults else "no parameters"
         raise ValueError(
             f"--params: curve {args.curve} takes {takes}, got {', '.join(unknown)}"
         )
-    order, parameters, values = _verify_checks(args.curve, args.params)
+    order, parameters, values = _verify_checks(args.curve, {**defaults, **args.params})
     checks = {}
     passed = True
     for check, value in values.items():
-        tolerance = config.tol if config.tol is not None else VERIFY_TOLERANCES[check]
+        tolerance = args.tol if args.tol is not None else acceptance.TOLERANCES[check]
         ok = value < tolerance
         passed = passed and ok
         checks[check] = {"residual": value, "tolerance": tolerance, "passed": ok}
@@ -311,10 +247,10 @@ def _cmd_verify(args, config: RunConfig, started: float) -> int:
             f"  {check}: {entry['residual']:.3e} < {entry['tolerance']:g}  [{status}]"
         )
     lines.append("verified" if passed else "verification FAILED")
-    return _finish(config, payload, passed, lines, started)
+    return _finish(args, payload, passed, lines, started)
 
 
-def _cmd_family(args, config: RunConfig, started: float) -> int:
+def _cmd_family(args, started: float) -> int:
     samples = spherecurves.tri_hyperbola_family(args.samples)
     header = "y,x,alpha1sq,alpha3sq,tau3_residual,lambda"
     lines = [header] + [sample.csv_row() for sample in samples]
@@ -331,17 +267,17 @@ def _cmd_family(args, config: RunConfig, started: float) -> int:
         }
         for s in samples
     ]
-    return _finish(config, payload, None, lines, started)
+    return _finish(args, payload, None, lines, started)
 
 
-def _cmd_integrate(args, config: RunConfig, started: float) -> int:
+def _cmd_integrate(args, started: float) -> int:
     profile = odelab.parse_profile(args.profile)
     dimension = args.dimension or profile.count + 1
     samples = odelab.integrate_frenet(profile, dimension, args.span, args.step)
-    if config.out is None:
+    if args.out is None:
         samples.to_csv(sys.stdout)
         return 0
-    samples.to_csv(config.out)
+    samples.to_csv(args.out)
     summary = {
         "profile": profile.render(),
         "dimension": dimension,
@@ -352,20 +288,21 @@ def _cmd_integrate(args, config: RunConfig, started: float) -> int:
         "frame_defect": samples.gram_defect(),
     }
     line = (
-        f"wrote {len(samples)} samples to {config.out} "
+        f"wrote {len(samples)} samples to {args.out} "
         f"(error estimate {samples.error_estimate:.3e})"
     )
     # the samples went to --out, so the report goes to stdout
-    return _finish(replace(config, out=None), summary, None, [line], started)
+    args.out = None
+    return _finish(args, summary, None, [line], started)
 
 
-def _cmd_conserve(args, config: RunConfig, started: float) -> int:
+def _cmd_conserve(args, started: float) -> int:
     samples = odelab.CurveSamples.from_csv(args.input)
-    ambient = SpaceForm(0) if args.ambient == "flat" else SpaceForm(1)
+    K = 0.0 if args.ambient == "flat" else 1.0
     if args.order == 3:
-        report = odelab.conservation_monitor_tri(samples, ambient)
+        report = odelab.conservation_monitor_tri(samples, K)
     else:
-        report = odelab.conservation_monitor_four(samples, ambient)
+        report = odelab.conservation_monitor_four(samples, K)
     payload = report.to_json_dict()
     lines = [
         f"order-{report.order} invariant over {report.interior_count} interior points",
@@ -373,10 +310,10 @@ def _cmd_conserve(args, config: RunConfig, started: float) -> int:
         f"  constant: {report.empirical_constant:.12g}",
         f"  spacing:  {report.spacing:g} (stride {report.stride})",
     ]
-    return _finish(config, payload, None, lines, started)
+    return _finish(args, payload, None, lines, started)
 
 
-def _cmd_conjecture(args, config: RunConfig, started: float) -> int:
+def _cmd_conjecture(args, started: float) -> int:
     rows = odelab.conjecture_scan(args.order, args.alpha, args.beta_grid, args.span)
     payload = [row.to_json_dict() for row in rows]
     header = "beta,law_residual,exact_tension_sup,fd_tension_sup,fd_method"
@@ -391,17 +328,17 @@ def _cmd_conjecture(args, config: RunConfig, started: float) -> int:
         if row.scaling is not None:
             line += "," + ";".join(f"s^{p}*{c!r}" for p, c in row.scaling)
         lines.append(line)
-    return _finish(config, payload, None, lines, started)
+    return _finish(args, payload, None, lines, started)
 
 
-def _cmd_reproduce(args, config: RunConfig, started: float) -> int:
-    results = acceptance.run_all(args.only, seed=config.seed)
+def _cmd_reproduce(args, started: float) -> int:
+    results = acceptance.run_all(args.only, seed=args.seed)
     passed = all(r.ok for r in results)
     payload = {
         "criteria": [r.to_json_dict() for r in results],
         "passed": passed,
     }
-    return _finish(config, payload, passed, acceptance.summary_lines(results), started)
+    return _finish(args, payload, passed, acceptance.summary_lines(results), started)
 
 
 # -- parser ------------------------------------------------------------------
@@ -497,19 +434,10 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     started = time.perf_counter()
-    fmt = "json" if getattr(args, "json", False) else "text"
-    if getattr(args, "format", None) == "json":
-        fmt = "json"
     try:
-        config = RunConfig(
-            command=args.command,
-            seed=_resolve_seed(args.seed),
-            tol=getattr(args, "tol", None),
-            out=args.out,
-            fmt=fmt,
-            timing=args.timing,
-        )
-        return args.handler(args, config, started)
+        if args.seed is None:
+            args.seed = int(os.environ.get("POLYHELIX_SEED", DEFAULT_SEED))
+        return args.handler(args, started)
     except (ValueError, OSError) as error:
         sys.stderr.write(f"polyhelix {args.command}: {error}\n")
         return 2

@@ -36,16 +36,6 @@ MAX_TENSION_ORDER = 10
 
 
 @dataclass(frozen=True)
-class SpaceForm:
-    """Simply connected ambient with constant sectional curvature ``K``."""
-
-    K: float
-
-    def is_flat(self) -> bool:
-        return self.K == 0.0
-
-
-@dataclass(frozen=True)
 class FrenetExpansion:
     """A vector field along the curve written in the Frenet frame: a map
     ``frame index -> curvature polynomial`` together with the frame capacity."""

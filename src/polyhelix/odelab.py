@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frenet import FrenetExpansion, SpaceForm, frenet_derivative, tangent
+from .frenet import FrenetExpansion, frenet_derivative, tangent
 from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial as Poly, Monomial
 from .spherecurves import covariant_jets
 
@@ -57,6 +57,8 @@ MAX_FRAME_VALUES = 2**25
 # Each scan point integrates its own trajectory (about 0.3 s at the default
 # span and step), so 1000 points are already several minutes of work.
 MAX_SCAN_POINTS = 1000
+SCAN_STEP = 1e-3     # RK4 step of the trajectories a conjecture scan integrates
+CLOSURE_TOL = 1e-6   # end-to-start distance below which samples close a loop
 
 # Once-integrated conservation law of each order, as the terms
 # c * d^k/ds^k |nabla^l T|^2 listed by (c, k, l); the law says the sum of the
@@ -65,6 +67,8 @@ CONSERVATION_LAWS = {
     3: ((1, 2, 1), (-1, 0, 2)),
     4: ((1, 4, 1), (-2, 2, 2), (1, 0, 3)),
 }
+# sample spacing each law's monitor strides its positions to
+MONITOR_SPACING = {3: 0.03, 4: 0.1}
 
 
 # -- finite differences ------------------------------------------------------
@@ -320,8 +324,8 @@ class CurveSamples:
         identity = np.eye(self.frames.shape[1])
         return float(np.abs(gram - identity).max())
 
-    def is_closed(self, tol: float = 1e-6) -> bool:
-        return bool(np.linalg.norm(self.positions[0] - self.positions[-1]) < tol)
+    def is_closed(self) -> bool:
+        return bool(np.linalg.norm(self.positions[0] - self.positions[-1]) < CLOSURE_TOL)
 
     def to_csv(self, path_or_file) -> None:
         if hasattr(path_or_file, "write"):
@@ -347,6 +351,11 @@ class CurveSamples:
             for row in reader:
                 if not row:
                     continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"CSV line {reader.line_num} has {len(row)} fields, "
+                        f"the header has {len(header)}"
+                    )
                 values = [float(v) for v in row]
                 if not all(math.isfinite(v) for v in values):
                     raise ValueError(f"non-finite value on CSV line {reader.line_num}")
@@ -545,10 +554,8 @@ def _position_derivatives(
     return s_sub, derivatives, stride, spacing
 
 
-def _validate_monitor_inputs(
-    samples: CurveSamples, ambient: SpaceForm, minimum: int
-) -> None:
-    if ambient.K not in (0, 1):
+def _validate_monitor_inputs(samples: CurveSamples, K: float, minimum: int) -> None:
+    if K not in (0, 1):
         raise ValueError("monitors support flat or unit-sphere ambient only")
     if len(samples) < minimum:
         raise ValueError(f"need at least {minimum} samples")
@@ -558,21 +565,20 @@ def _validate_monitor_inputs(
 def _conservation_monitor(
     r: int,
     samples: CurveSamples,
-    ambient: SpaceForm,
-    target_spacing: float,
+    K: float,
     minimum: int,
 ) -> DriftReport:
     """Drift of the order-``r`` law of :data:`CONSERVATION_LAWS` on sampled
     positions: each term differentiated by one stencil, all of them aligned on
     the narrowest window and summed in table order."""
-    _validate_monitor_inputs(samples, ambient, minimum)
+    _validate_monitor_inputs(samples, K, minimum)
     law = CONSERVATION_LAWS[r]
     widest = max(k for _, k, _ in law)
     budget = 2 * _central_halfwidth(r) + 2 * _central_halfwidth(widest) + 8
     s_sub, gs, stride, spacing = _position_derivatives(
-        samples, r, target_spacing, min_points=budget
+        samples, r, MONITOR_SPACING[r], min_points=budget
     )
-    fields = covariant_jets(gs, ambient.K, r - 1)
+    fields = covariant_jets(gs, K, r - 1)
     norms = [np.einsum("ni,ni->n", f, f) for f in fields]  # |nabla^l T|^2
     parts = [(c, *central_difference(norms[l - 1], spacing, k)) for c, k, l in law]
     start = max(window.start for _, window, _ in parts)
@@ -590,7 +596,7 @@ def _conservation_monitor(
         )
     return DriftReport(
         order=r,
-        ambient_curvature=float(ambient.K),
+        ambient_curvature=float(K),
         drift=float(np.abs(invariant - mean).max()),
         empirical_constant=mean,
         interior_count=len(invariant),
@@ -601,28 +607,22 @@ def _conservation_monitor(
     )
 
 
-def conservation_monitor_tri(
-    samples: CurveSamples,
-    ambient: SpaceForm,
-    target_spacing: float = 0.03,
-) -> DriftReport:
+def conservation_monitor_tri(samples: CurveSamples, K: float) -> DriftReport:
     """Constancy of ``Q = d^2/ds^2 |nabla_T T|^2 - |nabla_T^2 T|^2``, the
     once-integrated form of the order-three conservation law.
 
     Reports the drift ``max |Q - mean(Q)|`` and the mean as the empirical
-    integration constant.
+    integration constant.  ``K`` is the ambient curvature: 0 (flat) or 1
+    (the unit sphere).
     """
-    return _conservation_monitor(3, samples, ambient, target_spacing, minimum=64)
+    return _conservation_monitor(3, samples, K, minimum=64)
 
 
-def conservation_monitor_four(
-    samples: CurveSamples,
-    ambient: SpaceForm,
-    target_spacing: float = 0.1,
-) -> DriftReport:
+def conservation_monitor_four(samples: CurveSamples, K: float) -> DriftReport:
     """Constancy of the once-integrated order-four conservation law
-    ``d^4/ds^4 |nabla_T T|^2 - 2 d^2/ds^2 |nabla_T^2 T|^2 + |nabla_T^3 T|^2``."""
-    return _conservation_monitor(4, samples, ambient, target_spacing, minimum=128)
+    ``d^4/ds^4 |nabla_T T|^2 - 2 d^2/ds^2 |nabla_T^2 T|^2 + |nabla_T^3 T|^2``
+    in the flat (``K = 0``) or unit-sphere (``K = 1``) ambient."""
+    return _conservation_monitor(4, samples, K, minimum=128)
 
 
 # -- exact flat calculus for inverse-power profiles --------------------------
@@ -730,7 +730,6 @@ def conjecture_scan(
     alpha: float,
     beta_grid: Sequence[float],
     span: tuple[float, float],
-    step: float = 1e-3,
 ) -> list[ConjectureRow]:
     """Grid scan over the second curvature coefficient for the inverse-power
     first-curvature profiles of order ``r``.
@@ -764,7 +763,7 @@ def conjecture_scan(
         profile = inverse_power_profile(coefficients, power)
         chain = flat_tangent_chain(profile, 2 * r - 1)
         terms = conservation_law_terms(chain, r)
-        samples = integrate_frenet(profile, profile.count + 1, span, step)
+        samples = integrate_frenet(profile, profile.count + 1, span, SCAN_STEP)
         scaling = None
         if r == 3:
             fd_sup, method, window = _fd_tension_sup(samples, 6, 0.02)

@@ -42,6 +42,8 @@ WORKING_DPS = 50          # decimal digits for the covariant algebra
 DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
 GRADIENT_STEP = 1e-3      # weight step of the reduced-density gradient stencil
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
+BUMP_STARTS = (1.0, 6.0)  # range of random_bump support starts
+BUMP_WIDTHS = (2.0, 4.0)  # range of random_bump support widths
 
 # phase table: cos((p-q) pi/2) for (p-q) mod 4
 _C4 = (1, 0, -1, 0)
@@ -440,12 +442,14 @@ def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
     determines one) for the curve at order ``r``.
 
     The exact density is cross-checked against a direct evaluation on
-    sampled jets before being returned.
+    sampled jets before being returned.  The density does not depend on
+    ``s``, so the samples lie in a fixed window: over a long period (a slow
+    block) the phases of the fast block would lose all their digits.
     """
     check_tension_order(r)
     density = _density(curve, r)
 
-    s = np.linspace(0.0, curve.period(), 17)
+    s = np.linspace(0.0, 2.0 * math.pi, 17)
     jet = [curve.derivative(l)(s) for l in range(r + 1)]
     top = covariant_jets(jet, 1, r - 1)[-1]
     sampled = np.einsum("...i,...i->...", top, top)
@@ -555,17 +559,12 @@ class BumpPerturbation:
         ]
 
 
-def random_bump(
-    dimension: int,
-    rng: np.random.Generator,
-    start_range: tuple[float, float] = (1.0, 6.0),
-    width_range: tuple[float, float] = (2.0, 4.0),
-) -> BumpPerturbation:
+def random_bump(dimension: int, rng: np.random.Generator) -> BumpPerturbation:
     direction = rng.normal(size=dimension)
     direction /= np.linalg.norm(direction)
     return BumpPerturbation(
-        start=float(rng.uniform(*start_range)),
-        width=float(rng.uniform(*width_range)),
+        start=float(rng.uniform(*BUMP_STARTS)),
+        width=float(rng.uniform(*BUMP_WIDTHS)),
         direction=tuple(direction),
     )
 
@@ -672,8 +671,18 @@ def first_variation(
     depend on ``t``.  The quadrature doubles its panel count from 8 up to
     512 and stops once two consecutive derivatives agree to ``QUAD_TOL``
     relative to ``1 + |value|``.
+
+    The energy density carries derivatives up to order ``r``, so the boundary
+    terms vanish only when the bump's derivatives up to ``r - 1`` vanish at
+    its support ends; a ``sin^(2q)`` profile's vanish up to ``2q - 1``, so
+    ``r`` may be at most twice the sharpness ``q``.
     """
     check_tension_order(r)
+    if r > 2 * perturbation.sharpness:
+        raise ValueError(
+            f"order {r} needs a bump of sharpness at least {(r + 1) // 2}, "
+            f"got sharpness {perturbation.sharpness}"
+        )
     h = 1e-30
     previous = math.inf
     for panels in (8, 16, 32, 64, 128, 256, 512):

@@ -15,19 +15,30 @@ from hypothesis import strategies as st
 
 from polyhelix import acceptance, odelab, spherecurves
 from polyhelix.cli import (
-    RunConfig,
+    VERIFY_PARAMETERS,
     _parse_grid,
     _parse_params,
     _parse_span,
     _parse_zeros,
     dispatch,
-    validate_report,
 )
-
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = dispatch(list(argv))
     return code, capsys.readouterr().out
+
+
+def validate_report(body: dict) -> None:
+    """Schema check for the JSON envelope; raises ValueError on defects."""
+    required = {"command", "version", "payload"}
+    missing = required - set(body)
+    if missing:
+        raise ValueError(f"report missing keys {sorted(missing)}")
+    extras = set(body) - required - {"passed", "wall_time"}
+    if extras:
+        raise ValueError(f"report carries unknown keys {sorted(extras)}")
+    if not isinstance(body["command"], str) or not isinstance(body["version"], str):
+        raise ValueError("command and version must be strings")
 
 
 # -- flag parsing ------------------------------------------------------------
@@ -55,10 +66,6 @@ class TestFlagParsing:
     def test_zeros(self):
         assert _parse_zeros("") == set()
         assert _parse_zeros("2,4") == {2, 4}
-
-    def test_config_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="verify", tol=-1.0)
 
 
 # -- report schema -----------------------------------------------------------
@@ -205,6 +212,14 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in out
 
+    def test_slow_block_of_the_family_verifies(self, capsys):
+        # y = b^2 = 1e-30 gives a slow block whose period is about 6e15
+        code, out = run(
+            capsys, "verify", "--curve", "tri-hyperbola", "--params", "y=1e-30"
+        )
+        assert code == 0
+        assert "verified" in out
+
     def test_invalid_parameters_are_usage_errors(self, capsys):
         # a2 + b2 must equal 2 for an arclength curve
         code = dispatch(
@@ -299,6 +314,21 @@ class TestIntegrateConserve:
         assert captured.out == ""
         assert "non-finite value on CSV line 102" in captured.err
 
+    @pytest.mark.parametrize("row, width", [("0.5,0.1", 2), ("0.5,0.1,0.2,0.3", 4)])
+    def test_row_width_must_match_the_header(self, capsys, tmp_path, row, width):
+        path = tmp_path / "samples.csv"
+        rows = [f"{0.01 * i!r},{math.cos(0.01 * i)!r},{math.sin(0.01 * i)!r}"
+                for i in range(200)]
+        rows[50] = row
+        path.write_text("s,x1,x2\n" + "\n".join(rows) + "\n")
+        code = dispatch(
+            ["conserve", "--order", "3", "--in", str(path), "--ambient", "flat"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"CSV line 52 has {width} fields, the header has 3" in captured.err
+
     def test_missing_input_is_usage_error(self, capsys, tmp_path):
         code = dispatch(
             ["conserve", "--order", "3", "--in", str(tmp_path / "nope.csv"),
@@ -332,6 +362,11 @@ class TestIntegrateConserve:
         assert message in captured.err
 
 
+def mostly(typical, rare):
+    """Draw from ``typical`` four times in five, else from ``rare``."""
+    return st.integers(0, 4).flatmap(lambda i: rare if i == 0 else typical)
+
+
 @st.composite
 def sample_csv_texts(draw) -> str:
     """CSV text near the format conserve reads: a header, an arithmetic s
@@ -340,25 +375,22 @@ def sample_csv_texts(draw) -> str:
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(max_size=200))
 
-    def usually(typical, rare):
-        return draw(rare if draw(st.integers(0, 4)) == 0 else typical)
-
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    n = usually(st.integers(64, 300), st.integers(0, 8))
-    dimension = usually(st.integers(1, 3), st.just(0))
-    start = usually(st.floats(-10.0, 10.0), finite)
-    step = usually(st.floats(1e-3, 0.1),
-                   st.one_of(finite, st.sampled_from([0.0, 5e-324, -0.01])))
-    scale = usually(st.floats(0.1, 10.0), finite)
+    n = draw(mostly(st.integers(64, 300), st.integers(0, 8)))
+    dimension = draw(mostly(st.integers(1, 3), st.just(0)))
+    start = draw(mostly(st.floats(-10.0, 10.0), finite))
+    step = draw(mostly(st.floats(1e-3, 0.1),
+                       st.one_of(finite, st.sampled_from([0.0, 5e-324, -0.01]))))
+    scale = draw(mostly(st.floats(0.1, 10.0), finite))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     with np.errstate(all="ignore"):
         s = start + step * np.arange(n)
         x = scale * rng.standard_normal((n, dimension))
     header = "s" + "".join(f",x{i + 1}" for i in range(dimension))
-    header = usually(st.just(header), st.sampled_from(["s", "t,x1", ""]))
+    header = draw(mostly(st.just(header), st.sampled_from(["s", "t,x1", ""])))
     lines = [header] + [",".join(repr(float(v)) for v in (si, *xi)) for si, xi in zip(s, x)]
     text = "\n".join(lines) + "\n"
-    if usually(st.just(False), st.just(True)):
+    if draw(mostly(st.just(False), st.just(True))):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.text(max_size=12)) + text[at:]
     return text
@@ -577,3 +609,91 @@ class TestContract:
         )
         assert code == 0
         validate_report(json.loads(path.read_text()))
+
+
+# -- fuzzed flag values ------------------------------------------------------
+#
+# Whatever text a flag carries, dispatch returns an exit code: 0, 2 for a
+# usage error, or 1 for a curve that fails verification.  An exception that
+# escapes it fails the test.
+
+FUZZ = settings(max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+number_texts = mostly(st.floats().map(repr), st.text(max_size=8))
+zero_texts = mostly(
+    st.lists(st.integers(0, 15), max_size=4).map(lambda ks: ",".join(map(str, ks))),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def verify_requests(draw) -> tuple[str, str]:
+    """A curve and --params text: name=value pairs, usually over the names
+    the curve takes, with values usually inside the tri-hyperbola domain
+    (0, 3), uniform or across every decade of scale; or any text."""
+    curve = draw(st.sampled_from(sorted(VERIFY_PARAMETERS)))
+    if draw(st.integers(0, 4)) == 0:
+        return curve, draw(st.text(max_size=20))
+    names = mostly(st.sampled_from(sorted(VERIFY_PARAMETERS[curve]) or ["y"]),
+                   st.sampled_from(["y", "a2", "b2", "x"]))
+    scales = st.integers(-320, 0).map(lambda e: 3.0 * 10.0**e)
+    values = mostly(st.one_of(st.floats(0.0, 3.0), scales).map(repr), number_texts)
+    pairs = draw(st.lists(st.tuples(names, values), max_size=3))
+    return curve, ",".join(f"{name}={value}" for name, value in pairs)
+
+
+@settings(FUZZ, max_examples=100)
+@given(request=verify_requests())
+def test_verify_params_exit_cleanly(capsys, request):
+    curve, params = request
+    code = dispatch(["verify", "--curve", curve, f"--params={params}"])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+
+
+@FUZZ
+@given(order=st.integers(0, 8), zeros=zero_texts)
+def test_tau_zeros_exit_cleanly(capsys, order, zeros):
+    code = dispatch(["tau", "--order", str(order), f"--zeros={zeros}"])
+    capsys.readouterr()
+    assert code in (0, 2)
+
+
+@FUZZ
+@given(order=mostly(st.integers(1, 9).map(str), st.text(max_size=4)),
+       K=number_texts, zeros=zero_texts)
+def test_classify_flags_exit_cleanly(capsys, order, K, zeros):
+    code = dispatch(["classify", f"--order={order}", f"--K={K}", f"--zeros={zeros}",
+                     "--trials", "5"])
+    capsys.readouterr()
+    assert code in (0, 2)
+
+
+@st.composite
+def span_and_step(draw) -> tuple[str, str]:
+    """--span and --step texts; numeric ones cover at most 1000 steps, so
+    that an example stays near 0.1 s."""
+    lo, step = draw(st.floats(-1.0, 10.0)), draw(st.floats(1e-3, 1.0))
+    bound = st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+    span = draw(mostly(
+        st.integers(0, 1000).map(lambda steps: f"{lo!r}:{lo + steps * step!r}"),
+        st.one_of(st.text(max_size=10),
+                  st.tuples(bound, bound).map(lambda b: f"{b[0]!r}:{b[1]!r}")),
+    ))
+    step_text = draw(mostly(
+        st.just(repr(step)),
+        st.one_of(st.text(max_size=8), st.floats(-1.0, 1e-12).map(repr)),
+    ))
+    return span, step_text
+
+
+@FUZZ
+@given(profile=st.sampled_from(["k1=1", "k1=1/s,k2=2/s", "k1=0.6,k2=0.4,k3=0.3"]),
+       flags=span_and_step())
+def test_integrate_span_and_step_exit_cleanly(capsys, profile, flags):
+    span, step = flags
+    code = dispatch(["integrate", "--profile", profile, f"--span={span}", f"--step={step}"])
+    capsys.readouterr()
+    assert code in (0, 2)

@@ -15,7 +15,6 @@ from polyhelix.frenet import (
     MAX_TENSION_ORDER,
     ConstraintEquation,
     FrenetExpansion,
-    SpaceForm,
     constraint_system,
     curvature_sum_poly,
     derivative_chain,
@@ -149,11 +148,6 @@ def test_iterated_derivative_bounds():
         iterated_derivative(-1, 2)
     with pytest.raises(ValueError):
         iterated_derivative(5, 2)
-
-
-def test_space_form_flat_flag():
-    assert SpaceForm(0.0).is_flat()
-    assert not SpaceForm(1.0).is_flat()
 
 
 # -- golden expansions -------------------------------------------------------

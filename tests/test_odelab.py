@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyhelix.frenet import SpaceForm
 from polyhelix.odelab import (
     MAX_FRAME_VALUES,
     MAX_SCAN_POINTS,
@@ -50,8 +49,8 @@ from polyhelix.spherecurves import (
 )
 from polyhelix.ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial as Poly, Monomial
 
-FLAT = SpaceForm(0)
-SPHERE = SpaceForm(1)
+FLAT = 0.0    # ambient curvature of Euclidean space
+SPHERE = 1.0  # ambient curvature of the unit sphere
 
 
 def sqrt5_profile() -> CurvatureProfile:
@@ -534,7 +533,7 @@ class TestMonitors:
             conservation_monitor_four(almost, SPHERE)
         fine = sample_trig_curve(curve, (0.0, 2.0 * math.pi), 512)
         with pytest.raises(ValueError, match="ambient"):
-            conservation_monitor_tri(fine, SpaceForm(-1))
+            conservation_monitor_tri(fine, -1.0)
 
     def test_report_serialization(self):
         curve = tri_planar()

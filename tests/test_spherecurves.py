@@ -7,6 +7,7 @@ the two-frequency family against its quadratic closed form.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -326,6 +327,13 @@ class TestGeodesicCurvatures:
 # -- reduced Lagrangians -----------------------------------------------------
 
 class TestLagrangian:
+    @pytest.mark.parametrize("y", [1e-20, 1e-30, 1e-300])
+    def test_sampled_density_check_passes_on_a_slow_block(self, y):
+        # the slow block's period 2 pi / sqrt(y) dwarfs the fast block's,
+        # whose phases would lose every digit if sampled across it
+        value = lagrangian(tri_hyperbola_curve(y), 3)
+        assert math.isfinite(value.lagrange_multiplier)
+
     def test_frozen_densities_of_certified_curves(self):
         assert lagrangian(biharmonic_circle(), 2).density == pytest.approx(1.0, abs=1e-12)
         assert lagrangian(tri_planar(), 3).density == pytest.approx(4.0, abs=1e-12)
@@ -498,6 +506,26 @@ class TestFirstVariation:
         bump = random_bump(curve.dimension, np.random.default_rng(r))
         assert abs(first_variation(curve, r, bump)) < 1e-6
         assert abs(first_variation(curve, r + 1, bump)) > 1e-3
+
+    @pytest.mark.parametrize("r", [8, 9, 10])
+    def test_r_planar_curve_is_stationary_at_the_highest_orders(self, r):
+        # sin^10 bumps vanish at their support ends up to derivative 9, as
+        # order 10 needs; the matched-order floor grows with r, so it is
+        # judged against the wrong-order variation of the same bump
+        curve = r_planar(r)
+        rng = np.random.default_rng(r)
+        for _ in range(3):
+            bump = replace(random_bump(curve.dimension, rng), sharpness=5)
+            wrong = first_variation(curve, r - 1, bump)
+            assert abs(first_variation(curve, r, bump)) <= 1e-6 * abs(wrong)
+
+    def test_rejects_a_bump_too_blunt_for_the_order(self):
+        # a sin^8 bump's ninth derivative does not vanish at its support ends
+        curve = r_planar(9)
+        bump = random_bump(curve.dimension, np.random.default_rng(0))
+        assert bump.sharpness == 4
+        with pytest.raises(ValueError, match="sharpness at least 5, got sharpness 4"):
+            first_variation(curve, 9, bump)
 
     @pytest.mark.parametrize(
         "curve, matched, wrong",
