@@ -5,10 +5,15 @@ every geodesic curvature, so they are solved here in the squared variables
 ``x_j = k_j^2``.  That removes all sign ambiguity, makes the systems low
 degree, and lets nonnegativity stand in for realness of the curvatures.
 
-Three workflows live here: a deterministic multistart Newton solver over the
-squared variables, an exact case-by-case analysis of the order-three system
-with machine-checked infeasibility certificates, and a rigidity scan showing
-that negative ambient curvature admits no proper solutions.
+Two workflows live here: a deterministic multistart Newton solver over the
+squared variables, and a rigidity scan showing that negative ambient
+curvature admits no proper solutions.  The solver takes one zero pattern at
+a time; a pattern is equivalent to its upward closure
+(:func:`canonical_pattern`), so order ``r`` has ``2r - 1`` distinct systems.
+At ``K > 0`` pattern ``{2}`` is the planar circle ``x1 = (r - 1) K`` and,
+for ``r >= 3``, pattern ``{3}`` the family
+``(x1 + x2)^2 = K ((r - 1) x1 + x2)``; the exact identities behind that, and
+the order-three infeasibility certificates, are checked in the tests.
 """
 
 from __future__ import annotations
@@ -20,13 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .frenet import ConstraintSystem, constraint_system, curvature_sum_poly
-from .ratpoly import (
-    AMBIENT,
-    CurvaturePolynomial as Poly,
-    Monomial,
-    ambient,
-    kvar,
-)
+from .ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial
 
 DEDUP_TOL = 1e-8
 SNAP_TOL = 1e-12
@@ -36,7 +35,6 @@ SNAP_TOL = 1e-12
 STEP_TOL = 1e-14
 NEWTON_ITERATIONS = 60
 GRID_POINTS_PER_DIM = 7
-FAMILY_SAMPLES = 64  # points reported on the order-three two-curvature branch
 # Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
 # 2168 monomials) 1000 starts of the full system already take about 6 s, so
 # higher orders are not solved.  Each residual or Jacobian evaluation holds
@@ -187,12 +185,6 @@ class HelixSpec:
 
     def is_proper(self) -> bool:
         return self.curvatures[0] > 0
-
-    def squared(self) -> tuple[float, ...]:
-        return tuple(k * k for k in self.curvatures)
-
-    def curvature_square_sum(self) -> float:
-        return sum(k * k for k in self.curvatures)
 
 
 @dataclass(frozen=True)
@@ -429,231 +421,6 @@ def solve_helix(
         tol,
         any(s.jacobian_rank < d for s in solutions),
     )
-
-
-def sum_of_squares_check(spec: HelixSpec, tol: float = 1e-10) -> bool:
-    """True iff the curvature squares sum to K and the full factored system
-    is satisfied to the same tolerance.  Requires all curvatures nonzero."""
-    if any(k == 0 for k in spec.curvatures):
-        raise ValueError("sum-of-squares check needs all curvatures nonzero")
-    if abs(spec.curvature_square_sum() - spec.K) >= tol:
-        return False
-    compiled = CompiledSystem(constraint_system(spec.order))
-    x = np.array([[spec.squared()[v - 1] for v in compiled.unknowns]])
-    return float(np.abs(compiled.residuals(x, spec.K)).max()) < tol
-
-
-# -- order-three case analysis ----------------------------------------------
-
-@dataclass(frozen=True)
-class TriCase:
-    """One branch of the order-three case analysis."""
-
-    index: int
-    nonzero: tuple[int, ...]       # curvature indices assumed nonzero
-    forced_zero: tuple[int, ...]   # curvature indices set to zero
-    status: str                    # "solved" | "family" | "infeasible"
-    solutions: tuple[HelixSpec, ...] = ()
-    certificate: str | None = None
-    derivation: tuple[str, ...] = ()
-    merged_into: int | None = None
-    note: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.index,
-            "nonzero": [f"k{i}" for i in self.nonzero],
-            "forced_zero": [f"k{i}" for i in self.forced_zero],
-            "status": self.status,
-            "solutions": [list(s.curvatures) for s in self.solutions],
-            "certificate": self.certificate,
-            "derivation": list(self.derivation),
-            "merged_into": self.merged_into,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
-class TriCaseReport:
-    K: float
-    cases: tuple[TriCase, ...]
-    pattern_map: dict[tuple[bool, bool, bool], int]
-
-    def case(self, index: int) -> TriCase:
-        return self.cases[index - 1]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "cases": [c.to_json_dict() for c in self.cases],
-            "pattern_coverage": {
-                "".join("1" if b else "0" for b in key): case
-                for key, case in sorted(self.pattern_map.items())
-            },
-        }
-
-
-def _tri_family_samples(K: float) -> list[HelixSpec]:
-    """Sample the one-parameter branch of two-curvature solutions: for
-    ``x1`` in ``(0, 2K)`` take the positive root of the family quadratic."""
-    out = []
-    for i in range(1, FAMILY_SAMPLES + 1):
-        x1 = 2.0 * K * i / (FAMILY_SAMPLES + 1)
-        x2 = 0.5 * ((K - 2.0 * x1) + math.sqrt(K * K + 4.0 * K * x1))
-        out.append(HelixSpec(3, K, (math.sqrt(x1), math.sqrt(x2), 0.0, 0.0)))
-    return out
-
-
-def _positivity_certificate(cert: Poly, positive_vars: set[int]) -> None:
-    """Assert that the certificate is a nonempty sum of positive-coefficient
-    terms in variables known positive, so it cannot vanish."""
-    if cert.is_zero():
-        raise AssertionError("empty certificate")
-    for mono, coeff in cert.terms():
-        if coeff <= 0:
-            raise AssertionError(f"non-positive coefficient in {cert.render()}")
-        if not mono.variables() <= positive_vars | {AMBIENT}:
-            raise AssertionError(f"certificate uses a variable of unknown sign")
-
-
-def triharmonic_case_analysis(K: float) -> TriCaseReport:
-    """Full case-by-case treatment of the order-three constraint system on a
-    round sphere (K > 0), with exact elimination identities checked in the
-    polynomial ring.  Nonpositive K is reported as empty in every case.
-
-    Case layout (which of ``k_2, k_3, k_4`` vanish):
-
-    1. only ``k_1`` nonzero: the circle ``k_1^2 = 2K``.
-    2. ``k_1, k_2`` nonzero: a one-parameter family.
-    3. ``k_1, k_2, k_3`` nonzero: infeasible with certificate.
-    4. all nonzero: infeasible with certificate.
-    5. ``k_2 = 0`` but ``k_3`` nonzero: the truncation rule removes ``k_3``,
-       merging into case 1.
-    6. ``k_3 = 0`` but ``k_4`` nonzero: ``k_4`` drops out, merging into case 2.
-    """
-    spherical = K > 0
-
-    # the squared curvatures x_i = k_i^2 keep the ids of the curvature ring
-    x1, x2, x3, x4 = (kvar(i) for i in range(1, 5))
-
-    # exact x-space forms of the two full-system equations
-    full = constraint_system(3)
-    E1 = squared_form(full.equations[0].factored)
-    Etop = squared_form(full.equations[1].factored)
-    assert Etop == x1 + x2 + x3 + x4 - ambient()
-
-    Kp = ambient()
-    cases: list[TriCase] = []
-
-    # case 1: circle
-    circle_eq = squared_form(constraint_system(3, {2, 3, 4}).equations[0].factored)
-    assert circle_eq == x1 - 2 * Kp
-    if spherical:
-        sol = (HelixSpec(3, K, (math.sqrt(2.0 * K), 0.0, 0.0, 0.0)),)
-        cases.append(
-            TriCase(1, (1,), (2, 3, 4), "solved", sol,
-                    derivation=(f"{render_squares(circle_eq)} = 0", "x1 = 2K"))
-        )
-    else:
-        cases.append(
-            TriCase(1, (1,), (2, 3, 4), "infeasible",
-                    certificate=render_squares(circle_eq) + " = 0",
-                    note="x1 = 2K is nonpositive, so no proper solution")
-        )
-
-    # case 2: two-curvature family
-    family_eq = squared_form(constraint_system(3, {3, 4}).equations[0].factored)
-    assert family_eq == (x1 + x2) ** 2 - Kp * (2 * x1 + x2)
-    if spherical:
-        samples = _tri_family_samples(K)
-        cases.append(
-            TriCase(2, (1, 2), (3, 4), "family", tuple(samples),
-                    derivation=(f"{render_squares(family_eq)} = 0",
-                                "x2 = ((K - 2*x1) + sqrt(K^2 + 4*K*x1))/2 for x1 in (0, 2K)"))
-        )
-    else:
-        cases.append(
-            TriCase(2, (1, 2), (3, 4), "infeasible",
-                    certificate=render_squares(family_eq) + " = 0",
-                    note="for K <= 0 every term is nonnegative; x1 = x2 = 0 forced")
-        )
-
-    # case 3: three curvatures; eliminate x3 by the top equation, divide by
-    # x1 > 0, then substitute back -- all steps exact in the ring
-    E1_case3 = E1.substitute_zero({4})
-    Etop_case3 = Etop.substitute_zero({4})
-    s1 = E1_case3.substitute(3, Kp - x1 - x2)
-    assert s1 == x1 * (x1 + x2 - 2 * Kp)
-    cert3 = E1_case3.substitute(1, 2 * Kp - x2)
-    assert cert3 == Kp * x2 + x2 * x3
-    if spherical:
-        _positivity_certificate(cert3, {2, 3})
-        status3, note3 = "infeasible", None
-    else:
-        status3, note3 = "infeasible", "already empty via the sum equation for K <= 0"
-    cases.append(
-        TriCase(3, (1, 2, 3), (4,), status3,
-                certificate=render_squares(cert3) + " = 0",
-                derivation=(
-                    f"substitute x3 = K - x1 - x2 into {render_squares(E1_case3)} = 0:",
-                    f"  {render_squares(s1)} = 0",
-                    "divide by x1 > 0: x1 + x2 = 2K",
-                    f"substitute x1 = 2K - x2 back: {render_squares(cert3)} = 0",
-                    "every term is positive, a contradiction",
-                ),
-                note=note3)
-    )
-
-    # case 4: all four curvatures; the certificate is an exact ideal member:
-    # cert = -E1 + (x1 + x2) * Etop
-    inter = E1.substitute(3, Kp - x1 - x2 - x4)
-    assert inter == x1 * (x1 + x2) - x2 * x4 - 2 * Kp * x1
-    cert4 = x1 * (Kp + x3 + x4) + x2 * x4
-    assert cert4 == -E1 + (x1 + x2) * Etop
-    if spherical:
-        _positivity_certificate(cert4, {1, 2, 3, 4})
-    cases.append(
-        TriCase(4, (1, 2, 3, 4), (), "infeasible",
-                certificate=render_squares(cert4) + " = 0",
-                derivation=(
-                    "substitute x3 = K - x1 - x2 - x4 into the first equation:",
-                    f"  {render_squares(inter)} = 0",
-                    f"rewrite with the sum equation: {render_squares(cert4)} = 0",
-                    "every term is positive, a contradiction",
-                ))
-    )
-
-    # case 5: k2 = 0 with k3 assumed nonzero; the recursion never lets k3
-    # enter the system, so this is case 1 again
-    reduced5 = constraint_system(3, {2})
-    assert squared_form(reduced5.equations[0].factored) == circle_eq
-    cases.append(
-        TriCase(5, (1, 3), (2, 4), cases[0].status, cases[0].solutions,
-                certificate=cases[0].certificate, merged_into=1,
-                note="once k2 = 0 the curvatures k3, k4 drop out of the system")
-    )
-
-    # case 6: k3 = 0 with k4 assumed nonzero; k4 never appears, so this is
-    # the case-2 family with an inert k4
-    reduced6 = constraint_system(3, {3})
-    assert squared_form(reduced6.equations[0].factored) == family_eq
-    cases.append(
-        TriCase(6, (1, 2, 4), (3,), cases[1].status, cases[1].solutions,
-                certificate=cases[1].certificate, merged_into=2,
-                note="once k3 = 0 the curvature k4 drops out of the system")
-    )
-
-    pattern_map = {
-        (False, False, False): 1,
-        (False, False, True): 1,
-        (False, True, False): 5,
-        (False, True, True): 5,
-        (True, False, False): 2,
-        (True, False, True): 6,
-        (True, True, False): 3,
-        (True, True, True): 4,
-    }
-    return TriCaseReport(K, tuple(cases), pattern_map)
 
 
 # -- negative curvature rigidity ---------------------------------------------

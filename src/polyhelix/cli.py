@@ -152,13 +152,10 @@ def _cmd_tau(args, started: float) -> int:
 
 
 def _cmd_classify(args, started: float) -> int:
+    # solve_helix owns the default tolerance
+    tol = {} if args.tol is None else {"tol": args.tol}
     report = classify.solve_helix(
-        args.order,
-        args.K,
-        args.zeros,
-        tol=args.tol if args.tol is not None else 1e-10,
-        trials=args.trials,
-        seed=args.seed,
+        args.order, args.K, args.zeros, trials=args.trials, seed=args.seed, **tol
     )
     payload = report.to_json_dict()
     lines = [

@@ -183,31 +183,6 @@ def tau_space_form(r: int) -> FrenetExpansion:
     return tension_field(derivs, r, ambient(), lambda v: v.coefficient(1))
 
 
-def highest_derivative_structure_check(l: int, m: int) -> bool:
-    """Check the closed form of the two highest-frame coefficients of the
-    odd derivative ``(2l-1)``: the frame ``2l-2`` coefficient is
-    ``-(k_1 ... k_{2l-3}) * (k_1^2 + ... + k_{2l-2}^2)`` and the frame ``2l``
-    coefficient is ``k_1 ... k_{2l-1}`` (with truncation beyond ``k_m``)."""
-    if not 2 <= l <= m // 2 + 1:
-        raise ValueError(f"need 2 <= l <= m/2 + 1, got l={l}, m={m}")
-    v = iterated_derivative(2 * l - 1, m)
-
-    def kprod(upto: int) -> Poly:
-        if upto > m:
-            return Poly.zero()
-        p = Poly.constant(1)
-        for i in range(1, upto + 1):
-            p = p * kvar(i)
-        return p
-
-    ksum = Poly.zero()
-    for j in range(1, min(2 * l - 2, m) + 1):
-        ksum = ksum + kvar(j) ** 2
-    expected_mid = -kprod(2 * l - 3) * ksum
-    expected_top = kprod(2 * l - 1)
-    return v.coefficient(2 * l - 2) == expected_mid and v.coefficient(2 * l) == expected_top
-
-
 @dataclass(frozen=True)
 class ConstraintEquation:
     """One frame component of the vanishing tension field, kept in three

@@ -268,17 +268,6 @@ class CurvaturePolynomial:
             total += value
         return total
 
-    def evaluate_exact(self, assignment: Mapping[int, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for mono, coeff in self._terms.items():
-            value = coeff
-            for vid, exp in mono.exps:
-                if vid not in assignment:
-                    raise UnboundVariableError(vid)
-                value *= Fraction(assignment[vid]) ** exp
-            total += value
-        return total
-
     def substitute_zero(self, variables: Iterable[int]) -> "CurvaturePolynomial":
         """Set the listed variables to zero: drop every term containing one."""
         dead = [_slot(vid) for vid in set(variables)]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import mpmath
 import numpy as np
@@ -40,7 +40,6 @@ Scalar = Union[int, float, Fraction, mpmath.mpf]
 
 WORKING_DPS = 50          # decimal digits for the covariant algebra
 DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
-GRADIENT_STEP = 1e-3      # weight step of the reduced-density gradient stencil
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
 BUMP_STARTS = (1.0, 6.0)  # range of random_bump support starts
 BUMP_WIDTHS = (2.0, 4.0)  # range of random_bump support widths
@@ -225,26 +224,7 @@ def tri_hyperbola_curve(y: Scalar) -> TrigCurve:
         return TrigCurve(((x, a1sq), (ym, a3sq)))
 
 
-# -- pointwise identity and residual checks ----------------------------------
-
-def sphere_identities_check(curve: TrigCurve, s_samples: Iterable[float]) -> float:
-    """Max defect of the five arclength sphere-curve identities:
-    <g,g'> = 0, <g'',g> = -1, <g''',g> = 0, <g',g''> = 0, <g4,g> = |g''|^2."""
-    s = np.asarray(list(s_samples), dtype=float)
-    g = [curve.derivative(l)(s) for l in range(5)]
-
-    def dot(a, b):
-        return np.einsum("...i,...i->...", a, b)
-
-    defects = [
-        np.abs(dot(g[0], g[1])),
-        np.abs(dot(g[2], g[0]) + 1.0),
-        np.abs(dot(g[3], g[0])),
-        np.abs(dot(g[1], g[2])),
-        np.abs(dot(g[4], g[0]) - dot(g[2], g[2])),
-    ]
-    return float(max(d.max() for d in defects))
-
+# -- residual checks ---------------------------------------------------------
 
 def _require_arclength(curve: TrigCurve) -> None:
     if not curve.is_arclength():
@@ -466,46 +446,6 @@ def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
         )
         multiplier = solve_lambda(x, y, w1, w3)
     return LagrangianValue(r, density, density, multiplier)
-
-
-def reduced_lagrangian_gradient(curve: TrigCurve, r: int) -> tuple[float, ...]:
-    """Partial derivatives of the reduced density with respect to the free
-    squared weights (frequencies held fixed, the dependent weight eliminated
-    through the unit-sphere constraint).  Certified curves sit at a critical
-    point, so these vanish there.
-
-    Fourth-order central differences keep the FD error near 1e-12.
-    """
-    freqs = [float(x) for x, _ in curve.blocks]
-    weights = [float(w) for _, w in curve.blocks]
-    has_const = float(curve.constant_weight) > 0
-    free = len(weights) if has_const else len(weights) - 1
-    if free == 0:
-        raise ValueError("single block without constant direction has no free weight")
-
-    def density_at(ws: Sequence[float]) -> float:
-        # the dependent weight keeps the squared weights summing to one
-        if has_const:
-            probe = TrigCurve(tuple(zip(freqs, ws)), 1.0 - sum(ws))
-        else:
-            probe = TrigCurve(tuple(zip(freqs, list(ws) + [1.0 - sum(ws)])))
-        return _density(probe, r)
-
-    h = GRADIENT_STEP
-    grads = []
-    for i in range(free):
-        base = weights[:free]
-
-        def shifted(delta: float) -> float:
-            probe = list(base)
-            probe[i] += delta
-            return density_at(probe)
-
-        grads.append(
-            (-shifted(2 * h) + 8 * shifted(h) - 8 * shifted(-h) + shifted(-2 * h))
-            / (12 * h)
-        )
-    return tuple(grads)
 
 
 # -- first variation ---------------------------------------------------------

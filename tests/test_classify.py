@@ -3,8 +3,12 @@
 Closed-form anchor values used below (circle k1^2 = 2K, the two-curvature
 family quadratic, the exact family point (2 - sqrt(2), 2*sqrt(2) - 2)) were
 derived independently by brute-force residual checks before being frozen.
+The case analysis by zero pattern is stated as exact ring identities: the
+circle and family equations for every derivable order, and at order three a
+multiplier that certifies the remaining patterns empty.
 """
 
+import collections
 import itertools
 import math
 
@@ -26,10 +30,8 @@ from polyhelix.classify import (
     render_squares,
     solve_helix,
     squared_form,
-    sum_of_squares_check,
-    triharmonic_case_analysis,
 )
-from polyhelix.frenet import constraint_system
+from polyhelix.frenet import MAX_TENSION_ORDER, constraint_system
 from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
 
 
@@ -62,7 +64,6 @@ def test_helix_spec_validation():
         HelixSpec(3, 1.0, (1.0, 2.0))
     spec = HelixSpec(2, 1.0, (0.5, 0.5))
     assert spec.is_proper()
-    assert spec.curvature_square_sum() == pytest.approx(0.5)
     assert not HelixSpec(2, 1.0, (0.0, 1.0)).is_proper()
 
 
@@ -128,7 +129,7 @@ def test_two_curvature_family_is_sampled():
     assert len(report.solutions) >= 10
     x1s = []
     for sol in report.solutions:
-        x1, x2 = sol.spec.squared()[:2]
+        x1, x2 = (k * k for k in sol.spec.curvatures[:2])
         assert family_residual(x1, x2) < 1e-9
         x1s.append(x1)
     assert max(x1s) - min(x1s) > 0.5  # points spread along the family
@@ -145,7 +146,7 @@ def test_order_two_solutions_fill_the_circle():
     assert report.underdetermined
     assert len(report.solutions) >= 5
     for sol in report.solutions:
-        x1, x2 = sol.spec.squared()
+        x1, x2 = (k * k for k in sol.spec.curvatures)
         assert abs(x1 + x2 - 1.0) < 1e-9
 
 
@@ -337,91 +338,100 @@ def test_negative_K_report_carries_certificates():
     assert "negative" in top[0]["reason"]
 
 
-# -- sum-of-squares identity --------------------------------------------------
+# -- the case analysis by zero pattern, as exact identities -------------------
 
-def test_sum_of_squares_check_accepts_known_solution():
-    root_half = math.sqrt(0.5)
-    assert sum_of_squares_check(HelixSpec(2, 1.0, (root_half, root_half)))
-
-
-def test_sum_of_squares_check_rejects_wrong_sum():
-    assert not sum_of_squares_check(HelixSpec(3, 1.0, (1.0, 0.5, 0.5, 0.5)))
+def _x_system(r: int, zeros: set[int]) -> list[Poly]:
+    return [squared_form(eq.factored) for eq in constraint_system(r, zeros).equations]
 
 
-def test_sum_of_squares_check_requires_nonzero_curvatures():
-    with pytest.raises(ValueError):
-        sum_of_squares_check(HelixSpec(2, 1.0, (1.0, 0.0)))
+def _circle(r: int) -> Poly:
+    return kvar(1) - (r - 1) * ambient()
 
 
-def test_sum_of_squares_check_on_solver_output():
-    report = solve_helix(2, 1.0, trials=300)
-    interior = [
-        s.spec for s in report.solutions if all(k > 0 for k in s.spec.curvatures)
-    ]
-    assert interior
-    for spec in interior:
-        assert sum_of_squares_check(spec, tol=1e-8)
+def _family(r: int) -> Poly:
+    s = kvar(1) + kvar(2)
+    return s ** (r - 3) * (s**2 - ambient() * ((r - 1) * kvar(1) + kvar(2)))
 
 
-# -- order-three case analysis ------------------------------------------------
+def _tri_certificate(system: list[Poly]) -> Poly:
+    """-E1 + (x1 + x2) * Etop for an order-three system; with only positive
+    coefficients it is positive for K > 0 and proper curvatures, so the
+    equations cannot vanish together."""
+    E1, Etop = system
+    cert = -E1 + (kvar(1) + kvar(2)) * Etop
+    assert not cert.is_zero() and all(c > 0 for _, c in cert.terms())
+    return cert
+
 
 def test_case_analysis_circle_case():
-    report = triharmonic_case_analysis(1.0)
-    case = report.case(1)
-    assert case.status == "solved"
-    assert case.solutions[0].curvatures == pytest.approx(
-        (math.sqrt(2.0), 0.0, 0.0, 0.0), abs=1e-12
-    )
+    # with k2 = 0 only k1 is left: the planar circle x1 = (r - 1) K
+    for r in range(2, MAX_TENSION_ORDER + 1):
+        assert _x_system(r, {2}) == [_circle(r)]
 
 
 def test_case_analysis_family_case():
-    report = triharmonic_case_analysis(1.0)
-    case = report.case(2)
-    assert case.status == "family"
-    assert len(case.solutions) == 64
-    for spec in case.solutions:
-        x1, x2 = spec.squared()[:2]
-        assert x1 > 0 and x2 > 0
-        assert family_residual(x1, x2) < 1e-12
+    # with k3 = 0: (x1 + x2)^(r-3) ((x1 + x2)^2 - K ((r - 1) x1 + x2)); a
+    # proper helix has x1 + x2 > 0, so it lies on the quadric factor
+    for r in range(3, MAX_TENSION_ORDER + 1):
+        assert _x_system(r, {3}) == [_family(r)]
 
 
 def test_case_analysis_infeasible_cases():
-    report = triharmonic_case_analysis(1.0)
-    case3, case4 = report.case(3), report.case(4)
-    assert case3.status == "infeasible"
-    assert case3.certificate == "x2*x3 + K*x2 = 0"
-    assert case4.status == "infeasible"
-    assert case4.certificate == "x1*x3 + x1*x4 + K*x1 + x2*x4 = 0"
-    assert any("contradiction" in line for line in case3.derivation)
+    full = _x_system(3, set())
+    assert full[1] == kvar(1) + kvar(2) + kvar(3) + kvar(4) - ambient()
+    assert render_squares(_tri_certificate(full)) == "x1*x3 + x1*x4 + K*x1 + x2*x4"
+    assert render_squares(_tri_certificate(_x_system(3, {4}))) == "x1*x3 + K*x1"
 
 
 def test_case_analysis_merged_cases():
-    report = triharmonic_case_analysis(1.0)
-    assert report.case(5).merged_into == 1
-    assert report.case(5).status == report.case(1).status
-    assert report.case(6).merged_into == 2
-    assert len(report.case(6).solutions) == len(report.case(2).solutions)
+    # a zero pattern derives the same system as its upward closure: the
+    # merge negative_K_scan counts, for all 340 patterns of r = 2..5
+    for r in range(2, 6):
+        m = 2 * r - 2
+        for bits in itertools.product((False, True), repeat=m):
+            zeros = {i + 1 for i, z in enumerate(bits) if z}
+            closure = constraint_system(r, set(canonical_pattern(zeros, m)))
+            assert constraint_system(r, zeros).equations == closure.equations
 
 
 def test_case_analysis_covers_every_pattern():
-    report = triharmonic_case_analysis(1.0)
-    assert len(report.pattern_map) == 8
-    assert set(report.pattern_map.values()) == {1, 2, 3, 4, 5, 6}
+    # order three: each of the 16 zero patterns derives the geodesic (no
+    # equation), the circle, the family, or a system certified empty
+    outcomes = collections.Counter()
+    for bits in itertools.product((False, True), repeat=4):
+        system = _x_system(3, {i + 1 for i, z in enumerate(bits) if z})
+        if not system:
+            outcomes["geodesic"] += 1
+        elif system == [_circle(3)]:
+            outcomes["circle"] += 1
+        elif system == [_family(3)]:
+            outcomes["family"] += 1
+        else:
+            _tri_certificate(system)
+            outcomes["certified"] += 1
+    assert outcomes == {"geodesic": 8, "circle": 4, "family": 2, "certified": 2}
 
 
 def test_case_analysis_scaling():
-    at_one = triharmonic_case_analysis(1.0)
-    at_four = triharmonic_case_analysis(4.0)
-    for c1, c4 in zip(at_one.case(2).solutions, at_four.case(2).solutions):
-        for a, b in zip(c1.curvatures, c4.curvatures):
-            assert b == pytest.approx(2.0 * a, abs=1e-12)
+    # the family equation is homogeneous of weight r - 1 in (x, K), so its
+    # points at K = 4 are those at K = 1 with every curvature doubled
+    x1, x2, K = kvar(1), kvar(2), ambient()
+    for r in range(3, MAX_TENSION_ORDER + 1):
+        (family,) = _x_system(r, {3})
+        scaled = family.substitute(1, 4 * x1).substitute(2, 4 * x2).substitute(AMBIENT, 4 * K)
+        assert scaled == 4 ** (r - 1) * family
 
 
 def test_case_analysis_nonpositive_K_is_empty():
-    report = triharmonic_case_analysis(-1.0)
-    for case in report.cases:
-        assert case.status == "infeasible"
-        assert case.solutions == ()
+    # the circle and family equations read P - K*Q with P, Q nonnegative and
+    # P = 0 only at x = 0, so for K <= 0 neither has a proper solution
+    for r in range(2, MAX_TENSION_ORDER + 1):
+        (circle,) = _x_system(r, {2})
+        assert classify._nonnegative_split(circle) == (kvar(1), Poly.constant(r - 1))
+    for r in range(3, MAX_TENSION_ORDER + 1):
+        (family,) = _x_system(r, {3})
+        P, _ = classify._nonnegative_split(family)
+        assert P == (kvar(1) + kvar(2)) ** (r - 1)
 
 
 # -- negative curvature rigidity ----------------------------------------------

@@ -4,6 +4,7 @@ All commands run in-process through ``dispatch`` so exit codes and emitted
 reports can be asserted directly.
 """
 
+import inspect
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyhelix import acceptance, odelab, spherecurves
+from polyhelix import acceptance, classify, odelab, spherecurves
 from polyhelix.cli import (
     VERIFY_PARAMETERS,
     _parse_grid,
@@ -175,6 +176,14 @@ class TestClassify:
             "--trials", "20", "--seed", "11", "--json",
         )
         assert json.loads(out)["payload"]["search"]["seed"] == 11
+
+    def test_tol_defaults_to_the_solvers(self, capsys):
+        default = inspect.signature(classify.solve_helix).parameters["tol"].default
+        argv = ("classify", "--order", "2", "--K", "1", "--trials", "20", "--json")
+        for extra, tol in (((), default), (("--tol", "1e-6"), 1e-6)):
+            code, out = run(capsys, *argv, *extra)
+            assert code == 0
+            assert json.loads(out)["payload"]["search"]["tol"] == tol
 
 
 # -- curve verification ------------------------------------------------------

@@ -5,6 +5,7 @@ and cross-checked numerically before being frozen here.  A sympy
 reimplementation of the recursion serves as an independent arithmetic oracle.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,6 @@ from polyhelix.frenet import (
     curvature_sum_poly,
     derivative_chain,
     frenet_derivative,
-    highest_derivative_structure_check,
     iterated_derivative,
     tangent,
     tau_space_form,
@@ -50,6 +50,13 @@ def P(*idx: int) -> Poly:
     for i in idx:
         out = out * kvar(i)
     return out
+
+
+def evaluate_exact(p: Poly, point: dict[int, Fraction]) -> Fraction:
+    return sum(
+        (c * math.prod(point[v] ** e for v, e in mono.exps) for mono, c in p.terms()),
+        Fraction(0),
+    )
 
 
 def to_sympy(p: Poly) -> sp.Expr:
@@ -247,15 +254,16 @@ def test_tangential_components_of_odd_derivatives_vanish():
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
 def test_highest_derivative_structure(m):
+    # the odd derivative 2l - 1 has frame-(2l - 2) coefficient
+    # -(k1 ... k_{2l-3}) (k1^2 + ... + k_{2l-2}^2) and frame-2l coefficient
+    # k1 ... k_{2l-1}, with every curvature beyond k_m truncated to zero
+    def prod(upto: int) -> Poly:
+        return P(*range(1, upto + 1)) if upto <= m else Poly.zero()
+
     for l in range(2, m // 2 + 2):
-        assert highest_derivative_structure_check(l, m)
-
-
-def test_structure_check_rejects_bad_order():
-    with pytest.raises(ValueError):
-        highest_derivative_structure_check(1, 4)
-    with pytest.raises(ValueError):
-        highest_derivative_structure_check(4, 4)
+        v = iterated_derivative(2 * l - 1, m)
+        assert v.coefficient(2 * l - 2) == -prod(2 * l - 3) * S(*range(1, min(2 * l - 2, m) + 1))
+        assert v.coefficient(2 * l) == prod(2 * l - 1)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -446,9 +454,7 @@ def test_scaling_covariance(r):
         kdeg = sum(e for v, e in mono.exps if v != AMBIENT)
         w = Fraction(kdeg, 2) + mono.exponent(AMBIENT)
         assert w.denominator == 1
-        lhs = eq.factored.evaluate_exact(scaled)
-        rhs = Fraction(4) ** w * eq.factored.evaluate_exact(base)
-        assert lhs == rhs
+        assert evaluate_exact(eq.factored, scaled) == 4**w * evaluate_exact(eq.factored, base)
 
 
 def test_system_rendering_is_deterministic():
