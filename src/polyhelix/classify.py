@@ -34,9 +34,14 @@ SNAP_TOL = 1e-12
 # starts (the rank-0 geodesic at K = 0) before they come within SNAP_TOL
 STEP_TOL = 1e-14
 NEWTON_ITERATIONS = 60
+# the Newton step solves with the Gram matrix G = J J^T, and cond(G) is
+# cond(J)^2, so solving with G loses about log10 cond(G) of the step's 16
+# digits; past 1e12 (cond(J) above about 1e6) fewer than 4 would be left, and
+# such rows take the SVD step, which loses only log10 cond(J)
+GRAM_COND_MAX = 1e12
 GRID_POINTS_PER_DIM = 7
 # Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
-# 2168 monomials) 1000 starts of the full system already take about 6 s, so
+# 2168 monomials) 1000 starts of the full system already take about 2 s, so
 # higher orders are not solved.  Each residual or Jacobian evaluation holds
 # a power table of trials x monomials floats, and a temporary of at most
 # that shape, so the product is bounded: 2^24 entries are 128 MiB, which
@@ -287,6 +292,39 @@ def _negative_K_certificates(compiled: CompiledSystem) -> list[dict]:
     return certs
 
 
+def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The minimum-norm Newton steps ``-pinv(J) F`` for Jacobians ``(b, n, d)``
+    and residuals ``(b, n)``.
+
+    For a wide or square ``J`` of full row rank the pseudoinverse is
+    ``J^T (J J^T)^-1`` (Ben-Israel 1966), so the step is ``-J^T y`` where
+    ``G y = F`` for the Gram matrix ``G = J J^T``: one small batched LU rather
+    than an SVD per row.  The same solve yields ``G^-1`` for the 1-norm
+    condition number.  Rows whose ``G`` is singular or has a condition number
+    over ``GRAM_COND_MAX``, and every tall ``J``, take ``np.linalg.pinv``.
+    """
+    b, n, d = J.shape
+    if n > d:
+        return -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
+    G = J @ J.transpose(0, 2, 1)
+    rhs = np.concatenate((F[:, :, None], np.broadcast_to(np.eye(n), (b, n, n))), axis=2)
+    try:
+        solved = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError:
+        # some G is exactly singular, so its LU meets a zero pivot; its row is
+        # left NaN, which fails the condition bound below
+        regular = np.linalg.det(G) != 0
+        solved = np.full(rhs.shape, np.nan)
+        solved[regular] = np.linalg.solve(G[regular], rhs[regular])
+    G_inv = solved[:, :, 1:]
+    cond = np.abs(G).sum(axis=1).max(axis=1) * np.abs(G_inv).sum(axis=1).max(axis=1)
+    step = -np.einsum("bji,bj->bi", J, solved[:, :, 0])
+    svd = ~(cond <= GRAM_COND_MAX)
+    if svd.any():
+        step[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd]), F[svd])
+    return step
+
+
 def solve_helix(
     r: int,
     K: float,
@@ -306,16 +344,20 @@ def solve_helix(
     meaningful for any magnitude of ``K``.
 
     Each start takes Newton steps until one moves it by at most ``STEP_TOL``
-    in max-norm, at most ``NEWTON_ITERATIONS`` of them; only the starts still
-    moving are evaluated.  Pseudoinverse steps handle underdetermined
-    systems, in which case the converged points sample the solution family.
+    in max-norm, or until its residual is below ``tol`` and its step no
+    longer shrinks (it only jitters at the residual floor), at most
+    ``NEWTON_ITERATIONS`` of them; only the starts still moving are
+    evaluated.  Every step is the minimum-norm step ``-pinv(J) F``, which
+    handles underdetermined systems: the converged points then sample the
+    solution family.  It is solved through ``J J^T`` and takes an SVD only for
+    rank-deficient or ill-conditioned rows (:func:`_newton_step`).
     An empty solution list is a valid outcome and, for ``K < 0``, comes with
     analytic certificates.
     """
     if not 2 <= r <= MAX_SOLVE_ORDER:
         raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not math.isfinite(K):
         raise ValueError(f"ambient curvature K must be finite, got {K}")
     if trials < 1:
@@ -360,19 +402,25 @@ def solve_helix(
     X = starts.copy()
     step_cap = 2.0 * hi
     active = np.arange(len(X))
+    last_move = np.full(len(X), np.inf)
     for _ in range(NEWTON_ITERATIONS):
         X_active = X[active]
         F = compiled.residuals(X_active, unit_K)
         J = compiled.jacobians(X_active, unit_K)
         with np.errstate(all="ignore"):
-            step = -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
+            step = _newton_step(J, F)
         step = np.clip(step, -step_cap, step_cap)
         X_new = X_active + step
         ok = np.isfinite(X_new).all(axis=1)
         X_new = np.clip(np.where(ok[:, None], X_new, X_active), -hi, 1e7)
         X[active] = X_new
-        # a start that no longer moves has reached its fixed point
-        active = active[np.abs(X_new - X_active).max(axis=1) > STEP_TOL]
+        # a start that no longer moves has reached its fixed point; one that
+        # is already a root and whose step stopped shrinking only jitters at
+        # the residual floor
+        move = np.abs(X_new - X_active).max(axis=1)
+        stalled = (np.abs(F).max(axis=1) < tol) & (move >= last_move[active])
+        last_move[active] = move
+        active = active[(move > STEP_TOL) & ~stalled]
         if not active.size:
             break
 

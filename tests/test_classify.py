@@ -74,6 +74,9 @@ def test_solver_argument_validation():
         solve_helix(1, 1.0)
     with pytest.raises(ValueError):
         solve_helix(3, 1.0, tol=0.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"positive and finite, got {tol}"):
+            solve_helix(3, 1.0, tol=tol)
 
 
 @pytest.mark.parametrize("trials", [0, -5])
@@ -218,6 +221,73 @@ def test_power_ladder_matches_pow(r, pattern, K):
     np.testing.assert_allclose(compiled._powers(X, K), want, rtol=1e-14, atol=0)
 
 
+# -- Newton step ---------------------------------------------------------------
+
+def pinv_step(J, F):
+    return -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
+
+
+@pytest.fixture
+def pinv_rows(monkeypatch):
+    """The Jacobians each call of ``np.linalg.pinv`` receives."""
+    calls = []
+    original = np.linalg.pinv
+
+    def recording(J, *args, **kwargs):
+        calls.append(np.array(J))
+        return original(J, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording)
+    return calls
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6), (4, 7), (4, 8)])
+def test_gram_step_matches_pinv_on_full_rank_rows(n, d, pinv_rows):
+    rng = np.random.default_rng(n * 10 + d)
+    J = rng.normal(size=(200, n, d))
+    F = rng.normal(size=(200, n))
+    got = classify._newton_step(J, F)
+    assert not pinv_rows
+    want = pinv_step(J, F)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_gram_step_takes_pinv_for_singular_rows(pinv_rows):
+    rng = np.random.default_rng(3)
+    J = rng.normal(size=(5, 2, 3))
+    J[1] = 0.0
+    J[3] = np.outer([1.0, 2.0], [1.0, 2.0, 3.0])  # rank 1
+    F = rng.normal(size=(5, 2))
+    got = classify._newton_step(J, F)
+    (fallback,) = pinv_rows
+    assert len(fallback) == 2
+    np.testing.assert_array_equal(fallback, J[[1, 3]])
+    np.testing.assert_array_equal(got[1], 0.0)
+    np.testing.assert_allclose(got, pinv_step(J, F), rtol=1e-12, atol=1e-14)
+
+
+def test_gram_step_takes_pinv_over_the_condition_bound(pinv_rows):
+    rng = np.random.default_rng(4)
+    J = rng.normal(size=(3, 2, 3))
+    # cond(G) = 1e14 > GRAM_COND_MAX, although G is far from singular
+    J[2] = [[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]]
+    F = rng.normal(size=(3, 2))
+    got = classify._newton_step(J, F)
+    (fallback,) = pinv_rows
+    np.testing.assert_array_equal(fallback, J[2:])
+    np.testing.assert_allclose(got, pinv_step(J, F), rtol=1e-12)
+
+
+def test_gram_step_takes_pinv_for_tall_jacobians(pinv_rows):
+    rng = np.random.default_rng(5)
+    J = rng.normal(size=(4, 3, 2))
+    F = rng.normal(size=(4, 3))
+    got = classify._newton_step(J, F)
+    (fallback,) = pinv_rows
+    np.testing.assert_array_equal(fallback, J)
+    np.testing.assert_array_equal(got, pinv_step(J, F))
+
+
 # -- reference Newton loop --------------------------------------------------
 
 CURVATURE_TOL = 1e-12
@@ -281,6 +351,12 @@ def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
 
 REFERENCE_CASES = [(r, pattern, 1.0) for r in (3, 4, 5) for pattern in ((), (2,), (3,))]
 REFERENCE_CASES += [(3, (3, 4), 0.0), (3, (), -1.0), (4, (), -1.0)]
+# the stall exit fires at r = 6 pattern {3}; at K = 0 a start stalling once
+# its residual is below tol, before its steps stop shrinking, would be an
+# extra root there; the pinv fallback for an exactly singular J J^T fires at
+# r = 5 pattern {4..8}, K = -1
+REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
+REFERENCE_CASES += [(5, (3, 4, 5, 6, 7, 8), -1.0), (5, (4, 5, 6, 7, 8), -1.0)]
 
 
 @pytest.mark.parametrize(

@@ -515,6 +515,15 @@ class TestBadNumbers:
               "--out", os.devnull], "integration at step 0.01 overflowed"),
             (["conjecture", "--order", "3", "--alpha", "1e200", "--beta-grid", "0:1:2"],
              "integration at step 0.001 overflowed"),
+            # an infinite step or tolerance would accept any residual
+            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "inf"],
+             "--step: must be positive and finite, got 'inf'"),
+            (["classify", "--order", "3", "--K", "1", "--tol", "inf"],
+             "--tol: must be positive and finite, got 'inf'"),
+            (["verify", "--curve", "tri-planar", "--tol", "inf"],
+             "--tol: must be positive and finite, got 'inf'"),
+            (["verify", "--curve", "tri-planar", "--tol", "nan"],
+             "--tol: must be positive and finite, got 'nan'"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
