@@ -6,7 +6,11 @@ Three instruments live here:
 * a fixed-step RK4 Frenet-frame integrator for Euclidean ambient space,
   with periodic frame re-orthonormalization and a Richardson error estimate
   that refers to the returned samples (a pass at twice the step over the
-  first 2*floor(steps/2) steps, compared at that sample);
+  first 2*floor(steps/2) steps, compared at that sample).  One loop advances
+  a stack of such passes, each with the arithmetic of a lone run: the two
+  passes of one trajectory, or of every trajectory a conjecture scan needs
+  with the same curvature count, in chunks of at most
+  :data:`MAX_STACK_VALUES` stored values;
 * conservation-law monitors that test, on sampled position data alone,
   whether the scalar first integrals of the order-three and order-four
   variational equations stay constant along a curve (their covariant
@@ -37,7 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,13 +53,17 @@ MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
 REORTHO_INTERVAL = 100
 # An integration stores (steps + 1) x (m + 1) x d frame values; 2^25 float64s
-# are 256 MiB, and at about 30 us per RK4 step the integration already takes
-# minutes before reaching it.  The 2h pass of the error estimate stores half
-# as many frames again, and each pass holds a steps x 3 x m table of stage
-# curvatures, never larger than its frames.
+# are 256 MiB, and at 20-35 us per step (the 2h pass advances in the same
+# loop) the integration already takes a minute or more before reaching it.
 MAX_FRAME_VALUES = 2**25
-# Each scan point integrates its own trajectory (about 0.3 s at the default
-# span and step), so 1000 points are already several minutes of work.
+# Trajectories advance together in chunks whose stored values (_stack_values)
+# stay under this bound, 2 MiB of float64s: the six two-curvature
+# trajectories of criterion #11's order-3 scan (span 2 at SCAN_STEP) fit in
+# one chunk.
+MAX_STACK_VALUES = 2**18
+# Each scan point integrates its own trajectory and derives its own exact
+# chain, about 15 ms a point at the default span, so 1000 points take about
+# 15 s.
 MAX_SCAN_POINTS = 1000
 SCAN_STEP = 1e-3     # RK4 step of the trajectories a conjecture scan integrates
 CLOSURE_TOL = 1e-6   # end-to-start distance below which samples close a loop
@@ -398,61 +406,11 @@ def _reorthonormalize(frame: np.ndarray) -> np.ndarray:
     return (q * signs).T
 
 
-@np.errstate(over="ignore", invalid="ignore")  # integrate_frenet reports an overflow
-def _integrate_once(
-    profile: CurvatureProfile,
-    d: int,
-    span: tuple[float, float],
-    h: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classical RK4 for the position and the Frenet frame at fixed step
-    ``h``; returns the positions and the frames at every step."""
-    size = profile.count + 1
-    steps = int(round((span[1] - span[0]) / h))
-    s = span[0] + h * np.arange(steps)
-    # curvatures at the stage arclengths s, s + h/2, s + h of every step
-    stage_ks = profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(1, 2, 0)
-    generators = np.zeros((3, size, size))
-    b_start, b_mid, b_end = generators
-    upper, lower = np.arange(size - 1), np.arange(1, size)
-    frame = np.eye(size, d)
-    positions = np.zeros((steps + 1, d))
-    frames = np.empty((steps + 1, size, d))
-    frames[0] = frame
-    for step in range(steps):
-        generators[:, upper, lower] = stage_ks[step]
-        generators[:, lower, upper] = -stage_ks[step]
-        f1 = b_start @ frame
-        y2 = frame + (h / 2) * f1
-        f2 = b_mid @ y2
-        y3 = frame + (h / 2) * f2
-        f3 = b_mid @ y3
-        y4 = frame + h * f3
-        f4 = b_end @ y4
-        tangents = frame[0] + 2 * y2[0] + 2 * y3[0] + y4[0]
-        positions[step + 1] = positions[step] + (h / 6) * tangents
-        frame = frame + (h / 6) * (f1 + 2 * f2 + 2 * f3 + f4)
-        if (step + 1) % REORTHO_INTERVAL == 0:
-            gram = frame @ frame.T
-            if np.abs(gram - np.eye(size)).max() > FRAME_DEFECT_LIMIT:
-                frame = _reorthonormalize(frame)
-        frames[step + 1] = frame
-    return positions, frames
-
-
-def integrate_frenet(
-    profile: CurvatureProfile,
-    d: int,
-    span: tuple[float, float],
-    h: float,
-) -> CurveSamples:
-    """Integrate the position together with the Frenet frame equations
-    by classical fourth-order Runge-Kutta at fixed step ``h``.
-
-    ``error_estimate`` is the Richardson estimate ``|p_h - p_2h| / 15`` of
-    the error of the returned sample 2*floor(steps/2), from a second pass at
-    step 2h over the steps up to it; the span must cover at least two steps.
-    """
+def _check_run(
+    profile: CurvatureProfile, d: int, span: tuple[float, float], h: float
+) -> int:
+    """Reject an integration request before anything is allocated; return
+    its number of steps."""
     if h <= 0:
         raise ValueError("step must be positive")
     if d < profile.count + 1:
@@ -470,23 +428,148 @@ def integrate_frenet(
     steps = int(round(intervals))
     if steps < 2:
         raise ValueError(f"span {span[0]}:{span[1]} is shorter than one step at 2h = {2 * h}")
-    actual_span = (span[0], span[0] + steps * h)
+    return steps
 
-    positions, frames = _integrate_once(profile, d, actual_span, h)
+
+def _stack_values(m: int, d: int, steps: int) -> int:
+    """Values one trajectory with ``m`` curvatures holds in a stack: its
+    frames and positions at every step, and the stage curvatures of its h
+    and 2h passes."""
+    return (steps + 1) * (m + 2) * d + (steps + steps // 2) * 3 * m
+
+
+def _stage_curvatures(
+    profile: CurvatureProfile, start: float, h: float, steps: int
+) -> np.ndarray:
+    """Curvatures at the stage arclengths s, s + h/2, s + h of every step,
+    shaped (steps, 3, m)."""
+    s = start + h * np.arange(steps)
+    return profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(1, 2, 0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _integrate_stack reports an overflow
+def _rk4_stack(
+    profiles: Sequence[CurvatureProfile],
+    d: int,
+    start: float,
+    h: float,
+    steps: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Classical RK4 for the position and the Frenet frame of each profile
+    (all with the same curvature count) in one loop: a pass at step ``h``
+    over ``steps`` steps and a pass at ``2h`` over ``steps // 2`` steps.
+
+    Each pass keeps the arithmetic of a lone integration.  The ``h`` passes
+    sit first in the stack and the ``2h`` passes finish first, so the runs
+    still active are always a prefix of it.  Returns the ``h`` passes'
+    positions ``(steps + 1, n, d)`` and frames ``(steps + 1, n, m + 1, d)``,
+    and the end points of the ``2h`` passes ``(n, d)``; the ``2h`` passes
+    store nothing else.
+    """
+    n, m = len(profiles), profiles[0].count
+    size, half = m + 1, steps // 2
+    # stage curvatures, one block while both passes run and one after
+    both = np.empty((half, 2 * n, 3, m))
+    fine_only = np.empty((steps - half, n, 3, m))
+    for i, profile in enumerate(profiles):
+        fine = _stage_curvatures(profile, start, h, steps)
+        both[:, i], fine_only[:, i] = fine[:half], fine[half:]
+        both[:, n + i] = _stage_curvatures(profile, start, 2 * h, half)
+    step_sizes = np.repeat([h, 2 * h], n)[:, None, None]
+    generators = np.zeros((2 * n, 3, size, size))
+    frame = np.tile(np.eye(size, d), (2 * n, 1, 1))
+    point = np.zeros((2 * n, d))
+    positions = np.zeros((steps + 1, n, d))
+    frames = np.empty((steps + 1, n, size, d))
+    fine_point, fine_frame = point[:n], frame[:n]
+    frames[0] = fine_frame
+    for first, block in ((0, both), (half, fine_only)):
+        active = block.shape[1]
+        g, y, p = generators[:active], frame[:active], point[:active]
+        b_start, b_mid, b_end = g[:, 0], g[:, 1], g[:, 2]
+        # the super- and subdiagonal of each generator, as strided views
+        flat = g.reshape(active, 3, size * size)
+        above, below = flat[:, :, 1 :: size + 1], flat[:, :, size :: size + 1]
+        h_full = step_sizes[:active]
+        h_half, h_sixth = h_full / 2, h_full / 6
+        h_sixth_rows = h_sixth[:, 0]
+        for step, ks in enumerate(block, first):
+            above[...] = ks
+            np.negative(ks, out=below)
+            f1 = b_start @ y
+            y2 = y + h_half * f1
+            f2 = b_mid @ y2
+            y3 = y + h_half * f2
+            f3 = b_mid @ y3
+            y4 = y + h_full * f3
+            f4 = b_end @ y4
+            # whole frames are cheaper to combine than strided rows
+            tangents = (y + 2.0 * y2 + 2.0 * y3 + y4)[:, 0]
+            p += h_sixth_rows * tangents
+            y += h_sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            if (step + 1) % REORTHO_INTERVAL == 0:
+                gram = y @ y.transpose(0, 2, 1)
+                defect = np.abs(gram - np.eye(size)).max(axis=(1, 2))
+                for i in np.flatnonzero(defect > FRAME_DEFECT_LIMIT):
+                    y[i] = _reorthonormalize(y[i])
+            positions[step + 1] = fine_point
+            frames[step + 1] = fine_frame
+    return positions, frames, point[n:]
+
+
+def _integrate_stack(
+    profiles: Sequence[CurvatureProfile],
+    d: int,
+    start: float,
+    h: float,
+    steps: int,
+) -> Iterator[CurveSamples]:
+    """:func:`integrate_frenet` for profiles with the same curvature count,
+    yielded in order.  The profiles advance together in chunks whose stored
+    values stay within :data:`MAX_STACK_VALUES`; a trajectory larger than
+    that runs alone.  Each yielded sample owns its arrays."""
+    chunk = max(1, MAX_STACK_VALUES // _stack_values(profiles[0].count, d, steps))
     paired = 2 * (steps // 2)
-    coarse, _ = _integrate_once(profile, d, (span[0], span[0] + paired * h), 2 * h)
-    if not all(np.isfinite(a).all() for a in (positions, frames, coarse)):
-        raise ValueError(
-            f"integration at step {h} overflowed: the curvatures are too large for this step"
+    for first in range(0, len(profiles), chunk):
+        positions, frames, coarse_ends = _rk4_stack(
+            profiles[first : first + chunk], d, start, h, steps
         )
-    estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
-    return CurveSamples(
-        h=h,
-        span=actual_span,
-        positions=positions,
-        frames=frames,
-        error_estimate=estimate,
-    )
+        for i, coarse_end in enumerate(coarse_ends):
+            # a copy unless the stack holds this trajectory alone
+            own_positions = np.ascontiguousarray(positions[:, i])
+            own_frames = np.ascontiguousarray(frames[:, i])
+            if not all(np.isfinite(a).all() for a in (own_positions, own_frames, coarse_end)):
+                raise ValueError(
+                    f"integration at step {h} overflowed: the curvatures are too large for this step"
+                )
+            yield CurveSamples(
+                h=h,
+                span=(start, start + steps * h),
+                positions=own_positions,
+                frames=own_frames,
+                error_estimate=float(np.linalg.norm(own_positions[paired] - coarse_end) / 15.0),
+            )
+        # release this chunk before the next one is allocated
+        del positions, frames, coarse_ends, coarse_end
+
+
+def integrate_frenet(
+    profile: CurvatureProfile,
+    d: int,
+    span: tuple[float, float],
+    h: float,
+) -> CurveSamples:
+    """Integrate the position together with the Frenet frame equations
+    by classical fourth-order Runge-Kutta at fixed step ``h``.
+
+    ``error_estimate`` is the Richardson estimate ``|p_h - p_2h| / 15`` of
+    the error of the returned sample 2*floor(steps/2), from a second pass at
+    step 2h over the steps up to it; the span must cover at least two steps.
+    The two passes advance in one loop, a stack of one profile.
+    """
+    steps = _check_run(profile, d, span, h)
+    (samples,) = _integrate_stack([profile], d, span[0], h, steps)
+    return samples
 
 
 # -- conservation monitors ---------------------------------------------------
@@ -757,36 +840,57 @@ def conjecture_scan(
         raise ValueError(f"beta values must be finite, got {bad}")
     power = r - 2
     s_grid = np.linspace(span[0], span[1], 257)
-    rows = []
-    for beta in betas:
-        coefficients = [alpha, beta] if beta != 0.0 else [alpha]
-        profile = inverse_power_profile(coefficients, power)
-        chain = flat_tangent_chain(profile, 2 * r - 1)
-        terms = conservation_law_terms(chain, r)
-        samples = integrate_frenet(profile, profile.count + 1, span, SCAN_STEP)
-        scaling = None
-        if r == 3:
-            fd_sup, method, window = _fd_tension_sup(samples, 6, 0.02)
-        else:
-            terms = [term.arclength_derivative() for term in terms]
-            scaling = tuple(_leading(term) for term in terms)
-            fd_sup, method, window = _fd_tension_sup(samples, 8, 0.04)
-        law_residual = float(np.abs(_evaluate(sum(terms), s_grid)).max())
-        # flat ambient: the tension is nabla^(2r-1) T alone; evaluate it on the
-        # FD window so the two sups are comparable
-        tension = chain[2 * r - 1]
-        total = np.zeros_like(window)
-        for j in tension.frames():
-            total = total + _evaluate(tension.coefficient(j), window) ** 2
-        rows.append(
-            ConjectureRow(
-                order=r,
-                beta=beta,
-                law_residual=law_residual,
-                exact_tension_sup=float(np.sqrt(total.max())),
-                fd_tension_sup=fd_sup,
-                fd_method=method,
-                scaling=scaling,
-            )
+    profiles = [
+        inverse_power_profile([alpha, beta] if beta != 0.0 else [alpha], power)
+        for beta in betas
+    ]
+    # every request is checked, in grid order, before anything is allocated
+    steps = {p.count: _check_run(p, p.count + 1, span, SCAN_STEP) for p in profiles}
+    # beta = 0 has one curvature, every other beta two: one stack per count
+    groups: dict[int, list[int]] = {}
+    for i, profile in enumerate(profiles):
+        groups.setdefault(profile.count, []).append(i)
+    rows: list[ConjectureRow] = [None] * len(betas)
+    for count, members in groups.items():
+        trajectories = _integrate_stack(
+            [profiles[i] for i in members], count + 1, span[0], SCAN_STEP, steps[count]
         )
+        for i, samples in zip(members, trajectories):
+            rows[i] = _scan_row(r, betas[i], profiles[i], samples, s_grid)
     return rows
+
+
+def _scan_row(
+    r: int,
+    beta: float,
+    profile: CurvatureProfile,
+    samples: CurveSamples,
+    s_grid: np.ndarray,
+) -> ConjectureRow:
+    """One row of :func:`conjecture_scan` from the profile's integrated
+    trajectory."""
+    chain = flat_tangent_chain(profile, 2 * r - 1)
+    terms = conservation_law_terms(chain, r)
+    scaling = None
+    if r == 3:
+        fd_sup, method, window = _fd_tension_sup(samples, 6, 0.02)
+    else:
+        terms = [term.arclength_derivative() for term in terms]
+        scaling = tuple(_leading(term) for term in terms)
+        fd_sup, method, window = _fd_tension_sup(samples, 8, 0.04)
+    law_residual = float(np.abs(_evaluate(sum(terms), s_grid)).max())
+    # flat ambient: the tension is nabla^(2r-1) T alone; evaluate it on the
+    # FD window so the two sups are comparable
+    tension = chain[2 * r - 1]
+    total = np.zeros_like(window)
+    for j in tension.frames():
+        total = total + _evaluate(tension.coefficient(j), window) ** 2
+    return ConjectureRow(
+        order=r,
+        beta=beta,
+        law_residual=law_residual,
+        exact_tension_sup=float(np.sqrt(total.max())),
+        fd_tension_sup=fd_sup,
+        fd_method=method,
+        scaling=scaling,
+    )

@@ -715,3 +715,39 @@ def test_integrate_span_and_step_exit_cleanly(capsys, profile, flags):
     code = dispatch(["integrate", "--profile", profile, f"--span={span}", f"--step={step}"])
     capsys.readouterr()
     assert code in (0, 2)
+
+
+@st.composite
+def conjecture_requests(draw) -> tuple[str, str, str, str]:
+    """--order, --alpha, --beta-grid and --span texts.  Four times in five
+    all four are numeric, with grids of at most 5 points and spans of length
+    at most 2, so that an example stays cheap; else any of them may be any
+    float or text."""
+    wild = draw(st.integers(0, 4)) == 0
+
+    def pick(typical, rare):
+        return draw(st.one_of(typical, rare) if wild else typical)
+
+    number = st.one_of(st.floats(-4.0, 4.0), st.floats()) if wild else st.floats(-4.0, 4.0)
+    order = pick(st.sampled_from(["3", "4"]), st.text(max_size=3))
+    alpha = pick(number.map(repr), st.text(max_size=8))
+    grid = pick(
+        st.tuples(number, number, st.integers(1, 5)).map(lambda g: f"{g[0]!r}:{g[1]!r}:{g[2]}"),
+        st.one_of(st.text(max_size=10), st.sampled_from(["0:1:0", "0:1:-1", "0:1:1001"])),
+    )
+    lo = pick(st.floats(0.1, 5.0), st.floats(allow_nan=False))
+    span = pick(
+        st.floats(1e-4, 2.0).map(lambda length: f"{lo!r}:{lo + length!r}"),
+        st.text(max_size=10),
+    )
+    return order, alpha, grid, span
+
+
+@FUZZ
+@given(request=conjecture_requests())
+def test_conjecture_flags_exit_cleanly(capsys, request):
+    order, alpha, grid, span = request
+    code = dispatch(["conjecture", f"--order={order}", f"--alpha={alpha}",
+                     f"--beta-grid={grid}", f"--span={span}"])
+    capsys.readouterr()
+    assert code in (0, 2)

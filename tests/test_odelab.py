@@ -9,23 +9,33 @@ inverse-arclength curvature laws.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhelix import odelab
 from polyhelix.odelab import (
+    FRAME_DEFECT_LIMIT,
     MAX_FRAME_VALUES,
     MAX_SCAN_POINTS,
+    REORTHO_INTERVAL,
     ConjectureRow,
     CurvatureProfile,
     CurveSamples,
     ProfileTerm,
     _evaluate,
     _fd_tension_sup,
+    _integrate_stack,
     _leading,
+    _reorthonormalize,
+    _stack_values,
     central_difference,
     conjecture_scan,
     conservation_law_terms,
@@ -313,6 +323,49 @@ class TestCurveSamples:
 # -- Frenet integration ------------------------------------------------------
 
 
+def lone_rk4(
+    profile: CurvatureProfile, d: int, span: tuple[float, float], h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions and frames of one trajectory from the plain single-run RK4
+    loop, step by step: the reference the stacked integrator reproduces bit
+    for bit."""
+    size = profile.count + 1
+    steps = int(round((span[1] - span[0]) / h))
+    s = span[0] + h * np.arange(steps)
+    stage_ks = profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(1, 2, 0)
+    generators = np.zeros((3, size, size))
+    b_start, b_mid, b_end = generators
+    upper, lower = np.arange(size - 1), np.arange(1, size)
+    frame = np.eye(size, d)
+    positions = np.zeros((steps + 1, d))
+    frames = np.empty((steps + 1, size, d))
+    frames[0] = frame
+    for step in range(steps):
+        generators[:, upper, lower] = stage_ks[step]
+        generators[:, lower, upper] = -stage_ks[step]
+        f1 = b_start @ frame
+        y2 = frame + (h / 2) * f1
+        f2 = b_mid @ y2
+        y3 = frame + (h / 2) * f2
+        f3 = b_mid @ y3
+        y4 = frame + h * f3
+        f4 = b_end @ y4
+        tangents = frame[0] + 2 * y2[0] + 2 * y3[0] + y4[0]
+        positions[step + 1] = positions[step] + (h / 6) * tangents
+        frame = frame + (h / 6) * (f1 + 2 * f2 + 2 * f3 + f4)
+        if (step + 1) % REORTHO_INTERVAL == 0:
+            gram = frame @ frame.T
+            if np.abs(gram - np.eye(size)).max() > FRAME_DEFECT_LIMIT:
+                frame = _reorthonormalize(frame)
+        frames[step + 1] = frame
+    return positions, frames
+
+
+def held_bytes(array: np.ndarray) -> int:
+    """Bytes an array keeps alive: its own, or its base's if it is a view."""
+    return (array if array.base is None else array.base).nbytes
+
+
 class TestIntegrator:
     def test_unit_circle_closes(self):
         h = 2.0 * math.pi / 6400
@@ -395,6 +448,35 @@ class TestIntegrator:
     def test_storage_bound_fires_before_allocation(self, h, d):
         with pytest.raises(ValueError, match=f"step {h} .* dimension {d} .*more than {MAX_FRAME_VALUES}"):
             integrate_frenet(sqrt5_profile(), d, (1.0, 3.0), h)
+
+
+    # the first three re-orthonormalize their frames (at different steps),
+    # the last never does
+    STACKED = ("k1=30,k2=20", "k1=3/s,k2=5/s", "k1=8/s^2,k2=9", "k1=0.8,k2=0.5")
+
+    # 280 steps in the frame's own dimension, 281 in a larger ambient space
+    @pytest.mark.parametrize("span, d", [((0.2, 3.0), 3), ((0.2, 3.01), 4)])
+    def test_stack_reproduces_the_lone_loop_bit_for_bit(self, monkeypatch, span, d):
+        h = 1e-2
+        profiles = [parse_profile(text) for text in self.STACKED]
+        steps = int(round((span[1] - span[0]) / h))
+        paired = 2 * (steps // 2)
+        fixes = []
+        monkeypatch.setattr(odelab, "_reorthonormalize",
+                            lambda frame: fixes.append(1) or _reorthonormalize(frame))
+        stacked = list(_integrate_stack(profiles, d, span[0], h, steps))
+        monkeypatch.undo()
+        assert len(fixes) == 9
+        for profile, samples in zip(profiles, stacked):
+            positions, frames = lone_rk4(profile, d, span, h)
+            coarse, _ = lone_rk4(profile, d, (span[0], span[0] + paired * h), 2 * h)
+            estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
+            for result in (samples, integrate_frenet(profile, d, span, h)):
+                assert np.array_equal(result.positions, positions)
+                assert np.array_equal(result.frames, frames)
+                assert result.error_estimate == estimate
+                assert held_bytes(result.positions) == result.positions.nbytes
+                assert held_bytes(result.frames) == result.frames.nbytes
 
 
 # -- scalar first integral ---------------------------------------------------
@@ -599,6 +681,47 @@ class TestConjectureScan:
         # exact Laurent sum at s=1: -4320 + 1200 - 12
         rows = conjecture_scan(4, 1.0, [0.0], (1.0, 3.0))
         assert math.isclose(rows[0].law_residual, 3132.0, rel_tol=1e-9)
+
+    def test_grid_scan_equals_one_beta_scans(self):
+        for r, grid in ((3, [2.0, -1.5, 0.0, 0.5]), (4, [-1.0, 0.0, 1.0, 2.0])):
+            singles = [conjecture_scan(r, 1.0, [beta], (1.0, 3.0))[0] for beta in sorted(grid)]
+            assert conjecture_scan(r, 1.0, grid, (1.0, 3.0)) == singles
+
+    @pytest.mark.parametrize("chunk, sizes", [
+        (None, [1, 6]),           # the default bound: beta = 0, then one stack of six
+        (2, [1, 2, 2, 2]),
+        (1, [1, 1, 1, 1, 1, 1, 1]),
+    ])
+    def test_chunked_stacks_give_the_same_rows(self, monkeypatch, chunk, sizes):
+        grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+        rows = conjecture_scan(3, 1.0, grid, (1.0, 3.0))
+        seen = []
+        rk4_stack = odelab._rk4_stack
+        monkeypatch.setattr(odelab, "_rk4_stack",
+                            lambda profiles, *args: seen.append(len(profiles)) or rk4_stack(profiles, *args))
+        if chunk is not None:
+            monkeypatch.setattr(odelab, "MAX_STACK_VALUES", chunk * _stack_values(2, 3, 2000))
+        assert conjecture_scan(3, 1.0, grid, (1.0, 3.0)) == rows
+        assert seen == sizes
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+    def test_scan_memory_does_not_grow_with_the_grid(self):
+        # Peak resident memory of a fresh interpreter per scan.  VmHWM is the
+        # high-water mark of the child's own address space: its ru_maxrss
+        # would start at the parent's peak, which a spawn carries across exec.
+        def peak_kib(points: int) -> int:
+            code = (
+                "import numpy as np\n"
+                "from polyhelix.odelab import conjecture_scan\n"
+                f"conjecture_scan(3, 1.0, list(np.linspace(-3.0, 3.0, {points})), (1.0, 3.0))\n"
+                "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            )
+            env = dict(os.environ, PYTHONPATH=str(Path(odelab.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True, timeout=120)
+            return int(done.stdout)
+
+        assert peak_kib(100) <= 1.1 * peak_kib(1)
 
     def test_scan_input_validation(self):
         with pytest.raises(ValueError, match="orders"):
