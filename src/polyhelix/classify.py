@@ -6,9 +6,9 @@ every geodesic curvature, so they are solved here in the squared variables
 degree, and lets nonnegativity stand in for realness of the curvatures.
 
 Two workflows live here: a deterministic multistart Newton solver over the
-squared variables, and a rigidity scan showing that negative ambient
-curvature admits no proper solutions.  The solver takes one zero pattern at
-a time; a pattern is equivalent to its upward closure
+squared variables, and an exact rigidity scan that decides each system at
+negative ambient curvature: no root, or only the geodesic.  Both take one
+zero pattern at a time; a pattern is equivalent to its upward closure
 (:func:`canonical_pattern`), so order ``r`` has ``2r - 1`` distinct systems.
 At ``K > 0`` pattern ``{2}`` is the planar circle ``x1 = (r - 1) K`` and,
 for ``r >= 3``, pattern ``{3}`` the family
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .frenet import ConstraintSystem, constraint_system, curvature_sum_poly
+from .frenet import ConstraintSystem, constraint_system
 from .ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial
 
 DEDUP_TOL = 1e-8
@@ -262,33 +262,29 @@ def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
     return P, Q
 
 
-def _negative_K_certificates(compiled: CompiledSystem) -> list[dict]:
+def _negative_K_certificates(system: ConstraintSystem, x_equations: Sequence[Poly]) -> list[dict]:
     """For K < 0 every surviving equation is a sum of nonnegative terms, and
     the top-frame equation even contains the strictly positive constant -K."""
     certs: list[dict] = []
-    for eq, x_eq in zip(compiled.system.equations, compiled.x_equations):
+    for eq, x_eq in zip(system.equations, x_equations):
         split = _nonnegative_split(x_eq)
         if split is None:
             continue
         P, Q = split
         reason = (
+            "sum of squared curvatures cannot equal the negative number K; "
+            "with K < 0 the left side is at least |K| > 0"
+            if Q == 1 else
             "with K < 0 the equation reads P + |K|*Q = 0 where P and Q have "
             "only nonnegative coefficients; every term must vanish"
         )
-        if Q == 1:
-            reason = (
-                "sum of squared curvatures cannot equal the negative number K; "
-                "with K < 0 the left side is at least |K| > 0"
-            )
-        certs.append(
-            {
-                "frame": eq.frame,
-                "equation": render_squares(x_eq) + " = 0",
-                "nonnegative_part": render_squares(P),
-                "K_multiplier": render_squares(Q),
-                "reason": reason,
-            }
-        )
+        certs.append({
+            "frame": eq.frame,
+            "equation": render_squares(x_eq) + " = 0",
+            "nonnegative_part": render_squares(P),
+            "K_multiplier": render_squares(Q),
+            "reason": reason,
+        })
     return certs
 
 
@@ -372,7 +368,7 @@ def solve_helix(
             f"{trials} multistart trials x {len(compiled.exps)} monomials is "
             f"{trials * len(compiled.exps)} power-table entries, at most {MAX_POWER_TABLE}"
         )
-    certificates = _negative_K_certificates(compiled) if K < 0 else []
+    certificates = _negative_K_certificates(system, compiled.x_equations) if K < 0 else []
 
     m = 2 * r - 2
     if not system.equations:
@@ -473,34 +469,47 @@ def solve_helix(
 
 # -- negative curvature rigidity ---------------------------------------------
 
+def _negative_K_decision(x_equations: Sequence[Poly]) -> bool:
+    """Whether only ``x = 0`` solves a squared system at ``K < 0`` (True) or
+    nothing with every ``x_j >= 0`` does (False).  Each equation is
+    ``P + |K|*Q`` with ``P``, ``Q`` nonnegative, so every term must vanish: a
+    constant term leaves no root, and a power of one ``x_j`` forces
+    ``x_j = 0``.  Setting an unknown to 0 only deletes terms, so no second
+    pass forces more.  A missing split, or an unknown that no power of it
+    alone forces (a term in several unknowns would need a branch), raises."""
+    terms: set[frozenset[int]] = set()
+    for x_eq in x_equations:
+        split = _nonnegative_split(x_eq)
+        if split is None:
+            raise ValueError(f"undecided at K < 0: {render_squares(x_eq)} has no nonnegative split")
+        terms |= {mono.variables() for part in split for mono, _ in part.terms()}
+    if frozenset() in terms:
+        return False
+    unforced = set().union(*terms) - {v for t in terms if len(t) == 1 for v in t}
+    if unforced:
+        left = ", ".join(f"x{v}" for v in sorted(unforced))
+        raise ValueError(f"undecided at K < 0: no power of one unknown forces {left} to 0")
+    return True
+
+
 @dataclass(frozen=True)
 class NegativeKReport:
+    """The exact decisions at ``K < 0`` for the canonical systems of one
+    order: one JSON entry each, with its roots (none, or the geodesic)."""
+
     order: int
     K: float
-    trials: int
-    reports: tuple[SolutionReport, ...]
-    merged_counts: tuple[int, ...]
+    patterns: tuple[dict, ...]
     witness: str
 
-    def proper_solution_count(self) -> int:
-        return sum(len(rep.proper_solutions()) for rep in self.reports)
-
     def to_json_dict(self) -> dict:
+        proper = sum(s["curvatures"][0] > 0 for p in self.patterns for s in p["solutions"])
         return {
             "order": self.order,
             "K": self.K,
-            "trials": self.trials,
-            "proper_solutions": self.proper_solution_count(),
+            "proper_solutions": proper,
             "witness": self.witness,
-            "patterns": [
-                {
-                    "zero_pattern": list(rep.zero_pattern),
-                    "merged_pattern_count": count,
-                    "solutions": [s.to_json_dict() for s in rep.solutions],
-                    "infeasibility_certificates": list(rep.certificates),
-                }
-                for rep, count in zip(self.reports, self.merged_counts)
-            ],
+            "patterns": list(self.patterns),
         }
 
 
@@ -514,34 +523,31 @@ def canonical_pattern(pattern: Iterable[int], m: int) -> tuple[int, ...]:
     return tuple(range(t, m + 1))
 
 
-def negative_K_scan(
-    r: int, K: float, trials: int = 1000, seed: int = 42
-) -> NegativeKReport:
-    """Solve every zero-pattern of the order-``r`` system at negative ambient
-    curvature and certify that only geodesics remain.
-
-    All ``2^(2r-2)`` patterns collapse to ``2r - 1`` distinct systems under
-    the truncation rule: the full system, and ``t..2r-2`` for each ``t``,
-    which merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``.
-    The multistart budget is split across those, shortest pattern first.
-    """
-    if K >= 0:
-        raise ValueError("rigidity scan requires K < 0")
-    if trials < 1000:
-        raise ValueError("need at least 1000 multistart trials")
+def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> NegativeKReport:
+    """Decide every zero pattern of order ``r`` at ``K < 0`` exactly
+    (:func:`_negative_K_decision`); nothing is sampled, so ``trials`` and
+    ``seed`` are ignored.  The ``2^(2r-2)`` patterns collapse to ``2r - 1``
+    systems under the truncation rule: the full one, and ``t..2r-2``, which
+    merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``."""
+    if not (math.isfinite(K) and K < 0):
+        raise ValueError(f"rigidity scan requires a finite K < 0, got {K}")
     m = 2 * r - 2
-    canonicals = [()] + [canonical_pattern({t}, m) for t in range(m, 0, -1)]
+    patterns = [()] + [canonical_pattern({t}, m) for t in range(m, 0, -1)]
     counts = [1] + [2 ** (m - t) for t in range(m, 0, -1)]
-    per = trials // len(canonicals)
-    extra = trials - per * len(canonicals)
-    reports = []
-    for i, pattern in enumerate(canonicals):
-        budget = per + (1 if i < extra else 0)
-        reports.append(solve_helix(r, K, pattern, trials=budget, seed=seed + i))
-    witness_poly = squared_form(curvature_sum_poly(r))
+    entries = []
+    for pattern, count in zip(patterns, counts):
+        system = constraint_system(r, set(pattern))
+        x_equations = [squared_form(eq.factored) for eq in system.equations]
+        geodesic = _negative_K_decision(x_equations)
+        entries.append({
+            "zero_pattern": list(pattern),
+            "merged_pattern_count": count,
+            "solutions": [{"curvatures": [0.0] * m, "residual": 0.0}] if geodesic else [],
+            "infeasibility_certificates": _negative_K_certificates(system, x_equations),
+        })
+    rootless = ", ".join(str(e["zero_pattern"]) for e in entries if not e["solutions"])
     witness = (
-        f"{render_squares(witness_poly)} = 0 has no solution with nonnegative x_j "
-        f"when K = {K} < 0; with any k_t = 0 the surviving equations are "
-        "sums of nonnegative terms forcing the leading curvature to zero"
+        f"with K = {K} < 0 and x_j >= 0 every term must vanish: patterns {rootless} "
+        "keep a positive constant (no root), every other one forces x = 0 (the geodesic)"
     )
-    return NegativeKReport(r, K, trials, tuple(reports), tuple(counts), witness)
+    return NegativeKReport(r, K, tuple(entries), witness)

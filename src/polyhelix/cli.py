@@ -348,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag: bool = True, tol_flag: bool = False):
+    def common(p, json_flag: bool = True, tol_flag: bool = False, seed_flag: bool = False):
         p.add_argument("--out", help="write the report to this path")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
+        if seed_flag:
+            p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
         if tol_flag:
             p.add_argument("--tol", type=_positive_float, default=None,
                            help="override default tolerances")
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeros", type=_parse_zeros, default="",
                    help="comma-separated vanishing k indices")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common(p, json_flag=False)
+    common(p, json_flag=False, seed_flag=True)
     p.set_defaults(handler=_cmd_tau)
 
     p = sub.add_parser("classify", help="search for constant-curvature solutions")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--zeros", type=_parse_zeros, default="")
     p.add_argument("--trials", type=int, default=1000)
-    common(p, tol_flag=True)
+    common(p, tol_flag=True, seed_flag=True)
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify", help="check a closed-form solution curve")
@@ -418,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance criteria")
     p.add_argument("--only", default=None,
                    help="filter criteria by tag, number or name substring")
-    common(p)
+    common(p, seed_flag=True)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser
@@ -432,7 +433,7 @@ def dispatch(argv: list[str]) -> int:
         return int(stop.code or 0)
     started = time.perf_counter()
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = int(os.environ.get("POLYHELIX_SEED", DEFAULT_SEED))
         return args.handler(args, started)
     except (ValueError, OSError) as error:

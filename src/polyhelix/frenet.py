@@ -258,10 +258,3 @@ def constraint_system(r: int, zero_pattern: frozenset[int] | set[int] = frozense
         equations.append(ConstraintEquation(j, raw, gcd_poly, factored))
     return ConstraintSystem(r, pattern, tuple(equations))
 
-
-def curvature_sum_poly(r: int) -> Poly:
-    """``k_1^2 + ... + k_{2r-2}^2 - K``: the expected top-frame equation."""
-    total = Poly.zero()
-    for j in range(1, 2 * r - 1):
-        total = total + kvar(j) ** 2
-    return total - ambient()

@@ -519,10 +519,9 @@ def test_canonical_pattern_upward_closure():
 
 
 def test_negative_scan_argument_validation():
-    with pytest.raises(ValueError):
-        negative_K_scan(3, 1.0)
-    with pytest.raises(ValueError):
-        negative_K_scan(3, -1.0, trials=10)
+    for K in (0.0, 1.0, math.nan, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="finite K < 0"):
+            negative_K_scan(3, K)
 
 
 def _enumerated_merges(r: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -538,29 +537,89 @@ def _enumerated_merges(r: int) -> tuple[list[tuple[int, ...]], list[int]]:
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
-def test_negative_scan_merges_match_enumeration(r, monkeypatch):
-    solved = []
-
-    def record(r, K, pattern, trials, seed):
-        solved.append((pattern, trials, seed))
-        return pattern
-
-    monkeypatch.setattr(classify, "solve_helix", record)
-    report = negative_K_scan(r, -1.0, trials=1000, seed=7)
+def test_negative_scan_merges_match_enumeration(r):
+    report = negative_K_scan(r, -1.0)
     closures, counts = _enumerated_merges(r)
-    assert [pattern for pattern, _, _ in solved] == closures
-    assert list(report.merged_counts) == counts
-    assert sum(trials for _, trials, _ in solved) == 1000
-    assert [seed for _, _, seed in solved] == [7 + i for i in range(len(closures))]
+    assert [tuple(p["zero_pattern"]) for p in report.patterns] == closures
+    assert [p["merged_pattern_count"] for p in report.patterns] == counts
 
 
 @pytest.mark.parametrize("r", [3, 4])
 def test_negative_scan_finds_no_proper_solutions(r):
-    report = negative_K_scan(r, -1.0, trials=1000)
-    assert report.proper_solution_count() == 0
-    assert len(report.reports) == 2 * r - 1
-    assert sum(report.merged_counts) == 2 ** (2 * r - 2)
-    assert "no solution" in report.witness
+    report = negative_K_scan(r, -1.0)
+    payload = report.to_json_dict()
+    assert payload["proper_solutions"] == 0
+    assert len(payload["patterns"]) == 2 * r - 1
+    assert sum(p["merged_pattern_count"] for p in payload["patterns"]) == 2 ** (2 * r - 2)
+    assert "no root" in report.witness
     # the unrestricted pattern carries the sum-of-squares certificate
-    full = [rep for rep in report.reports if rep.zero_pattern == ()]
-    assert full and any(c["K_multiplier"] == "1" for c in full[0].certificates)
+    full = [p for p in report.patterns if p["zero_pattern"] == []]
+    assert full and any(c["K_multiplier"] == "1" for c in full[0]["infeasibility_certificates"])
+
+
+def _rootless(r: int) -> set[tuple[int, ...]]:
+    """The canonical systems of order r with no root at K < 0: the full
+    system, pattern {2r - 2} and the circle pattern {2..2r - 2}."""
+    m = 2 * r - 2
+    return {(), (m,), tuple(range(2, m + 1))}
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_negative_scan_decides_every_system_exactly(r, monkeypatch):
+    def sampled(*args, **kwargs):
+        raise AssertionError("the K < 0 decision must not sample or compile")
+
+    monkeypatch.setattr(classify, "solve_helix", sampled)
+    monkeypatch.setattr(classify, "CompiledSystem", sampled)
+    m = 2 * r - 2
+    report = negative_K_scan(r, -1.0)
+    assert len(report.patterns) == 2 * r - 1
+    assert sum(p["merged_pattern_count"] for p in report.patterns) == 2**m
+    for entry in report.patterns:
+        roots = [s["curvatures"] for s in entry["solutions"]]
+        if tuple(entry["zero_pattern"]) in _rootless(r):
+            assert roots == []
+        else:
+            assert roots == [[0.0] * m]
+        if len(entry["zero_pattern"]) < m:
+            assert entry["infeasibility_certificates"]
+
+
+@pytest.mark.parametrize(
+    "equation",
+    [
+        kvar(1) - kvar(2),                      # mixed signs: no split
+        kvar(1) * kvar(2),                      # a lone product would need a branch
+        kvar(1) - ambient() ** 2,               # K^2 does not split as P - K*Q
+    ],
+    ids=["mixed-sign", "product", "K-squared"],
+)
+def test_negative_decision_refuses_undecided_systems(equation):
+    with pytest.raises(ValueError, match="undecided"):
+        classify._negative_K_decision([equation])
+
+
+def test_negative_decision_forcing():
+    # x1, x2^2 and x3 force every unknown to 0, which kills the mixed terms
+    x1, x2, x3, K = kvar(1), kvar(2), kvar(3), ambient()
+    assert classify._negative_K_decision([x1 - K * x1 * x2, x2**2 + x1 * x3, x3 + x2 * x3])
+    # a constant term (here |K| from the K multiplier 1) leaves no root
+    assert not classify._negative_K_decision([x1, x1 * x2 - K])
+    # x2 appears only beside the forced x1, so it stays free: undecided
+    with pytest.raises(ValueError, match="forces x2 to 0"):
+        classify._negative_K_decision([x1 + x1 * x2])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_negative_decision_agrees_with_newton(r):
+    # multistart Newton at K = -1 never finds a root the exact decision rules
+    # out; where only x = 0 solves a system it may miss the geodesic on the
+    # corner of the orthant, but it finds nothing else
+    report = negative_K_scan(r, -1.0)
+    for entry in report.patterns:
+        newton = solve_helix(r, -1.0, entry["zero_pattern"], trials=100)
+        found = [list(s.spec.curvatures) for s in newton.solutions]
+        if entry["solutions"]:
+            assert all(ks == [0.0] * (2 * r - 2) for ks in found)
+        else:
+            assert found == []

@@ -596,6 +596,17 @@ class TestContract:
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["verify", "--curve", "tri-planar"],
+        ["family", "tri-hyperbola"],
+        ["integrate", "--profile", "k1=1", "--span", "0:1"],
+        ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"],
+        ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"],
+    ])
+    def test_seed_is_not_a_flag_of_commands_that_ignore_it(self, capsys, argv):
+        assert dispatch(argv + ["--seed", "7"]) == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["classify", "--order", "2", "--K", "1"],
         ["verify", "--curve", "tri-planar"],
     ])

@@ -17,7 +17,6 @@ from polyhelix.frenet import (
     ConstraintEquation,
     FrenetExpansion,
     constraint_system,
-    curvature_sum_poly,
     derivative_chain,
     frenet_derivative,
     iterated_derivative,
@@ -398,7 +397,7 @@ def test_top_equation_is_curvature_sum(r):
     system = constraint_system(r)
     eq = system.equations[-1]
     assert eq.frame == 2 * r - 2
-    assert eq.factored == curvature_sum_poly(r)
+    assert eq.factored == S(*range(1, 2 * r - 1)) - ambient()
     expected_gcd = -P(*range(1, 2 * r - 2))
     assert eq.gcd == expected_gcd
 

@@ -45,3 +45,10 @@ def test_operation_passes_the_benchmark_check(tmp_path, checker, op):
         report = classify.negative_K_scan(**op["scan"])
         out.write_text(json.dumps(report.to_json_dict(), sort_keys=True))
     assert checker.check(op["check"], out) is None
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_negative_scan_passes_the_benchmark_check(tmp_path, checker, r):
+    out = tmp_path / "scan.json"
+    out.write_text(json.dumps(classify.negative_K_scan(r, -1.0).to_json_dict(), sort_keys=True))
+    assert checker.check({"kind": "negative", "order": r}, out) is None
