@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 
 import numpy as np
 
@@ -147,8 +148,11 @@ def _finish(
 
 def _cmd_tau(args, started: float) -> int:
     system = constraint_system(args.order, args.zeros)
+    # build only the form that --format asks for
+    if args.format == "json":
+        return _finish(args, system.to_json_dict(), None, [], started)
     text = system.render_latex() if args.format == "latex" else system.render()
-    return _finish(args, system.to_json_dict(), None, [text], started)
+    return _finish(args, None, None, [text], started)
 
 
 def _cmd_classify(args, started: float) -> int:
@@ -340,7 +344,11 @@ def _cmd_reproduce(args, started: float) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared by
+    every later one: parsing never changes it, and each call gets a new
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="polyhelix",
         description="polyharmonic curves and helices in space forms",

@@ -46,8 +46,6 @@ Scalar = Union[int, Fraction]
 
 def _exact(value: Scalar) -> Scalar:
     """``value`` as an ``int`` when integral, else as a :class:`Fraction`."""
-    if type(value) is int:
-        return value
     c = Fraction(value)
     return c.numerator if c.denominator == 1 else c
 
@@ -141,7 +139,7 @@ class CurvaturePolynomial:
         canonical: dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = _exact(coeff)
+                c = coeff if type(coeff) is int else _exact(coeff)
                 if c:
                     canonical[mono] = c
         self._terms = canonical
@@ -339,23 +337,25 @@ class CurvaturePolynomial:
     def render(self, name: Callable[[int], str] = variable_name) -> str:
         """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``;
         ``name`` gives each variable id its display name."""
-        return self._render_terms(
-            "*", lambda vid, exp: name(vid) if exp == 1 else f"{name(vid)}^{exp}"
-        )
+        if name is variable_name:
+            return self._render_terms("*", _TEXT_FACTORS)
+        return self._render_terms("*", _factor_rows(partial(_text_factor, name)))
 
     def render_latex(self) -> str:
-        return self._render_terms(" ", _latex_factor)
+        return self._render_terms(" ", _LATEX_FACTORS)
 
-    def _render_terms(self, sep: str, factor: Callable[[int, int], str]) -> str:
+    def _render_terms(self, sep: str, rows: tuple[_FactorRow, ...]) -> str:
         if not self._terms:
             return "0"
         pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(self.sorted_terms()):
-            body = _render_term(mono, abs(coeff), sep, factor)
-            if i == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
-            else:
-                pieces.append(f"{' + ' if coeff > 0 else ' - '}{body}")
+        for mono, coeff in self.sorted_terms():
+            factors = [rows[s][mono[s]] for s in _DISPLAY_SLOTS if mono[s]]
+            pieces.append(" + " if coeff > 0 else " - ")
+            coeff = abs(coeff)
+            if coeff != 1 or not factors:
+                factors.insert(0, str(coeff))
+            pieces.append(sep.join(factors))
+        pieces[0] = "" if pieces[0] == " + " else "-"
         return "".join(pieces)
 
     def __repr__(self) -> str:
@@ -367,20 +367,44 @@ def _graded(item: tuple[Monomial, Scalar]) -> tuple[int, Monomial]:
     return (item[0].degree(), item[0])
 
 
-def _render_term(
-    mono: Monomial, coeff: Scalar, sep: str, factor: Callable[[int, int], str]
-) -> str:
-    factors = [factor(_SLOT_VARIABLES[s], mono[s]) for s in _DISPLAY_SLOTS if mono[s]]
-    if not factors:
-        return str(coeff)
-    if coeff != 1:
-        factors.insert(0, str(coeff))
-    return sep.join(factors)
+class _FactorRow(dict):
+    """The factor strings of one variable by exponent, formatted on first
+    use; only exponents up to :data:`FACTOR_TABLE_MAX_EXPONENT` are kept."""
+
+    __slots__ = ("vid", "fmt")
+
+    def __init__(self, vid: int, fmt: Callable[[int, int], str]):
+        super().__init__()
+        self.vid, self.fmt = vid, fmt
+
+    def __missing__(self, exp: int) -> str:
+        text = self.fmt(self.vid, exp)
+        if exp <= FACTOR_TABLE_MAX_EXPONENT:
+            self[exp] = text
+        return text
+
+
+def _factor_rows(fmt: Callable[[int, int], str]) -> tuple[_FactorRow, ...]:
+    """One empty :class:`_FactorRow` per exponent slot."""
+    return tuple(_FactorRow(vid, fmt) for vid in _SLOT_VARIABLES)
+
+
+def _text_factor(name: Callable[[int], str], vid: int, exp: int) -> str:
+    return name(vid) if exp == 1 else f"{name(vid)}^{exp}"
 
 
 def _latex_factor(vid: int, exp: int) -> str:
     name = f"k_{{{vid}}}" if vid > 0 else variable_name(vid)
     return name if exp == 1 else f"{name}^{{{exp}}}"
+
+
+# The factor strings of the text and LaTeX forms, filled as terms are
+# rendered: at most len(_SLOT_VARIABLES) * FACTOR_TABLE_MAX_EXPONENT strings
+# each.  A higher exponent is formatted anew each time; a custom variable
+# name gets rows of its own that last one render.
+FACTOR_TABLE_MAX_EXPONENT = 32
+_TEXT_FACTORS = _factor_rows(partial(_text_factor, variable_name))
+_LATEX_FACTORS = _factor_rows(_latex_factor)
 
 
 def kvar(i: int) -> CurvaturePolynomial:

@@ -8,14 +8,18 @@ import inspect
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from polyhelix import acceptance, classify, odelab, spherecurves
+from polyhelix import acceptance, classify, cli, odelab, spherecurves
 from polyhelix.cli import (
+    DEFAULT_SEED,
     VERIFY_PARAMETERS,
     _parse_grid,
     _parse_params,
@@ -23,6 +27,7 @@ from polyhelix.cli import (
     _parse_zeros,
     dispatch,
 )
+from polyhelix.frenet import ConstraintSystem
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = dispatch(list(argv))
@@ -128,6 +133,21 @@ class TestTau:
         code, out = run(capsys, "tau", "--order", "3", "--zeros", "2")
         assert code == 0
         assert "k1^2 - 2*K" in out
+
+    @pytest.mark.parametrize("fmt, unused", [
+        ("json", ("render", "render_latex")),
+        ("text", ("to_json_dict",)),
+        ("latex", ("to_json_dict",)),
+    ])
+    def test_builds_only_the_requested_form(self, capsys, monkeypatch, fmt, unused):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"tau --format {fmt} built another form")
+
+        for method in unused:
+            monkeypatch.setattr(ConstraintSystem, method, refuse)
+        code, out = run(capsys, "tau", "--order", "4", "--zeros", "3", "--format", fmt)
+        assert code == 0
+        assert "K" in out
 
 
 # -- solution search ---------------------------------------------------------
@@ -631,6 +651,61 @@ class TestContract:
         )[1]
         assert first == second
 
+    def test_repeated_dispatch_leaks_nothing_between_calls(self, capsys, monkeypatch):
+        # one parser serves every call: a flag given once must not stick
+        monkeypatch.delenv("POLYHELIX_SEED", raising=False)
+        tau = ("tau", "--order", "3")
+        zeros = tau + ("--zeros", "2")
+        outputs = [run(capsys, *argv)[1] for argv in (zeros, tau, zeros, tau)]
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        assert "zero pattern [2]" in outputs[0] and "zero pattern {}" in outputs[1]
+
+        default = inspect.signature(classify.solve_helix).parameters["tol"].default
+        argv = ("classify", "--order", "2", "--K", "1", "--trials", "20", "--json")
+        tight = argv + ("--tol", "1e-6")
+        outputs = [run(capsys, *a)[1] for a in (tight, argv, tight, argv)]
+        assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+        search = [json.loads(out)["payload"]["search"] for out in outputs[:2]]
+        assert [s["tol"] for s in search] == [1e-6, default]
+
+        # the seed variable is read on every call, not once per parser
+        seeds = []
+        for value in ("7", "8", "7", None):
+            if value is None:
+                monkeypatch.delenv("POLYHELIX_SEED")
+            else:
+                monkeypatch.setenv("POLYHELIX_SEED", value)
+            seeds.append(json.loads(run(capsys, *argv)[1])["payload"]["search"]["seed"])
+        assert seeds == [7, 8, 7, DEFAULT_SEED]
+
+    def test_parser_is_built_once_per_process(self):
+        # a fresh interpreter counts every ArgumentParser it builds: none at
+        # import, the root and one per subcommand on the first call, and no
+        # more on later calls, whatever they parse
+        probe = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "from polyhelix.cli import dispatch\n"
+            "counts = [len(built)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for argv in (['tau', '--order', '2'], ['tau', '--order', '2', '--format', 'json'],\n"
+            "                 ['tau'], ['family', 'tri-hyperbola', '--samples', '1']):\n"
+            "        dispatch(argv)\n"
+            "        counts.append(len(built))\n"
+            "print(counts)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        subcommands = 8
+        assert json.loads(done.stdout) == [0] + [1 + subcommands] * 4
+
     def test_report_written_to_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         code = dispatch(
@@ -762,3 +837,61 @@ def test_conjecture_flags_exit_cleanly(capsys, request):
                      f"--beta-grid={grid}", f"--span={span}"])
     capsys.readouterr()
     assert code in (0, 2)
+
+
+def _no_slow_sample_count(text: str) -> bool:
+    """False for a text that ``int`` reads as a sample count above 20 that
+    the sweep would accept, and so run slowly."""
+    try:
+        value = int(text)
+    except ValueError:
+        return True
+    return value <= 20 or value > spherecurves.MAX_FAMILY_SAMPLES
+
+
+@FUZZ
+@given(samples=mostly(
+    st.integers(-3, 20).map(str),
+    st.one_of(
+        st.text(max_size=8).filter(_no_slow_sample_count),
+        st.floats().map(repr),
+        st.sampled_from([str(spherecurves.MAX_FAMILY_SAMPLES + 1), "10**3", "1e3", "0x10"]),
+    ),
+), json_flag=st.booleans())
+def test_family_samples_exit_cleanly(capsys, samples, json_flag):
+    code = dispatch(["family", "tri-hyperbola", f"--samples={samples}"]
+                    + (["--json"] if json_flag else []))
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""
+
+
+@st.composite
+def profile_texts(draw) -> str:
+    """--profile text: one to four assignments ``k<i>=<c>[/s[^p]]``, usually
+    with indices running from 1 and coefficients of modest size; else any
+    indices, coefficients and powers, or any text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=20))
+    count = draw(st.integers(1, 4))
+    indices = draw(mostly(st.just(list(range(1, count + 1))),
+                          st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    coefficients = mostly(
+        st.floats(-5.0, 5.0).map(lambda c: f"{c:.3g}"),
+        st.one_of(st.floats().map(repr), st.text(max_size=4), st.just("1e308")),
+    )
+    tails = mostly(st.sampled_from(["", "/s", "/s^2"]),
+                   st.sampled_from(["/s^1", "/s^3", "/ s", "/t", "*s"]))
+    return ",".join(f"k{i}={draw(coefficients)}{draw(tails)}" for i in indices)
+
+
+@FUZZ
+@given(profile=profile_texts())
+def test_integrate_profile_exits_cleanly(capsys, profile):
+    # 100 steps at most, in dimension at most 5
+    code = dispatch(["integrate", f"--profile={profile}", "--span", "1:2", "--step", "0.01"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert captured.out == ""

@@ -11,7 +11,9 @@ cases read a trajectory that the test first writes with :data:`TRAJECTORY`.
 Every canonical constraint system of orders 2..8 (the full system and each
 upward-closed zero pattern, 63 in all) must render to the SHA-256 digest
 that ``perfbench/reference.json`` records for it; the test only reads that
-file.
+file.  ``tau_sha256.json`` pins the whole ``tau`` report of each of them in
+every ``--format`` (text, LaTeX and JSON) by its SHA-256; recapture it only
+for an intended output change, from the output of the same commands.
 
 The ``classify`` snapshots guard the multistart solver.  Floating-point
 evaluation order may change under a refactor, so they are compared field by
@@ -31,7 +33,9 @@ from polyhelix.frenet import constraint_system
 
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
+TAU_DIGESTS = Path(__file__).parent / "tau_sha256.json"
 DIGEST_ORDERS = range(2, 9)
+TAU_FORMATS = ("text", "latex", "json")
 
 VERIFY_CURVES = (
     "biharmonic-circle",
@@ -128,6 +132,9 @@ def test_digest_cases_cover_the_reference():
     keys = [f"{r}/{','.join(map(str, z))}" for r in DIGEST_ORDERS for z in canonical_patterns(r)]
     assert len(keys) == 63
     assert sorted(keys) == sorted(digests)
+    tau_digests = json.loads(TAU_DIGESTS.read_text())
+    assert sorted(keys) == sorted(tau_digests)
+    assert all(sorted(entry) == sorted(TAU_FORMATS) for entry in tau_digests.values())
 
 
 @pytest.mark.parametrize("r", DIGEST_ORDERS)
@@ -138,6 +145,19 @@ def test_canonical_systems_match_reference_digests(r):
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         key = f"{r}/{','.join(map(str, zeros))}"
         assert hashlib.sha256(text.encode()).hexdigest() == digests[key], key
+
+
+@pytest.mark.parametrize("r", DIGEST_ORDERS)
+def test_tau_reports_match_digests(capsys, r):
+    digests = json.loads(TAU_DIGESTS.read_text())
+    for zeros in canonical_patterns(r):
+        key = f"{r}/{','.join(map(str, zeros))}"
+        for fmt in TAU_FORMATS:
+            argv = ["tau", "--order", str(r), "--zeros", ",".join(map(str, zeros)),
+                    "--format", fmt]
+            assert dispatch(argv) == 0
+            text = capsys.readouterr().out
+            assert hashlib.sha256(text.encode()).hexdigest() == digests[key][fmt], (key, fmt)
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhelix import ratpoly
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.ratpoly import (
     AMBIENT,
+    FACTOR_TABLE_MAX_EXPONENT,
     INVERSE_ARCLENGTH,
     MAX_CURVATURE_INDEX,
     CurvaturePolynomial,
@@ -147,6 +153,10 @@ def test_integral_coefficients_are_ints():
     assert all(type(c) is int for _, c in whole.terms())
     assert whole.coefficient(Monomial()) == 3
     assert P.constant(Fraction(6, 2)) == P.constant(3)
+    # every integral coefficient given to the constructor comes out as an int
+    for value, want in ((Fraction(4, 2), 2), (Fraction(-6, 3), -2), (2.0, 2), (True, 1)):
+        given_terms = P({Monomial([(1, 2)]): value, Monomial(): value}).terms()
+        assert [(type(c), c) for _, c in given_terms] == [(int, want)] * 2
     assert hash(P({Monomial([(1, 2)]): Fraction(8, 4)})) == hash(2 * kvar(1) ** 2)
     assert (Fraction(1, 2) * kvar(1) + P.constant(Fraction(5, 1))).render() == "1/2*k1 + 5"
     assert P.zero().coefficient(Monomial()) == 0 and P.zero().leading_coefficient() == 0
@@ -239,16 +249,27 @@ def _reference_sorted_terms(p):
     return sorted(p.terms(), key=key)
 
 
-def _reference_render(p):
+def _reference_render(p, name=None, latex=False):
+    """The text form with variable names from ``name`` (default ``K``, ``u``,
+    ``k1``, ...), or the LaTeX form."""
     def term(mono, coeff):
         ordered = sorted(mono.exps, key=lambda pair: (pair[0] != AMBIENT, pair[0]))
-        factors = [name(v) if e == 1 else f"{name(v)}^{e}" for v, e in ordered]
+        factors = [factor(v, e) for v, e in ordered]
         if not factors:
             return str(coeff)
-        return "*".join(([] if coeff == 1 else [str(coeff)]) + factors)
+        return sep.join(([] if coeff == 1 else [str(coeff)]) + factors)
 
-    def name(v):
+    def factor(v, e):
+        if latex:
+            text = f"k_{{{v}}}" if v > 0 else default_name(v)
+            return text if e == 1 else f"{text}^{{{e}}}"
+        text = (name or default_name)(v)
+        return text if e == 1 else f"{text}^{e}"
+
+    def default_name(v):
         return "K" if v == AMBIENT else "u" if v == INVERSE_ARCLENGTH else f"k{v}"
+
+    sep = " " if latex else "*"
 
     pieces = []
     for i, (mono, coeff) in enumerate(_reference_sorted_terms(p)):
@@ -290,3 +311,87 @@ def test_orderings_match_reference(p):
     assert q == P({
         Monomial((v, e - want.exponent(v)) for v, e in mono.exps): c for mono, c in p.terms()
     })
+
+
+# -- the factor-string table ---------------------------------------------------
+# render and render_latex take each factor string from a lazily filled table
+# that keeps exponents up to FACTOR_TABLE_MAX_EXPONENT only; a higher exponent
+# or a custom variable name is formatted anew, never stored.
+
+VARIABLE_IDS = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
+
+
+def _polys_with_exponents(exponents):
+    return st.dictionaries(
+        st.dictionaries(st.sampled_from(VARIABLE_IDS), exponents, max_size=4)
+        .map(lambda d: Monomial(d.items())),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+        min_size=1,
+        max_size=6,
+    ).map(CurvaturePolynomial)
+
+
+high_exponents = st.one_of(
+    st.integers(1, 3),
+    st.integers(FACTOR_TABLE_MAX_EXPONENT - 1, FACTOR_TABLE_MAX_EXPONENT + 2),
+    st.integers(FACTOR_TABLE_MAX_EXPONENT + 3, 5000),
+)
+custom_names = st.lists(
+    st.text(alphabet="abxyz_{}^", min_size=1, max_size=3),
+    min_size=len(VARIABLE_IDS),
+    max_size=len(VARIABLE_IDS),
+).map(lambda texts: dict(zip(VARIABLE_IDS, texts)).__getitem__)
+
+
+def assert_factor_tables_within_cap():
+    for rows, latex in ((ratpoly._TEXT_FACTORS, False), (ratpoly._LATEX_FACTORS, True)):
+        assert len(rows) == len(VARIABLE_IDS)
+        for vid, row in zip(VARIABLE_IDS, rows):
+            assert len(row) <= FACTOR_TABLE_MAX_EXPONENT
+            for exp, text in row.items():
+                assert 1 <= exp <= FACTOR_TABLE_MAX_EXPONENT
+                # only the default names are stored
+                assert text == _reference_render(P({Monomial([(vid, exp)]): 1}), latex=latex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_with_exponents(st.integers(1, 6)))
+def test_render_matches_reference_with_fraction_coefficients(p):
+    assert p.render() == _reference_render(p)
+    assert p.render_latex() == _reference_render(p, latex=True)
+    assert_factor_tables_within_cap()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_with_exponents(high_exponents))
+def test_render_matches_reference_above_the_table_cap(p):
+    assert p.render() == _reference_render(p)
+    assert p.render_latex() == _reference_render(p, latex=True)
+    assert_factor_tables_within_cap()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_with_exponents(high_exponents), custom_names)
+def test_render_matches_reference_with_a_custom_name(p, name):
+    assert p.render(name) == _reference_render(p, name)
+    assert_factor_tables_within_cap()
+
+
+def test_render_above_the_table_cap_is_not_stored():
+    p = kvar(1) ** 1000 - ambient() * kvar(2) ** (FACTOR_TABLE_MAX_EXPONENT + 1)
+    assert p.render() == f"k1^1000 - K*k2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
+    assert p.render_latex() == f"k_{{1}}^{{1000}} - K k_{{2}}^{{{FACTOR_TABLE_MAX_EXPONENT + 1}}}"
+    assert p.render(lambda vid: f"v{vid}") == f"v1^1000 - v0*v2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
+    assert_factor_tables_within_cap()
+
+
+def test_factor_tables_fill_lazily():
+    # a fresh interpreter: importing the package renders nothing
+    probe = (
+        "import polyhelix.cli, polyhelix.ratpoly as r; "
+        "print(sum(map(len, r._TEXT_FACTORS + r._LATEX_FACTORS)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ratpoly.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "0"
