@@ -14,6 +14,11 @@ that ``perfbench/reference.json`` records for it; the test only reads that
 file.  ``tau_sha256.json`` pins the whole ``tau`` report of each of them in
 every ``--format`` (text, LaTeX and JSON) by its SHA-256; recapture it only
 for an intended output change, from the output of the same commands.
+``text_sha256.json`` pins the text forms the JSON goldens leave out: the
+``verify`` and ``conjecture`` reports without ``--json`` (of
+:data:`TEXT_CASES`), and the ``(number, passed, detail)`` triple of every
+criterion of ``reproduce --json``, hashed as the compact JSON list of those
+triples; recapture it the same way.
 
 The ``classify`` snapshots guard the multistart solver.  Floating-point
 evaluation order may change under a refactor, so they are compared field by
@@ -34,6 +39,7 @@ from polyhelix.frenet import constraint_system
 GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 TAU_DIGESTS = Path(__file__).parent / "tau_sha256.json"
+TEXT_DIGESTS = Path(__file__).parent / "text_sha256.json"
 DIGEST_ORDERS = range(2, 9)
 TAU_FORMATS = ("text", "latex", "json")
 
@@ -64,6 +70,21 @@ CASES = {
         "conjecture", "--order", "4", "--alpha", "1", "--beta-grid", "0:2:5", "--json",
     ],
 }
+
+TEXT_CASES = {
+    **{f"verify_{c}": ["verify", "--curve", c] for c in VERIFY_CURVES},
+    "verify_tri-hyperbola_y0.5": ["verify", "--curve", "tri-hyperbola", "--params", "y=0.5"],
+    # a slow block: its period 2 pi / sqrt(y) dwarfs the fast block's
+    "verify_tri-hyperbola_y1e-300": [
+        "verify", "--curve", "tri-hyperbola", "--params", "y=1e-300",
+    ],
+    "verify_biharmonic-two-freq_a1.2_b0.8": [
+        "verify", "--curve", "biharmonic-two-freq", "--params", "a2=1.2,b2=0.8",
+    ],
+    "conjecture_r3_alpha1": ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:5"],
+    "conjecture_r4_alpha1": ["conjecture", "--order", "4", "--alpha", "1", "--beta-grid", "0:2:5"],
+}
+REPRODUCE_KEY = "reproduce_criteria"
 
 CLASSIFY_CASES = {
     "classify_r2_K1": ["--order", "2", "--K", "1", "--trials", "100"],
@@ -158,6 +179,29 @@ def test_tau_reports_match_digests(capsys, r):
             assert dispatch(argv) == 0
             text = capsys.readouterr().out
             assert hashlib.sha256(text.encode()).hexdigest() == digests[key][fmt], (key, fmt)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_text_digests_cover_the_cases():
+    assert sorted(json.loads(TEXT_DIGESTS.read_text())) == sorted([*TEXT_CASES, REPRODUCE_KEY])
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_report_matches_digest(capsys, name):
+    assert dispatch(TEXT_CASES[name]) == 0
+    text = capsys.readouterr().out
+    assert _sha256(text) == json.loads(TEXT_DIGESTS.read_text())[name]
+
+
+def test_reproduce_criteria_match_digest(capsys):
+    assert dispatch(["reproduce", "--json"]) == 0
+    criteria = json.loads(capsys.readouterr().out)["payload"]["criteria"]
+    triples = [[c["number"], c["passed"], c["detail"]] for c in criteria]
+    text = json.dumps(triples, separators=(",", ":"))
+    assert _sha256(text) == json.loads(TEXT_DIGESTS.read_text())[REPRODUCE_KEY]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
