@@ -202,7 +202,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
         (x, a1sq), (yy, a3sq) = (
             (float(f), float(w)) for f, w in curve.blocks
         )
-        lam = float(spherecurves.lagrangian(curve, 3).lagrange_multiplier)
+        lam = spherecurves.solve_lambda(x, yy, a1sq, a3sq)
         system = spherecurves.lambda_system_residual(x, yy, a1sq, a3sq, lam)
         return 3, {"y": y, "x": x}, {
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 3),

@@ -81,11 +81,6 @@ class FrenetExpansion:
     def __sub__(self, other: "FrenetExpansion") -> "FrenetExpansion":
         return self + other.scaled(Poly.constant(-1))
 
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return "  +  ".join(f"({self.coefficient(j).render()})*F{j}" for j in self.frames())
-
 
 def tangent(frame_count: int) -> FrenetExpansion:
     """The unit tangent ``T = F_1``."""

@@ -27,11 +27,12 @@ The exact side writes a profile curvature ``c/s^p`` as the polynomial
 once, as a row of :data:`CONSERVATION_LAWS`; the sampled monitors and the
 exact scans both read it.
 
-Finite differencing policy: every derivative is taken directly from the
-position samples in a single Fornberg-weight stencil application on an
-evenly strided subgrid.  Cascading difference passes would multiply the
-roundoff floor by 1/h^2 per pass; striding to a coarser spacing instead
-keeps both truncation and roundoff below the monitor tolerances.
+Finite differencing policy: every derivative, in the monitors and in the
+scans' tension estimates alike, is taken directly from the position samples
+in a single Fornberg-weight stencil application on an evenly strided
+subgrid.  Cascading difference passes would multiply the roundoff floor by
+1/h^2 per pass; striding to a coarser spacing instead keeps both truncation
+and roundoff below the monitor tolerances.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ MAX_STACK_VALUES = 2**18
 # 15 s.
 MAX_SCAN_POINTS = 1000
 SCAN_STEP = 1e-3     # RK4 step of the trajectories a conjecture scan integrates
-CLOSURE_TOL = 1e-6   # end-to-start distance below which samples close a loop
 
 # Once-integrated conservation law of each order, as the terms
 # c * d^k/ds^k |nabla^l T|^2 listed by (c, k, l); the law says the sum of the
@@ -138,28 +138,6 @@ def central_difference(
         if w:
             out += w * values[k : n - 2 * half + k]
     return slice(half, n - half), out
-
-
-def spectral_derivative(
-    values: np.ndarray, period: float, order: int
-) -> np.ndarray:
-    """Derivative of periodically sampled data (endpoint excluded) by FFT.
-
-    Bins whose magnitude sits at the roundoff floor are zeroed first: the
-    multiplier (i w)^order amplifies them by (n/2)^order, which would
-    otherwise drown high-order derivatives of band-limited data in noise.
-    """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    freqs = 2.0j * math.pi * np.fft.fftfreq(n, d=period / n)
-    spectrum = np.fft.fft(values, axis=0)
-    magnitude = np.abs(spectrum)
-    while magnitude.ndim > 1:
-        magnitude = magnitude.max(axis=-1)
-    spectrum[magnitude < 1e-13 * magnitude.max()] = 0.0
-    shaped = freqs**order
-    spectrum = spectrum * shaped.reshape((n,) + (1,) * (values.ndim - 1))
-    return np.real(np.fft.ifft(spectrum, axis=0))
 
 
 # -- polynomials in the inverse arclength ------------------------------------
@@ -331,9 +309,6 @@ class CurveSamples:
         gram = np.einsum("nid,njd->nij", self.frames, self.frames)
         identity = np.eye(self.frames.shape[1])
         return float(np.abs(gram - identity).max())
-
-    def is_closed(self) -> bool:
-        return bool(np.linalg.norm(self.positions[0] - self.positions[-1]) < CLOSURE_TOL)
 
     def to_csv(self, path_or_file) -> None:
         if hasattr(path_or_file, "write"):
@@ -610,7 +585,7 @@ def _position_derivatives(
     samples: CurveSamples,
     depth: int,
     target_spacing: float,
-    min_points: int | None = None,
+    min_points: int,
 ) -> tuple[np.ndarray, list[np.ndarray], int, float]:
     """Derivatives 0..depth of the positions on a strided subgrid, each from
     one direct stencil, trimmed to the common interior window.
@@ -621,8 +596,6 @@ def _position_derivatives(
     """
     n = len(samples)
     widest = _central_halfwidth(depth)
-    if min_points is None:
-        min_points = 2 * widest + 8
     stride = _choose_stride(n, samples.h, target_spacing, min_points)
     sub = samples.positions[::stride]
     spacing = samples.h * stride
@@ -759,7 +732,8 @@ class ConjectureRow:
     of ``|Q|`` (the once-integrated law with constant zero) at order three,
     and the sup of ``|dQ/ds|`` (its derivative) at order four.  The
     finite-difference tension estimate is reported for comparison but is not
-    a certification (the scalar law is necessary, not sufficient).
+    a certification (the scalar law is necessary, not sufficient);
+    ``fd_method`` names its method, always ``"fd"`` (a central stencil).
     """
 
     order: int
@@ -788,24 +762,22 @@ class ConjectureRow:
 
 def _fd_tension_sup(
     samples: CurveSamples, derivative_order: int, target_spacing: float
-) -> tuple[float, str, np.ndarray]:
-    """Sup norm of the order-``derivative_order`` position derivative and the
-    s-window it was estimated on (stencil interior for FD, full period for
-    the spectral path)."""
-    if samples.is_closed():
-        sub = samples.positions[:-1]
-        values = spectral_derivative(
-            sub, samples.span[1] - samples.span[0], derivative_order
-        )
-        window = samples.s_values()[:-1]
-        return float(np.linalg.norm(values, axis=1).max()), "spectral", window
+) -> tuple[float, np.ndarray]:
+    """Sup norm of the order-``derivative_order`` position derivative, from
+    one central stencil on a strided subgrid, and the s-window (the stencil
+    interior) it was estimated on.
+
+    A scan trajectory has first curvature ``alpha/s^(r-2)`` with
+    ``alpha != 0``, strictly monotone, so even if its ends met, its
+    periodic extension would not be smooth there: a spectral derivative
+    would ring, not estimate.  Every trajectory takes the stencil."""
     n = len(samples)
     widest = _central_halfwidth(derivative_order)
     stride = _choose_stride(n, samples.h, target_spacing, 2 * widest + 4)
     sub = samples.positions[::stride]
     interior, values = central_difference(sub, samples.h * stride, derivative_order)
     window = samples.s_values()[::stride][interior]
-    return float(np.linalg.norm(values, axis=1).max()), "fd", window
+    return float(np.linalg.norm(values, axis=1).max()), window
 
 
 def conjecture_scan(
@@ -873,11 +845,11 @@ def _scan_row(
     terms = conservation_law_terms(chain, r)
     scaling = None
     if r == 3:
-        fd_sup, method, window = _fd_tension_sup(samples, 6, 0.02)
+        fd_sup, window = _fd_tension_sup(samples, 6, 0.02)
     else:
         terms = [term.arclength_derivative() for term in terms]
         scaling = tuple(_leading(term) for term in terms)
-        fd_sup, method, window = _fd_tension_sup(samples, 8, 0.04)
+        fd_sup, window = _fd_tension_sup(samples, 8, 0.04)
     law_residual = float(np.abs(_evaluate(sum(terms), s_grid)).max())
     # flat ambient: the tension is nabla^(2r-1) T alone; evaluate it on the
     # FD window so the two sups are comparable
@@ -891,6 +863,6 @@ def _scan_row(
         law_residual=law_residual,
         exact_tension_sup=float(np.sqrt(total.max())),
         fd_tension_sup=fd_sup,
-        fd_method=method,
+        fd_method="fd",
         scaling=scaling,
     )

@@ -40,6 +40,8 @@ Scalar = Union[int, float, Fraction, mpmath.mpf]
 
 WORKING_DPS = 50          # decimal digits for the covariant algebra
 DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
+ARCLENGTH_TOL = 1e-9      # largest deviation of |gamma'|^2 from 1 at unit speed
+PERIOD_SAMPLES = 256      # points per period of the sampled ODE residuals
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
 BUMP_STARTS = (1.0, 6.0)  # range of random_bump support starts
 BUMP_WIDTHS = (2.0, 4.0)  # range of random_bump support widths
@@ -113,8 +115,8 @@ class TrigCurve:
         """``sum_i alpha_i^2 (a_i^2)^l``, i.e. ``|gamma^(l)|^2`` for l >= 1."""
         return math.fsum(float(w) * float(x) ** l for x, w in self.blocks)
 
-    def is_arclength(self, tol: float = 1e-9) -> bool:
-        return abs(self.moment(1) - 1.0) <= tol
+    def is_arclength(self) -> bool:
+        return abs(self.moment(1) - 1.0) <= ARCLENGTH_TOL
 
     def period(self) -> float:
         """Period of the slowest rotating block (sampling window)."""
@@ -233,22 +235,21 @@ def _require_arclength(curve: TrigCurve) -> None:
         )
 
 
-def biharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
+def biharmonic_residual(curve: TrigCurve) -> float:
     """Sup norm of ``gamma'''' + 2 gamma'' + gamma (2 - |gamma''|^2)`` over a
-    period, sampled at ``samples`` points."""
+    period, sampled at :data:`PERIOD_SAMPLES` points."""
     _require_arclength(curve)
-    if samples < 256:
-        raise ValueError("need at least 256 samples per period")
-    s = np.linspace(0.0, curve.period(), samples, endpoint=False)
+    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
     g0, g2, g4 = (curve.derivative(l)(s) for l in (0, 2, 4))
     b2 = curve.inner(2, 2)
     residual = g4 + 2.0 * g2 + (2.0 - b2) * g0
     return float(np.linalg.norm(residual, axis=-1).max())
 
 
-def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
-    """Sup norm over a period of the eighth-order variational ODE for
-    order-four curves on the unit sphere.
+def fourharmonic_residual(curve: TrigCurve) -> float:
+    """Sup norm over a period, sampled at :data:`PERIOD_SAMPLES` points, of
+    the eighth-order variational ODE for order-four curves on the unit
+    sphere.
 
     For this ansatz every scalar product is s-independent, so the nested
     ``d/ds`` terms acting on scalar factors collapse: only the vector factor
@@ -256,8 +257,6 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
     it vanishes by parity (``p - q`` odd).
     """
     _require_arclength(curve)
-    if samples < 256:
-        raise ValueError("need at least 256 samples per period")
     b2 = curve.inner(2, 2)            # |g''|^2
     c42 = curve.inner(4, 2)           # <g4, g''>
     tangential = (
@@ -270,7 +269,7 @@ def fourharmonic_residual(curve: TrigCurve, samples: int = 256) -> float:
         + 2.0 * c42
         - b2 * curve.inner(0, 4)
     )
-    s = np.linspace(0.0, curve.period(), samples, endpoint=False)
+    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
     g = {l: curve.derivative(l)(s) for l in (0, 2, 4, 6, 8)}
     # -b2*g[4] appears twice: one copy from the plain product term, one from
     # the collapsed fourth derivative of (|g''|^2 gamma)
@@ -355,16 +354,14 @@ def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
         return float(alg.norm(tau))
 
 
-def geodesic_curvatures(
-    curve: TrigCurve, count: int, pad: bool = False
-) -> tuple[float, ...]:
+def geodesic_curvatures(curve: TrigCurve, count: int) -> tuple[float, ...]:
     """First ``count`` geodesic curvatures via Gram-Schmidt on the covariant
     derivatives of the tangent.
 
     The frame recursion gives ``k_j F_{j+1} = nabla F_j + k_{j-1} F_{j-1}``;
     when the right side degenerates the curve does not fill ``count + 1``
     frames and a :class:`FrameDegeneracyError` is raised carrying the
-    curvatures found so far, unless ``pad`` asks for zero-filling instead.
+    curvatures found so far.
     """
     _require_arclength(curve)
     capacity = 2 * len(curve.blocks) - 1 + (
@@ -383,69 +380,11 @@ def geodesic_curvatures(
                 v = v + prev_k * frames[j - 1]
             norm = alg.norm(v)
             if norm < DEGENERACY_TOL:
-                if pad:
-                    return tuple(curvatures) + (0.0,) * (count - len(curvatures))
                 raise FrameDegeneracyError(tuple(curvatures))
             frames.append(v / norm)
             curvatures.append(float(norm))
             prev_k = norm
         return tuple(curvatures)
-
-
-# -- Lagrangian densities ----------------------------------------------------
-
-@dataclass(frozen=True)
-class LagrangianValue:
-    """Reduced variational density of a trig curve at one order.
-
-    For this ansatz the density is s-independent, so the period-averaged
-    energy equals the density.
-    """
-
-    order: int
-    density: float
-    energy: float
-    lagrange_multiplier: float | None
-
-
-def _density(curve: TrigCurve, r: int) -> float:
-    """``|nabla^(r-1) gamma'|^2``, the order-``r`` density; on the unit sphere
-    it needs only ``|gamma| = 1``, not an arclength parametrization."""
-    with mpmath.workdps(WORKING_DPS):
-        alg = _CovariantAlgebra(curve, r)
-        top = alg.chain(r - 1)[-1]
-        return float(alg.inner(top, top))
-
-
-def lagrangian(curve: TrigCurve, r: int) -> LagrangianValue:
-    """Reduced density (and multiplier, when the constraint structure
-    determines one) for the curve at order ``r``.
-
-    The exact density is cross-checked against a direct evaluation on
-    sampled jets before being returned.  The density does not depend on
-    ``s``, so the samples lie in a fixed window: over a long period (a slow
-    block) the phases of the fast block would lose all their digits.
-    """
-    check_tension_order(r)
-    density = _density(curve, r)
-
-    s = np.linspace(0.0, 2.0 * math.pi, 17)
-    jet = [curve.derivative(l)(s) for l in range(r + 1)]
-    top = covariant_jets(jet, 1, r - 1)[-1]
-    sampled = np.einsum("...i,...i->...", top, top)
-    scale = 1.0 + abs(density)
-    if np.abs(sampled - density).max() > 1e-8 * scale:
-        raise AssertionError("exact density disagrees with sampled density")
-
-    multiplier: float | None = None
-    if r == 2:
-        multiplier = 2.0 - curve.inner(2, 2)
-    elif r == 3 and len(curve.blocks) == 2:
-        (x, w1), (y, w3) = (
-            (float(a), float(b)) for a, b in curve.blocks
-        )
-        multiplier = solve_lambda(x, y, w1, w3)
-    return LagrangianValue(r, density, density, multiplier)
 
 
 # -- first variation ---------------------------------------------------------

@@ -6,6 +6,14 @@ definition itself refers to its name (a bare name or an attribute), when an
 (its ``TARGETS``).  Dunder methods are exempt: the interpreter calls them.
 References are matched by name alone, so dead code that shares a name with
 used code passes; code reached only from the tests does not.
+
+Every defaulted parameter of those functions and methods is also set by
+some caller: a call in ``src/polyhelix`` whose callee has the function's
+name passes it by keyword or by position (a ``*args`` or ``**kwargs``
+argument counts as passing every parameter it could reach), or an
+operation's ``scan`` dict in ``perfbench/workloads.py`` names it (the
+harness passes that dict to ``classify.negative_K_scan``).  A default no
+caller overrides is a constant, not a parameter.
 """
 
 import ast
@@ -15,6 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyhelix"
 SPANS = ROOT / "perfbench" / "spans.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+SCAN_CALLEE = "negative_K_scan"
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
@@ -75,6 +85,68 @@ def unused_definitions(sources: dict[str, str], targets: set[tuple[str, str]]) -
     return sorted(unused)
 
 
+def _defaulted(qualname: str, node: ast.FunctionDef) -> tuple[list[str], list[str]]:
+    """The positional parameters a caller fills (after ``self`` or ``cls``)
+    and the names of the defaulted ones."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    if "." in qualname and not static:
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def _sets(call: ast.Call, positional: list[str], parameter: str) -> bool:
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if parameter not in positional:
+        return False
+    return len(call.args) > positional.index(parameter) or any(
+        isinstance(a, ast.Starred) for a in call.args
+    )
+
+
+def unset_parameters(sources: dict[str, str], preset: dict[str, set[str]]) -> list[str]:
+    """``module.qualname(parameter)`` of every defaulted parameter of a
+    definition in ``sources`` that no call in ``sources`` to a callee of the
+    same name passes and that ``preset`` (callee name to keyword names) does
+    not name."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(tree):
+            if not isinstance(node, _FUNCS):
+                continue
+            name = qualname.rpartition(".")[2]
+            positional, defaulted = _defaulted(qualname, node)
+            for parameter in defaulted:
+                if parameter in preset.get(name, ()):
+                    continue
+                if not any(_sets(call, positional, parameter) for call in calls.get(name, ())):
+                    unset.append(f"{module}.{qualname}({parameter})")
+    return sorted(unset)
+
+
+def _scan_keywords() -> set[str]:
+    """The keys of every ``"scan"`` dict literal in the workloads."""
+    keys = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if not isinstance(node, ast.Dict):
+            continue
+        for key, value in zip(node.keys, node.values):
+            if isinstance(value, ast.Dict) and getattr(key, "value", None) == "scan":
+                keys.update(k.value for k in value.keys if isinstance(k, ast.Constant))
+    return keys
+
+
 def _span_targets() -> set[tuple[str, str]]:
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
@@ -85,6 +157,36 @@ def _span_targets() -> set[tuple[str, str]]:
 def test_package_has_no_unused_definitions():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unused_definitions(sources, _span_targets()) == []
+
+
+def test_package_has_no_unset_parameters():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unset_parameters(sources, {SCAN_CALLEE: _scan_keywords()}) == []
+
+
+def test_scan_flags_only_unset_parameters():
+    sources = {
+        "a": (
+            "def f(x, by_position=1, by_key=2, unset=3, *, keyword_only=4, preset=5): pass\n"
+            "def g(x, splat=1, unset=2): pass\n"
+            "def h(x, spread=1): pass\n"
+            "class Box:\n"
+            "    def method(self, by_position=1, unset=2): pass\n"
+            "    @staticmethod\n"
+            "    def tool(by_position=1, unset=2): pass\n"
+        ),
+        "b": (
+            "from .a import Box, f, g, h\n"
+            "f(0, 1, by_key=2, keyword_only=3)\n"
+            "g(*[0, 1])\n"
+            "h(0, **{'spread': 1})\n"
+            "Box().method(1)\n"
+            "Box.tool(1)\n"
+        ),
+    }
+    assert unset_parameters(sources, {"f": {"preset"}}) == [
+        "a.Box.method(unset)", "a.Box.tool(unset)", "a.f(unset)",
+    ]
 
 
 def test_scan_flags_only_unreferenced_definitions():
