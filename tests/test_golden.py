@@ -18,7 +18,9 @@ for an intended output change, from the output of the same commands.
 ``verify`` and ``conjecture`` reports without ``--json`` (of
 :data:`TEXT_CASES`), and the ``(number, passed, detail)`` triple of every
 criterion of ``reproduce --json``, hashed as the compact JSON list of those
-triples; recapture it the same way.
+triples; recapture it the same way.  ``scan_sha256.json`` pins the exact
+``K < 0`` scan, ``negative_K_scan(r, -1.0).to_json_dict()`` for r = 2..8, as
+compact JSON with sorted keys.
 
 The ``classify`` snapshots guard the multistart solver.  Floating-point
 evaluation order may change under a refactor, so they are compared field by
@@ -33,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from polyhelix.classify import negative_K_scan
 from polyhelix.cli import dispatch
 from polyhelix.frenet import constraint_system
 
@@ -40,6 +43,7 @@ GOLDEN = Path(__file__).parent / "golden"
 REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 TAU_DIGESTS = Path(__file__).parent / "tau_sha256.json"
 TEXT_DIGESTS = Path(__file__).parent / "text_sha256.json"
+SCAN_DIGESTS = Path(__file__).parent / "scan_sha256.json"
 DIGEST_ORDERS = range(2, 9)
 TAU_FORMATS = ("text", "latex", "json")
 
@@ -202,6 +206,17 @@ def test_reproduce_criteria_match_digest(capsys):
     triples = [[c["number"], c["passed"], c["detail"]] for c in criteria]
     text = json.dumps(triples, separators=(",", ":"))
     assert _sha256(text) == json.loads(TEXT_DIGESTS.read_text())[REPRODUCE_KEY]
+
+
+def test_scan_digests_cover_the_orders():
+    assert sorted(json.loads(SCAN_DIGESTS.read_text())) == [str(r) for r in DIGEST_ORDERS]
+
+
+@pytest.mark.parametrize("r", DIGEST_ORDERS)
+def test_negative_scan_matches_digest(r):
+    payload = negative_K_scan(r, -1.0).to_json_dict()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert _sha256(text) == json.loads(SCAN_DIGESTS.read_text())[str(r)]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSIFY_CASES))
