@@ -732,8 +732,7 @@ class ConjectureRow:
     of ``|Q|`` (the once-integrated law with constant zero) at order three,
     and the sup of ``|dQ/ds|`` (its derivative) at order four.  The
     finite-difference tension estimate is reported for comparison but is not
-    a certification (the scalar law is necessary, not sufficient);
-    ``fd_method`` names its method, always ``"fd"`` (a central stencil).
+    a certification (the scalar law is necessary, not sufficient).
     """
 
     order: int
@@ -741,7 +740,6 @@ class ConjectureRow:
     law_residual: float
     exact_tension_sup: float
     fd_tension_sup: float
-    fd_method: str
     scaling: tuple[tuple[int, float], ...] | None = None
 
     def to_json_dict(self) -> dict:
@@ -751,7 +749,6 @@ class ConjectureRow:
             "law_residual": self.law_residual,
             "exact_tension_sup": self.exact_tension_sup,
             "fd_tension_sup": self.fd_tension_sup,
-            "fd_method": self.fd_method,
         }
         if self.scaling is not None:
             row["scaling"] = [
@@ -863,6 +860,5 @@ def _scan_row(
         law_residual=law_residual,
         exact_tension_sup=float(np.sqrt(total.max())),
         fd_tension_sup=fd_sup,
-        fd_method="fd",
         scaling=scaling,
     )

@@ -650,7 +650,6 @@ class TestConjectureScan:
     def test_finite_difference_tracks_exact_tension(self):
         rows = conjecture_scan(3, 1.0, [0.0, 2.0], (1.0, 3.0))
         for row in rows:
-            assert row.fd_method == "fd"
             assert row.scaling is None
             rel = abs(row.fd_tension_sup - row.exact_tension_sup)
             assert rel < 1e-3 * row.exact_tension_sup
@@ -733,13 +732,12 @@ class TestConjectureScan:
             law_residual=2.0,
             exact_tension_sup=3.0,
             fd_tension_sup=3.1,
-            fd_method="fd",
             scaling=((-9, -6720.0),),
         )
         payload = row.to_json_dict()
         assert payload["scaling"] == [{"power": -9, "coefficient": -6720.0}]
         assert payload["order"] == 4
-        plain = ConjectureRow(3, 0.0, 4.0, 1.0, 1.0, "fd")
+        plain = ConjectureRow(3, 0.0, 4.0, 1.0, 1.0)
         assert "scaling" not in plain.to_json_dict()
 
     def test_closed_curves_use_stencil_estimates(self):
