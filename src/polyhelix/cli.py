@@ -197,17 +197,11 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 3),
         }
     if name == "tri-hyperbola":
-        y = params["y"]
-        curve = spherecurves.tri_hyperbola_curve(y)
-        (x, a1sq), (yy, a3sq) = (
-            (float(f), float(w)) for f, w in curve.blocks
-        )
-        lam = spherecurves.solve_lambda(x, yy, a1sq, a3sq)
-        system = spherecurves.lambda_system_residual(x, yy, a1sq, a3sq, lam)
-        return 3, {"y": y, "x": x}, {
-            "tension_residual": spherecurves.intrinsic_tau_residual(curve, 3),
-            "quartic_residual": spherecurves.family_quartic_residual(x, yy),
-            "multiplier_residual": max(abs(v) for v in system),
+        sample = spherecurves.family_sample(spherecurves.tri_hyperbola_curve(params["y"]))
+        return 3, {"y": params["y"], "x": sample.x}, {
+            "tension_residual": sample.tau3_residual,
+            "quartic_residual": sample.quartic_residual,
+            "multiplier_residual": sample.lambda_residual,
         }
     if name == "four-planar":
         curve = spherecurves.four_planar()

@@ -652,24 +652,28 @@ class FamilySample:
         )
 
 
-def tri_hyperbola_family(samples: int) -> list[FamilySample]:
-    """Family sweep with per-sample certification: tension-field residual,
+def family_sample(curve: TrigCurve) -> FamilySample:
+    """Certify one family curve ``((x, alpha_1^2), (y, alpha_3^2))``: its
+    tension-field residual, and from the float values of its blocks the
     quartic residual and the multiplier back-substitution defect."""
-    out = []
-    for x, y, a1sq, a3sq in solve_tri_hyperbola(samples):
-        curve = TrigCurve(((x, a1sq), (y, a3sq)))
-        lam = solve_lambda(x, y, a1sq, a3sq)
-        res = lambda_system_residual(x, y, a1sq, a3sq, lam)
-        out.append(
-            FamilySample(
-                y=y,
-                x=x,
-                alpha1sq=a1sq,
-                alpha3sq=a3sq,
-                tau3_residual=intrinsic_tau_residual(curve, 3),
-                lagrange_multiplier=lam,
-                quartic_residual=family_quartic_residual(x, y),
-                lambda_residual=max(abs(v) for v in res),
-            )
-        )
-    return out
+    (x, a1sq), (y, a3sq) = ((float(f), float(w)) for f, w in curve.blocks)
+    lam = solve_lambda(x, y, a1sq, a3sq)
+    res = lambda_system_residual(x, y, a1sq, a3sq, lam)
+    return FamilySample(
+        y=y,
+        x=x,
+        alpha1sq=a1sq,
+        alpha3sq=a3sq,
+        tau3_residual=intrinsic_tau_residual(curve, 3),
+        lagrange_multiplier=lam,
+        quartic_residual=family_quartic_residual(x, y),
+        lambda_residual=max(abs(v) for v in res),
+    )
+
+
+def tri_hyperbola_family(samples: int) -> list[FamilySample]:
+    """Family sweep with per-sample certification (:func:`family_sample`)."""
+    return [
+        family_sample(TrigCurve(((x, a1sq), (y, a3sq))))
+        for x, y, a1sq, a3sq in solve_tri_hyperbola(samples)
+    ]
