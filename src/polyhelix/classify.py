@@ -5,10 +5,10 @@ every geodesic curvature, so they are solved here in the squared variables
 ``x_j = k_j^2``.  That removes all sign ambiguity, makes the systems low
 degree, and lets nonnegativity stand in for realness of the curvatures.
 
-Two workflows live here: a deterministic multistart Newton solver over the
-squared variables, and an exact rigidity scan that decides each system at
-negative ambient curvature: no root, or only the geodesic.  Both take one
-zero pattern at a time; a pattern is equivalent to its upward closure
+At ``K <= 0`` each system is decided exactly: no root, or only the
+geodesic.  :func:`solve_helix` takes one zero pattern, and samples ``K > 0``
+by deterministic multistart Newton; :func:`negative_K_scan` decides every
+pattern of one order.  A pattern is equivalent to its upward closure
 (:func:`canonical_pattern`), so order ``r`` has ``2r - 1`` distinct systems.
 At ``K > 0`` pattern ``{2}`` is the planar circle ``x1 = (r - 1) K`` and,
 for ``r >= 3``, pattern ``{3}`` the family
@@ -82,6 +82,11 @@ def squared_form(poly: Poly) -> Poly:
     return Poly(terms)
 
 
+def _unknowns(x_equations: Iterable[Poly]) -> tuple[int, ...]:
+    """The curvature indices that appear in squared equations, ascending."""
+    return tuple(sorted(set().union(*(p.variables() for p in x_equations)) - {AMBIENT}))
+
+
 # -- compiled evaluation -----------------------------------------------------
 
 class CompiledSystem:
@@ -99,10 +104,7 @@ class CompiledSystem:
         self.system = system
         self.x_equations = [squared_form(eq.factored) for eq in system.equations]
         self.raw_equations = [eq.raw for eq in system.equations]
-        unknowns: set[int] = set()
-        for p in self.x_equations:
-            unknowns |= p.variables() - {AMBIENT}
-        self.unknowns: tuple[int, ...] = tuple(sorted(unknowns))
+        self.unknowns = _unknowns(self.x_equations)
         self.columns = (AMBIENT,) + self.unknowns
         polys = self.x_equations + [
             p.differentiate(v) for p in self.x_equations for v in self.unknowns
@@ -262,30 +264,51 @@ def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
     return P, Q
 
 
-def _negative_K_certificates(system: ConstraintSystem, x_equations: Sequence[Poly]) -> list[dict]:
-    """For K < 0 every surviving equation is a sum of nonnegative terms, and
-    the top-frame equation even contains the strictly positive constant -K."""
-    certs: list[dict] = []
-    for eq, x_eq in zip(system.equations, x_equations):
+def _nonpositive_K_decision(
+    equations: Iterable[tuple[int, Poly]], K: float
+) -> tuple[bool, list[dict]]:
+    """Decide ``(frame, squared equation)`` pairs exactly at ``K <= 0``:
+    whether only ``x = 0`` solves them (True) or nothing with every
+    ``x_j >= 0`` does (False), with one certificate per equation at ``K < 0``.
+
+    Each equation splits once as ``P - K*Q`` with ``P``, ``Q`` nonnegative, so
+    every term of ``P`` must vanish, and at ``K < 0`` every term of ``Q`` too:
+    a constant term leaves no root, and a power of one ``x_j`` forces
+    ``x_j = 0``.  Setting an unknown to 0 only deletes terms, so no second
+    pass forces more.  A missing split, or an unknown that no power of it
+    alone forces (a term in several unknowns would need a branch), raises."""
+    terms: set[frozenset[int]] = set()
+    unknowns: set[int] = set()
+    certificates: list[dict] = []
+    for frame, x_eq in equations:
         split = _nonnegative_split(x_eq)
         if split is None:
-            continue
+            raise ValueError(f"undecided at K <= 0: {render_squares(x_eq)} has no nonnegative split")
         P, Q = split
-        reason = (
-            "sum of squared curvatures cannot equal the negative number K; "
-            "with K < 0 the left side is at least |K| > 0"
-            if Q == 1 else
-            "with K < 0 the equation reads P + |K|*Q = 0 where P and Q have "
-            "only nonnegative coefficients; every term must vanish"
-        )
-        certs.append({
-            "frame": eq.frame,
-            "equation": render_squares(x_eq) + " = 0",
-            "nonnegative_part": render_squares(P),
-            "K_multiplier": render_squares(Q),
-            "reason": reason,
-        })
-    return certs
+        unknowns |= x_eq.variables() - {AMBIENT}
+        terms |= {mono.variables() for part in (split if K < 0 else (P,)) for mono, _ in part.terms()}
+        if K < 0:
+            reason = (
+                "sum of squared curvatures cannot equal the negative number K; "
+                "with K < 0 the left side is at least |K| > 0"
+                if Q == 1 else
+                "with K < 0 the equation reads P + |K|*Q = 0 where P and Q have "
+                "only nonnegative coefficients; every term must vanish"
+            )
+            certificates.append({
+                "frame": frame,
+                "equation": render_squares(x_eq) + " = 0",
+                "nonnegative_part": render_squares(P),
+                "K_multiplier": render_squares(Q),
+                "reason": reason,
+            })
+    if frozenset() in terms:
+        return False, certificates
+    unforced = unknowns - {v for t in terms if len(t) == 1 for v in t}
+    if unforced:
+        left = ", ".join(f"x{v}" for v in sorted(unforced))
+        raise ValueError(f"undecided at K <= 0: no power of one unknown forces {left} to 0")
+    return True, certificates
 
 
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -330,14 +353,17 @@ def solve_helix(
     seed: int = 42,
 ) -> SolutionReport:
     """Find all distinct nonnegative roots of the order-``r`` constraint
-    system by damped Newton iteration from a deterministic multistart grid
-    over the squared curvatures.
+    system over the squared curvatures.
 
-    Every x-space system is weighted-homogeneous in ``(x_j, K)``, so the
-    search runs at the unit ambient curvature ``K/|K|`` (``K = 0`` as it is)
-    and each curvature is then scaled by ``sqrt(|K|)``.  ``tol`` and the
-    reported residuals refer to that unit-``|K|`` system, which keeps them
-    meaningful for any magnitude of ``K``.
+    At ``K <= 0``, and for a system with no equation, the answer is exact
+    (:func:`_nonpositive_K_decision`): no root or only the geodesic, with the
+    certificates at ``K < 0``.  No start runs, so ``starts`` is 0.
+
+    At ``K > 0`` damped Newton iteration runs from a deterministic multistart
+    grid.  Every x-space system is weighted-homogeneous in ``(x_j, K)``, so
+    the search runs at ``K = 1`` and each curvature is then scaled by
+    ``sqrt(K)``.  ``tol`` and the reported residuals refer to that unit
+    system, which keeps them meaningful for any magnitude of ``K``.
 
     Each start takes Newton steps until one moves it by at most ``STEP_TOL``
     in max-norm, or until its residual is below ``tol`` and its step no
@@ -347,8 +373,6 @@ def solve_helix(
     handles underdetermined systems: the converged points then sample the
     solution family.  It is solved through ``J J^T`` and takes an SVD only for
     rank-deficient or ill-conditioned rows (:func:`_newton_step`).
-    An empty solution list is a valid outcome and, for ``K < 0``, comes with
-    analytic certificates.
     """
     if not 2 <= r <= MAX_SOLVE_ORDER:
         raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
@@ -362,27 +386,26 @@ def solve_helix(
         raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
+    m = 2 * r - 2
+    if K <= 0 or not system.equations:
+        # with no equation every tension component vanished identically
+        equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
+        geodesic, certificates = _nonpositive_K_decision(equations, K)
+        solutions = (Solution(HelixSpec(r, K, (0.0,) * m), 0.0, 0.0, 0),) if geodesic else ()
+        return SolutionReport(
+            r, K, pattern, _unknowns(x for _, x in equations), solutions,
+            tuple(certificates), seed, 0, tol, False,
+        )
     compiled = CompiledSystem(system)
     if trials * len(compiled.exps) > MAX_POWER_TABLE:
         raise ValueError(
             f"{trials} multistart trials x {len(compiled.exps)} monomials is "
             f"{trials * len(compiled.exps)} power-table entries, at most {MAX_POWER_TABLE}"
         )
-    certificates = _negative_K_certificates(system, compiled.x_equations) if K < 0 else []
 
-    m = 2 * r - 2
-    if not system.equations:
-        # every tension component vanished identically: only the geodesic
-        geodesic = HelixSpec(r, K, (0.0,) * m)
-        sol = Solution(geodesic, 0.0, 0.0, 0)
-        return SolutionReport(
-            r, K, pattern, (), (sol,), tuple(certificates), seed, 0, tol, False
-        )
-
-    scale = abs(K) or 1.0
-    unit_K = K / scale
     d = compiled.dimension
-    hi = 4.0 * abs(unit_K) + 4.0
+    # the starts fill [0, hi]^d around the roots at K = 1
+    hi = 8.0
     axis = np.linspace(0.0, hi, GRID_POINTS_PER_DIM)
     grid_size = GRID_POINTS_PER_DIM**d
     rng = np.random.default_rng(seed)
@@ -401,8 +424,8 @@ def solve_helix(
     last_move = np.full(len(X), np.inf)
     for _ in range(NEWTON_ITERATIONS):
         X_active = X[active]
-        F = compiled.residuals(X_active, unit_K)
-        J = compiled.jacobians(X_active, unit_K)
+        F = compiled.residuals(X_active, 1.0)
+        J = compiled.jacobians(X_active, 1.0)
         with np.errstate(all="ignore"):
             step = _newton_step(J, F)
         step = np.clip(step, -step_cap, step_cap)
@@ -420,35 +443,31 @@ def solve_helix(
         if not active.size:
             break
 
-    F = compiled.residuals(X, unit_K)
+    F = compiled.residuals(X, 1.0)
     converged = np.abs(F).max(axis=1) < tol
     nonneg = (X > -DEDUP_TOL).all(axis=1)
     candidates = np.clip(X[converged & nonneg], 0.0, None)
-    if K == 0:
-        # every equation is homogeneous, so the geodesic x = 0 solves it; it
-        # sits on the corner of the orthant, which jittered starts miss
-        candidates = np.vstack([np.zeros(d), candidates])
     # values that converged to numerical zero are snapped to exact zero when
     # that preserves convergence, so geodesic components are reported as 0.0
     # rather than sqrt(roundoff); sorting after the snap keeps roundoff in
     # those components from deciding the order of the roots
     snapped = np.where(candidates < SNAP_TOL, 0.0, candidates)
-    keeps_root = np.abs(compiled.residuals(snapped, unit_K)).max(axis=1) < tol
+    keeps_root = np.abs(compiled.residuals(snapped, 1.0)).max(axis=1) < tol
     candidates = np.where(keeps_root[:, None], snapped, candidates)
     candidates = candidates[np.lexsort(candidates.T[::-1])]
-    worst = np.abs(compiled.residuals(candidates, unit_K)).max(axis=1)
+    worst = np.abs(compiled.residuals(candidates, 1.0)).max(axis=1)
     accepted: list[int] = []
     for i in np.flatnonzero(worst < tol):
         if all(np.abs(candidates[i] - candidates[j]).max() > DEDUP_TOL for j in accepted):
             accepted.append(i)
 
     roots = candidates[accepted]
-    ranks = np.linalg.matrix_rank(compiled.jacobians(roots, unit_K))
+    ranks = np.linalg.matrix_rank(compiled.jacobians(roots, 1.0))
     curvatures = np.zeros((len(roots), m))
-    curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(roots) * math.sqrt(scale)
+    curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(roots) * math.sqrt(K)
     solutions = [
         Solution(
-            HelixSpec(r, K, tuple(ks)), float(res), compiled.raw_residual(x, unit_K), int(rank)
+            HelixSpec(r, K, tuple(ks)), float(res), compiled.raw_residual(x, 1.0), int(rank)
         )
         for ks, x, res, rank in zip(curvatures.tolist(), roots, worst[accepted], ranks)
     ]
@@ -459,7 +478,7 @@ def solve_helix(
         pattern,
         compiled.unknowns,
         tuple(solutions),
-        tuple(certificates),
+        (),
         seed,
         len(starts),
         tol,
@@ -468,29 +487,6 @@ def solve_helix(
 
 
 # -- negative curvature rigidity ---------------------------------------------
-
-def _negative_K_decision(x_equations: Sequence[Poly]) -> bool:
-    """Whether only ``x = 0`` solves a squared system at ``K < 0`` (True) or
-    nothing with every ``x_j >= 0`` does (False).  Each equation is
-    ``P + |K|*Q`` with ``P``, ``Q`` nonnegative, so every term must vanish: a
-    constant term leaves no root, and a power of one ``x_j`` forces
-    ``x_j = 0``.  Setting an unknown to 0 only deletes terms, so no second
-    pass forces more.  A missing split, or an unknown that no power of it
-    alone forces (a term in several unknowns would need a branch), raises."""
-    terms: set[frozenset[int]] = set()
-    for x_eq in x_equations:
-        split = _nonnegative_split(x_eq)
-        if split is None:
-            raise ValueError(f"undecided at K < 0: {render_squares(x_eq)} has no nonnegative split")
-        terms |= {mono.variables() for part in split for mono, _ in part.terms()}
-    if frozenset() in terms:
-        return False
-    unforced = set().union(*terms) - {v for t in terms if len(t) == 1 for v in t}
-    if unforced:
-        left = ", ".join(f"x{v}" for v in sorted(unforced))
-        raise ValueError(f"undecided at K < 0: no power of one unknown forces {left} to 0")
-    return True
-
 
 @dataclass(frozen=True)
 class NegativeKReport:
@@ -525,7 +521,7 @@ def canonical_pattern(pattern: Iterable[int], m: int) -> tuple[int, ...]:
 
 def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> NegativeKReport:
     """Decide every zero pattern of order ``r`` at ``K < 0`` exactly
-    (:func:`_negative_K_decision`); nothing is sampled, so ``trials`` and
+    (:func:`_nonpositive_K_decision`); nothing is sampled, so ``trials`` and
     ``seed`` are ignored.  The ``2^(2r-2)`` patterns collapse to ``2r - 1``
     systems under the truncation rule: the full one, and ``t..2r-2``, which
     merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``."""
@@ -537,13 +533,14 @@ def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> Neg
     entries = []
     for pattern, count in zip(patterns, counts):
         system = constraint_system(r, set(pattern))
-        x_equations = [squared_form(eq.factored) for eq in system.equations]
-        geodesic = _negative_K_decision(x_equations)
+        geodesic, certificates = _nonpositive_K_decision(
+            [(eq.frame, squared_form(eq.factored)) for eq in system.equations], K
+        )
         entries.append({
             "zero_pattern": list(pattern),
             "merged_pattern_count": count,
             "solutions": [{"curvatures": [0.0] * m, "residual": 0.0}] if geodesic else [],
-            "infeasibility_certificates": _negative_K_certificates(system, x_equations),
+            "infeasibility_certificates": certificates,
         })
     rootless = ", ".join(str(e["zero_pattern"]) for e in entries if not e["solutions"])
     witness = (

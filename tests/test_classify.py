@@ -161,12 +161,12 @@ def test_full_order_three_system_has_no_proper_solutions():
 @pytest.mark.parametrize("r, zeros", [(3, {3, 4}), (2, set()), (3, set()), (4, {2})])
 def test_flat_ambient_reports_the_geodesic(r, zeros):
     # at K = 0 the only nonnegative root is x = 0, on the corner of the orthant;
-    # at r = 4 {2} Newton reaches it too, and it is reported once
+    # the exact decision reports it once and runs no start
     report = solve_helix(r, 0.0, zeros, trials=100)
     assert [s.spec.curvatures for s in report.solutions] == [(0.0,) * (2 * r - 2)]
     assert report.solutions[0].residual == 0.0
     assert report.proper_solutions() == []
-    assert report.starts == min(GRID_POINTS_PER_DIM ** len(report.unknowns), 100)
+    assert report.starts == 0
 
 
 @pytest.mark.parametrize("pattern", [
@@ -350,13 +350,10 @@ def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
 
 
 REFERENCE_CASES = [(r, pattern, 1.0) for r in (3, 4, 5) for pattern in ((), (2,), (3,))]
+# at K <= 0 the solver decides exactly, and the reference Newton loop must
+# find nothing else; the stall exit fires at r = 6 pattern {3}, K = 1
 REFERENCE_CASES += [(3, (3, 4), 0.0), (3, (), -1.0), (4, (), -1.0)]
-# the stall exit fires at r = 6 pattern {3}; at K = 0 a start stalling once
-# its residual is below tol, before its steps stop shrinking, would be an
-# extra root there; the pinv fallback for an exactly singular J J^T fires at
-# r = 5 pattern {4..8}, K = -1
 REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
-REFERENCE_CASES += [(5, (3, 4, 5, 6, 7, 8), -1.0), (5, (4, 5, 6, 7, 8), -1.0)]
 
 
 @pytest.mark.parametrize(
@@ -585,6 +582,11 @@ def test_negative_scan_decides_every_system_exactly(r, monkeypatch):
             assert entry["infeasibility_certificates"]
 
 
+def _decide(equations, K=-1.0):
+    """The exact verdict on bare equations, numbered as frames 1, 2, ..."""
+    return classify._nonpositive_K_decision(enumerate(equations, 1), K)[0]
+
+
 @pytest.mark.parametrize(
     "equation",
     [
@@ -596,30 +598,85 @@ def test_negative_scan_decides_every_system_exactly(r, monkeypatch):
 )
 def test_negative_decision_refuses_undecided_systems(equation):
     with pytest.raises(ValueError, match="undecided"):
-        classify._negative_K_decision([equation])
+        _decide([equation])
 
 
 def test_negative_decision_forcing():
     # x1, x2^2 and x3 force every unknown to 0, which kills the mixed terms
     x1, x2, x3, K = kvar(1), kvar(2), kvar(3), ambient()
-    assert classify._negative_K_decision([x1 - K * x1 * x2, x2**2 + x1 * x3, x3 + x2 * x3])
+    assert _decide([x1 - K * x1 * x2, x2**2 + x1 * x3, x3 + x2 * x3])
     # a constant term (here |K| from the K multiplier 1) leaves no root
-    assert not classify._negative_K_decision([x1, x1 * x2 - K])
+    assert not _decide([x1, x1 * x2 - K])
     # x2 appears only beside the forced x1, so it stays free: undecided
     with pytest.raises(ValueError, match="forces x2 to 0"):
-        classify._negative_K_decision([x1 + x1 * x2])
+        _decide([x1 + x1 * x2])
+
+
+def test_flat_decision_reads_only_the_K_free_part():
+    # x1 - K*x2 forces both unknowns at K < 0; at K = 0 it leaves x2 free
+    x1, x2, K = kvar(1), kvar(2), ambient()
+    assert _decide([x1 - K * x2], -1.0)
+    with pytest.raises(ValueError, match="forces x2 to 0"):
+        _decide([x1 - K * x2], 0.0)
+    # the constant -K, the only obstruction at K < 0, is gone at K = 0
+    assert not _decide([x1 - K], -1.0)
+    assert _decide([x1 - K], 0.0)
+    equations = [(4, x1 - K)]
+    assert classify._nonpositive_K_decision(equations, 0.0) == (True, [])
+    (cert,) = classify._nonpositive_K_decision(equations, -1.0)[1]
+    assert (cert["frame"], cert["equation"]) == (4, "x1 - K = 0")
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
 def test_negative_decision_agrees_with_newton(r):
-    # multistart Newton at K = -1 never finds a root the exact decision rules
-    # out; where only x = 0 solves a system it may miss the geodesic on the
-    # corner of the orthant, but it finds nothing else
+    # the reference Newton loop at K = -1 never finds a root the exact
+    # decision rules out; where only x = 0 solves a system it may miss the
+    # geodesic on the corner of the orthant, but it finds nothing else; with
+    # k1 = 0 no equation is left, so no Newton runs there
     report = negative_K_scan(r, -1.0)
-    for entry in report.patterns:
-        newton = solve_helix(r, -1.0, entry["zero_pattern"], trials=100)
-        found = [list(s.spec.curvatures) for s in newton.solutions]
+    for entry in (p for p in report.patterns if 1 not in p["zero_pattern"]):
+        found = reference_curvatures(r, -1.0, entry["zero_pattern"], trials=100).tolist()
         if entry["solutions"]:
             assert all(ks == [0.0] * (2 * r - 2) for ks in found)
         else:
             assert found == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the K <= 0 decision must not compile or take a Newton step")
+
+
+@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+def test_solver_decides_nonpositive_K_exactly(r, monkeypatch):
+    # every canonical pattern: the scan's roots and certificates at K = -1,
+    # only the geodesic and no certificate at K = 0; nothing is compiled
+    monkeypatch.setattr(classify, "CompiledSystem", _refuse)
+    monkeypatch.setattr(classify, "_newton_step", _refuse)
+    m = 2 * r - 2
+    for entry in negative_K_scan(r, -1.0).patterns:
+        pattern = entry["zero_pattern"]
+        negative = solve_helix(r, -1.0, pattern)
+        assert [s.to_json_dict() for s in negative.solutions] == entry["solutions"]
+        assert list(negative.certificates) == entry["infeasibility_certificates"]
+        flat = solve_helix(r, 0.0, pattern)
+        assert [s.spec.curvatures for s in flat.solutions] == [(0.0,) * m]
+        assert flat.certificates == ()
+        for report in (negative, flat):
+            assert (report.starts, report.underdetermined) == (0, False)
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
+    m = 2 * r - 2
+    for pattern in [()] + [canonical_pattern({t}, m) for t in range(1, m + 1)]:
+        compiled = CompiledSystem(constraint_system(r, set(pattern)))
+        for K in (-1.0, 0.0):
+            assert solve_helix(r, K, pattern).unknowns == compiled.unknowns
+
+
+def test_lone_geodesic_of_the_flat_family_pattern_is_reported():
+    # pattern {3, 4} at r = 3 is (x1 + x2)^2 - K (2 x1 + x2) = 0: at K < 0
+    # every term vanishes, so the geodesic is its only root
+    report = solve_helix(3, -1.0, {3, 4})
+    assert [s.spec.curvatures for s in report.solutions] == [(0.0,) * 4]
+    assert [c["frame"] for c in report.certificates] == [2]

@@ -176,6 +176,14 @@ class TestClassify:
         assert payload["solutions"] == []
         assert payload["infeasibility_certificates"]
 
+    def test_negative_curvature_reports_the_lone_geodesic(self, capsys):
+        # pattern {3, 4} reads (x1 + x2)^2 - K (2 x1 + x2) = 0: at K < 0 every
+        # term must vanish, so x = 0 is its one root
+        code, out = run(capsys, "classify", "--order", "3", "--K", "-1", "--zeros", "3,4")
+        assert code == 0
+        assert "solutions: 1 (0 proper)" in out
+        assert "  (0, 0, 0, 0)  residual 0.000e+00" in out
+
     def test_text_certificates_are_rendered(self, capsys):
         code, out = run(
             capsys, "classify", "--order", "3", "--K", "-1", "--trials", "100",
@@ -487,6 +495,14 @@ class TestBadNumbers:
             (["classify", "--order", "3", "--K", "inf"], "inf"),
             (["classify", "--order", "3", "--K", "1", "--trials", "0"], "got 0"),
             (["classify", "--order", "3", "--K", "1", "--trials", "-5"], "got -5"),
+            # at K <= 0 nothing is sampled, but the same input checks hold
+            (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
+            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
+            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
+            (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
+            (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
+            (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],
+             "--tol: must be positive and finite, got 'inf'"),
             # work bounds, checked before anything is allocated
             (["classify", "--order", "6", "--K", "1", "--trials", "282475249"], "got 282475249"),
             (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "1e-12"], "step 1e-12"),
