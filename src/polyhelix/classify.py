@@ -210,7 +210,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Output of the multistart solver: deduplicated roots plus the metadata
+    """Output of :func:`solve_helix`: deduplicated roots plus the metadata
     needed to reproduce them."""
 
     order: int

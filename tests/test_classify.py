@@ -672,11 +672,3 @@ def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
         compiled = CompiledSystem(constraint_system(r, set(pattern)))
         for K in (-1.0, 0.0):
             assert solve_helix(r, K, pattern).unknowns == compiled.unknowns
-
-
-def test_lone_geodesic_of_the_flat_family_pattern_is_reported():
-    # pattern {3, 4} at r = 3 is (x1 + x2)^2 - K (2 x1 + x2) = 0: at K < 0
-    # every term vanishes, so the geodesic is its only root
-    report = solve_helix(3, -1.0, {3, 4})
-    assert [s.spec.curvatures for s in report.solutions] == [(0.0,) * 4]
-    assert [c["frame"] for c in report.certificates] == [2]

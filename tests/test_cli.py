@@ -495,14 +495,6 @@ class TestBadNumbers:
             (["classify", "--order", "3", "--K", "inf"], "inf"),
             (["classify", "--order", "3", "--K", "1", "--trials", "0"], "got 0"),
             (["classify", "--order", "3", "--K", "1", "--trials", "-5"], "got -5"),
-            # at K <= 0 nothing is sampled, but the same input checks hold
-            (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
-            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
-            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
-            (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
-            (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
-            (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],
-             "--tol: must be positive and finite, got 'inf'"),
             # work bounds, checked before anything is allocated
             (["classify", "--order", "6", "--K", "1", "--trials", "282475249"], "got 282475249"),
             (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "1e-12"], "step 1e-12"),
@@ -560,6 +552,14 @@ class TestBadNumbers:
              "--tol: must be positive and finite, got 'inf'"),
             (["verify", "--curve", "tri-planar", "--tol", "nan"],
              "--tol: must be positive and finite, got 'nan'"),
+            # at K <= 0 nothing is sampled, but the same input checks hold
+            (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
+            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
+            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
+            (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
+            (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
+            (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],
+             "--tol: must be positive and finite, got 'inf'"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

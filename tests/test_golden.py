@@ -22,11 +22,12 @@ triples; recapture it the same way.  ``scan_sha256.json`` pins the exact
 ``K < 0`` scan, ``negative_K_scan(r, -1.0).to_json_dict()`` for r = 2..8, as
 compact JSON with sorted keys.
 
-The ``classify`` snapshots guard the multistart solver.  Floating-point
-evaluation order may change under a refactor, so they are compared field by
-field rather than byte for byte: counts, flags, certificates and search
-metadata exactly, curvatures to :data:`CURVATURE_TOL`, and every residual
-must stay below the search tolerance.
+The ``classify`` snapshots guard ``solve_helix``: the multistart solver at
+K > 0 and the exact decision at K <= 0.  Floating-point evaluation order
+may change under a refactor, so they are compared field by field rather
+than byte for byte: counts, flags, certificates and search metadata
+exactly, curvatures to :data:`CURVATURE_TOL`, and every residual must stay
+below the search tolerance.
 """
 
 import hashlib
