@@ -6,11 +6,10 @@ Three instruments live here:
 * a fixed-step RK4 Frenet-frame integrator for Euclidean ambient space,
   with periodic frame re-orthonormalization and a Richardson error estimate
   that refers to the returned samples (a pass at twice the step over the
-  first 2*floor(steps/2) steps, compared at that sample).  One loop advances
-  a stack of such passes, each with the arithmetic of a lone run: the two
-  passes of one trajectory, or of every trajectory a conjecture scan needs
-  with the same curvature count, in chunks of at most
-  :data:`MAX_STACK_VALUES` stored values;
+  first 2*floor(steps/2) steps, compared at that sample).  The frame obeys
+  a linear system, so each RK4 step is one matrix: the step maps are built
+  in batched chunks and chained by prefix products within each block of
+  :data:`REORTHO_INTERVAL` steps, one Python iteration per block;
 * conservation-law monitors that test, on sampled position data alone,
   whether the scalar first integrals of the order-three and order-four
   variational equations stay constant along a curve (their covariant
@@ -53,15 +52,11 @@ from .spherecurves import covariant_jets
 MIN_SINGULAR_START = 0.1   # 1/s profiles cannot be integrated from s = 0
 FRAME_DEFECT_LIMIT = 1e-10  # re-orthonormalize above this Gram defect
 REORTHO_INTERVAL = 100
-# An integration stores (steps + 1) x (m + 1) x d frame values; 2^25 float64s
-# are 256 MiB, and at 20-35 us per step (the 2h pass advances in the same
-# loop) the integration already takes a minute or more before reaching it.
+# RK4 step maps are built this many blocks of REORTHO_INTERVAL steps at a time
+CHUNK_BLOCKS = 10
+# An integration stores (steps + 1) x (m + 2) x d frame and position values,
+# plus the step maps of one chunk; 2^25 float64s are 256 MiB.
 MAX_FRAME_VALUES = 2**25
-# Trajectories advance together in chunks whose stored values (_stack_values)
-# stay under this bound, 2 MiB of float64s: the six two-curvature
-# trajectories of criterion #11's order-3 scan (span 2 at SCAN_STEP) fit in
-# one chunk.
-MAX_STACK_VALUES = 2**18
 # Each scan point integrates its own trajectory and derives its own exact
 # chain, about 15 ms a point at the default span, so 1000 points take about
 # 15 s.
@@ -394,11 +389,11 @@ def _check_run(
         )
     profile.check_span(span)
     intervals = (span[1] - span[0]) / h
-    values = (intervals + 1) * (profile.count + 1) * d
+    values = (intervals + 1) * (profile.count + 2) * d + _chunk_values(profile.count)
     if values > MAX_FRAME_VALUES:
         raise ValueError(
             f"step {h} over span {span[0]}:{span[1]} in dimension {d} would store "
-            f"{values:.3g} frame values, more than {MAX_FRAME_VALUES}"
+            f"{values:.3g} values, more than {MAX_FRAME_VALUES}"
         )
     steps = int(round(intervals))
     if steps < 2:
@@ -406,128 +401,115 @@ def _check_run(
     return steps
 
 
-def _stack_values(m: int, d: int, steps: int) -> int:
-    """Values one trajectory with ``m`` curvatures holds in a stack: its
-    frames and positions at every step, and the stage curvatures of its h
-    and 2h passes."""
-    return (steps + 1) * (m + 2) * d + (steps + steps // 2) * 3 * m
+def _chunk_values(m: int) -> int:
+    """Values the step maps of one chunk hold at once: :func:`_step_maps`
+    keeps at most 14 (m + 1) x (m + 1) matrices and 4m curvatures a step."""
+    return CHUNK_BLOCKS * REORTHO_INTERVAL * (14 * (m + 1) ** 2 + 4 * m)
 
 
-def _stage_curvatures(
-    profile: CurvatureProfile, start: float, h: float, steps: int
-) -> np.ndarray:
-    """Curvatures at the stage arclengths s, s + h/2, s + h of every step,
-    shaped (steps, 3, m)."""
-    s = start + h * np.arange(steps)
-    return profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(1, 2, 0)
+def _step_maps(
+    profile: CurvatureProfile, start: float, h: float, first: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 step maps of steps ``first .. first + count - 1``: the matrices
+    ``M`` (count, m + 1, m + 1) with ``y_(n+1) = M_n y_n`` for the frame, and
+    the rows ``c`` (count, m + 1) with ``p_(n+1) = p_n + c_n y_n``.
 
-
-@np.errstate(over="ignore", invalid="ignore")  # _integrate_stack reports an overflow
-def _rk4_stack(
-    profiles: Sequence[CurvatureProfile],
-    d: int,
-    start: float,
-    h: float,
-    steps: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Classical RK4 for the position and the Frenet frame of each profile
-    (all with the same curvature count) in one loop: a pass at step ``h``
-    over ``steps`` steps and a pass at ``2h`` over ``steps // 2`` steps.
-
-    Each pass keeps the arithmetic of a lone integration.  The ``h`` passes
-    sit first in the stack and the ``2h`` passes finish first, so the runs
-    still active are always a prefix of it.  Returns the ``h`` passes'
-    positions ``(steps + 1, n, d)`` and frames ``(steps + 1, n, m + 1, d)``,
-    and the end points of the ``2h`` passes ``(n, d)``; the ``2h`` passes
-    store nothing else.
+    The frame obeys the linear system ``y' = A(s) y`` whose generator ``A``
+    carries the curvatures on its super- and (negated) subdiagonal, so each
+    RK4 stage is a matrix: with ``A1, A2, A3`` at ``s, s + h/2, s + h``,
+    ``L2 = I + h/2 A1``, ``L3 = I + h/2 A2 L2``, ``L4 = I + h A2 L3``,
+    ``M = I + h/6 (A1 + 2 A2 L2 + 2 A2 L3 + A3 L4)`` and
+    ``c = h/6 (I + 2 L2 + 2 L3 + L4)[0]``.
     """
-    n, m = len(profiles), profiles[0].count
-    size, half = m + 1, steps // 2
-    # stage curvatures, one block while both passes run and one after
-    both = np.empty((half, 2 * n, 3, m))
-    fine_only = np.empty((steps - half, n, 3, m))
-    for i, profile in enumerate(profiles):
-        fine = _stage_curvatures(profile, start, h, steps)
-        both[:, i], fine_only[:, i] = fine[:half], fine[half:]
-        both[:, n + i] = _stage_curvatures(profile, start, 2 * h, half)
-    step_sizes = np.repeat([h, 2 * h], n)[:, None, None]
-    generators = np.zeros((2 * n, 3, size, size))
-    frame = np.tile(np.eye(size, d), (2 * n, 1, 1))
-    point = np.zeros((2 * n, d))
-    positions = np.zeros((steps + 1, n, d))
-    frames = np.empty((steps + 1, n, size, d))
-    fine_point, fine_frame = point[:n], frame[:n]
-    frames[0] = fine_frame
-    for first, block in ((0, both), (half, fine_only)):
-        active = block.shape[1]
-        g, y, p = generators[:active], frame[:active], point[:active]
-        b_start, b_mid, b_end = g[:, 0], g[:, 1], g[:, 2]
-        # the super- and subdiagonal of each generator, as strided views
-        flat = g.reshape(active, 3, size * size)
-        above, below = flat[:, :, 1 :: size + 1], flat[:, :, size :: size + 1]
-        h_full = step_sizes[:active]
-        h_half, h_sixth = h_full / 2, h_full / 6
-        h_sixth_rows = h_sixth[:, 0]
-        for step, ks in enumerate(block, first):
-            above[...] = ks
-            np.negative(ks, out=below)
-            f1 = b_start @ y
-            y2 = y + h_half * f1
-            f2 = b_mid @ y2
-            y3 = y + h_half * f2
-            f3 = b_mid @ y3
-            y4 = y + h_full * f3
-            f4 = b_end @ y4
-            # whole frames are cheaper to combine than strided rows
-            tangents = (y + 2.0 * y2 + 2.0 * y3 + y4)[:, 0]
-            p += h_sixth_rows * tangents
-            y += h_sixth * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-            if (step + 1) % REORTHO_INTERVAL == 0:
-                gram = y @ y.transpose(0, 2, 1)
-                defect = np.abs(gram - np.eye(size)).max(axis=(1, 2))
-                for i in np.flatnonzero(defect > FRAME_DEFECT_LIMIT):
-                    y[i] = _reorthonormalize(y[i])
-            positions[step + 1] = fine_point
-            frames[step + 1] = fine_frame
-    return positions, frames, point[n:]
+    size = profile.count + 1
+    s = start + h * np.arange(first, first + count)
+    # curvatures at the stage arclengths, shaped (3, count, m)
+    ks = profile.values(s[:, None] + np.array([0.0, h / 2, h])).transpose(2, 1, 0)
+    generators = np.zeros((3, count, size, size))
+    upper = np.arange(size - 1)
+    generators[:, :, upper, upper + 1] = ks
+    generators[:, :, upper + 1, upper] = -ks
+    a1, a2, a3 = generators
+    eye = np.eye(size)
+    l2 = eye + (h / 2) * a1
+    a2_l2 = a2 @ l2
+    l3 = eye + (h / 2) * a2_l2
+    a2_l3 = a2 @ l3
+    l4 = eye + h * a2_l3
+    maps = eye + (h / 6) * (a1 + 2.0 * a2_l2 + 2.0 * a2_l3 + a3 @ l4)
+    rows = (h / 6) * (eye[0] + 2.0 * l2[:, 0] + 2.0 * l3[:, 0] + l4[:, 0])
+    return maps, rows
 
 
-def _integrate_stack(
-    profiles: Sequence[CurvatureProfile],
-    d: int,
-    start: float,
-    h: float,
-    steps: int,
-) -> Iterator[CurveSamples]:
-    """:func:`integrate_frenet` for profiles with the same curvature count,
-    yielded in order.  The profiles advance together in chunks whose stored
-    values stay within :data:`MAX_STACK_VALUES`; a trajectory larger than
-    that runs alone.  Each yielded sample owns its arrays."""
-    chunk = max(1, MAX_STACK_VALUES // _stack_values(profiles[0].count, d, steps))
-    paired = 2 * (steps // 2)
-    for first in range(0, len(profiles), chunk):
-        positions, frames, coarse_ends = _rk4_stack(
-            profiles[first : first + chunk], d, start, h, steps
-        )
-        for i, coarse_end in enumerate(coarse_ends):
-            # a copy unless the stack holds this trajectory alone
-            own_positions = np.ascontiguousarray(positions[:, i])
-            own_frames = np.ascontiguousarray(frames[:, i])
-            if not all(np.isfinite(a).all() for a in (own_positions, own_frames, coarse_end)):
-                raise ValueError(
-                    f"integration at step {h} overflowed: the curvatures are too large for this step"
-                )
-            yield CurveSamples(
-                h=h,
-                span=(start, start + steps * h),
-                positions=own_positions,
-                frames=own_frames,
-                error_estimate=float(np.linalg.norm(own_positions[paired] - coarse_end) / 15.0),
-            )
-        # release this chunk before the next one is allocated
-        del positions, frames, coarse_ends, coarse_end
+def _block_maps(
+    profile: CurvatureProfile, start: float, h: float, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each block of :data:`REORTHO_INTERVAL` steps (the last may be
+    shorter), in order: the prefix products ``P_k = M_(k-1) ... M_0`` that
+    map the block's first frame to the frame ``k`` steps later, and the sums
+    ``R_k = c_0 P_0 + ... + c_(k-1) P_(k-1)`` that map it to the position
+    offset, for ``k = 1 ..`` the block length.
+
+    The step maps are built :data:`CHUNK_BLOCKS` blocks at a time, and each
+    block's products take log2(:data:`REORTHO_INTERVAL`) batched rounds of
+    a Hillis-Steele scan."""
+    size = profile.count + 1
+    chunk = CHUNK_BLOCKS * REORTHO_INTERVAL
+    for first in range(0, steps, chunk):
+        count = min(chunk, steps - first)
+        maps, rows = _step_maps(profile, start, h, first, count)
+        blocks = -(-count // REORTHO_INTERVAL)
+        pad = blocks * REORTHO_INTERVAL - count
+        if pad:
+            # identity steps after the last one leave its products unchanged
+            maps = np.concatenate([maps, np.broadcast_to(np.eye(size), (pad, size, size))])
+            rows = np.concatenate([rows, np.zeros((pad, size))])
+        maps = maps.reshape(blocks, REORTHO_INTERVAL, size, size)
+        rows = rows.reshape(blocks, REORTHO_INTERVAL, size)
+        offset = 1
+        while offset < REORTHO_INTERVAL:
+            maps[:, offset:] = maps[:, offset:] @ maps[:, :-offset]
+            offset *= 2
+        # maps[:, k] is now P_(k+1); the row of step k meets the frame P_k
+        rows[:, 1:] = (rows[:, 1:, None, :] @ maps[:, :-1])[:, :, 0]
+        sums = np.cumsum(rows, axis=1)
+        for block in range(blocks):
+            length = min(REORTHO_INTERVAL, count - block * REORTHO_INTERVAL)
+            yield maps[block, :length], sums[block, :length]
 
 
+def _advance_block(
+    products: np.ndarray, sums: np.ndarray, frame: np.ndarray, point: np.ndarray, end: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Frames and positions after each step of one block, from the frame and
+    position at its start.  When the block ends at step ``end``, a multiple
+    of :data:`REORTHO_INTERVAL`, a last frame whose Gram defect exceeds
+    :data:`FRAME_DEFECT_LIMIT` is re-orthonormalized."""
+    frames = products @ frame
+    points = point + sums @ frame
+    if end % REORTHO_INTERVAL == 0:
+        last = frames[-1]
+        if np.abs(last @ last.T - np.eye(len(last))).max() > FRAME_DEFECT_LIMIT:
+            frames[-1] = _reorthonormalize(last)
+    return frames, points
+
+
+def _rk4_pass(
+    profile: CurvatureProfile, d: int, start: float, h: float, steps: int
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Classical RK4 for the Frenet frame and the position over ``steps``
+    steps of size ``h``, from the identity frame at the origin: per block,
+    the sample indices it fills and its frames and positions there."""
+    frame, point = np.eye(profile.count + 1, d), np.zeros(d)
+    done = 0
+    for products, sums in _block_maps(profile, start, h, steps):
+        end = done + len(products)
+        frames, points = _advance_block(products, sums, frame, point, end)
+        yield slice(done + 1, end + 1), frames, points
+        frame, point, done = frames[-1], points[-1], end
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
 def integrate_frenet(
     profile: CurvatureProfile,
     d: int,
@@ -540,11 +522,26 @@ def integrate_frenet(
     ``error_estimate`` is the Richardson estimate ``|p_h - p_2h| / 15`` of
     the error of the returned sample 2*floor(steps/2), from a second pass at
     step 2h over the steps up to it; the span must cover at least two steps.
-    The two passes advance in one loop, a stack of one profile.
     """
     steps = _check_run(profile, d, span, h)
-    (samples,) = _integrate_stack([profile], d, span[0], h, steps)
-    return samples
+    positions = np.zeros((steps + 1, d))
+    frames = np.empty((steps + 1, profile.count + 1, d))
+    frames[0] = np.eye(profile.count + 1, d)
+    for rows, block_frames, block_points in _rk4_pass(profile, d, span[0], h, steps):
+        frames[rows], positions[rows] = block_frames, block_points
+    for _, _, block_points in _rk4_pass(profile, d, span[0], 2 * h, steps // 2):
+        coarse_end = block_points[-1]
+    if not all(np.isfinite(a).all() for a in (positions, frames, coarse_end)):
+        raise ValueError(
+            f"integration at step {h} overflowed: the curvatures are too large for this step"
+        )
+    return CurveSamples(
+        h=h,
+        span=(span[0], span[0] + steps * h),
+        positions=positions,
+        frames=frames,
+        error_estimate=float(np.linalg.norm(positions[2 * (steps // 2)] - coarse_end) / 15.0),
+    )
 
 
 # -- conservation monitors ---------------------------------------------------
@@ -814,19 +811,12 @@ def conjecture_scan(
         for beta in betas
     ]
     # every request is checked, in grid order, before anything is allocated
-    steps = {p.count: _check_run(p, p.count + 1, span, SCAN_STEP) for p in profiles}
-    # beta = 0 has one curvature, every other beta two: one stack per count
-    groups: dict[int, list[int]] = {}
-    for i, profile in enumerate(profiles):
-        groups.setdefault(profile.count, []).append(i)
-    rows: list[ConjectureRow] = [None] * len(betas)
-    for count, members in groups.items():
-        trajectories = _integrate_stack(
-            [profiles[i] for i in members], count + 1, span[0], SCAN_STEP, steps[count]
-        )
-        for i, samples in zip(members, trajectories):
-            rows[i] = _scan_row(r, betas[i], profiles[i], samples, s_grid)
-    return rows
+    for profile in profiles:
+        _check_run(profile, profile.count + 1, span, SCAN_STEP)
+    return [
+        _scan_row(r, beta, profile, integrate_frenet(profile, profile.count + 1, span, SCAN_STEP), s_grid)
+        for beta, profile in zip(betas, profiles)
+    ]
 
 
 def _scan_row(

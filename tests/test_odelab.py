@@ -32,10 +32,8 @@ from polyhelix.odelab import (
     ProfileTerm,
     _evaluate,
     _fd_tension_sup,
-    _integrate_stack,
     _leading,
     _reorthonormalize,
-    _stack_values,
     central_difference,
     conjecture_scan,
     conservation_law_terms,
@@ -314,10 +312,11 @@ class TestCurveSamples:
 
 def lone_rk4(
     profile: CurvatureProfile, d: int, span: tuple[float, float], h: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]:
     """Positions and frames of one trajectory from the plain single-run RK4
-    loop, step by step: the reference the stacked integrator reproduces bit
-    for bit."""
+    loop, step by step: the oracle the blocked integrator is checked
+    against.  Also returns each re-orthonormalization as the step after
+    which it fired and the frame it was given."""
     size = profile.count + 1
     steps = int(round((span[1] - span[0]) / h))
     s = span[0] + h * np.arange(steps)
@@ -329,6 +328,7 @@ def lone_rk4(
     positions = np.zeros((steps + 1, d))
     frames = np.empty((steps + 1, size, d))
     frames[0] = frame
+    fixes = []
     for step in range(steps):
         generators[:, upper, lower] = stage_ks[step]
         generators[:, lower, upper] = -stage_ks[step]
@@ -345,9 +345,19 @@ def lone_rk4(
         if (step + 1) % REORTHO_INTERVAL == 0:
             gram = frame @ frame.T
             if np.abs(gram - np.eye(size)).max() > FRAME_DEFECT_LIMIT:
+                fixes.append((step + 1, frame))
                 frame = _reorthonormalize(frame)
         frames[step + 1] = frame
-    return positions, frames
+    return positions, frames, fixes
+
+
+def lone_loop_bound(steps: int, scale: float) -> float:
+    """How far the blocked integrator may drift from :func:`lone_rk4` on
+    values of size ``scale``: the two round the same RK4 arithmetic in a
+    different order, each step adding a difference of about one unit in the
+    last place, so after ``steps`` steps at most ``steps`` units of
+    ``max(1, scale)``."""
+    return steps * np.finfo(float).eps * max(1.0, scale)
 
 
 def held_bytes(array: np.ndarray) -> int:
@@ -441,31 +451,74 @@ class TestIntegrator:
 
     # the first three re-orthonormalize their frames (at different steps),
     # the last never does
-    STACKED = ("k1=30,k2=20", "k1=3/s,k2=5/s", "k1=8/s^2,k2=9", "k1=0.8,k2=0.5")
+    REORTHO_PROFILES = ("k1=30,k2=20", "k1=3/s,k2=5/s", "k1=8/s^2,k2=9", "k1=0.8,k2=0.5")
+
+    def assert_matches_lone_loop(self, monkeypatch, profile, d, span, h) -> int:
+        """Check one integration against :func:`lone_rk4` within
+        :func:`lone_loop_bound`; return its re-orthonormalization count."""
+        steps = int(round((span[1] - span[0]) / h))
+        paired = 2 * (steps // 2)
+        given = []
+        monkeypatch.setattr(odelab, "_reorthonormalize",
+                            lambda frame: given.append(frame.copy()) or _reorthonormalize(frame))
+        result = integrate_frenet(profile, d, span, h)
+        monkeypatch.undo()
+        positions, frames, fine_fixes = lone_rk4(profile, d, span, h)
+        coarse, _, coarse_fixes = lone_rk4(profile, d, (span[0], span[0] + paired * h), 2 * h)
+        estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
+        bound = lone_loop_bound(steps, np.abs(positions).max())
+        assert np.abs(result.positions - positions).max() <= bound
+        assert np.abs(result.frames - frames).max() <= lone_loop_bound(steps, 1.0)
+        assert abs(result.error_estimate - estimate) <= bound
+        # the same steps fire, in the same order: the h pass, then the 2h pass
+        fixes = fine_fixes + coarse_fixes
+        assert len(given) == len(fixes)
+        for frame, (step, lone_frame) in zip(given, fixes):
+            assert np.abs(frame - lone_frame).max() <= lone_loop_bound(steps, 1.0), step
+        assert held_bytes(result.positions) == result.positions.nbytes
+        assert held_bytes(result.frames) == result.frames.nbytes
+        return len(fixes)
 
     # 280 steps in the frame's own dimension, 281 in a larger ambient space
     @pytest.mark.parametrize("span, d", [((0.2, 3.0), 3), ((0.2, 3.01), 4)])
-    def test_stack_reproduces_the_lone_loop_bit_for_bit(self, monkeypatch, span, d):
-        h = 1e-2
-        profiles = [parse_profile(text) for text in self.STACKED]
-        steps = int(round((span[1] - span[0]) / h))
-        paired = 2 * (steps // 2)
-        fixes = []
-        monkeypatch.setattr(odelab, "_reorthonormalize",
-                            lambda frame: fixes.append(1) or _reorthonormalize(frame))
-        stacked = list(_integrate_stack(profiles, d, span[0], h, steps))
-        monkeypatch.undo()
-        assert len(fixes) == 9
-        for profile, samples in zip(profiles, stacked):
-            positions, frames = lone_rk4(profile, d, span, h)
-            coarse, _ = lone_rk4(profile, d, (span[0], span[0] + paired * h), 2 * h)
-            estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
-            for result in (samples, integrate_frenet(profile, d, span, h)):
-                assert np.array_equal(result.positions, positions)
-                assert np.array_equal(result.frames, frames)
-                assert result.error_estimate == estimate
-                assert held_bytes(result.positions) == result.positions.nbytes
-                assert held_bytes(result.frames) == result.frames.nbytes
+    def test_integrator_matches_the_lone_loop(self, monkeypatch, span, d):
+        fixes = [
+            self.assert_matches_lone_loop(monkeypatch, parse_profile(text), d, span, 1e-2)
+            for text in self.REORTHO_PROFILES
+        ]
+        assert fixes == [3, 3, 3, 0]
+
+    def test_span_100_helix_matches_the_lone_loop(self, monkeypatch):
+        # criterion #12's long run: 10 000 steps, re-orthonormalized six times
+        helix = parse_profile("k1=0.6,k2=0.4,k3=0.3")
+        assert self.assert_matches_lone_loop(monkeypatch, helix, 4, (0.0, 100.0), 1e-2) == 6
+
+    def test_python_work_grows_with_blocks_not_steps(self, monkeypatch):
+        # one 10 000-step run: one block call per REORTHO_INTERVAL steps of
+        # each pass, and fewer traced odelab lines than steps, so a per-step
+        # Python loop anywhere in the module fails here
+        steps = 10_000
+        calls = []
+        advance = odelab._advance_block
+        monkeypatch.setattr(odelab, "_advance_block",
+                            lambda *args: calls.append(1) or advance(*args))
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != odelab.__file__:
+                return None
+            if event == "line":
+                lines.append(1)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            integrate_frenet(parse_profile("k1=0.6,k2=0.4,k3=0.3"), 4, (0.0, 100.0), 1e-2)
+        finally:
+            sys.settrace(previous)
+        assert len(calls) == steps // REORTHO_INTERVAL + steps // 2 // REORTHO_INTERVAL
+        assert len(lines) < steps
 
 
 # -- scalar first integral ---------------------------------------------------
@@ -675,22 +728,24 @@ class TestConjectureScan:
             singles = [conjecture_scan(r, 1.0, [beta], (1.0, 3.0))[0] for beta in sorted(grid)]
             assert conjecture_scan(r, 1.0, grid, (1.0, 3.0)) == singles
 
+    # step maps are stacked CHUNK_BLOCKS blocks at a time; the chunk steps
+    # that one trajectory's h and 2h passes build (2000 and 1000 steps)
     @pytest.mark.parametrize("chunk, sizes", [
-        (None, [1, 6]),           # the default bound: beta = 0, then one stack of six
-        (2, [1, 2, 2, 2]),
-        (1, [1, 1, 1, 1, 1, 1, 1]),
+        (None, [1000, 1000, 1000]),   # the default bound, ten blocks
+        (2, [200] * 15),
+        (1, [100] * 30),
     ])
     def test_chunked_stacks_give_the_same_rows(self, monkeypatch, chunk, sizes):
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
         rows = conjecture_scan(3, 1.0, grid, (1.0, 3.0))
         seen = []
-        rk4_stack = odelab._rk4_stack
-        monkeypatch.setattr(odelab, "_rk4_stack",
-                            lambda profiles, *args: seen.append(len(profiles)) or rk4_stack(profiles, *args))
+        step_maps = odelab._step_maps
+        monkeypatch.setattr(odelab, "_step_maps",
+                            lambda *args: seen.append(args[-1]) or step_maps(*args))
         if chunk is not None:
-            monkeypatch.setattr(odelab, "MAX_STACK_VALUES", chunk * _stack_values(2, 3, 2000))
+            monkeypatch.setattr(odelab, "CHUNK_BLOCKS", chunk)
         assert conjecture_scan(3, 1.0, grid, (1.0, 3.0)) == rows
-        assert seen == sizes
+        assert seen == sizes * len(grid)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
     def test_scan_memory_does_not_grow_with_the_grid(self):
