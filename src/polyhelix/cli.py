@@ -311,14 +311,14 @@ def _cmd_conserve(args, started: float) -> int:
 def _cmd_conjecture(args, started: float) -> int:
     rows = odelab.conjecture_scan(args.order, args.alpha, args.beta_grid, args.span)
     payload = [row.to_json_dict() for row in rows]
-    header = "beta,law_residual,exact_tension_sup,fd_tension_sup"
+    header = "beta,law_residual,exact_tension_sup,fd_tension_sup,fd_roundoff_floor,fd_below_floor"
     if args.order == 4:
         header += ",scaling"
     lines = [header]
     for row in rows:
         line = (
             f"{row.beta!r},{row.law_residual!r},{row.exact_tension_sup!r},"
-            f"{row.fd_tension_sup!r}"
+            f"{row.fd_tension_sup!r},{row.fd_roundoff_floor!r},{str(row.fd_below_floor).lower()}"
         )
         if row.scaling is not None:
             line += "," + ";".join(f"s^{p}*{c!r}" for p, c in row.scaling)

@@ -109,6 +109,14 @@ def _central_halfwidth(order: int) -> int:
     return (order + 7 + 1) // 2
 
 
+def _central_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and unit-spacing weights of the order-``order`` central
+    stencil."""
+    half = _central_halfwidth(order)
+    offsets = np.arange(-half, half + 1, dtype=float)
+    return offsets, fornberg_weights(0.0, offsets, order)[:, order]
+
+
 def central_difference(
     values: np.ndarray, h: float, order: int
 ) -> tuple[slice, np.ndarray]:
@@ -125,9 +133,8 @@ def central_difference(
         raise ValueError(
             f"need at least {npts + 2} samples for an order-{order} stencil"
         )
-    offsets = np.arange(-half, half + 1, dtype=float)
     # a NumPy power: a step too large for float range gives inf, not OverflowError
-    weights = fornberg_weights(0.0, offsets, order)[:, order] / np.float64(h) ** order
+    weights = _central_weights(order)[1] / np.float64(h) ** order
     out = np.zeros((n - 2 * half,) + np.shape(values)[1:])
     for k, w in enumerate(weights):
         if w:
@@ -729,7 +736,8 @@ class ConjectureRow:
     of ``|Q|`` (the once-integrated law with constant zero) at order three,
     and the sup of ``|dQ/ds|`` (its derivative) at order four.  The
     finite-difference tension estimate is reported for comparison but is not
-    a certification (the scalar law is necessary, not sufficient).
+    a certification (the scalar law is necessary, not sufficient); below
+    ``fd_roundoff_floor`` it is rounding alone and says nothing.
     """
 
     order: int
@@ -737,7 +745,12 @@ class ConjectureRow:
     law_residual: float
     exact_tension_sup: float
     fd_tension_sup: float
+    fd_roundoff_floor: float
     scaling: tuple[tuple[int, float], ...] | None = None
+
+    @property
+    def fd_below_floor(self) -> bool:
+        return self.fd_tension_sup <= self.fd_roundoff_floor
 
     def to_json_dict(self) -> dict:
         row = {
@@ -746,6 +759,8 @@ class ConjectureRow:
             "law_residual": self.law_residual,
             "exact_tension_sup": self.exact_tension_sup,
             "fd_tension_sup": self.fd_tension_sup,
+            "fd_roundoff_floor": self.fd_roundoff_floor,
+            "fd_below_floor": self.fd_below_floor,
         }
         if self.scaling is not None:
             row["scaling"] = [
@@ -756,10 +771,17 @@ class ConjectureRow:
 
 def _fd_tension_sup(
     samples: CurveSamples, derivative_order: int, target_spacing: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, float, np.ndarray]:
     """Sup norm of the order-``derivative_order`` position derivative, from
-    one central stencil on a strided subgrid, and the s-window (the stencil
-    interior) it was estimated on.
+    one central stencil on a strided subgrid, its roundoff floor, and the
+    s-window (the stencil interior) it was estimated on.
+
+    The floor bounds what rounding alone can contribute.  Each RK4 step
+    rounds the position by at most ``eps |p|``, so samples ``i`` strides
+    from the stencil's centre differ from it in rounding by at most
+    ``|i| stride eps max|p|``; the weights ``w_i`` sum to zero, so the
+    stencil returns at most ``eps max|p| stride sum |i| |w_i| / spacing^k``
+    from rounding.
 
     A scan trajectory has first curvature ``alpha/s^(r-2)`` with
     ``alpha != 0``, strictly monotone, so even if its ends met, its
@@ -769,9 +791,15 @@ def _fd_tension_sup(
     widest = _central_halfwidth(derivative_order)
     stride = _choose_stride(n, samples.h, target_spacing, 2 * widest + 4)
     sub = samples.positions[::stride]
-    interior, values = central_difference(sub, samples.h * stride, derivative_order)
+    spacing = samples.h * stride
+    interior, values = central_difference(sub, spacing, derivative_order)
     window = samples.s_values()[::stride][interior]
-    return float(np.linalg.norm(values, axis=1).max()), window
+    offsets, weights = _central_weights(derivative_order)
+    floor = float(
+        np.finfo(float).eps * np.linalg.norm(sub, axis=1).max() * stride
+        * np.abs(offsets * weights).sum() / spacing**derivative_order
+    )
+    return float(np.linalg.norm(values, axis=1).max()), floor, window
 
 
 def conjecture_scan(
@@ -832,11 +860,11 @@ def _scan_row(
     terms = conservation_law_terms(chain, r)
     scaling = None
     if r == 3:
-        fd_sup, window = _fd_tension_sup(samples, 6, 0.02)
+        fd_sup, floor, window = _fd_tension_sup(samples, 6, 0.02)
     else:
         terms = [term.arclength_derivative() for term in terms]
         scaling = tuple(_leading(term) for term in terms)
-        fd_sup, window = _fd_tension_sup(samples, 8, 0.04)
+        fd_sup, floor, window = _fd_tension_sup(samples, 8, 0.04)
     law_residual = float(np.abs(_evaluate(sum(terms), s_grid)).max())
     # flat ambient: the tension is nabla^(2r-1) T alone; evaluate it on the
     # FD window so the two sups are comparable
@@ -850,5 +878,6 @@ def _scan_row(
         law_residual=law_residual,
         exact_tension_sup=float(np.sqrt(total.max())),
         fd_tension_sup=fd_sup,
+        fd_roundoff_floor=floor,
         scaling=scaling,
     )

@@ -787,18 +787,47 @@ class TestConjectureScan:
             law_residual=2.0,
             exact_tension_sup=3.0,
             fd_tension_sup=3.1,
+            fd_roundoff_floor=0.01,
             scaling=((-9, -6720.0),),
         )
         payload = row.to_json_dict()
         assert payload["scaling"] == [{"power": -9, "coefficient": -6720.0}]
         assert payload["order"] == 4
-        plain = ConjectureRow(3, 0.0, 4.0, 1.0, 1.0)
+        assert payload["fd_roundoff_floor"] == 0.01
+        assert payload["fd_below_floor"] is False
+        plain = ConjectureRow(3, 0.0, 4.0, 1.0, 1.0, 2.0)
         assert "scaling" not in plain.to_json_dict()
+        assert plain.to_json_dict()["fd_below_floor"] is True
 
     def test_closed_curves_use_stencil_estimates(self):
         # a full period of the great circle: the estimate still comes from
         # the stride-2 stencil, whose window drops 7 strided points per end
         samples = sample_trig_curve(great_circle(), (0.0, 2.0 * math.pi), 513)
-        sup, window = _fd_tension_sup(samples, 6, 0.02)
+        sup, floor, window = _fd_tension_sup(samples, 6, 0.02)
         assert np.array_equal(window, samples.s_values()[::2][7:-7])
         assert math.isclose(sup, 1.0, rel_tol=1e-3)
+        assert floor < 1e-3
+
+    def test_roundoff_floor_marks_a_straight_span(self):
+        # at s = 1e15 the curvatures are 1e-15: the curve is straight to
+        # rounding, its tension about 1e-73, and the stencil returns noise
+        rows = conjecture_scan(3, 1.0, [0.0, 1.5, 3.0], (1e15, 1.0000000000000002e15))
+        for row in rows:
+            assert row.exact_tension_sup < 1e-72
+            assert 0.0 < row.fd_tension_sup <= row.fd_roundoff_floor
+            assert row.fd_below_floor
+        # at the default span every estimate stands far above its floor
+        for row in conjecture_scan(3, 1.0, [0.0, 2.0], (1.0, 3.0)):
+            assert row.fd_tension_sup > 100 * row.fd_roundoff_floor
+            assert not row.fd_below_floor
+
+    def test_roundoff_floor_formula(self):
+        # eps * max|p| * stride * sum |i| |w_i| / spacing^k on a straight line
+        positions = np.zeros((401, 2))
+        positions[:, 0] = np.arange(401) * 1e-3
+        samples = CurveSamples(h=1e-3, span=(0.0, 0.4), positions=positions)
+        _, floor, _ = _fd_tension_sup(samples, 6, 0.02)
+        offsets = np.arange(-7.0, 8.0)
+        weights = fornberg_weights(0.0, offsets, 6)[:, 6]
+        expected = np.finfo(float).eps * 0.4 * 20 * np.abs(offsets * weights).sum() / 0.02**6
+        assert math.isclose(floor, expected, rel_tol=1e-12)
