@@ -29,6 +29,10 @@ from .frenet import constraint_system
 
 DEFAULT_SEED = 42
 
+# flags whose value may begin with "-": argparse reads a separate "-1e-3",
+# "-inf" or "-1:1" as an option unless the value is joined to its flag
+SIGNED_FLAGS = ("--K", "--alpha", "--span", "--beta-grid")
+
 # the parameters each verify curve takes in --params, with their defaults;
 # any other name is a usage error
 VERIFY_PARAMETERS = {
@@ -427,10 +431,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """``argv`` with the separate value of each of :data:`SIGNED_FLAGS`
+    joined to it when it begins with one "-": ``--K -1e-3`` becomes
+    ``--K=-1e-3``."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in SIGNED_FLAGS and token[:1] == "-" and token[:2] != "--":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_signed_values(argv))
     except SystemExit as stop:
         return int(stop.code or 0)
     started = time.perf_counter()

@@ -554,6 +554,13 @@ class TestBadNumbers:
              "--tol: must be positive and finite, got 'nan'"),
             # at K <= 0 nothing is sampled, but the same input checks hold
             (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
+            # a separate value that begins with "-" parses as the joined form
+            (["classify", "--order", "3", "--K", "-inf"], "K must be finite, got -inf"),
+            (["conjecture", "--order", "3", "--alpha", "-inf", "--beta-grid", "0:1:2"],
+             "alpha must be finite and nonzero, got -inf"),
+            (["integrate", "--profile", "k1=1", "--span", "-1:-inf"], "-1:-inf"),
+            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "-inf:1:2"],
+             "-inf:1:2"),
             (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
             (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
             (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
@@ -567,6 +574,20 @@ class TestBadNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert value in captured.err
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["classify", "--order", "2"], "--K", "-1e-3"),
+        (["classify", "--order", "2"], "--K", "-1e300"),
+        (["classify", "--order", "2"], "--K", "-0.5"),
+        (["conjecture", "--order", "3", "--beta-grid", "0:1:2"], "--alpha", "-1e-1"),
+        (["integrate", "--profile", "k1=1", "--step", "0.01"], "--span", "-1:1"),
+        (["conjecture", "--order", "3", "--alpha", "1"], "--beta-grid", "-1:1:3"),
+    ])
+    def test_signed_value_parses_like_the_joined_form(self, capsys, argv, flag, value):
+        assert dispatch(argv + [f"{flag}={value}"]) == 0
+        joined = capsys.readouterr()
+        assert dispatch(argv + [flag, value]) == 0
+        assert capsys.readouterr() == joined
 
 
 # -- acceptance driver -------------------------------------------------------
