@@ -672,3 +672,17 @@ def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
         compiled = CompiledSystem(constraint_system(r, set(pattern)))
         for K in (-1.0, 0.0):
             assert solve_helix(r, K, pattern).unknowns == compiled.unknowns
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_stall_exit_ends_the_search_before_the_iteration_cap(r, monkeypatch):
+    # pattern {3} at K = 1: the starts that land on the family are roots
+    # whose steps stop shrinking at the residual floor; only the stall exit
+    # drops them, so without it the loop would run all NEWTON_ITERATIONS
+    calls = []
+    newton_step = classify._newton_step
+    monkeypatch.setattr(classify, "_newton_step",
+                        lambda J, F: calls.append(len(J)) or newton_step(J, F))
+    report = solve_helix(r, 1.0, {3}, trials=200, seed=42)
+    assert report.proper_solutions()
+    assert len(calls) < classify.NEWTON_ITERATIONS
