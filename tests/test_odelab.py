@@ -495,8 +495,9 @@ class TestIntegrator:
 
     def test_python_work_grows_with_blocks_not_steps(self, monkeypatch):
         # one 10 000-step run: one block call per REORTHO_INTERVAL steps of
-        # each pass, and fewer traced odelab lines than steps, so a per-step
-        # Python loop anywhere in the module fails here
+        # each pass, and fewer traced odelab lines than half the steps (about
+        # 3400 today), so a Python loop over the steps, or over the steps of a
+        # block, anywhere in the module fails here
         steps = 10_000
         calls = []
         advance = odelab._advance_block
@@ -518,7 +519,7 @@ class TestIntegrator:
         finally:
             sys.settrace(previous)
         assert len(calls) == steps // REORTHO_INTERVAL + steps // 2 // REORTHO_INTERVAL
-        assert len(lines) < steps
+        assert len(lines) < steps // 2
 
 
 # -- scalar first integral ---------------------------------------------------
