@@ -55,11 +55,13 @@ REORTHO_INTERVAL = 100
 # RK4 step maps are built this many blocks of REORTHO_INTERVAL steps at a time
 CHUNK_BLOCKS = 10
 # An integration stores (steps + 1) x (m + 2) x d frame and position values,
-# plus the step maps of one chunk; 2^25 float64s are 256 MiB.
+# plus the step maps of one chunk; 2^25 float64s are 256 MiB.  At about
+# 1.3 us per step of the two passes (shared 2-core Xeon, one BLAS thread) a
+# one-curvature planar run reaches the bound in about 11 s.
 MAX_FRAME_VALUES = 2**25
 # Each scan point integrates its own trajectory and derives its own exact
-# chain, about 15 ms a point at the default span, so 1000 points take about
-# 15 s.
+# chain, about 7 ms a point at order 3 and 9 ms at order 4 at the default
+# span (mostly the exact chain), so 1000 points take about 7-9 s.
 MAX_SCAN_POINTS = 1000
 SCAN_STEP = 1e-3     # RK4 step of the trajectories a conjecture scan integrates
 
