@@ -398,7 +398,12 @@ def _check_run(
         )
     profile.check_span(span)
     intervals = (span[1] - span[0]) / h
-    values = (intervals + 1) * (profile.count + 2) * d + _chunk_values(profile.count)
+    # the stored frames and positions, and the step maps of one chunk, for
+    # which _step_maps holds at most 14 (m + 1) x (m + 1) matrices and 6m
+    # curvatures a step
+    m = profile.count
+    chunk = CHUNK_BLOCKS * REORTHO_INTERVAL * (14 * (m + 1) ** 2 + 6 * m)
+    values = (intervals + 1) * (m + 2) * d + chunk
     if values > MAX_FRAME_VALUES:
         raise ValueError(
             f"step {h} over span {span[0]}:{span[1]} in dimension {d} would store "
@@ -408,12 +413,6 @@ def _check_run(
     if steps < 2:
         raise ValueError(f"span {span[0]}:{span[1]} is shorter than one step at 2h = {2 * h}")
     return steps
-
-
-def _chunk_values(m: int) -> int:
-    """Values the step maps of one chunk hold at once: :func:`_step_maps`
-    keeps at most 14 (m + 1) x (m + 1) matrices and 4m curvatures a step."""
-    return CHUNK_BLOCKS * REORTHO_INTERVAL * (14 * (m + 1) ** 2 + 4 * m)
 
 
 def _step_maps(
