@@ -554,6 +554,12 @@ class TestBadNumbers:
              "--tol: must be positive and finite, got 'nan'"),
             # at K <= 0 nothing is sampled, but the same input checks hold
             (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
+            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
+            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
+            (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
+            (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
+            (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],
+             "--tol: must be positive and finite, got 'inf'"),
             # a separate value that begins with "-" parses as the joined form
             (["classify", "--order", "3", "--K", "-inf"], "K must be finite, got -inf"),
             (["conjecture", "--order", "3", "--alpha", "-inf", "--beta-grid", "0:1:2"],
@@ -561,12 +567,6 @@ class TestBadNumbers:
             (["integrate", "--profile", "k1=1", "--span", "-1:-inf"], "-1:-inf"),
             (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "-inf:1:2"],
              "-inf:1:2"),
-            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
-            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
-            (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
-            (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
-            (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],
-             "--tol: must be positive and finite, got 'inf'"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
