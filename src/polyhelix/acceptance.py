@@ -247,19 +247,17 @@ def _run_first_variation(seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for curve, order in certified:
-        for _ in range(10):
-            bump = spherecurves.random_bump(curve.dimension, rng)
-            value = abs(spherecurves.first_variation(curve, order, bump))
+        bumps = [spherecurves.random_bump(curve.dimension, rng) for _ in range(10)]
+        for value in spherecurves.first_variation(curve, order, bumps):
+            value = abs(value)
             worst = max(worst, value)
             if value > 1e-5:
                 return False, f"order-{order} variation {value:.3e} > 1e-5"
     mismatched = 0.0
     curve = spherecurves.tri_planar()
-    for _ in range(10):
-        bump = spherecurves.random_bump(curve.dimension, rng)
-        mismatched = max(
-            mismatched, abs(spherecurves.first_variation(curve, 2, bump))
-        )
+    bumps = [spherecurves.random_bump(curve.dimension, rng) for _ in range(10)]
+    for value in spherecurves.first_variation(curve, 2, bumps):
+        mismatched = max(mismatched, abs(value))
     if mismatched <= 1e-3:
         return False, f"wrong-order variation only {mismatched:.3e}"
     return True, (

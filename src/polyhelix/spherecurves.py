@@ -26,6 +26,7 @@ same connection to sampled derivative jets, here and in the odelab monitors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,9 @@ DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
 ARCLENGTH_TOL = 1e-9      # largest deviation of |gamma'|^2 from 1 at unit speed
 PERIOD_SAMPLES = 256      # points per period of the sampled ODE residuals
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
+QUAD_LEVELS = (8, 16, 32, 64, 128, 256, 512)  # panel counts of the doubling quadrature
+GAUSS_NODES = 24          # nodes of each quadrature panel
+MAX_PASS_NODES = QUAD_LEVELS[-1] * GAUSS_NODES  # nodes one quadrature pass may hold
 BUMP_STARTS = (1.0, 6.0)  # range of random_bump support starts
 BUMP_WIDTHS = (2.0, 4.0)  # range of random_bump support widths
 
@@ -399,6 +403,10 @@ class BumpPerturbation:
         sin^(2q) t = 4^-q C(2q, q) + 2 4^-q sum_j (-1)^j C(2q, q-j) cos(2jt),
 
     so the jet carries no finite-difference error.
+
+    :func:`first_variation` evaluates a group of bumps of one sharpness as
+    one stacked bump whose ``start``, ``width`` and ``direction`` are arrays
+    with one bump per leading index, broadcasting against ``s``.
     """
 
     start: float
@@ -426,7 +434,7 @@ class BumpPerturbation:
                 freq = 2.0 * j * omega
                 # d-th derivative of cos(2 j t) in s
                 angle = 2.0 * j * t + d * math.pi / 2.0
-                total += coeff * freq**d * np.cos(angle)
+                total += _float_power(freq, d, coeff) * np.cos(angle)
             jet.append(np.where(inside, total, 0.0))
         return jet
 
@@ -436,6 +444,16 @@ class BumpPerturbation:
             profile[..., None] * direction
             for profile in self.profile_jet(s, orders)
         ]
+
+
+def _float_power(base, exponent: int, factor: float):
+    """``factor * base ** exponent`` entry by entry in Python floats.
+
+    numpy's vectorized power rounds differently from Python's, so this keeps
+    a stacked bump's jet bit for bit equal to the jets of its bumps alone."""
+    return np.reshape(
+        [factor * b**exponent for b in np.ravel(base).tolist()], np.shape(base)
+    )
 
 
 def random_bump(dimension: int, rng: np.random.Generator) -> BumpPerturbation:
@@ -516,61 +534,114 @@ def _projected_jet(
     return _jet_scale(inv_norm, curve_jet, orders)
 
 
-def _energy_on_support(
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss-Legendre panel rule, built on first use."""
+    return np.polynomial.legendre.leggauss(GAUSS_NODES)
+
+
+def _energy_pass(
     curve: TrigCurve,
-    perturbation: BumpPerturbation,
+    bumps: Sequence[BumpPerturbation],
     r: int,
     t: complex,
-    panels: int,
-) -> complex:
-    """Order-``r`` energy of the projected curve ``gamma + t beta`` over the
-    support, by ``panels`` equal 24-node Gauss-Legendre panels evaluated as
-    one array.  Every step is analytic in ``t``, so a complex ``t`` carries
-    the derivative in the imaginary part."""
-    lo, hi = perturbation.support
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    half = 0.5 * (hi - lo) / panels
-    s = (lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes
-    beta_jet = perturbation.jet(s, r)
+    levels: tuple[int, ...],
+) -> np.ndarray:
+    """Order-``r`` energies of the projected curves ``gamma + t beta`` over
+    each bump's support, one row per bump and one column per panel count in
+    ``levels``, by equal :data:`GAUSS_NODES`-node Gauss-Legendre panels.
+
+    Every bump and level is one node array of shape (bumps, panels, nodes),
+    evaluated in one pass; each bump's panels at each level are then reduced
+    as a lone bump's would be, so every energy is bit for bit the one its
+    bump and level give alone.  Every step is analytic in ``t``, so a
+    complex ``t`` carries the derivative in the imaginary part."""
+    nodes, weights = _gauss_rule()
+    stack = BumpPerturbation(
+        start=np.array([bump.start for bump in bumps])[:, None, None],
+        width=np.array([bump.width for bump in bumps])[:, None, None],
+        direction=np.array([bump.direction for bump in bumps])[:, None, None, :],
+        sharpness=bumps[0].sharpness,
+    )
+    lo, hi = (end[:, :, 0] for end in stack.support)
+    halves, centres = [], []
+    for panels in levels:
+        half = 0.5 * (hi - lo) / panels
+        centres.append(lo + half * np.arange(1, 2 * panels, 2))
+        halves.append(np.broadcast_to(half, centres[-1].shape))
+    halves, centres = np.concatenate(halves, axis=1), np.concatenate(centres, axis=1)
+    s = centres[..., None] + halves[..., None] * nodes
+    beta_jet = stack.jet(s, r)
     jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
     top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
     density = np.einsum("...i,...i->...", top, top)
-    return half * np.sum(density @ weights)
+    energies = np.empty((len(bumps), len(levels)), dtype=density.dtype)
+    first = 0
+    for k, panels in enumerate(levels):
+        for b in range(len(bumps)):
+            energies[b, k] = halves[b, first] * np.sum(
+                density[b, first : first + panels] @ weights
+            )
+        first += panels
+    return energies
 
 
 def first_variation(
-    curve: TrigCurve, r: int, perturbation: BumpPerturbation
-) -> float:
+    curve: TrigCurve, r: int, perturbations: Sequence[BumpPerturbation]
+) -> list[float]:
     """d/dt of the order-``r`` energy of the radially projected perturbed
-    curve at t = 0, by the complex step ``Im E(ih) / h``.
+    curve at t = 0, one value per perturbation, by the complex step
+    ``Im E(ih) / h``.
 
     The complex step subtracts nothing, so ``h`` can sit far below any
-    truncation error without cancellation.  Only the support of the
+    truncation error without cancellation.  Only the support of each
     perturbation is integrated: outside it the projected curve does not
-    depend on ``t``.  The quadrature doubles its panel count from 8 up to
-    512 and stops once two consecutive derivatives agree to ``QUAD_TOL``
-    relative to ``1 + |value|``.
+    depend on ``t``.  Each bump's quadrature doubles its panel count from 8
+    up to 512 and stops once two consecutive derivatives agree to
+    ``QUAD_TOL`` relative to ``1 + |value|``.  The bumps are evaluated
+    together: one pass takes every bump at 8 and 16 panels, and each later
+    pass takes, at the next level, only the bumps still short of agreement.
+    A pass holds at most :data:`MAX_PASS_NODES` nodes; further bumps go to
+    the next pass.  Each value is bit for bit the one the bump gives alone.
 
     The energy density carries derivatives up to order ``r``, so the boundary
     terms vanish only when the bump's derivatives up to ``r - 1`` vanish at
     its support ends; a ``sin^(2q)`` profile's vanish up to ``2q - 1``, so
-    ``r`` may be at most twice the sharpness ``q``.
+    ``r`` may be at most twice the sharpness ``q``.  The bumps of one call
+    share one sharpness.
     """
     check_tension_order(r)
-    if r > 2 * perturbation.sharpness:
-        raise ValueError(
-            f"order {r} needs a bump of sharpness at least {(r + 1) // 2}, "
-            f"got sharpness {perturbation.sharpness}"
-        )
+    for bump in perturbations:
+        if r > 2 * bump.sharpness:
+            raise ValueError(
+                f"order {r} needs a bump of sharpness at least {(r + 1) // 2}, "
+                f"got sharpness {bump.sharpness}"
+            )
+    sharpness = sorted({bump.sharpness for bump in perturbations})
+    if len(sharpness) > 1:
+        raise ValueError(f"bumps of one call must share a sharpness, got {sharpness}")
     h = 1e-30
-    previous = math.inf
-    for panels in (8, 16, 32, 64, 128, 256, 512):
-        energy = _energy_on_support(curve, perturbation, r, 1j * h, panels)
-        current = float(energy.imag) / h
-        if abs(current - previous) <= QUAD_TOL * (1.0 + abs(current)):
-            break
-        previous = current
-    return current
+    values: list[list[float]] = [[] for _ in perturbations]
+    pending = list(range(len(perturbations)))
+    levels = QUAD_LEVELS[:2]
+    while pending:
+        per_pass = MAX_PASS_NODES // (GAUSS_NODES * sum(levels))
+        for first in range(0, len(pending), per_pass):
+            chunk = pending[first : first + per_pass]
+            energies = _energy_pass(
+                curve, [perturbations[b] for b in chunk], r, 1j * h, levels
+            )
+            for b, row in zip(chunk, energies):
+                values[b].extend(float(energy.imag) / h for energy in row)
+        pending = [
+            b
+            for b in pending
+            if len(values[b]) < len(QUAD_LEVELS)
+            and not abs(values[b][-1] - values[b][-2])
+            <= QUAD_TOL * (1.0 + abs(values[b][-1]))
+        ]
+        levels = (QUAD_LEVELS[len(values[pending[0]])],) if pending else ()
+    return [v[-1] for v in values]
 
 
 # -- the two-frequency family ------------------------------------------------

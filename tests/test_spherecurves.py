@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyhelix import acceptance, spherecurves
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.spherecurves import (
     BumpPerturbation,
     FrameDegeneracyError,
+    MAX_PASS_NODES,
     TrigCurve,
     WORKING_DPS,
     _CovariantAlgebra,
-    _energy_on_support,
     _jet_rsqrt,
     _projected_jet,
     biharmonic_circle,
@@ -88,6 +89,77 @@ def r_planar(r: int) -> TrigCurve:
     """Planar curve critical at order r: squared frequency r, weight 1/r
     (k1^2 = r - 1); tri_planar and four_planar are r = 3 and 4."""
     return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
+
+
+def highest_order_group(r: int) -> tuple[TrigCurve, list[BumpPerturbation]]:
+    """The r-planar curve and three sin^10 bumps: sharp enough for orders up
+    to 10."""
+    curve = r_planar(r)
+    rng = np.random.default_rng(r)
+    return curve, [
+        replace(random_bump(curve.dimension, rng), sharpness=5) for _ in range(3)
+    ]
+
+
+def lone_energy(curve: TrigCurve, bump: BumpPerturbation, r: int, t, panels: int):
+    """Order-``r`` energy of the projected curve ``gamma + t beta`` over one
+    bump's support by ``panels`` equal 24-node Gauss-Legendre panels: the
+    one-bump pass that ``first_variation`` evaluates in batches."""
+    lo, hi = bump.support
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * (hi - lo) / panels
+    s = (lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes
+    beta_jet = bump.jet(s, r)
+    jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
+    top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
+    density = np.einsum("...i,...i->...", top, top)
+    return half * np.sum(density @ weights)
+
+
+def lone_first_variation(curve: TrigCurve, r: int, bump: BumpPerturbation):
+    """Oracle for ``first_variation``: one bump's complex-step derivative by
+    the doubling loop, one :func:`lone_energy` pass per level from 8 to 512
+    panels, stopping once two levels agree to ``QUAD_TOL``.  Returns the
+    value and the number of levels evaluated."""
+    h = 1e-30
+    previous = math.inf
+    for levels, panels in enumerate((8, 16, 32, 64, 128, 256, 512), 1):
+        current = float(lone_energy(curve, bump, r, 1j * h, panels).imag) / h
+        if abs(current - previous) <= spherecurves.QUAD_TOL * (1.0 + abs(current)):
+            break
+        previous = current
+    return current, levels
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """``(bumps, levels)`` of every quadrature pass ``first_variation`` makes."""
+    recorded = []
+    evaluate = spherecurves._energy_pass
+
+    def spy(curve, bumps, r, t, levels):
+        recorded.append((list(bumps), levels))
+        return evaluate(curve, bumps, r, t, levels)
+
+    monkeypatch.setattr(spherecurves, "_energy_pass", spy)
+    return recorded
+
+
+def batched_against_lone(curve, r, bumps, passes) -> list[tuple[int, int]]:
+    """Check one ``first_variation`` call bump by bump against
+    :func:`lone_first_variation`: the same value bit for bit, after the same
+    number of levels.  Returns each bump's (batched, lone) level count."""
+    passes.clear()
+    values = first_variation(curve, r, bumps)
+    counts = []
+    for bump, value in zip(bumps, values):
+        want, levels = lone_first_variation(curve, r, bump)
+        assert value.hex() == want.hex()
+        batched = sum(len(lv) for chunk, lv in passes if any(b is bump for b in chunk))
+        counts.append((batched, levels))
+    assert len(values) == len(bumps)
+    assert all(batched == lone for batched, lone in counts)
+    return counts
 
 
 # -- construction ------------------------------------------------------------
@@ -275,7 +347,7 @@ class TestIntrinsicTension:
             with pytest.raises(ValueError, match=f"got {r}$"):
                 intrinsic_tau_residual(biharmonic_circle(), r)
             with pytest.raises(ValueError, match=f"got {r}$"):
-                first_variation(biharmonic_circle(), r, bump)
+                first_variation(biharmonic_circle(), r, [bump])
 
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_critical_only_at_its_order(self, r):
@@ -504,31 +576,31 @@ class TestFirstVariation:
             (four_planar(), 4),
         ):
             bump = random_bump(curve.dimension, rng)
-            assert abs(first_variation(curve, order, bump)) < 1e-6
+            (value,) = first_variation(curve, order, [bump])
+            assert abs(value) < 1e-6
 
     def test_non_critical_pair_shows_nonzero_variation(self):
         rng = np.random.default_rng(42)
         bump = random_bump(tri_planar().dimension, rng)
-        assert abs(first_variation(tri_planar(), 2, bump)) > 1e-3
+        (value,) = first_variation(tri_planar(), 2, [bump])
+        assert abs(value) > 1e-3
 
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_stationary_only_at_its_order(self, r):
         curve = r_planar(r)
-        bump = random_bump(curve.dimension, np.random.default_rng(r))
-        assert abs(first_variation(curve, r, bump)) < 1e-6
-        assert abs(first_variation(curve, r + 1, bump)) > 1e-3
+        bumps = [random_bump(curve.dimension, np.random.default_rng(r))]
+        assert abs(first_variation(curve, r, bumps)[0]) < 1e-6
+        assert abs(first_variation(curve, r + 1, bumps)[0]) > 1e-3
 
     @pytest.mark.parametrize("r", [8, 9, 10])
     def test_r_planar_curve_is_stationary_at_the_highest_orders(self, r):
         # sin^10 bumps vanish at their support ends up to derivative 9, as
         # order 10 needs; the matched-order floor grows with r, so it is
         # judged against the wrong-order variation of the same bump
-        curve = r_planar(r)
-        rng = np.random.default_rng(r)
-        for _ in range(3):
-            bump = replace(random_bump(curve.dimension, rng), sharpness=5)
-            wrong = first_variation(curve, r - 1, bump)
-            assert abs(first_variation(curve, r, bump)) <= 1e-6 * abs(wrong)
+        curve, bumps = highest_order_group(r)
+        wrong = first_variation(curve, r - 1, bumps)
+        for matched, wrong in zip(first_variation(curve, r, bumps), wrong):
+            assert abs(matched) <= 1e-6 * abs(wrong)
 
     def test_rejects_a_bump_too_blunt_for_the_order(self):
         # a sin^8 bump's ninth derivative does not vanish at its support ends
@@ -536,7 +608,16 @@ class TestFirstVariation:
         bump = random_bump(curve.dimension, np.random.default_rng(0))
         assert bump.sharpness == 4
         with pytest.raises(ValueError, match="sharpness at least 5, got sharpness 4"):
-            first_variation(curve, 9, bump)
+            first_variation(curve, 9, [replace(bump, sharpness=5), bump])
+
+    def test_rejects_bumps_of_mixed_sharpness(self):
+        bump = random_bump(3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"share a sharpness, got \[4, 5\]"):
+            first_variation(tri_planar(), 3, [bump, replace(bump, sharpness=5)])
+
+    def test_empty_group_has_no_values(self, passes):
+        assert first_variation(tri_planar(), 3, []) == []
+        assert passes == []
 
     @pytest.mark.parametrize(
         "curve, matched, wrong",
@@ -547,7 +628,7 @@ class TestFirstVariation:
         # oracle: fourth-order central difference of the real-t energy at a
         # fixed 64-panel rule, fine enough that quadrature error is negligible
         def stencil(r, bump, h=1e-4, panels=64):
-            energy = lambda t: _energy_on_support(curve, bump, r, t, panels)
+            energy = lambda t: lone_energy(curve, bump, r, t, panels)
             return (
                 -energy(2 * h) + 8 * energy(h) - 8 * energy(-h) + energy(-2 * h)
             ) / (12 * h)
@@ -555,11 +636,77 @@ class TestFirstVariation:
         rng = np.random.default_rng(11)
         bump = random_bump(curve.dimension, rng)
         want = stencil(wrong, bump)
-        got = first_variation(curve, wrong, bump)
+        (got,) = first_variation(curve, wrong, [bump])
         assert abs(want) > 1e-3
         assert abs(got - want) <= 1e-7 * abs(want)
         assert abs(stencil(matched, bump)) < 1e-6
-        assert abs(first_variation(curve, matched, bump)) < 1e-6
+        assert abs(first_variation(curve, matched, [bump])[0]) < 1e-6
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_criterion_groups_match_the_lone_loop(self, monkeypatch, passes, seed):
+        # every group criterion #8 evaluates, as the criterion draws it
+        groups = []
+        evaluate = spherecurves.first_variation
+
+        def record(curve, r, bumps):
+            groups.append((curve, r, bumps))
+            return evaluate(curve, r, bumps)
+
+        monkeypatch.setattr(spherecurves, "first_variation", record)
+        assert acceptance._run_first_variation(seed)[0]
+        assert [(len(bumps), r) for _, r, bumps in groups] == [
+            (10, 2), (10, 2), (10, 3), (10, 3), (10, 4), (10, 2)
+        ]
+        for curve, r, bumps in groups:
+            batched_against_lone(curve, r, bumps, passes)
+
+    @pytest.mark.parametrize("r", [8, 9, 10])
+    def test_highest_order_groups_match_the_lone_loop(self, passes, r):
+        curve, bumps = highest_order_group(r)
+        # the matched-order variation sits at its roundoff floor, so no two
+        # levels agree and every bump runs to 512 panels
+        assert batched_against_lone(curve, r, bumps, passes) == [(7, 7)] * 3
+        batched_against_lone(curve, r - 1, bumps, passes)
+
+    def test_one_bump_runs_more_levels_than_the_rest(self, passes):
+        curve, bumps = highest_order_group(9)
+        counts = batched_against_lone(curve, 8, bumps, passes)
+        assert [lone for _, lone in counts] == [2, 5, 2]
+        # later levels take only the bump still short of agreement
+        assert [(len(chunk), levels) for chunk, levels in passes] == [
+            (3, (8, 16)), (1, (32,)), (1, (64,)), (1, (128,))
+        ]
+
+    def test_criterion_makes_one_pass_per_group(self, passes):
+        # six groups of ten bumps; 120 single-bump passes before batching
+        assert acceptance._run_first_variation(42)[0]
+        assert len(passes) <= 12
+        assert all(len(chunk) == 10 for chunk, _ in passes)
+
+    def test_unconverged_group_stays_within_the_node_cap(self, monkeypatch, passes):
+        # no two levels ever agree, so every bump runs to 512 panels and the
+        # late levels split the group over several passes
+        monkeypatch.setattr(spherecurves, "QUAD_TOL", -1.0)
+        nodes = []
+        jet = BumpPerturbation.jet
+
+        def record(bump, s, orders):
+            nodes.append(np.size(s))
+            return jet(bump, s, orders)
+
+        monkeypatch.setattr(BumpPerturbation, "jet", record)
+        curve = four_planar()
+        rng = np.random.default_rng(5)
+        bumps = [random_bump(curve.dimension, rng) for _ in range(10)]
+        values = first_variation(curve, 4, bumps)
+        assert max(nodes) <= MAX_PASS_NODES == 12288
+        assert sum(nodes) == 10 * 24 * (8 + 16 + 32 + 64 + 128 + 256 + 512)
+        assert len(passes) == 1 + 1 + 2 + 3 + 5 + 10
+        monkeypatch.setattr(BumpPerturbation, "jet", jet)
+        for bump, value in zip(bumps, values):
+            want, levels = lone_first_variation(curve, 4, bump)
+            assert levels == 7
+            assert value.hex() == want.hex()
 
 
 class TestJets:
