@@ -353,7 +353,9 @@ class CurveSamples:
         s = data[:, 0]
         with np.errstate(over="ignore", invalid="ignore"):
             steps = np.diff(s)
-            h = float(steps[0])
+            # from the ends, not a first difference that carries the
+            # rounding of the s column near its start
+            h = float((s[-1] - s[0]) / (len(s) - 1))
             # written so that an overflowed step reads as not uniform
             uniform = np.all(np.abs(steps - h) <= 1e-9 * max(1.0, abs(h)))
         if not uniform:

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhelix import odelab
+from polyhelix.cli import dispatch
 from polyhelix.odelab import (
     FRAME_DEFECT_LIMIT,
     MAX_FRAME_VALUES,
@@ -274,6 +275,16 @@ class TestCurveSamples:
         assert loaded.h == samples.h
         assert loaded.span == samples.span
         assert np.array_equal(loaded.positions, samples.positions)
+
+    def test_from_csv_reads_the_written_step_exactly(self, tmp_path):
+        # s = 1 + i h rounds near s = 1, so s[1] - s[0] reads
+        # 0.00099999999999989; the ends give the step to the last digit
+        path = tmp_path / "trajectory.csv"
+        argv = ["integrate", "--profile", "k1=1/s,k2=2/s", "--span", "1:3", "--step", "1e-3"]
+        assert dispatch(argv + ["--out", str(path)]) == 0
+        loaded = CurveSamples.from_csv(path)
+        assert loaded.h == 1e-3
+        assert loaded.span == (1.0, 3.0)
 
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
