@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 AMBIENT = 0
@@ -269,8 +269,13 @@ class CurvaturePolynomial:
     def substitute_zero(self, variables: Iterable[int]) -> "CurvaturePolynomial":
         """Set the listed variables to zero: drop every term containing one."""
         dead = [_slot(vid) for vid in set(variables)]
+        if not dead:
+            return CurvaturePolynomial(self._terms)
+        exponents = itemgetter(*dead)
+        # 0 for one dead slot, a tuple of zeros for several
+        alive = exponents(_ONE_MONO)
         return CurvaturePolynomial(
-            {m: c for m, c in self._terms.items() if not any(m[s] for s in dead)}
+            {m: c for m, c in self._terms.items() if exponents(m) == alive}
         )
 
     def substitute(self, vid: int, replacement: "CurvaturePolynomial") -> "CurvaturePolynomial":

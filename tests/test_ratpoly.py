@@ -95,6 +95,9 @@ def test_substitute_zero():
     q = p.substitute_zero([3])
     assert q == kvar(1) ** 2 + ambient()
     assert p.substitute_zero([]) == p
+    # several variables, one of them repeated
+    assert p.substitute_zero([3, AMBIENT, 3]) == kvar(1) ** 2
+    assert p.substitute_zero([1, 3, AMBIENT]).is_zero()
 
 
 def test_substitute_polynomial():
