@@ -414,10 +414,6 @@ class BumpPerturbation:
     direction: tuple[float, ...]
     sharpness: int = 4
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.start, self.start + self.width)
-
     def profile_jet(self, s: np.ndarray, orders: int) -> list[np.ndarray]:
         q = self.sharpness
         omega = math.pi / self.width
@@ -434,7 +430,7 @@ class BumpPerturbation:
                 freq = 2.0 * j * omega
                 # d-th derivative of cos(2 j t) in s
                 angle = 2.0 * j * t + d * math.pi / 2.0
-                total += _float_power(freq, d, coeff) * np.cos(angle)
+                total += _scaled_power(freq, d, coeff) * np.cos(angle)
             jet.append(np.where(inside, total, 0.0))
         return jet
 
@@ -446,7 +442,7 @@ class BumpPerturbation:
         ]
 
 
-def _float_power(base, exponent: int, factor: float):
+def _scaled_power(base, exponent: int, factor: float):
     """``factor * base ** exponent`` entry by entry in Python floats.
 
     numpy's vectorized power rounds differently from Python's, so this keeps
@@ -557,33 +553,31 @@ def _energy_pass(
     bump and level give alone.  Every step is analytic in ``t``, so a
     complex ``t`` carries the derivative in the imaginary part."""
     nodes, weights = _gauss_rule()
+    lo = np.array([bump.start for bump in bumps])[:, None]
+    width = np.array([bump.width for bump in bumps])[:, None]
     stack = BumpPerturbation(
-        start=np.array([bump.start for bump in bumps])[:, None, None],
-        width=np.array([bump.width for bump in bumps])[:, None, None],
+        start=lo[..., None],
+        width=width[..., None],
         direction=np.array([bump.direction for bump in bumps])[:, None, None, :],
         sharpness=bumps[0].sharpness,
     )
-    lo, hi = (end[:, :, 0] for end in stack.support)
-    halves, centres = [], []
-    for panels in levels:
-        half = 0.5 * (hi - lo) / panels
-        centres.append(lo + half * np.arange(1, 2 * panels, 2))
-        halves.append(np.broadcast_to(half, centres[-1].shape))
-    halves, centres = np.concatenate(halves, axis=1), np.concatenate(centres, axis=1)
-    s = centres[..., None] + halves[..., None] * nodes
+    hi = lo + width
+    # each panel's half width, and its centre in half widths from lo
+    halves = np.concatenate(
+        [np.repeat(0.5 * (hi - lo) / panels, panels, axis=1) for panels in levels], axis=1
+    )
+    odd = np.concatenate([np.arange(1, 2 * panels, 2) for panels in levels])
+    s = (lo + halves * odd)[..., None] + halves[..., None] * nodes
     beta_jet = stack.jet(s, r)
     jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
     top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
     density = np.einsum("...i,...i->...", top, top)
-    energies = np.empty((len(bumps), len(levels)), dtype=density.dtype)
-    first = 0
-    for k, panels in enumerate(levels):
-        for b in range(len(bumps)):
-            energies[b, k] = halves[b, first] * np.sum(
-                density[b, first : first + panels] @ weights
-            )
+    energies, first = [], 0
+    for panels in levels:
+        block = zip(halves[:, first], density[:, first : first + panels])
+        energies.append([half * np.sum(rows @ weights) for half, rows in block])
         first += panels
-    return energies
+    return np.array(energies).T
 
 
 def first_variation(

@@ -105,7 +105,7 @@ def lone_energy(curve: TrigCurve, bump: BumpPerturbation, r: int, t, panels: int
     """Order-``r`` energy of the projected curve ``gamma + t beta`` over one
     bump's support by ``panels`` equal 24-node Gauss-Legendre panels: the
     one-bump pass that ``first_variation`` evaluates in batches."""
-    lo, hi = bump.support
+    lo, hi = bump.start, bump.start + bump.width
     nodes, weights = np.polynomial.legendre.leggauss(24)
     half = 0.5 * (hi - lo) / panels
     s = (lo + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes
