@@ -248,8 +248,7 @@ def _run_first_variation(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for curve, order in certified:
         bumps = [spherecurves.random_bump(curve.dimension, rng) for _ in range(10)]
-        for value in spherecurves.first_variation(curve, order, bumps):
-            value = abs(value)
+        for value in map(abs, spherecurves.first_variation(curve, order, bumps)):
             worst = max(worst, value)
             if value > 1e-5:
                 return False, f"order-{order} variation {value:.3e} > 1e-5"

@@ -541,17 +541,17 @@ def _energy_pass(
     bumps: Sequence[BumpPerturbation],
     r: int,
     t: complex,
-    levels: tuple[int, ...],
-) -> np.ndarray:
-    """Order-``r`` energies of the projected curves ``gamma + t beta`` over
-    each bump's support, one row per bump and one column per panel count in
-    ``levels``, by equal :data:`GAUSS_NODES`-node Gauss-Legendre panels.
+    panels: int,
+) -> list[complex]:
+    """Order-``r`` energy of the projected curve ``gamma + t beta`` over the
+    support of each bump, by ``panels`` equal :data:`GAUSS_NODES`-node
+    Gauss-Legendre panels.
 
-    Every bump and level is one node array of shape (bumps, panels, nodes),
-    evaluated in one pass; each bump's panels at each level are then reduced
-    as a lone bump's would be, so every energy is bit for bit the one its
-    bump and level give alone.  Every step is analytic in ``t``, so a
-    complex ``t`` carries the derivative in the imaginary part."""
+    All bumps form one node array of shape (bumps, panels, nodes), evaluated
+    in one pass; each bump's panels are then reduced as a lone bump's would
+    be, so every energy is bit for bit the one its bump gives alone.  Every
+    step is analytic in ``t``, so a complex ``t`` carries the derivative in
+    the imaginary part."""
     nodes, weights = _gauss_rule()
     lo = np.array([bump.start for bump in bumps])[:, None]
     width = np.array([bump.width for bump in bumps])[:, None]
@@ -561,23 +561,15 @@ def _energy_pass(
         direction=np.array([bump.direction for bump in bumps])[:, None, None, :],
         sharpness=bumps[0].sharpness,
     )
-    hi = lo + width
-    # each panel's half width, and its centre in half widths from lo
-    halves = np.concatenate(
-        [np.repeat(0.5 * (hi - lo) / panels, panels, axis=1) for panels in levels], axis=1
-    )
-    odd = np.concatenate([np.arange(1, 2 * panels, 2) for panels in levels])
-    s = (lo + halves * odd)[..., None] + halves[..., None] * nodes
+    # the support's length as its ends give it, which may differ from width
+    # in the last bit
+    half = 0.5 * (lo + width - lo) / panels
+    s = (lo + half * np.arange(1, 2 * panels, 2))[..., None] + half[..., None] * nodes
     beta_jet = stack.jet(s, r)
     jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
     top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
     density = np.einsum("...i,...i->...", top, top)
-    energies, first = [], 0
-    for panels in levels:
-        block = zip(halves[:, first], density[:, first : first + panels])
-        energies.append([half * np.sum(rows @ weights) for half, rows in block])
-        first += panels
-    return np.array(energies).T
+    return [h * np.sum(rows @ weights) for h, rows in zip(half[:, 0], density)]
 
 
 def first_variation(
@@ -593,10 +585,10 @@ def first_variation(
     depend on ``t``.  Each bump's quadrature doubles its panel count from 8
     up to 512 and stops once two consecutive derivatives agree to
     ``QUAD_TOL`` relative to ``1 + |value|``.  The bumps are evaluated
-    together: one pass takes every bump at 8 and 16 panels, and each later
-    pass takes, at the next level, only the bumps still short of agreement.
-    A pass holds at most :data:`MAX_PASS_NODES` nodes; further bumps go to
-    the next pass.  Each value is bit for bit the one the bump gives alone.
+    together, one pass per level: every bump at 8 panels, every bump at 16,
+    and each later level only for the bumps still short of agreement.  A
+    pass holds at most :data:`MAX_PASS_NODES` nodes; further bumps go to the
+    next pass.  Each value is bit for bit the one the bump gives alone.
 
     The energy density carries derivatives up to order ``r``, so the boundary
     terms vanish only when the bump's derivatives up to ``r - 1`` vanish at
@@ -617,24 +609,24 @@ def first_variation(
     h = 1e-30
     values: list[list[float]] = [[] for _ in perturbations]
     pending = list(range(len(perturbations)))
-    levels = QUAD_LEVELS[:2]
     while pending:
-        per_pass = MAX_PASS_NODES // (GAUSS_NODES * sum(levels))
+        panels = QUAD_LEVELS[len(values[pending[0]])]
+        per_pass = MAX_PASS_NODES // (GAUSS_NODES * panels)
         for first in range(0, len(pending), per_pass):
             chunk = pending[first : first + per_pass]
             energies = _energy_pass(
-                curve, [perturbations[b] for b in chunk], r, 1j * h, levels
+                curve, [perturbations[b] for b in chunk], r, 1j * h, panels
             )
-            for b, row in zip(chunk, energies):
-                values[b].extend(float(energy.imag) / h for energy in row)
+            for b, energy in zip(chunk, energies):
+                values[b].append(float(energy.imag) / h)
         pending = [
             b
             for b in pending
-            if len(values[b]) < len(QUAD_LEVELS)
+            if len(values[b]) < 2
+            or len(values[b]) < len(QUAD_LEVELS)
             and not abs(values[b][-1] - values[b][-2])
             <= QUAD_TOL * (1.0 + abs(values[b][-1]))
         ]
-        levels = (QUAD_LEVELS[len(values[pending[0]])],) if pending else ()
     return [v[-1] for v in values]
 
 

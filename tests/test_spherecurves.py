@@ -133,13 +133,13 @@ def lone_first_variation(curve: TrigCurve, r: int, bump: BumpPerturbation):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """``(bumps, levels)`` of every quadrature pass ``first_variation`` makes."""
+    """``(bumps, panels)`` of every quadrature pass ``first_variation`` makes."""
     recorded = []
     evaluate = spherecurves._energy_pass
 
-    def spy(curve, bumps, r, t, levels):
-        recorded.append((list(bumps), levels))
-        return evaluate(curve, bumps, r, t, levels)
+    def spy(curve, bumps, r, t, panels):
+        recorded.append((list(bumps), panels))
+        return evaluate(curve, bumps, r, t, panels)
 
     monkeypatch.setattr(spherecurves, "_energy_pass", spy)
     return recorded
@@ -155,7 +155,7 @@ def batched_against_lone(curve, r, bumps, passes) -> list[tuple[int, int]]:
     for bump, value in zip(bumps, values):
         want, levels = lone_first_variation(curve, r, bump)
         assert value.hex() == want.hex()
-        batched = sum(len(lv) for chunk, lv in passes if any(b is bump for b in chunk))
+        batched = sum(any(b is bump for b in chunk) for chunk, _ in passes)
         counts.append((batched, levels))
     assert len(values) == len(bumps)
     assert all(batched == lone for batched, lone in counts)
@@ -673,12 +673,13 @@ class TestFirstVariation:
         counts = batched_against_lone(curve, 8, bumps, passes)
         assert [lone for _, lone in counts] == [2, 5, 2]
         # later levels take only the bump still short of agreement
-        assert [(len(chunk), levels) for chunk, levels in passes] == [
-            (3, (8, 16)), (1, (32,)), (1, (64,)), (1, (128,))
+        assert [(len(chunk), panels) for chunk, panels in passes] == [
+            (3, 8), (3, 16), (1, 32), (1, 64), (1, 128)
         ]
 
     def test_criterion_makes_one_pass_per_group(self, passes):
-        # six groups of ten bumps; 120 single-bump passes before batching
+        # six groups of ten bumps at 8 and 16 panels; 120 single-bump
+        # passes before batching
         assert acceptance._run_first_variation(42)[0]
         assert len(passes) <= 12
         assert all(len(chunk) == 10 for chunk, _ in passes)
@@ -701,7 +702,7 @@ class TestFirstVariation:
         values = first_variation(curve, 4, bumps)
         assert max(nodes) <= MAX_PASS_NODES == 12288
         assert sum(nodes) == 10 * 24 * (8 + 16 + 32 + 64 + 128 + 256 + 512)
-        assert len(passes) == 1 + 1 + 2 + 3 + 5 + 10
+        assert len(passes) == 1 + 1 + 1 + 2 + 3 + 5 + 10
         monkeypatch.setattr(BumpPerturbation, "jet", jet)
         for bump, value in zip(bumps, values):
             want, levels = lone_first_variation(curve, 4, bump)
