@@ -569,7 +569,7 @@ def _energy_pass(
     jet = [curve.derivative(l)(s) + t * beta_jet[l] for l in range(r + 1)]
     top = covariant_jets(_projected_jet(jet, r), 1, r - 1)[-1]
     density = np.einsum("...i,...i->...", top, top)
-    return [h * np.sum(rows @ weights) for h, rows in zip(half[:, 0], density)]
+    return [scale * np.sum(rows @ weights) for scale, rows in zip(half[:, 0], density)]
 
 
 def first_variation(
@@ -619,13 +619,17 @@ def first_variation(
             )
             for b, energy in zip(chunk, energies):
                 values[b].append(float(energy.imag) / h)
+        # a bump stops after the last level or once its last two levels
+        # agree; written so that a NaN never agrees
         pending = [
             b
             for b in pending
             if len(values[b]) < 2
-            or len(values[b]) < len(QUAD_LEVELS)
-            and not abs(values[b][-1] - values[b][-2])
-            <= QUAD_TOL * (1.0 + abs(values[b][-1]))
+            or (
+                len(values[b]) < len(QUAD_LEVELS)
+                and not abs(values[b][-1] - values[b][-2])
+                <= QUAD_TOL * (1.0 + abs(values[b][-1]))
+            )
         ]
     return [v[-1] for v in values]
 
