@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import floordiv, sub
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .frenet import ConstraintSystem, constraint_system
-from .ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial
+from .ratpoly import (
+    AMBIENT,
+    INVERSE_ARCLENGTH,
+    MAX_CURVATURE_INDEX,
+    CurvaturePolynomial as Poly,
+    Monomial,
+    combine_exponents,
+)
 
 DEDUP_TOL = 1e-8
 SNAP_TOL = 1e-12
@@ -63,22 +71,26 @@ def render_squares(poly: Poly) -> str:
     return poly.render(_square_name)
 
 
+# the divisor of each variable's exponent in squared_form: every one but K's
+# is halved
+_SQUARING = Monomial(
+    [(INVERSE_ARCLENGTH, 2), *((i, 2) for i in range(1, MAX_CURVATURE_INDEX + 1)), (AMBIENT, 1)]
+)
+_K_MONO = Monomial([(AMBIENT, 1)])
+
+
 def squared_form(poly: Poly) -> Poly:
     """Rewrite an everywhere-even polynomial in the curvatures as a polynomial
     in the squared curvatures (ambient curvature exponents are kept as-is)."""
     terms = {}
     for mono, coeff in poly.terms():
-        halved = []
-        for vid, e in mono.exps:
-            if vid == AMBIENT:
-                halved.append((vid, e))
-            else:
-                if e % 2:
-                    raise ValueError(
-                        f"odd exponent {e} for k{vid}; not expressible in squares"
-                    )
-                halved.append((vid, e // 2))
-        terms[Monomial(halved)] = coeff
+        halved = combine_exponents(floordiv, mono, _SQUARING)
+        # each odd curvature exponent loses 1/2 to the floor, so the halved
+        # degree falls short of half of (degree + K exponent) exactly then
+        if 2 * halved.degree() != mono.degree() + mono.exponent(AMBIENT):
+            vid, e = next((v, e) for v, e in mono.exps if v != AMBIENT and e % 2)
+            raise ValueError(f"odd exponent {e} for k{vid}; not expressible in squares")
+        terms[halved] = coeff
     return Poly(terms)
 
 
@@ -254,8 +266,7 @@ def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
         if e == 0:
             p_terms[mono] = coeff
         elif e == 1:
-            reduced = Monomial((v, x) for v, x in mono.exps if v != AMBIENT)
-            q_terms[reduced] = -coeff
+            q_terms[combine_exponents(sub, mono, _K_MONO)] = -coeff
         else:
             return None
     P, Q = Poly(p_terms), Poly(q_terms)

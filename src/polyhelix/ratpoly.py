@@ -6,13 +6,13 @@ Variables are identified by small integers: ``1 <= i <=``
 (the constant :data:`AMBIENT`) is the sectional curvature ``K`` of the
 ambient space form, and ``-1`` (the constant :data:`INVERSE_ARCLENGTH`) is
 the inverse arclength ``u = 1/s``.  A :class:`Monomial` is the dense tuple of
-the exponents of every variable in the canonical order
-``u, k_1, k_2, ..., k_N, K``, so comparing two monomials as tuples compares
-them lexicographically, and products, gcds and quotients are slot-wise sums,
-minima and differences.  Coefficients are exact: an integral coefficient is
-an ``int`` (every helix tension coefficient is one), and a
-:class:`fractions.Fraction` appears only with a real denominator, such as a
-curvature profile coefficient ``0.3``.  Every identity checked with this
+its total degree followed by the exponents of every variable in the
+canonical order ``u, k_1, k_2, ..., k_N, K``, so comparing two monomials as
+tuples compares them in graded-lexicographic order, and products and
+quotients are slot-wise sums and differences.  Coefficients are exact: an
+integral coefficient is an ``int`` (every helix tension coefficient is one),
+and a :class:`fractions.Fraction` appears only with a real denominator, such
+as a curvature profile coefficient ``0.3``.  Every identity checked with this
 module is exact, never approximate.
 
 Along a curve the helix curvatures and ``K`` are constants and ``u`` is the
@@ -35,11 +35,12 @@ INVERSE_ARCLENGTH = -1
 # frenet.MAX_TENSION_ORDER = 10.
 MAX_CURVATURE_INDEX = 18
 
-# variable id of each exponent slot, in the canonical order u, k_1 .. k_N, K
+# variable id of each exponent slot, in the canonical order u, k_1 .. k_N, K;
+# slot 0 of a monomial holds its total degree, so these start at slot 1
 _SLOT_VARIABLES = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
-_SLOT = {vid: slot for slot, vid in enumerate(_SLOT_VARIABLES)}
+_SLOT = {vid: slot for slot, vid in enumerate(_SLOT_VARIABLES, 1)}
 # display order of the factors inside a term: K, then u, k_1, k_2, ...
-_DISPLAY_SLOTS = (_SLOT[AMBIENT], *range(_SLOT[AMBIENT]))
+_DISPLAY_SLOTS = (_SLOT[AMBIENT], *range(1, _SLOT[AMBIENT]))
 
 Scalar = Union[int, Fraction]
 
@@ -78,17 +79,18 @@ def _slot(vid: int) -> int:
 
 
 class Monomial(tuple):
-    """The exponents of every variable in the canonical slot order
-    ``u, k_1, ..., k_N, K``; hashable, immutable and ordered as a tuple.
+    """The total degree, then the exponents of every variable in the
+    canonical slot order ``u, k_1, ..., k_N, K``; hashable, immutable and
+    ordered as a tuple, which is graded-lexicographic order.
 
     ``Monomial(pairs)`` builds one from ``(variable, exponent)`` pairs and is
     the only constructor that validates; ring operations build their results
-    slot by slot with :func:`_from_layout`."""
+    slot by slot with :func:`_from_layout`, keeping slot 0 the degree."""
 
     __slots__ = ()
 
     def __new__(cls, exps: Iterable[tuple[int, int]] = ()) -> "Monomial":
-        layout = [0] * len(_SLOT_VARIABLES)
+        layout = [0] * (len(_SLOT_VARIABLES) + 1)
         for vid, e in exps:
             slot = _slot(vid)
             if e < 0:
@@ -96,22 +98,23 @@ class Monomial(tuple):
             if e and layout[slot]:
                 raise ValueError("repeated variable in monomial")
             layout[slot] += e
+        layout[0] = sum(layout)
         return tuple.__new__(cls, layout)
 
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
         """The ``(variable, exponent)`` pairs with a nonzero exponent, in the
         canonical order."""
-        return tuple((vid, e) for vid, e in zip(_SLOT_VARIABLES, self) if e)
+        return tuple((vid, e) for vid, e in zip(_SLOT_VARIABLES, self[1:]) if e)
 
     def degree(self) -> int:
-        return sum(self)
+        return self[0]
 
     def exponent(self, vid: int) -> int:
         return self[_slot(vid)]
 
     def variables(self) -> frozenset[int]:
-        return frozenset(vid for vid, e in zip(_SLOT_VARIABLES, self) if e)
+        return frozenset(vid for vid, e in zip(_SLOT_VARIABLES, self[1:]) if e)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         return _from_layout(map(add, self, other))
@@ -120,8 +123,19 @@ class Monomial(tuple):
         return f"Monomial({list(self.exps)!r})"
 
 
-# a monomial from an iterable of exponents already in slot order, not validated
+# a monomial from an iterable of its degree and exponents in slot order, not
+# validated
 _from_layout = partial(tuple.__new__, Monomial)
+
+
+def combine_exponents(op: Callable[[int, int], int], a: Monomial, b: Monomial) -> Monomial:
+    """The monomial whose exponent of each variable is ``op`` of its
+    exponents in ``a`` and ``b``, e.g. ``floordiv`` or ``sub``; the degree is
+    recomputed and nothing is validated, so ``op`` must keep every exponent
+    nonnegative."""
+    exps = tuple(map(op, a[1:], b[1:]))
+    return _from_layout((sum(exps), *exps))
+
 
 _ONE_MONO = Monomial()
 _U_MONO = Monomial([(INVERSE_ARCLENGTH, 1)])
@@ -145,6 +159,14 @@ class CurvaturePolynomial:
         self._terms = canonical
 
     # -- constructors -------------------------------------------------------
+
+    @staticmethod
+    def _canonical(terms: dict[Monomial, Scalar]) -> "CurvaturePolynomial":
+        """Wrap a term map that is already canonical (nonzero coefficients,
+        ``int`` where integral) without checking it again; it is not copied."""
+        poly = object.__new__(CurvaturePolynomial)
+        poly._terms = terms
+        return poly
 
     @staticmethod
     def zero() -> "CurvaturePolynomial":
@@ -212,7 +234,7 @@ class CurvaturePolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "CurvaturePolynomial":
-        return CurvaturePolynomial({m: -c for m, c in self._terms.items()})
+        return CurvaturePolynomial._canonical({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other) -> "CurvaturePolynomial":
         rhs = self._coerce(other)
@@ -270,11 +292,11 @@ class CurvaturePolynomial:
         """Set the listed variables to zero: drop every term containing one."""
         dead = [_slot(vid) for vid in set(variables)]
         if not dead:
-            return CurvaturePolynomial(self._terms)
+            return self
         exponents = itemgetter(*dead)
         # 0 for one dead slot, a tuple of zeros for several
         alive = exponents(_ONE_MONO)
-        return CurvaturePolynomial(
+        return CurvaturePolynomial._canonical(
             {m: c for m, c in self._terms.items() if exponents(m) == alive}
         )
 
@@ -285,7 +307,7 @@ class CurvaturePolynomial:
         slot = _slot(vid)
         for mono, coeff in self._terms.items():
             e = mono[slot]
-            rest = _from_layout(mono[:slot] + (0,) + mono[slot + 1 :])
+            rest = _from_layout((mono[0] - e, *mono[1:slot], 0, *mono[slot + 1 :]))
             if e not in powers:
                 powers[e] = replacement**e
             out = out + powers[e] * CurvaturePolynomial({rest: coeff})
@@ -298,7 +320,7 @@ class CurvaturePolynomial:
             e = mono[slot]
             if not e:
                 continue
-            lowered = _from_layout(mono[:slot] + (e - 1,) + mono[slot + 1 :])
+            lowered = _from_layout((mono[0] - 1, *mono[1:slot], e - 1, *mono[slot + 1 :]))
             terms[lowered] = terms.get(lowered, 0) + coeff * e
         return CurvaturePolynomial(terms)
 
@@ -320,10 +342,12 @@ class CurvaturePolynomial:
         """
         if not self._terms:
             raise ZeroPolynomialError("monomial gcd of the zero polynomial")
-        low = _from_layout(map(min, zip(*self._terms)))
-        if not any(low):
+        # slot by slot minima; the minimum of the degrees is not the gcd's
+        exps = tuple(map(min, zip(*self._terms)))[1:]
+        low = _from_layout((sum(exps), *exps))
+        if not low[0]:
             return _ONE_MONO, self
-        quotient = CurvaturePolynomial(
+        quotient = CurvaturePolynomial._canonical(
             {_from_layout(map(sub, mono, low)): c for mono, c in self._terms.items()}
         )
         return low, quotient
@@ -332,44 +356,40 @@ class CurvaturePolynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in graded-lexicographic order, highest degree first."""
-        return sorted(self._terms.items(), key=_graded, reverse=True)
+        return sorted(self._terms.items(), reverse=True)
 
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
             return 0
-        return max(self._terms.items(), key=_graded)[1]
+        return self._terms[max(self._terms)]
 
     def render(self, name: Callable[[int], str] = variable_name) -> str:
         """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``;
         ``name`` gives each variable id its display name."""
         if name is variable_name:
-            return self._render_terms("*", _TEXT_FACTORS)
-        return self._render_terms("*", _factor_rows(partial(_text_factor, name)))
+            return self._render_terms(_TEXT_TERMS)
+        return self._render_terms(_TermTexts("*", _factor_rows(partial(_text_factor, name))))
 
     def render_latex(self) -> str:
-        return self._render_terms(" ", _LATEX_FACTORS)
+        return self._render_terms(_LATEX_TERMS)
 
-    def _render_terms(self, sep: str, rows: tuple[_FactorRow, ...]) -> str:
+    def _render_terms(self, texts: _TermTexts) -> str:
         if not self._terms:
             return "0"
+        sep = texts.sep
         pieces: list[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = [rows[s][mono[s]] for s in _DISPLAY_SLOTS if mono[s]]
+            text = texts[mono]
             pieces.append(" + " if coeff > 0 else " - ")
             coeff = abs(coeff)
-            if coeff != 1 or not factors:
-                factors.insert(0, str(coeff))
-            pieces.append(sep.join(factors))
+            if coeff != 1 or not text:
+                text = f"{coeff}{sep}{text}" if text else str(coeff)
+            pieces.append(text)
         pieces[0] = "" if pieces[0] == " + " else "-"
         return "".join(pieces)
 
     def __repr__(self) -> str:
         return f"CurvaturePolynomial({self.render()})"
-
-
-def _graded(item: tuple[Monomial, Scalar]) -> tuple[int, Monomial]:
-    # graded order: total degree, then the exponents in slot order
-    return (item[0].degree(), item[0])
 
 
 class _FactorRow(dict):
@@ -390,8 +410,27 @@ class _FactorRow(dict):
 
 
 def _factor_rows(fmt: Callable[[int, int], str]) -> tuple[_FactorRow, ...]:
-    """One empty :class:`_FactorRow` per exponent slot."""
+    """One empty :class:`_FactorRow` per variable, in slot order."""
     return tuple(_FactorRow(vid, fmt) for vid in _SLOT_VARIABLES)
+
+
+class _TermTexts(dict):
+    """The factor text of each monomial in one form, ``sep`` between the
+    factors, formatted on first use from ``rows``; at most
+    :data:`TERM_TABLE_MAX_ENTRIES` monomials are kept."""
+
+    __slots__ = ("sep", "rows")
+
+    def __init__(self, sep: str, rows: tuple[_FactorRow, ...]):
+        super().__init__()
+        self.sep, self.rows = sep, rows
+
+    def __missing__(self, mono: Monomial) -> str:
+        rows = self.rows
+        text = self.sep.join([rows[s - 1][mono[s]] for s in _DISPLAY_SLOTS if mono[s]])
+        if len(self) < TERM_TABLE_MAX_ENTRIES:
+            self[mono] = text
+        return text
 
 
 def _text_factor(name: Callable[[int], str], vid: int, exp: int) -> str:
@@ -403,13 +442,19 @@ def _latex_factor(vid: int, exp: int) -> str:
     return name if exp == 1 else f"{name}^{{{exp}}}"
 
 
-# The factor strings of the text and LaTeX forms, filled as terms are
-# rendered: at most len(_SLOT_VARIABLES) * FACTOR_TABLE_MAX_EXPONENT strings
-# each.  A higher exponent is formatted anew each time; a custom variable
-# name gets rows of its own that last one render.
+# The factor strings and the term texts of the text and LaTeX forms, filled
+# as terms are rendered: at most len(_SLOT_VARIABLES) * FACTOR_TABLE_MAX_EXPONENT
+# factor strings and TERM_TABLE_MAX_ENTRIES term texts per form.  A higher
+# exponent, or a monomial met once the term table is full, is formatted anew
+# each time; a custom variable name gets tables of its own that last one
+# render.  The 63 canonical systems of orders 2..8 hold about 5200 distinct
+# monomials.
 FACTOR_TABLE_MAX_EXPONENT = 32
+TERM_TABLE_MAX_ENTRIES = 2**13
 _TEXT_FACTORS = _factor_rows(partial(_text_factor, variable_name))
 _LATEX_FACTORS = _factor_rows(_latex_factor)
+_TEXT_TERMS = _TermTexts("*", _TEXT_FACTORS)
+_LATEX_TERMS = _TermTexts(" ", _LATEX_FACTORS)
 
 
 def kvar(i: int) -> CurvaturePolynomial:

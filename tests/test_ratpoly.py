@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhelix import ratpoly
+from polyhelix.classify import render_squares, squared_form
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.ratpoly import (
     AMBIENT,
     FACTOR_TABLE_MAX_EXPONENT,
     INVERSE_ARCLENGTH,
     MAX_CURVATURE_INDEX,
+    TERM_TABLE_MAX_ENTRIES,
     CurvaturePolynomial,
     Monomial,
     UnboundVariableError,
@@ -26,6 +28,7 @@ from polyhelix.ratpoly import (
 )
 
 P = CurvaturePolynomial
+VARIABLE_IDS = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
 
 
 def test_monomial_canonical_order():
@@ -316,12 +319,93 @@ def test_orderings_match_reference(p):
     })
 
 
-# -- the factor-string table ---------------------------------------------------
-# render and render_latex take each factor string from a lazily filled table
-# that keeps exponents up to FACTOR_TABLE_MAX_EXPONENT only; a higher exponent
-# or a custom variable name is formatted anew, never stored.
+# -- the degree slot ------------------------------------------------------------
+# A monomial keeps its total degree in slot 0, ahead of the exponents, so that
+# plain tuple order is graded order; every operation that builds a monomial
+# must set that slot to the sum of the others.
 
-VARIABLE_IDS = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
+
+def assert_degree_slots(p):
+    for mono, _ in p.terms():
+        assert_degree_slot(mono)
+    terms = _reference_sorted_terms(p)
+    assert p.sorted_terms() == terms
+    assert p.leading_coefficient() == (terms[0][1] if terms else 0)
+
+
+def assert_degree_slot(mono):
+    assert mono[0] == sum(mono[1:]) == sum(e for _, e in mono.exps) == mono.degree()
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, wide_polys, st.sampled_from(VARIABLE_IDS),
+       st.sets(st.sampled_from(VARIABLE_IDS), max_size=3))
+def test_every_operation_keeps_the_degree_slot(p, q, vid, dead):
+    for mono, _ in p.terms():
+        assert_degree_slot(mono)
+        assert_degree_slot(Monomial(mono.exps))
+        for other, _ in q.terms():
+            assert_degree_slot(mono * other)
+    for result in (p, p * q, p + q, -p, p**2, p.differentiate(vid), p.arclength_derivative(),
+                   p.substitute(vid, q), p.substitute_zero(dead)):
+        assert_degree_slots(result)
+    g, cofactor = p.factor_monomial_gcd()
+    assert_degree_slot(g)
+    assert_degree_slots(cofactor)
+    # squared_form halves every exponent but K's
+    even = P({
+        Monomial((v, e if v == AMBIENT else 2 * e) for v, e in mono.exps): c
+        for mono, c in p.terms()
+    })
+    assert_degree_slots(even)
+    assert squared_form(even) == p
+    assert_degree_slots(squared_form(even))
+
+
+def test_squared_form_rejects_an_odd_exponent():
+    with pytest.raises(ValueError, match="odd exponent 3 for k2; not expressible in squares"):
+        squared_form(ambient() ** 3 * kvar(1) ** 2 * kvar(2) ** 3 * kvar(3))
+
+
+# -- the canonical constructor ---------------------------------------------------
+# substitute_zero, the gcd quotient and negation build their term maps as
+# already canonical; each must be what the validating constructor makes of
+# the same map, coefficient types included.
+
+
+def assert_canonical(p):
+    checked = P(dict(p.terms()))
+    assert p == checked and hash(p) == hash(checked)
+    assert [(m, c, type(c)) for m, c in p.terms()] == [(m, c, type(c)) for m, c in checked.terms()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polys, st.sets(st.sampled_from(VARIABLE_IDS), max_size=4))
+def test_unchecked_results_are_canonical(p, dead):
+    for result in (-p, p.substitute_zero(dead), p.factor_monomial_gcd()[1]):
+        assert_canonical(result)
+
+
+def test_unchecked_results_with_fraction_coefficients():
+    u = P.variable(INVERSE_ARCLENGTH)
+    k1 = Fraction(3, 10) * u  # the profile k1 = 3/10 u
+    p = k1 * kvar(2) ** 2 - Fraction(1, 2) * u**2 * kvar(2) + 4 * u * ambient()
+    g, q = p.factor_monomial_gcd()
+    assert g == Monomial([(INVERSE_ARCLENGTH, 1)])
+    assert q == Fraction(3, 10) * kvar(2) ** 2 - Fraction(1, 2) * u * kvar(2) + 4 * ambient()
+    assert [type(c) for _, c in q.sorted_terms()] == [Fraction, Fraction, int]
+    empty = p.substitute_zero([INVERSE_ARCLENGTH])
+    assert empty.is_zero() and empty == P.zero() and hash(empty) == hash(P.zero())
+    for result in (q, -q, -p, empty, p.substitute_zero([2]), p.substitute_zero([])):
+        assert_canonical(result)
+
+
+# -- the factor-string and term-text tables ------------------------------------
+# render and render_latex take each term's factor text from a lazily filled
+# per-process table keyed by monomial (at most TERM_TABLE_MAX_ENTRIES per
+# form), built on a miss from factor strings kept for exponents up to
+# FACTOR_TABLE_MAX_EXPONENT only; a higher exponent or a custom variable name
+# is formatted anew, never stored.
 
 
 def _polys_with_exponents(exponents):
@@ -355,6 +439,17 @@ def assert_factor_tables_within_cap():
                 assert 1 <= exp <= FACTOR_TABLE_MAX_EXPONENT
                 # only the default names are stored
                 assert text == _reference_render(P({Monomial([(vid, exp)]): 1}), latex=latex)
+    for terms in (ratpoly._TEXT_TERMS, ratpoly._LATEX_TERMS):
+        assert len(terms) <= TERM_TABLE_MAX_ENTRIES
+
+
+def assert_term_texts_stored(p):
+    """Each monomial of ``p`` that a form's term table holds has that form's
+    text there, as the reference renders it with coefficient 1."""
+    for terms, latex in ((ratpoly._TEXT_TERMS, False), (ratpoly._LATEX_TERMS, True)):
+        for mono, _ in p.terms():
+            if mono in terms:
+                assert (terms[mono] or "1") == _reference_render(P({mono: 1}), latex=latex)
 
 
 @settings(max_examples=100, deadline=None)
@@ -380,6 +475,25 @@ def test_render_matches_reference_with_a_custom_name(p, name):
     assert_factor_tables_within_cap()
 
 
+def _square_reference_name(vid):
+    return "K" if vid == AMBIENT else f"x{vid}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys_with_exponents(st.integers(1, 6)))
+def test_custom_name_render_leaves_the_term_table_alone(p):
+    text = p.render()
+    assert text == _reference_render(p)
+    stored = dict(ratpoly._TEXT_TERMS), dict(ratpoly._LATEX_TERMS)
+    assert render_squares(p) == _reference_render(p, _square_reference_name)
+    assert (dict(ratpoly._TEXT_TERMS), dict(ratpoly._LATEX_TERMS)) == stored
+    assert p.render() == text
+    assert p.render_latex() == _reference_render(p, latex=True)
+    assert p.render() == text
+    assert_term_texts_stored(p)
+    assert_factor_tables_within_cap()
+
+
 def test_render_above_the_table_cap_is_not_stored():
     p = kvar(1) ** 1000 - ambient() * kvar(2) ** (FACTOR_TABLE_MAX_EXPONENT + 1)
     assert p.render() == f"k1^1000 - K*k2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
@@ -389,12 +503,20 @@ def test_render_above_the_table_cap_is_not_stored():
 
 
 def test_factor_tables_fill_lazily():
-    # a fresh interpreter: importing the package renders nothing
+    # a fresh interpreter: importing the package renders nothing, and a
+    # polynomial with more monomials than the term table's cap fills each
+    # form's table to the cap and no further
     probe = (
         "import polyhelix.cli, polyhelix.ratpoly as r; "
-        "print(sum(map(len, r._TEXT_FACTORS + r._LATEX_FACTORS)))"
+        "print(sum(map(len, r._TEXT_FACTORS + r._LATEX_FACTORS)), "
+        "len(r._TEXT_TERMS), len(r._LATEX_TERMS)); "
+        "p = r.CurvaturePolynomial({r.Monomial([(1, a), (2, b)]): 1 "
+        "for a in range(100) for b in range(100)}); "
+        "texts = [p.render(), p.render_latex()]; "
+        "print(texts == [p.render(), p.render_latex()], len(r._TEXT_TERMS), len(r._LATEX_TERMS))"
     )
+    assert TERM_TABLE_MAX_ENTRIES < 100 * 100
     env = dict(os.environ, PYTHONPATH=str(Path(ratpoly.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "0"
+    assert out.split("\n")[:2] == ["0 0 0", f"True {TERM_TABLE_MAX_ENTRIES} {TERM_TABLE_MAX_ENTRIES}"]
