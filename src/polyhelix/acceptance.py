@@ -176,11 +176,11 @@ def _run_top_equation() -> tuple[bool, str]:
 
 def _run_biharmonic() -> tuple[bool, str]:
     tol = TOLERANCES["equation_residual"]
-    worst = spherecurves.biharmonic_residual(spherecurves.biharmonic_circle())
-    worst = max(worst, spherecurves.biharmonic_residual(spherecurves.great_circle()))
+    worst = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 2)
+    worst = max(worst, spherecurves.equation_residual(spherecurves.great_circle(), 2))
     for a2, b2 in ((1.5, 0.5), (1.2, 0.8), (1.75, 0.25)):
         curve = spherecurves.biharmonic_two_freq(a2, b2)
-        worst = max(worst, spherecurves.biharmonic_residual(curve))
+        worst = max(worst, spherecurves.equation_residual(curve, 2))
     if worst >= tol:
         return False, f"max residual {worst:.3e} >= {tol}"
     return True, f"max residual {worst:.3e} over circle, great circle, 3 two-frequency curves"
@@ -211,9 +211,9 @@ def _run_triharmonic() -> tuple[bool, str]:
 
 def _run_fourharmonic() -> tuple[bool, str]:
     curve = spherecurves.four_planar()
-    ode = spherecurves.fourharmonic_residual(curve)
+    ode = spherecurves.equation_residual(curve, 4)
     tau = spherecurves.intrinsic_tau_residual(curve, 4)
-    control = spherecurves.fourharmonic_residual(spherecurves.biharmonic_circle())
+    control = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 4)
     if ode >= TOLERANCES["fourth_order_residual"]:
         return False, f"solution curve residual {ode:.3e}"
     if tau >= TOLERANCES["tension_residual"]:

@@ -186,13 +186,13 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
     if name == "biharmonic-circle":
         curve = spherecurves.biharmonic_circle()
         return 2, {}, {
-            "equation_residual": spherecurves.biharmonic_residual(curve),
+            "equation_residual": spherecurves.equation_residual(curve, 2),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }
     if name == "biharmonic-two-freq":
         curve = spherecurves.biharmonic_two_freq(params["a2"], params["b2"])
         return 2, params, {
-            "equation_residual": spherecurves.biharmonic_residual(curve),
+            "equation_residual": spherecurves.equation_residual(curve, 2),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }
     if name == "tri-planar":
@@ -210,7 +210,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
     if name == "four-planar":
         curve = spherecurves.four_planar()
         return 4, {}, {
-            "fourth_order_residual": spherecurves.fourharmonic_residual(curve),
+            "fourth_order_residual": spherecurves.equation_residual(curve, 4),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 4),
         }
     raise ValueError(f"unknown curve {name!r}")

@@ -12,10 +12,13 @@ derivative of the ansatz is again trigonometric, and every scalar product
     <gamma^(p), gamma^(q)> = sum_i alpha_i^2 a_i^(p+q) cos((p-q) pi/2),
 
 plus ``alpha_0^2`` when ``p = q = 0``.  That single fact powers everything in
-this module: variational ODE residuals evaluate in closed form, covariant
-derivatives along the curve become constant-coefficient recursions against
-the (exact) Gram matrix of the derivative jet, and geodesic curvatures come
-out of Gram-Schmidt with no sampling error.
+this module: covariant derivatives along the curve become constant-coefficient
+recursions against the (exact) Gram matrix of the derivative jet, so the
+tension field of every order is an exact combination of that jet, and
+geodesic curvatures come out of Gram-Schmidt with no sampling error.  The
+same tension field serves both residuals: its exact Gram norm
+(:func:`intrinsic_tau_residual`) and its coefficients rounded to floats and
+summed against the sampled jet (:func:`equation_residual`).
 
 The covariant algebra runs in high-precision arithmetic because the target
 tolerances (1e-9 .. 1e-12) sit below the cancellation noise floor of double
@@ -174,9 +177,6 @@ class TrigCurve:
             total += _to_mpf(self.constant_weight)
         return total
 
-    def inner(self, p: int, q: int) -> float:
-        return float(self.inner_exact(p, q))
-
 
 # -- named curves ------------------------------------------------------------
 
@@ -230,65 +230,13 @@ def tri_hyperbola_curve(y: Scalar) -> TrigCurve:
         return TrigCurve(((x, a1sq), (ym, a3sq)))
 
 
-# -- residual checks ---------------------------------------------------------
+# -- arclength check ---------------------------------------------------------
 
 def _require_arclength(curve: TrigCurve) -> None:
     if not curve.is_arclength():
         raise ValueError(
             f"curve is not arclength parametrized (|gamma'|^2 = {curve.moment(1)})"
         )
-
-
-def biharmonic_residual(curve: TrigCurve) -> float:
-    """Sup norm of ``gamma'''' + 2 gamma'' + gamma (2 - |gamma''|^2)`` over a
-    period, sampled at :data:`PERIOD_SAMPLES` points."""
-    _require_arclength(curve)
-    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
-    g0, g2, g4 = (curve.derivative(l)(s) for l in (0, 2, 4))
-    b2 = curve.inner(2, 2)
-    residual = g4 + 2.0 * g2 + (2.0 - b2) * g0
-    return float(np.linalg.norm(residual, axis=-1).max())
-
-
-def fourharmonic_residual(curve: TrigCurve) -> float:
-    """Sup norm over a period, sampled at :data:`PERIOD_SAMPLES` points, of
-    the eighth-order variational ODE for order-four curves on the unit
-    sphere.
-
-    For this ansatz every scalar product is s-independent, so the nested
-    ``d/ds`` terms acting on scalar factors collapse: only the vector factor
-    keeps differentiating.  Terms in ``<gamma^(4), gamma'>`` are left out:
-    it vanishes by parity (``p - q`` odd).
-    """
-    _require_arclength(curve)
-    b2 = curve.inner(2, 2)            # |g''|^2
-    c42 = curve.inner(4, 2)           # <g4, g''>
-    tangential = (
-        curve.inner(8, 0)
-        + 2.0 * curve.inner(6, 0)
-        + 3.0 * b2
-        - b2**2
-        + 6.0 * b2
-        - 4.0
-        + 2.0 * c42
-        - b2 * curve.inner(0, 4)
-    )
-    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
-    g = {l: curve.derivative(l)(s) for l in (0, 2, 4, 6, 8)}
-    # -b2*g[4] appears twice: one copy from the plain product term, one from
-    # the collapsed fourth derivative of (|g''|^2 gamma)
-    residual = (
-        g[8]
-        + 2.0 * g[6]
-        + 3.0 * g[4]
-        - b2 * g[4]
-        - 6.0 * b2 * g[2]
-        + 4.0 * g[2]
-        - 2.0 * c42 * g[2]
-        - b2 * g[4]
-        - tangential * g[0]
-    )
-    return float(np.linalg.norm(residual, axis=-1).max())
 
 
 # -- covariant algebra over the derivative jet -------------------------------
@@ -342,20 +290,46 @@ class _CovariantAlgebra:
         return chain
 
 
+def _tension(curve: TrigCurve, r: int) -> tuple[_CovariantAlgebra, np.ndarray]:
+    """The algebra of the curve's jet and the exact jet coefficients of its
+    order-``r`` tension field with unit ambient curvature, assembled from
+    covariant derivatives of the tangent.  Call in working precision."""
+    _require_arclength(curve)
+    check_tension_order(r)
+    alg = _CovariantAlgebra(curve, 2 * r)
+    derivs = alg.chain(2 * r - 1)
+    return alg, tension_field(derivs, r, 1, lambda v: alg.inner(derivs[0], v))
+
+
 def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
-    """Norm of the order-``r`` tension field of the curve, assembled from
-    covariant derivatives of the tangent with unit ambient curvature.
+    """Norm of the order-``r`` tension field, from the exact Gram matrix.
 
     The coefficients are s-independent for this ansatz, so the returned value
     is the sup over any interval.
     """
-    _require_arclength(curve)
-    check_tension_order(r)
     with mpmath.workdps(WORKING_DPS):
-        alg = _CovariantAlgebra(curve, 2 * r)
-        derivs = alg.chain(2 * r - 1)
-        tau = tension_field(derivs, r, 1, lambda v: alg.inner(derivs[0], v))
+        alg, tau = _tension(curve, r)
         return float(alg.norm(tau))
+
+
+def tension_at(curve: TrigCurve, r: int, s) -> np.ndarray:
+    """The order-``r`` tension field at ``s`` in ambient coordinates: the
+    exact coefficients rounded to floats, summed against the closed-form
+    derivatives, highest derivative first."""
+    with mpmath.workdps(WORKING_DPS):
+        coefficients = [float(c) for c in _tension(curve, r)[1]]
+    total = np.zeros(np.shape(s) + (curve.dimension,))
+    for p in reversed(range(len(coefficients))):
+        if coefficients[p]:
+            total += coefficients[p] * curve.derivative(p)(s)
+    return total
+
+
+def equation_residual(curve: TrigCurve, r: int) -> float:
+    """Sup norm of :func:`tension_at` over a period, sampled at
+    :data:`PERIOD_SAMPLES` points."""
+    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
+    return float(np.linalg.norm(tension_at(curve, r, s), axis=-1).max())
 
 
 def geodesic_curvatures(curve: TrigCurve, count: int) -> tuple[float, ...]:
