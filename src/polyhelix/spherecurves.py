@@ -45,7 +45,7 @@ Scalar = Union[int, float, Fraction, mpmath.mpf]
 WORKING_DPS = 50          # decimal digits for the covariant algebra
 DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
 ARCLENGTH_TOL = 1e-9      # largest deviation of |gamma'|^2 from 1 at unit speed
-PERIOD_SAMPLES = 256      # points per period of the sampled ODE residuals
+PERIOD_SAMPLES = 256      # points per fastest-block period of the sampled tension
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
 QUAD_LEVELS = (8, 16, 32, 64, 128, 256, 512)  # panel counts of the doubling quadrature
 GAUSS_NODES = 24          # nodes of each quadrature panel
@@ -326,9 +326,16 @@ def tension_at(curve: TrigCurve, r: int, s) -> np.ndarray:
 
 
 def equation_residual(curve: TrigCurve, r: int) -> float:
-    """Sup norm of :func:`tension_at` over a period, sampled at
-    :data:`PERIOD_SAMPLES` points."""
-    s = np.linspace(0.0, curve.period(), PERIOD_SAMPLES, endpoint=False)
+    """Sup norm of :func:`tension_at` over one period of the fastest block,
+    sampled at :data:`PERIOD_SAMPLES` points.
+
+    ``|tau_r(s)|`` does not depend on ``s`` for this ansatz, so the window
+    changes only the rounding.  This one keeps every angle ``a_i s`` within
+    ``2 pi``: over a slow block's period the derivative phase ``l pi/2``
+    would be lost against the fast block's huge angles.
+    """
+    fastest = max(float(x) for x, _ in curve.blocks)
+    s = np.linspace(0.0, 2.0 * math.pi / math.sqrt(fastest), PERIOD_SAMPLES, endpoint=False)
     return float(np.linalg.norm(tension_at(curve, r, s), axis=-1).max())
 
 

@@ -257,6 +257,19 @@ class TestVerify:
         assert code == 0
         assert "verified" in out
 
+    @pytest.mark.parametrize(
+        "params", ["a2=1.999999,b2=1e-6", "a2=1.999999999999,b2=1e-12", "a2=1e-320,b2=2"]
+    )
+    def test_slow_block_of_a_biharmonic_curve_verifies(self, capsys, params):
+        # over the slow block's period the fast block's angles reach 1e160,
+        # where adding a derivative's phase l pi/2 loses it
+        code, out = run(
+            capsys, "verify", "--curve", "biharmonic-two-freq", "--params", params, "--json"
+        )
+        assert code == 0
+        checks = json.loads(out)["payload"]["checks"]
+        assert checks["equation_residual"]["residual"] < 1e-14
+
     def test_invalid_parameters_are_usage_errors(self, capsys):
         # a2 + b2 must equal 2 for an arclength curve
         code = dispatch(
