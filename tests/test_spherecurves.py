@@ -132,6 +132,18 @@ def lone_first_variation(curve: TrigCurve, r: int, bump: BumpPerturbation):
     return current, levels
 
 
+def tension_route(curve: TrigCurve, r: int, bump: BumpPerturbation) -> float:
+    """The first variation as ``2 (-1)^r int <tau_r, beta> ds`` over the
+    bump's support, by 32 equal 24-node Gauss-Legendre panels: no complex
+    step and no derivative of the bump."""
+    panels = 32
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    half = 0.5 * bump.width / panels
+    s = (bump.start + half * np.arange(1, 2 * panels, 2))[:, None] + half * nodes
+    density = np.einsum("...i,...i->...", tension_at(curve, r, s), bump.jet(s, 0)[0])
+    return 2.0 * (-1) ** r * half * float(np.sum(density @ weights))
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """``(bumps, panels)`` of every quadrature pass ``first_variation`` makes."""
@@ -449,6 +461,14 @@ class TestIntrinsicTension:
         assert intrinsic_tau_residual(r_planar(r), r) < 1e-9
         assert intrinsic_tau_residual(r_planar(r), r + 1) > 0.1
 
+    @pytest.mark.parametrize("r", range(2, MAX_TENSION_ORDER + 1))
+    def test_equation_residual_separates_every_order(self, r):
+        # the sampled residual sits near 4e-15 relative to its largest term,
+        # so its floor grows with r; the neighbouring order is the control
+        control = r + 1 if r < MAX_TENSION_ORDER else r - 1
+        on_shell = equation_residual(r_planar(r), r)
+        assert on_shell <= 1e-10 * equation_residual(r_planar(r), control)
+
     def test_tension_and_ode_residual_agree_across_sweep(self):
         # planted solutions plus random two-block curves: the intrinsic and
         # extrinsic order-two residuals must agree on which curves pass
@@ -696,6 +716,21 @@ class TestFirstVariation:
         wrong = first_variation(curve, r - 1, bumps)
         for matched, wrong in zip(first_variation(curve, r, bumps), wrong):
             assert abs(matched) <= 1e-6 * abs(wrong)
+
+    @pytest.mark.parametrize("r", range(2, MAX_TENSION_ORDER + 1))
+    def test_matches_the_tension_route_off_shell(self, r):
+        # each pair is critical one order below, so both routes read far
+        # from 0; orders 8-10 take one bump each, since those bumps run all
+        # quadrature levels
+        curve = tri_planar() if r == 2 else r_planar(r - 1)
+        rng = np.random.default_rng(r)
+        bumps = [
+            replace(random_bump(curve.dimension, rng), sharpness=5)
+            for _ in range(3 if r <= 7 else 1)
+        ]
+        tol = 1e-10 if r <= 7 else 1e-7
+        for bump, value in zip(bumps, first_variation(curve, r, bumps)):
+            assert value == pytest.approx(tension_route(curve, r, bump), rel=tol, abs=0)
 
     def test_rejects_a_bump_too_blunt_for_the_order(self):
         # a sin^8 bump's ninth derivative does not vanish at its support ends
