@@ -126,7 +126,7 @@ class TrigCurve:
         return abs(self.moment(1) - 1.0) <= ARCLENGTH_TOL
 
     def period(self) -> float:
-        """Period of the slowest rotating block (sampling window)."""
+        """Period of the slowest rotating block."""
         return 2.0 * math.pi / math.sqrt(min(float(x) for x, _ in self.blocks))
 
     # -- evaluation ----------------------------------------------------------
