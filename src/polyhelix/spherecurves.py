@@ -623,34 +623,6 @@ def first_variation(
 MAX_FAMILY_SAMPLES = 10**5
 
 
-def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]:
-    """Sweep ``y = b^2`` over (0, 4], solve the family quartic for
-    ``x = a^2 > 0`` on the admissible branch, recover the weights, and keep
-    the entries whose weights lie strictly inside (0, 1).
-
-    Entries come back sorted by ``y`` as ``(x, y, alpha_1^2, alpha_3^2)``.
-    """
-    if not 1 <= samples <= MAX_FAMILY_SAMPLES:
-        raise ValueError(
-            f"samples must be between 1 and {MAX_FAMILY_SAMPLES}, got {samples}"
-        )
-    out = []
-    for i in range(1, samples + 1):
-        y = 4.0 * i / samples
-        disc = 5.0 * y * y - 8.0 * y + 4.0
-        if disc < 0:
-            continue
-        x = 0.5 * (4.0 - 3.0 * y + math.sqrt(disc))
-        if x <= 1e-12 or abs(x - y) <= 1e-9:
-            continue
-        a1sq = (1.0 - y) / (x - y)
-        a3sq = 1.0 - a1sq
-        if not (1e-12 < a1sq < 1.0 - 1e-12):
-            continue
-        out.append((x, y, a1sq, a3sq))
-    return out
-
-
 def solve_lambda(x: float, y: float, a1sq: float, a3sq: float) -> float:
     """Multiplier balancing the first stationarity equation of the family."""
     return -(
@@ -714,8 +686,18 @@ def family_sample(curve: TrigCurve) -> FamilySample:
 
 
 def tri_hyperbola_family(samples: int) -> list[FamilySample]:
-    """Family sweep with per-sample certification (:func:`family_sample`)."""
-    return [
-        family_sample(TrigCurve(((x, a1sq), (y, a3sq))))
-        for x, y, a1sq, a3sq in solve_tri_hyperbola(samples)
-    ]
+    """Sweep ``y = b^2 = 4 i / samples`` for i = 1 .. samples, build each
+    family member with :func:`tri_hyperbola_curve`, skip the ``y`` it
+    rejects and certify the rest (:func:`family_sample`), sorted by ``y``."""
+    if not 1 <= samples <= MAX_FAMILY_SAMPLES:
+        raise ValueError(
+            f"samples must be between 1 and {MAX_FAMILY_SAMPLES}, got {samples}"
+        )
+    rows = []
+    for i in range(1, samples + 1):
+        try:
+            curve = tri_hyperbola_curve(4.0 * i / samples)
+        except ValueError:
+            continue
+        rows.append(family_sample(curve))
+    return rows

@@ -303,6 +303,23 @@ class TestFamily:
                 "quartic_residual", "lambda_residual"} == set(rows[0])
 
 
+    def test_rows_are_the_members_that_verify_reports(self, capsys):
+        # every row is the exact family member rounded to floats, so verify
+        # at the row's y reports the same x and tension residual
+        code, out = run(capsys, "family", "tri-hyperbola", "--samples", "64", "--json")
+        assert code == 0
+        for row in json.loads(out)["payload"]:
+            code, out = run(
+                capsys, "verify", "--curve", "tri-hyperbola", "--params",
+                f"y={row['y']!r}", "--json",
+            )
+            assert code == 0
+            payload = json.loads(out)["payload"]
+            assert payload["parameters"]["x"] == row["x"], row["y"]
+            residual = payload["checks"]["tension_residual"]["residual"]
+            assert residual == row["tau3_residual"], row["y"]
+
+
 # -- numerical lab plumbing --------------------------------------------------
 
 

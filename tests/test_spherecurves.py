@@ -41,7 +41,6 @@ from polyhelix.spherecurves import (
     lambda_system_residual,
     random_bump,
     solve_lambda,
-    solve_tri_hyperbola,
     tension_at,
     tri_hyperbola_curve,
     tri_hyperbola_family,
@@ -90,6 +89,28 @@ def r_planar(r: int) -> TrigCurve:
     """Planar curve critical at order r: squared frequency r, weight 1/r
     (k1^2 = r - 1); tri_planar and four_planar are r = 3 and 4."""
     return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
+
+
+def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]:
+    """Float oracle of the family sweep: for ``y = 4 i / samples`` solve the
+    family quadratic for ``x`` on the admissible branch in doubles, recover
+    the weights, and keep the entries whose weights lie strictly inside
+    (0, 1), as ``(x, y, alpha_1^2, alpha_3^2)`` sorted by ``y``."""
+    out = []
+    for i in range(1, samples + 1):
+        y = 4.0 * i / samples
+        disc = 5.0 * y * y - 8.0 * y + 4.0
+        if disc < 0:
+            continue
+        x = 0.5 * (4.0 - 3.0 * y + math.sqrt(disc))
+        if x <= 1e-12 or abs(x - y) <= 1e-9:
+            continue
+        a1sq = (1.0 - y) / (x - y)
+        a3sq = 1.0 - a1sq
+        if not (1e-12 < a1sq < 1.0 - 1e-12):
+            continue
+        out.append((x, y, a1sq, a3sq))
+    return out
 
 
 def highest_order_group(r: int) -> tuple[TrigCurve, list[BumpPerturbation]]:
@@ -594,6 +615,17 @@ class TestHyperbolaFamily:
             assert 0.0 < a1sq < 1.0 and 0.0 < a3sq < 1.0
             assert family_quartic_residual(x, y) < 1e-12
             assert abs(x * a1sq + y * a3sq - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("samples, rel", [(32, 1e-13), (64, 1e-13), (200, 1e-12)])
+    def test_sweep_walks_the_exact_members_of_the_float_oracle(self, samples, rel):
+        # the float root loses digits where 4 - 3y + sqrt(disc) cancels,
+        # near y -> 3
+        rows = tri_hyperbola_family(samples)
+        oracle = solve_tri_hyperbola(samples)
+        assert [row.y for row in rows] == [y for _, y, _, _ in oracle]
+        for row, (x, _, _, _) in zip(rows, oracle):
+            assert row.x == pytest.approx(x, rel=rel, abs=0)
+            assert row.x == float(tri_hyperbola_curve(row.y).blocks[0][0])
 
     def test_sample_at_y_two_hits_exact_values(self):
         curve = tri_hyperbola_curve(2)
