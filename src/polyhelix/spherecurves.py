@@ -623,27 +623,6 @@ def first_variation(
 MAX_FAMILY_SAMPLES = 10**5
 
 
-def solve_lambda(x: float, y: float, a1sq: float, a3sq: float) -> float:
-    """Multiplier balancing the first stationarity equation of the family."""
-    return -(
-        x**3 * (1.0 - 2.0 * a1sq) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * a3sq
-    )
-
-
-def lambda_system_residual(
-    x: float, y: float, a1sq: float, a3sq: float, lam: float
-) -> tuple[float, float, float, float]:
-    """Residuals of the four stationarity/constraint equations of the
-    two-frequency ansatz: two multiplier equations, arclength, unit sphere."""
-    if x <= 0 or y <= 0:
-        raise ValueError("both squared frequencies must be positive")
-    r1 = x**3 * (1.0 - 2.0 * a1sq) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * a3sq + lam
-    r2 = y**3 * (1.0 - 2.0 * a3sq) - 2.0 * y**2 + 3.0 * y - 2.0 * y * x**2 * a1sq + lam
-    r3 = x * a1sq + y * a3sq - 1.0
-    r4 = a1sq + a3sq - 1.0
-    return (r1, r2, r3, r4)
-
-
 def family_quartic_residual(x: float, y: float) -> float:
     return abs(x * x + (3.0 * y - 4.0) * x + (y * y - 4.0 * y + 3.0))
 
@@ -667,21 +646,35 @@ class FamilySample:
 
 
 def family_sample(curve: TrigCurve) -> FamilySample:
-    """Certify one family curve ``((x, alpha_1^2), (y, alpha_3^2))``: its
-    tension-field residual, and from the float values of its blocks the
-    quartic residual and the multiplier back-substitution defect."""
+    """Certify one family curve ``((x, alpha_1^2), (y, alpha_3^2))`` from its
+    exact order-3 tension field ``tau_3 = sum_p c_p gamma^(p)``: its norm,
+    the multiplier ``lambda = -c_0``, and the multiplier residual.
+
+    The even derivatives of block i are ``(-x_i)^(p/2)`` times its position,
+    so ``tau_3`` vanishes there when ``sum_(p even) c_p (-x_i)^(p/2)`` does;
+    the residual is the largest of these sums, from the coefficients
+    rounded to floats, and of the float arclength and unit-sphere defects.
+    The quartic residual is read from the float blocks."""
+    with mpmath.workdps(WORKING_DPS):
+        alg, tau = _tension(curve, 3)
+        norm = float(alg.norm(tau))
+    coefficients = [float(c) for c in tau]
     (x, a1sq), (y, a3sq) = ((float(f), float(w)) for f, w in curve.blocks)
-    lam = solve_lambda(x, y, a1sq, a3sq)
-    res = lambda_system_residual(x, y, a1sq, a3sq, lam)
+    defects = [x * a1sq + y * a3sq - 1.0, a1sq + a3sq - 1.0]
+    for t in (x, y):
+        total = 0.0
+        for p in reversed(range(0, len(coefficients), 2)):
+            total += coefficients[p] * (-t) ** (p // 2)
+        defects.append(total)
     return FamilySample(
         y=y,
         x=x,
         alpha1sq=a1sq,
         alpha3sq=a3sq,
-        tau3_residual=intrinsic_tau_residual(curve, 3),
-        lagrange_multiplier=lam,
+        tau3_residual=norm,
+        lagrange_multiplier=float(-tau[0]),
         quartic_residual=family_quartic_residual(x, y),
-        lambda_residual=max(abs(v) for v in res),
+        lambda_residual=max(abs(v) for v in defects),
     )
 
 

@@ -26,6 +26,7 @@ from polyhelix.spherecurves import (
     TrigCurve,
     WORKING_DPS,
     _CovariantAlgebra,
+    _tension,
     _jet_rsqrt,
     _projected_jet,
     biharmonic_circle,
@@ -38,9 +39,7 @@ from polyhelix.spherecurves import (
     geodesic_curvatures,
     great_circle,
     intrinsic_tau_residual,
-    lambda_system_residual,
     random_bump,
-    solve_lambda,
     tension_at,
     tri_hyperbola_curve,
     tri_hyperbola_family,
@@ -111,6 +110,27 @@ def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]
             continue
         out.append((x, y, a1sq, a3sq))
     return out
+
+
+def solve_lambda(x, y, a1sq, a3sq):
+    """Hand-derived multiplier balancing the first stationarity equation of
+    the family: the oracle of ``FamilySample.lagrange_multiplier``."""
+    return -(
+        x**3 * (1.0 - 2.0 * a1sq) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * a3sq
+    )
+
+
+def lambda_system_residual(x, y, a1sq, a3sq, lam):
+    """Hand-derived residuals of the four stationarity/constraint equations
+    of the two-frequency ansatz: two multiplier equations, arclength, unit
+    sphere.  Each argument may be a float or an ``mpf``."""
+    if x <= 0 or y <= 0:
+        raise ValueError("both squared frequencies must be positive")
+    r1 = x**3 * (1.0 - 2.0 * a1sq) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * a3sq + lam
+    r2 = y**3 * (1.0 - 2.0 * a3sq) - 2.0 * y**2 + 3.0 * y - 2.0 * y * x**2 * a1sq + lam
+    r3 = x * a1sq + y * a3sq - 1.0
+    r4 = a1sq + a3sq - 1.0
+    return (r1, r2, r3, r4)
 
 
 def highest_order_group(r: int) -> tuple[TrigCurve, list[BumpPerturbation]]:
@@ -649,6 +669,42 @@ class TestHyperbolaFamily:
             tri_hyperbola_curve(3)
         with pytest.raises(ValueError):
             tri_hyperbola_curve(-1)
+
+    @pytest.mark.parametrize("samples", [32, 64, 200])
+    def test_multiplier_matches_the_hand_formula(self, samples):
+        # the hand formula's cancellation is the larger error: worst
+        # 1.0e-12 relative at 200 samples
+        for row in tri_hyperbola_family(samples):
+            lam = solve_lambda(row.x, row.y, row.alpha1sq, row.alpha3sq)
+            assert row.lagrange_multiplier == pytest.approx(lam, rel=1e-11, abs=0)
+            residuals = lambda_system_residual(
+                row.x, row.y, row.alpha1sq, row.alpha3sq, lam
+            )
+            assert max(abs(v) for v in residuals) < 1e-10
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            tri_hyperbola_curve(Fraction(1, 16)),
+            tri_hyperbola_curve(1.625),
+            tri_hyperbola_curve(2.98),
+            # off the family, where each side is of order one
+            TrigCurve(((3, Fraction(1, 5)), (Fraction(1, 2), Fraction(4, 5)))),
+            TrigCurve(((Fraction(1, 2), Fraction(3, 5)), (Fraction(7, 4), Fraction(2, 5)))),
+        ],
+    )
+    def test_hand_system_is_the_even_part_of_the_tension(self, curve):
+        # in working precision, with lambda = -c_0, each multiplier equation
+        # is minus the block's position component sum_(p even) c_p (-t)^(p/2)
+        with mpmath.workdps(WORKING_DPS):
+            (x, a1sq), (y, a3sq) = (
+                (spherecurves._to_mpf(f), spherecurves._to_mpf(w)) for f, w in curve.blocks
+            )
+            tau = _tension(curve, 3)[1]
+            r1, r2, _, _ = lambda_system_residual(x, y, a1sq, a3sq, -tau[0])
+            for hand, t in ((r1, x), (r2, y)):
+                even = sum(tau[p] * (-t) ** (p // 2) for p in range(0, len(tau), 2))
+                assert abs(hand + even) < mpmath.mpf("1e-40")
 
     def test_multiplier_system_balances_on_the_geodesic(self):
         residuals = lambda_system_residual(1.0, 1.0, 0.4, 0.6, 0.0)
