@@ -290,10 +290,15 @@ class _CovariantAlgebra:
         return chain
 
 
+@functools.lru_cache(maxsize=1)
 def _tension(curve: TrigCurve, r: int) -> tuple[_CovariantAlgebra, np.ndarray]:
     """The algebra of the curve's jet and the exact jet coefficients of its
     order-``r`` tension field with unit ambient curvature, assembled from
-    covariant derivatives of the tangent.  Call in working precision."""
+    covariant derivatives of the tangent.  Call in working precision.
+
+    The last result is kept, so the checks that read one (curve, order) in
+    turn share one build.  Every caller shares the returned algebra and
+    arrays: no caller may change them."""
     _require_arclength(curve)
     check_tension_order(r)
     alg = _CovariantAlgebra(curve, 2 * r)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhelix import acceptance, spherecurves
+from polyhelix.cli import VERIFY_PARAMETERS, dispatch
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.spherecurves import (
     BumpPerturbation,
@@ -620,6 +621,42 @@ class TestLagrangian:
         lam = solve_lambda(x, y, a1sq, a3sq)
         residuals = lambda_system_residual(x, y, a1sq, a3sq, lam)
         assert max(abs(v) for v in residuals) < 1e-10
+
+
+# -- one exact build per (curve, order) ---------------------------------------
+
+class TestTensionBuilds:
+    """Each sphere-curve check reads one exact tension field per (curve,
+    order): counted as constructions of the covariant algebra."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+
+        class Counting(_CovariantAlgebra):
+            def __init__(self, curve, max_order):
+                count[0] += 1
+                super().__init__(curve, max_order)
+
+        monkeypatch.setattr(spherecurves, "_CovariantAlgebra", Counting)
+        _tension.cache_clear()
+        yield count
+        _tension.cache_clear()
+
+    @pytest.mark.parametrize("curve", sorted(VERIFY_PARAMETERS))
+    def test_verify_builds_once_per_curve(self, builds, capsys, curve):
+        assert dispatch(["verify", "--curve", curve, "--json"]) == 0
+        assert builds[0] == 1
+
+    @pytest.mark.parametrize("samples", [8, 32])
+    def test_family_builds_once_per_admitted_sample(self, builds, samples):
+        rows = tri_hyperbola_family(samples)
+        assert builds[0] == len(rows) > 0
+
+    def test_fourharmonic_criterion_builds_the_curve_and_its_control(self, builds):
+        criterion = next(c for c in acceptance.CRITERIA if c.number == 6)
+        assert acceptance.run_criterion(criterion).passed
+        assert builds[0] == 2
 
 
 # -- the two-frequency family ------------------------------------------------
