@@ -16,9 +16,12 @@ this module: covariant derivatives along the curve become constant-coefficient
 recursions against the (exact) Gram matrix of the derivative jet, so the
 tension field of every order is an exact combination of that jet, and
 geodesic curvatures come out of Gram-Schmidt with no sampling error.  The
-same tension field serves both residuals: its exact Gram norm
-(:func:`intrinsic_tau_residual`) and its coefficients rounded to floats and
-summed against the sampled jet (:func:`equation_residual`).
+same tension field serves every check: its exact Gram norm
+(:func:`intrinsic_tau_residual`), its coefficients rounded to floats and
+summed against the sampled jet (:func:`equation_residual`), and for the
+order-3 two-frequency family the multiplier and the block components
+(:func:`family_sample`).  The last field built is kept, so checks that read
+one (curve, order) in turn build it once.
 
 The covariant algebra runs in high-precision arithmetic because the target
 tolerances (1e-9 .. 1e-12) sit below the cancellation noise floor of double
@@ -622,9 +625,10 @@ def first_variation(
 
 # -- the two-frequency family ------------------------------------------------
 
-# Each sample is certified by an order-3 tension residual in 50-digit
-# arithmetic, about 1.3 ms on a shared 2-core Xeon, and every row is kept:
-# 10^5 samples take about 2 minutes, far past any resolution the CSV needs.
+# Each admitted sample is certified by an order-3 tension field in 50-digit
+# arithmetic, about 1.4 ms on a shared 2-core Xeon (a quarter of the swept
+# y fall outside the family), and every row is kept: 10^5 samples take
+# about 2 minutes, far past any resolution the CSV needs.
 MAX_FAMILY_SAMPLES = 10**5
 
 
@@ -652,14 +656,10 @@ class FamilySample:
 
 def family_sample(curve: TrigCurve) -> FamilySample:
     """Certify one family curve ``((x, alpha_1^2), (y, alpha_3^2))`` from its
-    exact order-3 tension field ``tau_3 = sum_p c_p gamma^(p)``: its norm,
-    the multiplier ``lambda = -c_0``, and the multiplier residual.
-
-    The even derivatives of block i are ``(-x_i)^(p/2)`` times its position,
-    so ``tau_3`` vanishes there when ``sum_(p even) c_p (-x_i)^(p/2)`` does;
-    the residual is the largest of these sums, from the coefficients
-    rounded to floats, and of the float arclength and unit-sphere defects.
-    The quartic residual is read from the float blocks."""
+    exact tension field ``tau_3 = sum_p c_p gamma^(p)``: its norm, the
+    multiplier ``-c_0``, and as multiplier residual the largest of each
+    block's position component ``sum_(p even) c_p (-x_i)^(p/2)`` (from the
+    rounded coefficients) and of the float arclength and sphere defects."""
     with mpmath.workdps(WORKING_DPS):
         alg, tau = _tension(curve, 3)
         norm = float(alg.norm(tau))
