@@ -11,17 +11,18 @@ derivative of the ansatz is again trigonometric, and every scalar product
 
     <gamma^(p), gamma^(q)> = sum_i alpha_i^2 a_i^(p+q) cos((p-q) pi/2),
 
-plus ``alpha_0^2`` when ``p = q = 0``.  That single fact powers everything in
-this module: covariant derivatives along the curve become constant-coefficient
-recursions against the (exact) Gram matrix of the derivative jet, so the
-tension field of every order is an exact combination of that jet, and
-geodesic curvatures come out of Gram-Schmidt with no sampling error.  The
-same tension field serves every check: its exact Gram norm
-(:func:`intrinsic_tau_residual`), its coefficients rounded to floats and
-summed against the sampled jet (:func:`equation_residual`), and for the
-order-3 two-frequency family the multiplier and the block components
-(:func:`family_sample`).  The last field built is kept, so checks that read
-one (curve, order) in turn build it once.
+plus ``alpha_0^2`` when ``p = q = 0``: a phase times one moment
+``sum_i alpha_i^2 (a_i^2)^l``, ``l = (p+q)/2``, so a jet to order J needs
+J + 1 moments.  That single fact powers everything in this module: covariant
+derivatives along the curve become constant-coefficient recursions against
+the (exact) Gram matrix of the derivative jet, so the tension field of every
+order is an exact combination of that jet, and geodesic curvatures come out
+of Gram-Schmidt with no sampling error.  The same tension field serves every
+check: its exact Gram norm (:func:`intrinsic_tau_residual`), its
+coefficients rounded to floats and summed against the sampled jet
+(:func:`equation_residual`), and for the order-3 two-frequency family the
+multiplier and the block components (:func:`family_sample`).  The last field
+built is kept, so checks that read one (curve, order) in turn build it once.
 
 The covariant algebra runs in high-precision arithmetic because the target
 tolerances (1e-9 .. 1e-12) sit below the cancellation noise floor of double
@@ -165,21 +166,6 @@ class TrigCurve:
     def __call__(self, s):
         return self.derivative(0)(s)
 
-    # -- exact scalar products ----------------------------------------------
-
-    def inner_exact(self, p: int, q: int) -> mpmath.mpf:
-        """``<gamma^(p), gamma^(q)>`` in working precision; s-independent."""
-        c = _C4[(p - q) % 4]
-        total = mpmath.mpf(0)
-        if c:
-            half = (p + q) // 2  # p-q even implies p+q even
-            for x, w in self.blocks:
-                total += _to_mpf(w) * _to_mpf(x) ** half
-            total *= c
-        if p == 0 and q == 0:
-            total += _to_mpf(self.constant_weight)
-        return total
-
 
 # -- named curves ------------------------------------------------------------
 
@@ -247,7 +233,7 @@ def _require_arclength(curve: TrigCurve) -> None:
 class _CovariantAlgebra:
     """Fields along the curve as constant coefficient vectors (object arrays
     of ``mpf``) over the jet basis ``gamma, gamma', ..., gamma^(J)`` with the
-    exact Gram matrix.
+    exact Gram matrix, each entry a phase times one of the J + 1 moments.
 
     The sphere connection acts by ``X -> X' + <X, gamma'> gamma``; on jet
     coefficients that is an index shift plus the Gram column of ``gamma'``.
@@ -255,10 +241,20 @@ class _CovariantAlgebra:
 
     def __init__(self, curve: TrigCurve, max_order: int):
         self.size = max_order + 1
+        moments = []
+        for l in range(self.size):
+            total = mpmath.mpf(0)
+            for x, w in curve.blocks:
+                total += _to_mpf(w) * _to_mpf(x) ** l
+            moments.append(total)
         self.gram = np.array(
-            [[curve.inner_exact(p, q) for q in range(self.size)] for p in range(self.size)],
+            [
+                [_C4[(p - q) % 4] * moments[(p + q) // 2] for q in range(self.size)]
+                for p in range(self.size)
+            ],
             dtype=object,
         )
+        self.gram[0, 0] += _to_mpf(curve.constant_weight)
 
     def tangent(self) -> np.ndarray:
         c = np.array([mpmath.mpf(0)] * self.size, dtype=object)
@@ -357,9 +353,7 @@ def geodesic_curvatures(curve: TrigCurve, count: int) -> tuple[float, ...]:
     curvatures found so far.
     """
     _require_arclength(curve)
-    capacity = 2 * len(curve.blocks) - 1 + (
-        1 if float(curve.constant_weight) > 0 else 0
-    )
+    capacity = curve.dimension - 1
     if not 1 <= count <= capacity:
         raise ValueError(f"count must be within 1..{capacity} for this curve")
     with mpmath.workdps(WORKING_DPS):
@@ -626,9 +620,9 @@ def first_variation(
 # -- the two-frequency family ------------------------------------------------
 
 # Each admitted sample is certified by an order-3 tension field in 50-digit
-# arithmetic, about 1.4 ms on a shared 2-core Xeon (a quarter of the swept
-# y fall outside the family), and every row is kept: 10^5 samples take
-# about 2 minutes, far past any resolution the CSV needs.
+# arithmetic, about 1.35 ms of CPU on a shared 2-core Xeon (a quarter of the
+# swept y fall outside the family), and every row is kept: 10^5 samples
+# took 101 s, far past any resolution the CSV needs.
 MAX_FAMILY_SAMPLES = 10**5
 
 

@@ -91,6 +91,21 @@ def r_planar(r: int) -> TrigCurve:
     return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
 
 
+def inner_exact(curve: TrigCurve, p: int, q: int) -> mpmath.mpf:
+    """``<gamma^(p), gamma^(q)>`` in the current precision, one block sum per
+    pair: the oracle of the covariant algebra's Gram matrix."""
+    c = (1, 0, -1, 0)[(p - q) % 4]
+    total = mpmath.mpf(0)
+    if c:
+        half = (p + q) // 2  # p-q even implies p+q even
+        for x, w in curve.blocks:
+            total += spherecurves._to_mpf(w) * spherecurves._to_mpf(x) ** half
+        total *= c
+    if p == 0 and q == 0:
+        total += spherecurves._to_mpf(curve.constant_weight)
+    return total
+
+
 def solve_tri_hyperbola(samples: int) -> list[tuple[float, float, float, float]]:
     """Float oracle of the family sweep: for ``y = 4 i / samples`` solve the
     family quadratic for ``x`` on the admissible branch in doubles, recover
@@ -340,7 +355,7 @@ class TestSphereIdentities:
 
 def inner(curve: TrigCurve, p: int, q: int) -> float:
     """``<gamma^(p), gamma^(q)>`` rounded to a float."""
-    return float(curve.inner_exact(p, q))
+    return float(inner_exact(curve, p, q))
 
 
 def biharmonic_ode_residual(curve: TrigCurve) -> float:
@@ -621,6 +636,69 @@ class TestLagrangian:
         lam = solve_lambda(x, y, a1sq, a3sq)
         residuals = lambda_system_residual(x, y, a1sq, a3sq, lam)
         assert max(abs(v) for v in residuals) < 1e-10
+
+
+# -- the Gram matrix from one moment per order --------------------------------
+
+GRAM_ORDER = 2 * MAX_TENSION_ORDER  # the longest jet a tension build reads
+
+
+def gram_defects(curve: TrigCurve, max_order: int) -> list[tuple[int, int]]:
+    """Entries of the covariant algebra's Gram matrix that differ, as mpf
+    values, from the per-pair block sums."""
+    with mpmath.workdps(WORKING_DPS):
+        gram = _CovariantAlgebra(curve, max_order).gram
+        return [
+            (p, q)
+            for p in range(max_order + 1)
+            for q in range(max_order + 1)
+            if not gram[p, q] == inner_exact(curve, p, q)
+        ]
+
+
+class TestGramMoments:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            great_circle(),
+            biharmonic_circle(),
+            biharmonic_two_freq(),
+            tri_planar(),
+            four_planar(),
+            tri_hyperbola_curve(2),
+        ]
+        + [tri_hyperbola_curve(y) for y in (1e-300, 0.0625, 0.5, 1.625, 2.98)],
+    )
+    @pytest.mark.parametrize("max_order", [1, 2, 7, GRAM_ORDER])
+    def test_each_entry_is_the_per_pair_sum(self, curve, max_order):
+        assert gram_defects(curve, max_order) == []
+
+    @given(x=st.floats(0.3, 5.0), y=st.floats(0.3, 5.0))
+    @settings(max_examples=30, deadline=None)
+    def test_each_entry_is_the_per_pair_sum_on_random_curves(self, x, y):
+        curve = arclength_two_block(x, y)
+        if curve is None:
+            return
+        assert gram_defects(curve, GRAM_ORDER) == []
+
+    @pytest.mark.parametrize(
+        "curve", [biharmonic_circle(), biharmonic_two_freq(), tri_hyperbola_curve(2)]
+    )
+    @pytest.mark.parametrize("max_order", [2, 6, GRAM_ORDER])
+    def test_gram_converts_each_block_once_per_moment(self, monkeypatch, curve, max_order):
+        # J + 1 moments of B blocks read 2 B (J + 1) parameters, plus the
+        # constant weight; a sum per (p, q) pair reads more from J = 2 on
+        calls = [0]
+        convert = spherecurves._to_mpf
+
+        def counting(value):
+            calls[0] += 1
+            return convert(value)
+
+        monkeypatch.setattr(spherecurves, "_to_mpf", counting)
+        with mpmath.workdps(WORKING_DPS):
+            _CovariantAlgebra(curve, max_order)
+        assert 0 < calls[0] <= 2 * len(curve.blocks) * (max_order + 1) + 1
 
 
 # -- one exact build per (curve, order) ---------------------------------------
