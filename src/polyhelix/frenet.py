@@ -20,7 +20,7 @@ through the same :func:`frenet_derivative`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
 
@@ -38,16 +38,14 @@ MAX_TENSION_ORDER = 10
 @dataclass(frozen=True)
 class FrenetExpansion:
     """A vector field along the curve written in the Frenet frame: a map
-    ``frame index -> curvature polynomial`` together with the frame capacity."""
+    ``frame index -> curvature polynomial``, frames counted from 1."""
 
-    frame_count: int
-    coeffs: dict[int, Poly] = field(default_factory=dict)
+    coeffs: dict[int, Poly]
 
     def __post_init__(self):
         clean = {j: p for j, p in self.coeffs.items() if not p.is_zero()}
-        for j in clean:
-            if not 1 <= j <= self.frame_count:
-                raise ValueError(f"frame index {j} outside 1..{self.frame_count}")
+        if clean and min(clean) < 1:
+            raise ValueError(f"frame index {min(clean)} below 1")
         object.__setattr__(self, "coeffs", clean)
 
     def coefficient(self, j: int) -> Poly:
@@ -59,32 +57,24 @@ class FrenetExpansion:
     def top_frame(self) -> int:
         return max(self.coeffs) if self.coeffs else 0
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrenetExpansion):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
     def scaled(self, factor: Poly) -> "FrenetExpansion":
-        return FrenetExpansion(
-            self.frame_count, {j: factor * p for j, p in self.coeffs.items()}
-        )
+        return FrenetExpansion({j: factor * p for j, p in self.coeffs.items()})
 
     __rmul__ = scaled
 
     def __add__(self, other: "FrenetExpansion") -> "FrenetExpansion":
-        n = max(self.frame_count, other.frame_count)
         out = dict(self.coeffs)
         for j, p in other.coeffs.items():
             out[j] = out.get(j, Poly.zero()) + p
-        return FrenetExpansion(n, out)
+        return FrenetExpansion(out)
 
     def __sub__(self, other: "FrenetExpansion") -> "FrenetExpansion":
         return self + other.scaled(Poly.constant(-1))
 
 
-def tangent(frame_count: int) -> FrenetExpansion:
+def tangent() -> FrenetExpansion:
     """The unit tangent ``T = F_1``."""
-    return FrenetExpansion(frame_count, {1: Poly.constant(1)})
+    return FrenetExpansion({1: Poly.constant(1)})
 
 
 def frenet_derivative(
@@ -115,8 +105,7 @@ def frenet_derivative(
             add(j - 1, -c * ks[j - 2])
         if j <= m:
             add(j + 1, c * ks[j - 1])
-    n = max(v.frame_count, max(out) if out else 1)
-    return FrenetExpansion(n, out)
+    return FrenetExpansion(out)
 
 
 def derivative_chain(depth: int, m: int) -> list[FrenetExpansion]:
@@ -126,7 +115,7 @@ def derivative_chain(depth: int, m: int) -> list[FrenetExpansion]:
         raise ValueError("derivative order must be >= 0")
     if depth > 2 * m:
         raise ValueError(f"order {depth} exceeds 2m = {2 * m}; truncation would distort it")
-    chain = [tangent(max(2, m + 2))]
+    chain = [tangent()]
     for _ in range(depth):
         chain.append(frenet_derivative(chain[-1], m))
     return chain

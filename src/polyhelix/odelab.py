@@ -695,7 +695,7 @@ def flat_tangent_chain(profile: CurvatureProfile, depth: int) -> list[FrenetExpa
     ambient, with coefficients exact polynomials in ``u = 1/s``.  The chain
     respects the truncation ``k_j = 0`` beyond the profile's curvature count."""
     ks = [term.poly() for term in profile.terms]
-    chain = [tangent(profile.count + 1)]
+    chain = [tangent()]
     for _ in range(depth):
         chain.append(frenet_derivative(chain[-1], profile.count, ks))
     return chain
