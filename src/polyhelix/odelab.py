@@ -582,10 +582,14 @@ class DriftReport:
         }
 
 
-def _choose_stride(n: int, h: float, target_spacing: float, min_points: int) -> int:
-    # the stride nearest the target spacing that still leaves min_points
-    # samples: n // stride >= min_points exactly when stride <= n // min_points
-    return max(1, int(round(min(target_spacing / h, n // min_points))))
+def _strided(
+    samples: CurveSamples, target_spacing: float, min_points: int
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Positions, arclengths, stride and spacing of the subgrid whose stride
+    is nearest the target spacing and leaves ``min_points`` samples:
+    ``n // stride >= min_points`` exactly when ``stride <= n // min_points``."""
+    stride = max(1, int(round(min(target_spacing / samples.h, len(samples) // min_points))))
+    return samples.positions[::stride], samples.s_values()[::stride], stride, samples.h * stride
 
 
 def _position_derivatives(
@@ -601,20 +605,14 @@ def _position_derivatives(
     is too short; callers that differentiate the returned scalars again must
     budget for the second stencil here.
     """
-    n = len(samples)
     widest = _central_halfwidth(depth)
-    stride = _choose_stride(n, samples.h, target_spacing, min_points)
-    sub = samples.positions[::stride]
-    spacing = samples.h * stride
-    if len(sub) < min_points:
-        raise ValueError(f"insufficient samples: need {min_points * stride} positions")
+    sub, s_sub, stride, spacing = _strided(samples, target_spacing, min_points)
     derivatives = [sub[widest:-widest]]
     for order in range(1, depth + 1):
         window, values = central_difference(sub, spacing, order)
         trim = widest - window.start
         derivatives.append(values[trim : len(values) - trim])
-    s_sub = samples.s_values()[::stride][widest:-widest]
-    return s_sub, derivatives, stride, spacing
+    return s_sub[widest:-widest], derivatives, stride, spacing
 
 
 def _validate_monitor_inputs(samples: CurveSamples, K: float, minimum: int) -> None:
@@ -790,13 +788,10 @@ def _fd_tension_sup(
     ``alpha != 0``, strictly monotone, so even if its ends met, its
     periodic extension would not be smooth there: a spectral derivative
     would ring, not estimate.  Every trajectory takes the stencil."""
-    n = len(samples)
     widest = _central_halfwidth(derivative_order)
-    stride = _choose_stride(n, samples.h, target_spacing, 2 * widest + 4)
-    sub = samples.positions[::stride]
-    spacing = samples.h * stride
+    sub, s_sub, stride, spacing = _strided(samples, target_spacing, 2 * widest + 4)
     interior, values = central_difference(sub, spacing, derivative_order)
-    window = samples.s_values()[::stride][interior]
+    window = s_sub[interior]
     offsets, weights = _central_weights(derivative_order)
     floor = float(
         np.finfo(float).eps * np.linalg.norm(sub, axis=1).max() * stride

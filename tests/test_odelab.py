@@ -671,6 +671,28 @@ class TestMonitors:
         with pytest.raises(ValueError, match="ambient"):
             conservation_monitor_tri(fine, -1.0)
 
+    @pytest.mark.parametrize(
+        "monitor, curve, minimum, end, stride, interior, invariant",
+        [
+            (conservation_monitor_tri, tri_planar(), 64, 2.0 * math.pi, 1, 44, -4.0),
+            # a short span caps the stride at n // budget: 32 of 64 samples
+            # for the budget 28, and exactly the budget 32 of 128 samples
+            (conservation_monitor_tri, tri_planar(), 64, 1.0, 2, 12, -4.0),
+            (conservation_monitor_four, four_planar(), 128, 1.0, 4, 8, 27.0),
+        ],
+    )
+    @pytest.mark.parametrize("K", [FLAT, SPHERE])
+    def test_monitor_runs_on_its_minimum_sample_count(
+        self, monitor, curve, minimum, end, stride, interior, invariant, K
+    ):
+        report = monitor(sample_trig_curve(curve, (0.0, end), minimum), K)
+        assert (report.stride, report.interior_count) == (stride, interior)
+        assert math.isfinite(report.drift) and math.isfinite(report.empirical_constant)
+        if K == SPHERE:
+            assert report.empirical_constant == pytest.approx(invariant, abs=1e-3)
+        with pytest.raises(ValueError, match=f"need at least {minimum} samples"):
+            monitor(sample_trig_curve(curve, (0.0, end), minimum - 1), K)
+
     def test_report_serialization(self):
         curve = tri_planar()
         samples = sample_trig_curve(curve, (0.0, curve.period()), 512)
