@@ -20,7 +20,10 @@ for an intended output change, from the output of the same commands.
 criterion of ``reproduce --json``, hashed as the compact JSON list of those
 triples; recapture it the same way.  ``scan_sha256.json`` pins the exact
 ``K < 0`` scan, ``negative_K_scan(r, -1.0).to_json_dict()`` for r = 2..8, as
-compact JSON with sorted keys.
+compact JSON with sorted keys.  ``high_order_sha256.json`` pins the full
+systems of orders 9 and 10, the only ones whose curvatures reach
+``k15 .. k18``: ``constraint_system(r).to_json_dict()`` hashed the same way,
+and ``render_latex()``.
 
 The ``classify`` snapshots guard ``solve_helix``: the multistart solver at
 K > 0 and the exact decision at K <= 0.  Floating-point evaluation order
@@ -45,6 +48,8 @@ REFERENCE = Path(__file__).parent.parent / "perfbench" / "reference.json"
 TAU_DIGESTS = Path(__file__).parent / "tau_sha256.json"
 TEXT_DIGESTS = Path(__file__).parent / "text_sha256.json"
 SCAN_DIGESTS = Path(__file__).parent / "scan_sha256.json"
+HIGH_ORDER_DIGESTS = Path(__file__).parent / "high_order_sha256.json"
+HIGH_ORDERS = (9, 10)
 DIGEST_ORDERS = range(2, 9)
 TAU_FORMATS = ("text", "latex", "json")
 
@@ -188,6 +193,16 @@ def test_tau_reports_match_digests(capsys, r):
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("r", HIGH_ORDERS)
+def test_highest_order_systems_match_digests(r):
+    digests = json.loads(HIGH_ORDER_DIGESTS.read_text())
+    assert sorted(digests, key=int) == [str(o) for o in HIGH_ORDERS]
+    system = constraint_system(r)
+    text = json.dumps(system.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert _sha256(text) == digests[str(r)]["json"]
+    assert _sha256(system.render_latex()) == digests[str(r)]["latex"]
 
 
 def test_text_digests_cover_the_cases():
