@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import floordiv, sub
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ from .ratpoly import (
     MAX_CURVATURE_INDEX,
     CurvaturePolynomial as Poly,
     Monomial,
-    combine_exponents,
+    field_mask,
 )
 
 DEDUP_TOL = 1e-8
@@ -71,10 +70,12 @@ def render_squares(poly: Poly) -> str:
     return poly.render(_square_name)
 
 
-# the divisor of each variable's exponent in squared_form: every one but K's
-# is halved
-_SQUARING = Monomial(
-    [(INVERSE_ARCLENGTH, 2), *((i, 2) for i in range(1, MAX_CURVATURE_INDEX + 1)), (AMBIENT, 1)]
+# squared_form's mask on a packed monomial (ratpoly.Monomial): the lowest bit
+# of the exponent field of u and of every curvature, set exactly where one of
+# those exponents is odd
+_ODD_BITS = sum(
+    Monomial([(vid, 1)]) & field_mask(vid)
+    for vid in (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1))
 )
 _K_MONO = Monomial([(AMBIENT, 1)])
 
@@ -84,13 +85,13 @@ def squared_form(poly: Poly) -> Poly:
     in the squared curvatures (ambient curvature exponents are kept as-is)."""
     terms = {}
     for mono, coeff in poly.terms():
-        halved = combine_exponents(floordiv, mono, _SQUARING)
-        # each odd curvature exponent loses 1/2 to the floor, so the halved
-        # degree falls short of half of (degree + K exponent) exactly then
-        if 2 * halved.degree() != mono.degree() + mono.exponent(AMBIENT):
+        if mono & _ODD_BITS:
             vid, e = next((v, e) for v, e in mono.exps if v != AMBIENT and e % 2)
             raise ValueError(f"odd exponent {e} for k{vid}; not expressible in squares")
-        terms[halved] = coeff
+        # K^k packs as k times K's monomial; without it every field is even,
+        # the degree too, so one shift halves them all; then K^k goes back
+        k_part = mono.exponent(AMBIENT) * _K_MONO
+        terms[((mono - k_part) >> 1) + k_part] = coeff
     return Poly(terms)
 
 
@@ -266,7 +267,7 @@ def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
         if e == 0:
             p_terms[mono] = coeff
         elif e == 1:
-            q_terms[combine_exponents(sub, mono, _K_MONO)] = -coeff
+            q_terms[mono - _K_MONO] = -coeff
         else:
             return None
     P, Q = Poly(p_terms), Poly(q_terms)

@@ -5,11 +5,13 @@ Variables are identified by small integers: ``1 <= i <=``
 :data:`MAX_CURVATURE_INDEX` is the i-th geodesic curvature ``k_i``, ``0``
 (the constant :data:`AMBIENT`) is the sectional curvature ``K`` of the
 ambient space form, and ``-1`` (the constant :data:`INVERSE_ARCLENGTH`) is
-the inverse arclength ``u = 1/s``.  A :class:`Monomial` is the dense tuple of
-its total degree followed by the exponents of every variable in the
-canonical order ``u, k_1, k_2, ..., k_N, K``, so comparing two monomials as
-tuples compares them in graded-lexicographic order, and products and
-quotients are slot-wise sums and differences.  Coefficients are exact: an
+the inverse arclength ``u = 1/s``.  A :class:`Monomial` is one integer that
+packs its total degree and the exponent of every variable into
+:data:`EXPONENT_BITS`-bit fields: the degree on top, then ``u, k_1, k_2, ...,
+k_N`` and ``K`` lowest.  Comparing two monomials as integers compares them in
+graded-lexicographic order, a product is one addition and a quotient one
+subtraction; the total degree is kept at most :data:`MAX_DEGREE`, so no field
+ever carries into the next.  Coefficients are exact: an
 integral coefficient is an ``int`` (every helix tension coefficient is one),
 and a :class:`fractions.Fraction` appears only with a real denominator, such
 as a curvature profile coefficient ``0.3``.  Every identity checked with this
@@ -23,9 +25,10 @@ is ``d/ds = -u^2 d/du``, which makes the inverse-power curvature profiles
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
-from functools import partial
-from operator import add, itemgetter, sub
+from functools import partial, reduce
+from operator import index, or_
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 AMBIENT = 0
@@ -34,13 +37,32 @@ INVERSE_ARCLENGTH = -1
 # r involves k_1 .. k_{2r-2}, so this covers every order up to
 # frenet.MAX_TENSION_ORDER = 10.
 MAX_CURVATURE_INDEX = 18
+# The width of every field of a packed monomial, and the largest total degree
+# (hence exponent) it holds.
+EXPONENT_BITS = 16
+MAX_DEGREE = (1 << EXPONENT_BITS) - 1
 
-# variable id of each exponent slot, in the canonical order u, k_1 .. k_N, K;
-# slot 0 of a monomial holds its total degree, so these start at slot 1
+# variable id of each exponent field from the highest down, in the canonical
+# order u, k_1 .. k_N, K; the degree field sits above them all
 _SLOT_VARIABLES = (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1), AMBIENT)
-_SLOT = {vid: slot for slot, vid in enumerate(_SLOT_VARIABLES, 1)}
-# display order of the factors inside a term: K, then u, k_1, k_2, ...
-_DISPLAY_SLOTS = (_SLOT[AMBIENT], *range(1, _SLOT[AMBIENT]))
+_SHIFT = {
+    vid: EXPONENT_BITS * (len(_SLOT_VARIABLES) - 1 - slot)
+    for slot, vid in enumerate(_SLOT_VARIABLES)
+}
+_DEGREE_SHIFT = EXPONENT_BITS * len(_SLOT_VARIABLES)
+_DEGREE_UNIT = 1 << _DEGREE_SHIFT
+# the packed monomial of each variable to the first power: its own field and
+# the degree field each hold 1
+_UNIT = {vid: _DEGREE_UNIT | 1 << shift for vid, shift in _SHIFT.items()}
+# every exponent field (the degree's excluded), every one but K's, and the
+# slot of K's field, the lowest
+_EXPONENT_FIELDS = _DEGREE_UNIT - 1
+_BODY_FIELDS = _EXPONENT_FIELDS - MAX_DEGREE
+_K_SLOT = len(_SLOT_VARIABLES) - 1
+# every field of a packed monomial, the degree's first, as big-endian bytes
+# and back
+_FIELD_BYTES = 2 * (len(_SLOT_VARIABLES) + 1)
+_unpack_fields = struct.Struct(f">{len(_SLOT_VARIABLES) + 1}H").unpack
 
 Scalar = Union[int, Fraction]
 
@@ -69,83 +91,109 @@ def variable_name(vid: int) -> str:
     return "u" if vid == INVERSE_ARCLENGTH else f"k{vid}"
 
 
-def _slot(vid: int) -> int:
-    slot = _SLOT.get(vid)
-    if slot is None:
+def _shift(vid: int) -> int:
+    shift = _SHIFT.get(vid)
+    if shift is None:
         raise ValueError(
             f"variable id {vid} is not u (-1), K (0) or a curvature k1..k{MAX_CURVATURE_INDEX}"
         )
-    return slot
+    return shift
 
 
-class Monomial(tuple):
-    """The total degree, then the exponents of every variable in the
-    canonical slot order ``u, k_1, ..., k_N, K``; hashable, immutable and
-    ordered as a tuple, which is graded-lexicographic order.
+def field_mask(vid: int) -> int:
+    """The bits of a packed monomial that hold the exponent of ``vid``."""
+    return MAX_DEGREE << _shift(vid)
+
+
+def _check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ValueError(f"monomial degree {degree} exceeds {MAX_DEGREE}")
+
+
+def _exps(packed: int) -> tuple[tuple[int, int], ...]:
+    """The ``(variable, exponent)`` pairs of a packed monomial with a nonzero
+    exponent, in the canonical order."""
+    fields = _unpack_fields(packed.to_bytes(_FIELD_BYTES, "big"))
+    return tuple((vid, e) for vid, e in zip(_SLOT_VARIABLES, fields[1:]) if e)
+
+
+class Monomial(int):
+    """The total degree and the exponents of every variable packed into one
+    integer, fields from the top ``degree, u, k_1, ..., k_N, K``; hashable,
+    immutable and ordered as an integer, which is graded-lexicographic order.
 
     ``Monomial(pairs)`` builds one from ``(variable, exponent)`` pairs and is
-    the only constructor that validates; ring operations build their results
-    slot by slot with :func:`_from_layout`, keeping slot 0 the degree."""
+    the only constructor that validates.  Ring operations work on the plain
+    integers: a product is a sum, with the degree bound checked once per
+    polynomial operation, and :meth:`CurvaturePolynomial.terms` hands the
+    packed integers out as monomials again."""
 
     __slots__ = ()
 
     def __new__(cls, exps: Iterable[tuple[int, int]] = ()) -> "Monomial":
-        layout = [0] * (len(_SLOT_VARIABLES) + 1)
+        packed = 0
         for vid, e in exps:
-            slot = _slot(vid)
+            shift, e = _shift(vid), index(e)
             if e < 0:
                 raise ValueError(f"negative exponent for {variable_name(vid)}")
-            if e and layout[slot]:
+            _check_degree(e)
+            if e and (packed >> shift) & MAX_DEGREE:
                 raise ValueError("repeated variable in monomial")
-            layout[slot] += e
-        layout[0] = sum(layout)
-        return tuple.__new__(cls, layout)
+            packed += e * _UNIT[vid]
+        _check_degree(packed >> _DEGREE_SHIFT)
+        return int.__new__(cls, packed)
 
     @property
     def exps(self) -> tuple[tuple[int, int], ...]:
         """The ``(variable, exponent)`` pairs with a nonzero exponent, in the
         canonical order."""
-        return tuple((vid, e) for vid, e in zip(_SLOT_VARIABLES, self[1:]) if e)
+        return _exps(self)
 
     def degree(self) -> int:
-        return self[0]
+        return self >> _DEGREE_SHIFT
 
     def exponent(self, vid: int) -> int:
-        return self[_slot(vid)]
+        return (self >> _shift(vid)) & MAX_DEGREE
 
     def variables(self) -> frozenset[int]:
-        return frozenset(vid for vid, e in zip(_SLOT_VARIABLES, self[1:]) if e)
+        return frozenset(vid for vid, _ in _exps(self))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return _from_layout(map(add, self, other))
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        _check_degree((self >> _DEGREE_SHIFT) + (other >> _DEGREE_SHIFT))
+        return _monomial(int.__add__(self, other))
 
     def __repr__(self) -> str:
         return f"Monomial({list(self.exps)!r})"
 
 
-# a monomial from an iterable of its degree and exponents in slot order, not
-# validated
-_from_layout = partial(tuple.__new__, Monomial)
+# a packed integer as a Monomial, not validated
+_monomial = partial(int.__new__, Monomial)
 
 
-def combine_exponents(op: Callable[[int, int], int], a: Monomial, b: Monomial) -> Monomial:
-    """The monomial whose exponent of each variable is ``op`` of its
-    exponents in ``a`` and ``b``, e.g. ``floordiv`` or ``sub``; the degree is
-    recomputed and nothing is validated, so ``op`` must keep every exponent
-    nonnegative."""
-    exps = tuple(map(op, a[1:], b[1:]))
-    return _from_layout((sum(exps), *exps))
+def _max_degree(terms: Mapping[int, Scalar]) -> int:
+    """The highest total degree among the packed monomials of a nonempty term
+    map: the largest integer has it."""
+    return max(terms) >> _DEGREE_SHIFT
 
 
 _ONE_MONO = Monomial()
 _U_MONO = Monomial([(INVERSE_ARCLENGTH, 1)])
+_U_SHIFT = _SHIFT[INVERSE_ARCLENGTH]
+
+
+def _is_scalar(value) -> bool:
+    """Whether ``value`` is an exact constant; a monomial is an ``int`` but
+    not a constant."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, Monomial)
 
 
 class CurvaturePolynomial:
-    """Canonical sparse polynomial: a map from :class:`Monomial` to nonzero
-    exact coefficients (``int`` where integral, else ``Fraction``).  Supports
-    ring arithmetic, evaluation, zero substitution, monomial-GCD factoring
-    and deterministic text rendering."""
+    """Canonical sparse polynomial: a map from packed monomials (see
+    :class:`Monomial`) to nonzero exact coefficients (``int`` where integral,
+    else ``Fraction``).  Supports ring arithmetic, evaluation, zero
+    substitution, monomial-GCD factoring and deterministic text rendering."""
 
     __slots__ = ("_terms",)
 
@@ -183,7 +231,7 @@ class CurvaturePolynomial:
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Monomial, Scalar]]:
-        return iter(self._terms.items())
+        return zip(map(_monomial, self._terms), self._terms.values())
 
     def coefficient(self, mono: Monomial) -> Scalar:
         return self._terms.get(mono, 0)
@@ -192,10 +240,8 @@ class CurvaturePolynomial:
         return not self._terms
 
     def variables(self) -> frozenset[int]:
-        out: set[int] = set()
-        for mono in self._terms:
-            out.update(mono.variables())
-        return frozenset(out)
+        # a field of the union is nonzero where some term's field is
+        return frozenset(vid for vid, _ in _exps(reduce(or_, self._terms, 0)))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -204,7 +250,7 @@ class CurvaturePolynomial:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             other = CurvaturePolynomial.constant(other)
         if not isinstance(other, CurvaturePolynomial):
             return NotImplemented
@@ -218,7 +264,7 @@ class CurvaturePolynomial:
     def _coerce(self, other) -> "CurvaturePolynomial | None":
         if isinstance(other, CurvaturePolynomial):
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return CurvaturePolynomial.constant(other)
         return None
 
@@ -252,10 +298,13 @@ class CurvaturePolynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Monomial, Scalar] = {}
+        if not self._terms or not rhs._terms:
+            return CurvaturePolynomial()
+        _check_degree(_max_degree(self._terms) + _max_degree(rhs._terms))
+        terms: dict[int, Scalar] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in rhs._terms.items():
-                prod = m1 * m2
+                prod = m1 + m2
                 terms[prod] = terms.get(prod, 0) + c1 * c2
         return CurvaturePolynomial(terms)
 
@@ -264,14 +313,17 @@ class CurvaturePolynomial:
     def __pow__(self, exponent: int) -> "CurvaturePolynomial":
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
+        if exponent and self._terms:
+            _check_degree(_max_degree(self._terms) * exponent)
         result = CurvaturePolynomial.constant(1)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- operations from the module contract --------------------------------
@@ -281,7 +333,7 @@ class CurvaturePolynomial:
         total = 0.0
         for mono, coeff in self._terms.items():
             value = float(coeff)
-            for vid, exp in mono.exps:
+            for vid, exp in _exps(mono):
                 if vid not in assignment:
                     raise UnboundVariableError(vid)
                 value *= assignment[vid] ** exp
@@ -290,48 +342,51 @@ class CurvaturePolynomial:
 
     def substitute_zero(self, variables: Iterable[int]) -> "CurvaturePolynomial":
         """Set the listed variables to zero: drop every term containing one."""
-        dead = [_slot(vid) for vid in set(variables)]
+        dead = 0
+        for vid in variables:
+            dead |= field_mask(vid)
         if not dead:
             return self
-        exponents = itemgetter(*dead)
-        # 0 for one dead slot, a tuple of zeros for several
-        alive = exponents(_ONE_MONO)
         return CurvaturePolynomial._canonical(
-            {m: c for m, c in self._terms.items() if exponents(m) == alive}
+            {m: c for m, c in self._terms.items() if not m & dead}
         )
 
     def substitute(self, vid: int, replacement: "CurvaturePolynomial") -> "CurvaturePolynomial":
         """Replace a variable by a polynomial (used for eliminations)."""
         out = CurvaturePolynomial.zero()
         powers: dict[int, CurvaturePolynomial] = {0: CurvaturePolynomial.constant(1)}
-        slot = _slot(vid)
+        shift = _shift(vid)
         for mono, coeff in self._terms.items():
-            e = mono[slot]
-            rest = _from_layout((mono[0] - e, *mono[1:slot], 0, *mono[slot + 1 :]))
+            e = (mono >> shift) & MAX_DEGREE
+            rest = mono - e * _UNIT[vid]
             if e not in powers:
                 powers[e] = replacement**e
             out = out + powers[e] * CurvaturePolynomial({rest: coeff})
         return out
 
     def differentiate(self, vid: int) -> "CurvaturePolynomial":
-        slot = _slot(vid)
-        terms: dict[Monomial, Scalar] = {}
+        shift = _shift(vid)
+        unit = _UNIT[vid]
+        terms: dict[int, Scalar] = {}
         for mono, coeff in self._terms.items():
-            e = mono[slot]
+            e = (mono >> shift) & MAX_DEGREE
             if not e:
                 continue
-            lowered = _from_layout((mono[0] - 1, *mono[1:slot], e - 1, *mono[slot + 1 :]))
+            lowered = mono - unit
             terms[lowered] = terms.get(lowered, 0) + coeff * e
         return CurvaturePolynomial(terms)
 
     def arclength_derivative(self) -> "CurvaturePolynomial":
         """``d/ds = -u^2 d/du``: every variable but ``u = 1/s`` is constant
         along the curve."""
-        terms: dict[Monomial, Scalar] = {}
+        terms: dict[int, Scalar] = {}
         for mono, coeff in self._terms.items():
-            e = mono[_SLOT[INVERSE_ARCLENGTH]]
+            e = (mono >> _U_SHIFT) & MAX_DEGREE
             if e:
-                terms[mono * _U_MONO] = -e * coeff
+                terms[mono + _U_MONO] = -e * coeff
+        # a carry out of a full u field only raises the degree field further
+        if terms:
+            _check_degree(_max_degree(terms))
         return CurvaturePolynomial(terms)
 
     def factor_monomial_gcd(self) -> tuple[Monomial, "CurvaturePolynomial"]:
@@ -342,21 +397,34 @@ class CurvaturePolynomial:
         """
         if not self._terms:
             raise ZeroPolynomialError("monomial gcd of the zero polynomial")
-        # slot by slot minima; the minimum of the degrees is not the gcd's
-        exps = tuple(map(min, zip(*self._terms)))[1:]
-        low = _from_layout((sum(exps), *exps))
-        if not low[0]:
+        # The gcd divides the lowest term, so only that term's nonzero fields
+        # can hold a gcd exponent, each the minimum of its field over all
+        # terms.  A field starts at its top set bit rounded down to a
+        # multiple of EXPONENT_BITS (a power of two).
+        gcd = 0
+        rest = min(self._terms) & _EXPONENT_FIELDS
+        while rest:
+            shift = (rest.bit_length() - 1) & -EXPONENT_BITS
+            e = rest >> shift
+            rest ^= e << shift
+            for mono in self._terms:
+                if (mono >> shift) & MAX_DEGREE < e:
+                    e = (mono >> shift) & MAX_DEGREE
+                    if not e:
+                        break
+            gcd += e * (_DEGREE_UNIT | 1 << shift)
+        if not gcd:
             return _ONE_MONO, self
         quotient = CurvaturePolynomial._canonical(
-            {_from_layout(map(sub, mono, low)): c for mono, c in self._terms.items()}
+            {mono - gcd: c for mono, c in self._terms.items()}
         )
-        return low, quotient
+        return _monomial(gcd), quotient
 
     # -- ordering and rendering ---------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in graded-lexicographic order, highest degree first."""
-        return sorted(self._terms.items(), reverse=True)
+        return [(_monomial(m), c) for m, c in sorted(self._terms.items(), reverse=True)]
 
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
@@ -425,9 +493,19 @@ class _TermTexts(dict):
         super().__init__()
         self.sep, self.rows = sep, rows
 
-    def __missing__(self, mono: Monomial) -> str:
+    def __missing__(self, mono: int) -> str:
         rows = self.rows
-        text = self.sep.join([rows[s - 1][mono[s]] for s in _DISPLAY_SLOTS if mono[s]])
+        # K's field first, then only the nonzero fields from u down, each the
+        # top field of what is left (found as in factor_monomial_gcd)
+        k = mono & MAX_DEGREE
+        factors = [rows[-1][k]] if k else []
+        rest = mono & _BODY_FIELDS
+        while rest:
+            shift = (rest.bit_length() - 1) & -EXPONENT_BITS
+            e = rest >> shift
+            factors.append(rows[_K_SLOT - shift // EXPONENT_BITS][e])
+            rest ^= e << shift
+        text = self.sep.join(factors)
         if len(self) < TERM_TABLE_MAX_ENTRIES:
             self[mono] = text
         return text

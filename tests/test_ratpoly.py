@@ -18,6 +18,7 @@ from polyhelix.ratpoly import (
     FACTOR_TABLE_MAX_EXPONENT,
     INVERSE_ARCLENGTH,
     MAX_CURVATURE_INDEX,
+    MAX_DEGREE,
     TERM_TABLE_MAX_ENTRIES,
     CurvaturePolynomial,
     Monomial,
@@ -319,10 +320,10 @@ def test_orderings_match_reference(p):
     })
 
 
-# -- the degree slot ------------------------------------------------------------
-# A monomial keeps its total degree in slot 0, ahead of the exponents, so that
-# plain tuple order is graded order; every operation that builds a monomial
-# must set that slot to the sum of the others.
+# -- the degree field -----------------------------------------------------------
+# A monomial packs its total degree into the field above the exponents, so
+# that integer order is graded order; every operation that builds a monomial
+# must keep that field the sum of the others.
 
 
 def assert_degree_slots(p):
@@ -330,11 +331,14 @@ def assert_degree_slots(p):
         assert_degree_slot(mono)
     terms = _reference_sorted_terms(p)
     assert p.sorted_terms() == terms
+    assert sorted(p.terms(), key=lambda term: int(term[0]), reverse=True) == terms
     assert p.leading_coefficient() == (terms[0][1] if terms else 0)
 
 
 def assert_degree_slot(mono):
-    assert mono[0] == sum(mono[1:]) == sum(e for _, e in mono.exps) == mono.degree()
+    assert type(mono) is Monomial
+    assert mono.degree() == sum(e for _, e in mono.exps)
+    assert Monomial(mono.exps) == mono
 
 
 @settings(max_examples=100, deadline=None)
@@ -360,6 +364,33 @@ def test_every_operation_keeps_the_degree_slot(p, q, vid, dead):
     assert_degree_slots(even)
     assert squared_form(even) == p
     assert_degree_slots(squared_form(even))
+
+
+def test_degree_bound_is_checked_before_any_term_is_built(monkeypatch):
+    # at the bound every field reads back whole; one past it raises instead
+    # of carrying into the next field
+    top = Monomial([(MAX_CURVATURE_INDEX, MAX_DEGREE - 1)]) * Monomial([(AMBIENT, 1)])
+    assert top.exps == ((MAX_CURVATURE_INDEX, MAX_DEGREE - 1), (AMBIENT, 1))
+    assert top.degree() == MAX_DEGREE
+    assert (kvar(MAX_CURVATURE_INDEX) ** MAX_DEGREE).sorted_terms() == [
+        (Monomial([(MAX_CURVATURE_INDEX, MAX_DEGREE)]), 1)
+    ]
+    for pairs in ([(AMBIENT, MAX_DEGREE + 1)], [(1, MAX_DEGREE), (2, 1)]):
+        with pytest.raises(ValueError, match="degree"):
+            Monomial(pairs)
+    with pytest.raises(ValueError, match="degree"):
+        top * Monomial([(INVERSE_ARCLENGTH, 1)])
+    p = kvar(1) ** (MAX_DEGREE - 2) + kvar(2)
+    with pytest.raises(ValueError, match="degree"):
+        p * (kvar(3) ** 3 + 1)
+    with pytest.raises(ValueError, match="degree"):
+        (P.variable(INVERSE_ARCLENGTH) ** MAX_DEGREE).arclength_derivative()
+    # a power is refused before its first product
+    products = []
+    monkeypatch.setattr(P, "__mul__", lambda a, b: products.append(b))
+    with pytest.raises(ValueError, match="degree"):
+        (kvar(1) + kvar(2)) ** (2**40)
+    assert products == []
 
 
 def test_squared_form_rejects_an_odd_exponent():
