@@ -41,6 +41,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -111,12 +112,16 @@ def _central_halfwidth(order: int) -> int:
     return (order + 7 + 1) // 2
 
 
+@lru_cache(maxsize=16)
 def _central_weights(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Offsets and unit-spacing weights of the order-``order`` central
-    stencil."""
+    stencil, read-only: each order's are computed once and shared (the 16
+    orders used last are kept)."""
     half = _central_halfwidth(order)
     offsets = np.arange(-half, half + 1, dtype=float)
-    return offsets, fornberg_weights(0.0, offsets, order)[:, order]
+    weights = fornberg_weights(0.0, offsets, order)[:, order].copy()
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
 
 
 def central_difference(

@@ -31,6 +31,7 @@ from polyhelix.odelab import (
     CurvatureProfile,
     CurveSamples,
     ProfileTerm,
+    _central_weights,
     _evaluate,
     _fd_tension_sup,
     _leading,
@@ -106,6 +107,20 @@ class TestFiniteDifferences:
         window, d4 = central_difference(np.sin(s), h, 4)
         # the fourth-derivative roundoff floor is eps * sum|w| / h^4
         assert np.abs(d4 - np.sin(s[window])).max() < 1e-8
+
+    @pytest.mark.parametrize("order", [1, 2, 4, 6, 7])
+    def test_central_weights_are_shared_and_read_only(self, order):
+        offsets, weights = _central_weights(order)
+        assert _central_weights(order)[0] is offsets
+        assert _central_weights(order)[1] is weights
+        assert not offsets.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
+        # bit for bit the column of a fresh Fornberg table
+        half = (order + 8) // 2
+        fresh = np.arange(-half, half + 1, dtype=float)
+        assert np.array_equal(offsets, fresh)
+        assert np.array_equal(weights, fornberg_weights(0.0, fresh, order)[:, order])
 
     def test_central_difference_window_geometry(self):
         values = np.linspace(0.0, 1.0, 40)
