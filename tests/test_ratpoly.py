@@ -393,6 +393,16 @@ def test_degree_bound_is_checked_before_any_term_is_built(monkeypatch):
     assert products == []
 
 
+def test_a_monomial_is_not_a_constant():
+    # a Monomial is an int, but a polynomial does not take it for one
+    mono = Monomial([(1, 1)])
+    with pytest.raises(TypeError):
+        kvar(1) * mono
+    with pytest.raises(TypeError):
+        mono + kvar(1)
+    assert kvar(1) != mono and P.constant(int(mono)) != P({mono: 1})
+
+
 def test_squared_form_rejects_an_odd_exponent():
     with pytest.raises(ValueError, match="odd exponent 3 for k2; not expressible in squares"):
         squared_form(ambient() ** 3 * kvar(1) ** 2 * kvar(2) ** 3 * kvar(3))
