@@ -28,8 +28,9 @@ from .ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial, ambient, kvar
 
 Poly = CurvaturePolynomial
 
-# The derivation takes about 0.04 s at order 8 and 0.28 s at order 10 on a
-# shared 2-core Xeon and grows about x3 per order, so order 20 would take hours.
+# The derivation takes about 0.01 s at order 8 and 0.06-0.09 s at order 10
+# (cold, in a fresh interpreter) on a shared 2-core Xeon and grows about x3
+# per order, so order 20 would take over an hour.
 # Its curvatures k_1 .. k_{2r-2} must fit ratpoly.MAX_CURVATURE_INDEX.
 # The numeric sphere-curve checks in spherecurves take the same order range.
 MAX_TENSION_ORDER = 10
