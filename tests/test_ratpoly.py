@@ -380,17 +380,25 @@ def test_degree_bound_is_checked_before_any_term_is_built(monkeypatch):
             Monomial(pairs)
     with pytest.raises(ValueError, match="degree"):
         top * Monomial([(INVERSE_ARCLENGTH, 1)])
-    p = kvar(1) ** (MAX_DEGREE - 2) + kvar(2)
-    with pytest.raises(ValueError, match="degree"):
-        p * (kvar(3) ** 3 + 1)
     with pytest.raises(ValueError, match="degree"):
         (P.variable(INVERSE_ARCLENGTH) ** MAX_DEGREE).arclength_derivative()
-    # a power is refused before its first product
-    products = []
-    monkeypatch.setattr(P, "__mul__", lambda a, b: products.append(b))
+    # a product is refused before its loop reads a term, and a power before
+    # its first product
+    reads = []
+
+    class Watched(dict):
+        def items(self):
+            reads.append(len(self))
+            return super().items()
+
+    p = P._canonical(Watched((kvar(1) ** (MAX_DEGREE - 2) + kvar(2))._terms))
+    with pytest.raises(ValueError, match="degree"):
+        p * (kvar(3) ** 3 + 1)
+    assert reads == []
+    monkeypatch.setattr(P, "__mul__", lambda a, b: reads.append(b))
     with pytest.raises(ValueError, match="degree"):
         (kvar(1) + kvar(2)) ** (2**40)
-    assert products == []
+    assert reads == []
 
 
 def test_a_monomial_is_not_a_constant():
