@@ -167,6 +167,10 @@ class Monomial(int):
     def __repr__(self) -> str:
         return f"Monomial({list(self.exps)!r})"
 
+    def __reduce__(self):
+        # rebuilt from the packed integer: the constructor takes pairs
+        return _monomial, (int(self),)
+
 
 # a packed integer as a Monomial, not validated
 _monomial = partial(int.__new__, Monomial)
@@ -422,10 +426,6 @@ class CurvaturePolynomial:
 
     # -- ordering and rendering ---------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in graded-lexicographic order, highest degree first."""
-        return [(_monomial(m), c) for m, c in sorted(self._terms.items(), reverse=True)]
-
     def leading_coefficient(self) -> Scalar:
         if not self._terms:
             return 0
@@ -446,7 +446,8 @@ class CurvaturePolynomial:
             return "0"
         sep = texts.sep
         pieces: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        # integer order of the packed monomials is graded-lexicographic order
+        for mono, coeff in sorted(self._terms.items(), reverse=True):
             text = texts[mono]
             pieces.append(" + " if coeff > 0 else " - ")
             coeff = abs(coeff)
