@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
+from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -98,19 +99,27 @@ def _parse_zeros(text: str) -> set[int]:
         ) from None
 
 
-def _parse_params(text: str | None) -> dict[str, float]:
+def _parse_params(text: str | None) -> dict[str, Fraction]:
+    """``name=value`` pairs, each value the exact ``Fraction`` its decimal
+    text names, so ``a2=1.2,b2=0.8`` sums to 2 exactly; a value that rounds
+    to a zero float reads as 0."""
     if not text:
         return {}
     usage = argparse.ArgumentTypeError(
         f"expected name=value pairs such as a2=1.2,b2=0.8, got {text!r}"
     )
-    out: dict[str, float] = {}
+    out: dict[str, Fraction] = {}
     for chunk in text.split(","):
         name, equals, value = chunk.partition("=")
         if not equals or not name.strip():
             raise usage
         try:
-            out[name.strip()] = float(value)
+            rounded = float(value)
+            if not math.isfinite(rounded):
+                raise usage
+            # Fraction builds 10**e for the exponent e in the text; a finite,
+            # nonzero float bounds e by the length of the text
+            out[name.strip()] = Fraction(value) if rounded else Fraction(0)
         except ValueError:
             raise usage from None
     return out
@@ -180,7 +189,7 @@ def _cmd_classify(args, started: float) -> int:
     return _finish(args, payload, None, lines, started)
 
 
-def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict]:
+def _verify_checks(name: str, params: dict[str, Fraction]) -> tuple[int, dict, dict]:
     """Order, parameter echo and check values for one named curve, given
     every parameter it takes."""
     if name == "biharmonic-circle":
@@ -191,7 +200,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
         }
     if name == "biharmonic-two-freq":
         curve = spherecurves.biharmonic_two_freq(params["a2"], params["b2"])
-        return 2, params, {
+        return 2, {name: float(value) for name, value in params.items()}, {
             "equation_residual": spherecurves.equation_residual(curve, 2),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }
@@ -202,7 +211,7 @@ def _verify_checks(name: str, params: dict[str, float]) -> tuple[int, dict, dict
         }
     if name == "tri-hyperbola":
         sample = spherecurves.family_sample(spherecurves.tri_hyperbola_curve(params["y"]))
-        return 3, {"y": params["y"], "x": sample.x}, {
+        return 3, {"y": sample.y, "x": sample.x}, {
             "tension_residual": sample.tau3_residual,
             "quartic_residual": sample.quartic_residual,
             "multiplier_residual": sample.lambda_residual,
@@ -357,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, json_flag: bool = True, tol_flag: bool = False, seed_flag: bool = False):
         p.add_argument("--out", help="write the report to this path")
         if seed_flag:
-            p.add_argument("--seed", type=int, default=None, help="RNG seed (default 42)")
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                           help=f"RNG seed (default {DEFAULT_SEED})")
         if tol_flag:
             p.add_argument("--tol", type=_positive_float, default=None,
                            help="override default tolerances")
@@ -452,8 +462,6 @@ def dispatch(argv: list[str]) -> int:
         return int(stop.code or 0)
     started = time.perf_counter()
     try:
-        if "seed" in args and args.seed is None:
-            args.seed = int(os.environ.get("POLYHELIX_SEED", DEFAULT_SEED))
         return args.handler(args, started)
     except (ValueError, OSError) as error:
         sys.stderr.write(f"polyhelix {args.command}: {error}\n")

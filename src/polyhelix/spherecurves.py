@@ -24,11 +24,15 @@ coefficients rounded to floats and summed against the sampled jet
 multiplier and the block components (:func:`family_sample`).  The last field
 built is kept, so checks that read one (curve, order) in turn build it once.
 
-The covariant algebra runs in high-precision arithmetic because the target
-tolerances (1e-9 .. 1e-12) sit below the cancellation noise floor of double
-precision for these expressions.  The tension field is assembled by
-:func:`polyhelix.frenet.tension_field`; :func:`covariant_jets` applies the
-same connection to sampled derivative jets, here and in the odelab monitors.
+The covariant algebra is exact.  Every curve parameter is an ``int``, a
+``Fraction`` (a float is read as the binary fraction it stores) or, for the
+two-frequency family, an element of a quadratic field Q(sqrt D)
+(:class:`QuadraticSurd`), so the Gram matrix, the tension field and every
+squared norm carry no rounding error: a matched-order tension field is exactly
+zero, and only the reported floats are rounded.  The tension field is
+assembled by :func:`polyhelix.frenet.tension_field`; :func:`covariant_jets`
+applies the same connection to sampled derivative jets, here and in the
+odelab monitors.
 """
 
 from __future__ import annotations
@@ -39,15 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-import mpmath
 import numpy as np
 
 from .frenet import check_tension_order, tension_field
 
-Scalar = Union[int, float, Fraction, mpmath.mpf]
-
-WORKING_DPS = 50          # decimal digits for the covariant algebra
-DEGENERACY_TOL = 1e-10    # frame vector considered zero below this norm
 ARCLENGTH_TOL = 1e-9      # largest deviation of |gamma'|^2 from 1 at unit speed
 PERIOD_SAMPLES = 256      # points per fastest-block period of the sampled tension
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
@@ -75,20 +74,140 @@ class FrameDegeneracyError(Exception):
         )
 
 
-def _to_mpf(value: Scalar) -> mpmath.mpf:
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator)
-    return mpmath.mpf(value)
+class QuadraticSurd:
+    """An exact element ``(a + b sqrt(d)) / c`` of the real quadratic field
+    Q(sqrt d): integers ``a``, ``b`` and ``c > 0`` with no common factor, and
+    a radicand ``d > 0`` that is not a square, so ``sqrt(d)`` is irrational
+    and the element is zero exactly when ``a = b = 0``.
+
+    ``+``, ``-``, ``*`` and ``/`` are exact against ``int``, ``Fraction`` and
+    elements of the same field; anything else, a numpy array among them,
+    gets ``NotImplemented``, so an object array broadcasts the element over
+    its entries.  ``float`` rounds correctly."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int):
+        # the denominator first: the gcd then runs at its size, not at the
+        # numerators', which a power of the element makes twice as long
+        g = math.gcd(c, a, b)
+        if c < 0:
+            g = -g
+        if g != 1:
+            a, b, c = a // g, b // g, c // g
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def _parts(self, other) -> tuple[int, int, int] | None:
+        """``other`` as ``(a, b, c)`` over this field's ``d``; an ``int``
+        builds no ``Fraction``."""
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, QuadraticSurd):
+            return (other.a, other.b, other.c) if other.d == self.d else None
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
+
+    def _inverse(self, a: int, b: int, c: int) -> "QuadraticSurd":
+        """``c / (a + b sqrt(d))``, through the conjugate: the norm
+        ``a^2 - d b^2`` is zero only for ``a = b = 0``."""
+        norm = a * a - self.d * b * b
+        if not norm:
+            raise ZeroDivisionError("division by zero in Q(sqrt d)")
+        return QuadraticSurd(c * a, -c * b, norm, self.d)
+
+    def __add__(self, other):
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        a, b, c = parts
+        return QuadraticSurd(self.a * c + a * self.c, self.b * c + b * self.c, self.c * c, self.d)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QuadraticSurd":
+        return QuadraticSurd(-self.a, -self.b, self.c, self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        a, b, c = parts
+        return QuadraticSurd(
+            self.a * a + self.d * self.b * b, self.a * b + self.b * a, self.c * c, self.d
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        return self * self._inverse(*parts)
+
+    def __rtruediv__(self, other):
+        if self._parts(other) is None:
+            return NotImplemented
+        return self._inverse(self.a, self.b, self.c) * other
+
+    def __bool__(self) -> bool:
+        return bool(self.a or self.b)
+
+    def __float__(self) -> float:
+        a, b, c = self.a, self.b, self.c
+        if not b:
+            return a / c
+        # sqrt(d) is irrational, so b sqrt(d) 2^k lies strictly between two
+        # integers, the value strictly between two rationals, and it is never
+        # a tie between two doubles: refine until both ends round alike
+        k = 64
+        while True:
+            root = math.isqrt(b * b * self.d << 2 * k)
+            low = (a << k) + (root if b > 0 else -root - 1)
+            lo, hi = low / (c << k), (low + 1) / (c << k)
+            if lo == hi:
+                return lo
+            k *= 2
+
+    def __eq__(self, other) -> bool:
+        parts = self._parts(other)
+        if parts is None:
+            return NotImplemented
+        return (self.a, self.b, self.c) == parts
+
+    def __hash__(self) -> int:
+        if not self.b:
+            return hash(Fraction(self.a, self.c))
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self) -> str:
+        return f"QuadraticSurd({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+Scalar = Union[int, float, Fraction, QuadraticSurd]
+
+
+def _exact(value: Scalar) -> Scalar:
+    """A float as the ``Fraction`` of the binary value it stores; an exact
+    scalar as it is."""
+    return Fraction(value) if isinstance(value, float) else value
 
 
 @dataclass(frozen=True)
 class TrigCurve:
     """A trigonometric sphere curve.
 
-    ``blocks`` holds ``(squared frequency, squared weight)`` pairs; exact
-    parameter types (``Fraction`` or ``mpmath.mpf``) are preserved so that
-    downstream high-precision computations see the intended curve, not a
-    double-precision approximation of it.
+    ``blocks`` holds ``(squared frequency, squared weight)`` pairs.  Each
+    parameter is kept exact: an ``int``, a ``Fraction`` or a
+    :class:`QuadraticSurd` as given, and a float as the ``Fraction`` of the
+    binary value it stores, so the covariant algebra reads the intended curve
+    exactly, not a rounded copy of it.
     """
 
     blocks: tuple[tuple[Scalar, Scalar], ...]
@@ -97,10 +216,9 @@ class TrigCurve:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("need at least one rotating block")
-        object.__setattr__(self, "blocks", tuple((x, w) for x, w in self.blocks))
         for x, w in self.blocks:
-            if not float(x) > 0:
-                raise ValueError("squared frequencies must be positive")
+            if not 0 < float(x) < math.inf:
+                raise ValueError("squared frequencies must be positive and finite")
             if not 0 < float(w) <= 1:
                 raise ValueError("squared weights must lie in (0, 1]")
         if not 0 <= float(self.constant_weight) < 1:
@@ -115,6 +233,8 @@ class TrigCurve:
         )
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"squared weights sum to {total}, not 1")
+        object.__setattr__(self, "blocks", tuple((_exact(x), _exact(w)) for x, w in self.blocks))
+        object.__setattr__(self, "constant_weight", _exact(self.constant_weight))
 
     # -- structure -----------------------------------------------------------
 
@@ -196,27 +316,36 @@ def four_planar() -> TrigCurve:
     return TrigCurve(((4, Fraction(1, 4)),), Fraction(3, 4))
 
 
-def tri_hyperbola_curve(y: Scalar) -> TrigCurve:
+def tri_hyperbola_curve(y: int | float | Fraction) -> TrigCurve:
     """Two-frequency curve on the admissible branch of the quartic
 
         x^2 + (3y - 4) x + (y^2 - 4y + 3) = 0,   x = a^2, y = b^2,
 
     with weights solved from the unit-sphere and arclength conditions:
-    ``alpha_1^2 = (1 - y)/(x - y)``.  Admissible for y in (0, 3), y != 1.
+    ``alpha_1^2 = (1 - y)/(x - y)``, which lies in (1/3, 2/3).  Admissible
+    for y in (0, 3), y != 1.
+
+    The curve is exact: ``y`` is read as a ``Fraction`` ``n/m`` (a float as
+    the binary value it stores), and ``x = (4 - 3y + sqrt(D))/2`` with
+    ``D = 5y^2 - 8y + 4 = d/m^2`` lies in Q(sqrt d), or in Q when ``d`` is a
+    square.
     """
-    with mpmath.workdps(WORKING_DPS):
-        ym = _to_mpf(y)
-        if not 0 < ym < 3:
-            raise ValueError("admissible branch needs y in (0, 3)")
-        disc = 5 * ym**2 - 8 * ym + 4
-        x = (4 - 3 * ym + mpmath.sqrt(disc)) / 2
-        if abs(x - ym) < mpmath.mpf("1e-12"):
+    if not 0 < y < 3:
+        raise ValueError("admissible branch needs y in (0, 3)")
+    y = Fraction(y)
+    n, m = y.numerator, y.denominator
+    d = 5 * n * n - 8 * n * m + 4 * m * m
+    root = math.isqrt(d)
+    if root * root == d:
+        x = (4 - 3 * y + Fraction(root, m)) / 2
+        if x == y:
             raise ValueError("x = y is the geodesic, excluded")
-        a1sq = (1 - ym) / (x - ym)
-        a3sq = 1 - a1sq
-        if not (0 < a1sq < 1):
-            raise ValueError("weights leave (0, 1); outside the family")
-        return TrigCurve(((x, a1sq), (ym, a3sq)))
+        a1sq = (1 - y) / (x - y)
+    else:
+        # x = y (at y = 1) and 5y = 3 both need a square d
+        x = (4 - 3 * y + QuadraticSurd(0, 1, m, d)) / 2
+        a1sq = (x + 4 * y - 4) / (5 * y - 3)
+    return TrigCurve(((x, a1sq), (y, 1 - a1sq)))
 
 
 # -- arclength check ---------------------------------------------------------
@@ -232,8 +361,10 @@ def _require_arclength(curve: TrigCurve) -> None:
 
 class _CovariantAlgebra:
     """Fields along the curve as constant coefficient vectors (object arrays
-    of ``mpf``) over the jet basis ``gamma, gamma', ..., gamma^(J)`` with the
-    exact Gram matrix, each entry a phase times one of the J + 1 moments.
+    of exact scalars) over the jet basis ``gamma, gamma', ..., gamma^(J)``
+    with the exact Gram matrix, each entry a phase times one of the J + 1
+    moments.  A moment is never a bare ``int``, so a quotient of two inner
+    products stays exact.
 
     The sphere connection acts by ``X -> X' + <X, gamma'> gamma``; on jet
     coefficients that is an index shift plus the Gram column of ``gamma'``.
@@ -242,11 +373,10 @@ class _CovariantAlgebra:
     def __init__(self, curve: TrigCurve, max_order: int):
         self.size = max_order + 1
         moments = []
-        for l in range(self.size):
-            total = mpmath.mpf(0)
-            for x, w in curve.blocks:
-                total += _to_mpf(w) * _to_mpf(x) ** l
-            moments.append(total)
+        terms = [w for _, w in curve.blocks]
+        for _ in range(self.size):
+            moments.append(sum(terms, Fraction(0)))
+            terms = [t * x for t, (x, _) in zip(terms, curve.blocks)]
         self.gram = np.array(
             [
                 [_C4[(p - q) % 4] * moments[(p + q) // 2] for q in range(self.size)]
@@ -254,15 +384,15 @@ class _CovariantAlgebra:
             ],
             dtype=object,
         )
-        self.gram[0, 0] += _to_mpf(curve.constant_weight)
+        self.gram[0, 0] += curve.constant_weight
 
     def tangent(self) -> np.ndarray:
-        c = np.array([mpmath.mpf(0)] * self.size, dtype=object)
-        c[1] = mpmath.mpf(1)
+        c = np.zeros(self.size, dtype=object)
+        c[1] = 1
         return c
 
-    def inner(self, c: Sequence, d: Sequence) -> mpmath.mpf:
-        total = mpmath.mpf(0)
+    def inner(self, c: Sequence, d: Sequence) -> Scalar:
+        total = 0
         for p, cp in enumerate(c):
             if cp:
                 row = self.gram[p]
@@ -271,8 +401,8 @@ class _CovariantAlgebra:
                         total += cp * row[q] * dq
         return total
 
-    def norm(self, c: Sequence) -> mpmath.mpf:
-        return mpmath.sqrt(max(self.inner(c, c), mpmath.mpf(0)))
+    def norm(self, c: Sequence) -> float:
+        return math.sqrt(float(self.inner(c, c)))
 
     def nabla(self, c: np.ndarray) -> np.ndarray:
         if c[-1]:
@@ -293,7 +423,7 @@ class _CovariantAlgebra:
 def _tension(curve: TrigCurve, r: int) -> tuple[_CovariantAlgebra, np.ndarray]:
     """The algebra of the curve's jet and the exact jet coefficients of its
     order-``r`` tension field with unit ambient curvature, assembled from
-    covariant derivatives of the tangent.  Call in working precision.
+    covariant derivatives of the tangent.
 
     The last result is kept, so the checks that read one (curve, order) in
     turn share one build.  Every caller shares the returned algebra and
@@ -311,17 +441,15 @@ def intrinsic_tau_residual(curve: TrigCurve, r: int) -> float:
     The coefficients are s-independent for this ansatz, so the returned value
     is the sup over any interval.
     """
-    with mpmath.workdps(WORKING_DPS):
-        alg, tau = _tension(curve, r)
-        return float(alg.norm(tau))
+    alg, tau = _tension(curve, r)
+    return alg.norm(tau)
 
 
 def tension_at(curve: TrigCurve, r: int, s) -> np.ndarray:
     """The order-``r`` tension field at ``s`` in ambient coordinates: the
     exact coefficients rounded to floats, summed against the closed-form
     derivatives, highest derivative first."""
-    with mpmath.workdps(WORKING_DPS):
-        coefficients = [float(c) for c in _tension(curve, r)[1]]
+    coefficients = [float(c) for c in _tension(curve, r)[1]]
     total = np.zeros(np.shape(s) + (curve.dimension,))
     for p in reversed(range(len(coefficients))):
         if coefficients[p]:
@@ -347,31 +475,33 @@ def geodesic_curvatures(curve: TrigCurve, count: int) -> tuple[float, ...]:
     """First ``count`` geodesic curvatures via Gram-Schmidt on the covariant
     derivatives of the tangent.
 
-    The frame recursion gives ``k_j F_{j+1} = nabla F_j + k_{j-1} F_{j-1}``;
-    when the right side degenerates the curve does not fill ``count + 1``
-    frames and a :class:`FrameDegeneracyError` is raised carrying the
-    curvatures found so far.
+    The frame recursion ``k_j F_{j+1} = nabla F_j + k_{j-1} F_{j-1}`` runs on
+    the unnormalized fields ``U_1 = T``,
+    ``U_{j+1} = nabla U_j + (|U_j|^2 / |U_{j-1}|^2) U_{j-1}``, with
+    ``F_j = U_j / |U_j|``; so ``k_j^2 = |U_{j+1}|^2 / |U_j|^2`` is exact and
+    each curvature takes one square root.  When ``U_{j+1}`` is zero the curve
+    does not fill ``count + 1`` frames and a :class:`FrameDegeneracyError` is
+    raised carrying the curvatures found so far.
     """
     _require_arclength(curve)
     capacity = curve.dimension - 1
     if not 1 <= count <= capacity:
         raise ValueError(f"count must be within 1..{capacity} for this curve")
-    with mpmath.workdps(WORKING_DPS):
-        alg = _CovariantAlgebra(curve, count + 1)
-        frames = [alg.tangent()]
-        curvatures: list[float] = []
-        prev_k: mpmath.mpf | None = None
-        for j in range(count):
-            v = alg.nabla(frames[j])
-            if j >= 1:
-                v = v + prev_k * frames[j - 1]
-            norm = alg.norm(v)
-            if norm < DEGENERACY_TOL:
-                raise FrameDegeneracyError(tuple(curvatures))
-            frames.append(v / norm)
-            curvatures.append(float(norm))
-            prev_k = norm
-        return tuple(curvatures)
+    alg = _CovariantAlgebra(curve, count + 1)
+    fields = [alg.tangent()]
+    squares = [alg.inner(fields[0], fields[0])]
+    curvatures: list[float] = []
+    for j in range(count):
+        field = alg.nabla(fields[j])
+        if j >= 1:
+            field = field + squares[j] / squares[j - 1] * fields[j - 1]
+        square = alg.inner(field, field)
+        if not square:
+            raise FrameDegeneracyError(tuple(curvatures))
+        curvatures.append(math.sqrt(float(square / squares[j])))
+        fields.append(field)
+        squares.append(square)
+    return tuple(curvatures)
 
 
 # -- first variation ---------------------------------------------------------
@@ -619,10 +749,10 @@ def first_variation(
 
 # -- the two-frequency family ------------------------------------------------
 
-# Each admitted sample is certified by an order-3 tension field in 50-digit
-# arithmetic, about 1.35 ms of CPU on a shared 2-core Xeon (a quarter of the
-# swept y fall outside the family), and every row is kept: 10^5 samples
-# took 101 s, far past any resolution the CSV needs.
+# Each admitted sample is certified by an exact order-3 tension field, about
+# 1.35 ms of CPU on a shared 2-core Xeon (a quarter of the swept y fall
+# outside the family), and every row is kept: 10^5 samples took 101 s, far
+# past any resolution the CSV needs.
 MAX_FAMILY_SAMPLES = 10**5
 
 
@@ -654,9 +784,8 @@ def family_sample(curve: TrigCurve) -> FamilySample:
     multiplier ``-c_0``, and as multiplier residual the largest of each
     block's position component ``sum_(p even) c_p (-x_i)^(p/2)`` (from the
     rounded coefficients) and of the float arclength and sphere defects."""
-    with mpmath.workdps(WORKING_DPS):
-        alg, tau = _tension(curve, 3)
-        norm = float(alg.norm(tau))
+    alg, tau = _tension(curve, 3)
+    norm = alg.norm(tau)
     coefficients = [float(c) for c in tau]
     (x, a1sq), (y, a3sq) = ((float(f), float(w)) for f, w in curve.blocks)
     defects = [x * a1sq + y * a3sq - 1.0, a1sq + a3sq - 1.0]

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -64,10 +65,15 @@ class TestFlagParsing:
             _parse_grid("0:3:0")
 
     def test_params(self):
-        assert _parse_params("a2=1.2,b2=0.8") == {"a2": 1.2, "b2": 0.8}
+        params = _parse_params("a2=1.2,b2=0.8")
+        assert params == {"a2": Fraction(6, 5), "b2": Fraction(4, 5)}
+        assert params["a2"] + params["b2"] == 2
         assert _parse_params(None) == {}
-        with pytest.raises(Exception):
-            _parse_params("a2")
+        # a zero float reads as 0, and no exponent builds a huge power of ten
+        assert _parse_params("y=1e-400,x=0e-999999999") == {"y": 0, "x": 0}
+        for text in ("a2", "y=inf", "y=nan", "y=1e999999999", "y=1/3"):
+            with pytest.raises(Exception):
+                _parse_params(text)
 
     def test_zeros(self):
         assert _parse_zeros("") == set()
@@ -192,13 +198,12 @@ class TestClassify:
         assert "{'frame'" not in out
         assert "certificate F4: " in out
 
-    def test_seed_resolution(self, capsys, monkeypatch):
-        monkeypatch.setenv("POLYHELIX_SEED", "7")
+    def test_seed_resolution(self, capsys):
         code, out = run(
             capsys, "classify", "--order", "2", "--K", "1",
             "--trials", "20", "--json",
         )
-        assert json.loads(out)["payload"]["search"]["seed"] == 7
+        assert json.loads(out)["payload"]["search"]["seed"] == DEFAULT_SEED == 42
         code, out = run(
             capsys, "classify", "--order", "2", "--K", "1",
             "--trials", "20", "--seed", "11", "--json",
@@ -718,9 +723,8 @@ class TestContract:
         )[1]
         assert first == second
 
-    def test_repeated_dispatch_leaks_nothing_between_calls(self, capsys, monkeypatch):
+    def test_repeated_dispatch_leaks_nothing_between_calls(self, capsys):
         # one parser serves every call: a flag given once must not stick
-        monkeypatch.delenv("POLYHELIX_SEED", raising=False)
         tau = ("tau", "--order", "3")
         zeros = tau + ("--zeros", "2")
         outputs = [run(capsys, *argv)[1] for argv in (zeros, tau, zeros, tau)]
@@ -735,14 +739,10 @@ class TestContract:
         search = [json.loads(out)["payload"]["search"] for out in outputs[:2]]
         assert [s["tol"] for s in search] == [1e-6, default]
 
-        # the seed variable is read on every call, not once per parser
+        # the seed is resolved on every call, not once per parser
         seeds = []
-        for value in ("7", "8", "7", None):
-            if value is None:
-                monkeypatch.delenv("POLYHELIX_SEED")
-            else:
-                monkeypatch.setenv("POLYHELIX_SEED", value)
-            seeds.append(json.loads(run(capsys, *argv)[1])["payload"]["search"]["seed"])
+        for extra in (("--seed", "7"), ("--seed", "8"), ("--seed", "7"), ()):
+            seeds.append(json.loads(run(capsys, *argv, *extra)[1])["payload"]["search"]["seed"])
         assert seeds == [7, 8, 7, DEFAULT_SEED]
 
     def test_parser_is_built_once_per_process(self):

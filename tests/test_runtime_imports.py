@@ -1,0 +1,57 @@
+"""The package imports nothing but the standard library, itself and its
+runtime dependencies.
+
+Every ``import`` in ``src/polyhelix``, at module level or inside a function,
+must name a standard library module, ``polyhelix`` (a relative import) or a
+distribution listed in ``pyproject.toml``'s ``[project] dependencies``, and
+that list is numpy alone.  Packages the tests need (mpmath, sympy,
+hypothesis, pytest) belong to the ``test`` extra and must not reach the
+package.
+"""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyhelix"
+
+
+def _runtime_dependencies() -> set[str]:
+    """The import names of ``[project] dependencies``."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {
+        re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+
+
+def _imports(path: Path):
+    """(top-level module, line) of each absolute import in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0], node.lineno
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    assert _runtime_dependencies() == {"numpy"}
+
+
+def test_package_imports_only_the_standard_library_and_its_dependencies():
+    allowed = set(sys.stdlib_module_names) | _runtime_dependencies() | {"polyhelix"}
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    stray = [
+        f"{path.relative_to(ROOT)}:{line}: {module}"
+        for path in files
+        for module, line in _imports(path)
+        if module not in allowed
+    ]
+    assert stray == []

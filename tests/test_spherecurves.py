@@ -24,8 +24,8 @@ from polyhelix.spherecurves import (
     BumpPerturbation,
     FrameDegeneracyError,
     MAX_PASS_NODES,
+    QuadraticSurd,
     TrigCurve,
-    WORKING_DPS,
     _CovariantAlgebra,
     _tension,
     _jet_rsqrt,
@@ -64,12 +64,11 @@ def arclength_two_block(x: float, y: float) -> TrigCurve | None:
 
 def exact_density(curve: TrigCurve, r: int) -> float:
     """``|nabla^(r-1) gamma'|^2``, the order-``r`` density, from the exact
-    covariant algebra; on the unit sphere it needs only ``|gamma| = 1``, not
-    an arclength parametrization."""
-    with mpmath.workdps(WORKING_DPS):
-        alg = _CovariantAlgebra(curve, r)
-        top = alg.chain(r - 1)[-1]
-        return float(alg.inner(top, top))
+    covariant algebra, rounded to a float; on the unit sphere it needs only
+    ``|gamma| = 1``, not an arclength parametrization."""
+    alg = _CovariantAlgebra(curve, r)
+    top = alg.chain(r - 1)[-1]
+    return float(alg.inner(top, top))
 
 
 def sampled_density_defect(curve: TrigCurve, r: int) -> float:
@@ -91,18 +90,18 @@ def r_planar(r: int) -> TrigCurve:
     return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
 
 
-def inner_exact(curve: TrigCurve, p: int, q: int) -> mpmath.mpf:
-    """``<gamma^(p), gamma^(q)>`` in the current precision, one block sum per
-    pair: the oracle of the covariant algebra's Gram matrix."""
+def inner_exact(curve: TrigCurve, p: int, q: int):
+    """``<gamma^(p), gamma^(q)>`` exactly, one block sum per pair: the oracle
+    of the covariant algebra's Gram matrix."""
     c = (1, 0, -1, 0)[(p - q) % 4]
-    total = mpmath.mpf(0)
+    total = Fraction(0)
     if c:
         half = (p + q) // 2  # p-q even implies p+q even
         for x, w in curve.blocks:
-            total += spherecurves._to_mpf(w) * spherecurves._to_mpf(x) ** half
+            total += math.prod([x] * half, start=w)
         total *= c
     if p == 0 and q == 0:
-        total += spherecurves._to_mpf(curve.constant_weight)
+        total += curve.constant_weight
     return total
 
 
@@ -139,13 +138,14 @@ def solve_lambda(x, y, a1sq, a3sq):
 def lambda_system_residual(x, y, a1sq, a3sq, lam):
     """Hand-derived residuals of the four stationarity/constraint equations
     of the two-frequency ansatz: two multiplier equations, arclength, unit
-    sphere.  Each argument may be a float or an ``mpf``."""
-    if x <= 0 or y <= 0:
+    sphere.  Each argument may be a float or exact (``Fraction`` or
+    ``QuadraticSurd``)."""
+    if float(x) <= 0 or float(y) <= 0:
         raise ValueError("both squared frequencies must be positive")
-    r1 = x**3 * (1.0 - 2.0 * a1sq) - 2.0 * x**2 + 3.0 * x - 2.0 * x * y**2 * a3sq + lam
-    r2 = y**3 * (1.0 - 2.0 * a3sq) - 2.0 * y**2 + 3.0 * y - 2.0 * y * x**2 * a1sq + lam
-    r3 = x * a1sq + y * a3sq - 1.0
-    r4 = a1sq + a3sq - 1.0
+    r1 = x * x * x * (1 - 2 * a1sq) - 2 * x * x + 3 * x - 2 * x * y * y * a3sq + lam
+    r2 = y * y * y * (1 - 2 * a3sq) - 2 * y * y + 3 * y - 2 * y * x * x * a1sq + lam
+    r3 = x * a1sq + y * a3sq - 1
+    r4 = a1sq + a3sq - 1
     return (r1, r2, r3, r4)
 
 
@@ -513,6 +513,29 @@ class TestIntrinsicTension:
             with pytest.raises(ValueError, match=f"got {r}$"):
                 first_variation(biharmonic_circle(), r, [bump])
 
+    @pytest.mark.parametrize(
+        "curve, r",
+        [
+            (biharmonic_circle(), 2),
+            (biharmonic_two_freq(), 2),
+            (biharmonic_two_freq(Fraction(6, 5), Fraction(4, 5)), 2),
+        ]
+        + [(r_planar(r), r) for r in range(3, MAX_TENSION_ORDER + 1)]
+        + [
+            (tri_hyperbola_curve(y), 3)
+            for y in (0.0625, 0.5, 2, 2.98, 1e-300, Fraction("1e-300"))
+        ],
+    )
+    def test_matched_order_tension_is_exactly_zero(self, curve, r):
+        # in the curve's own field, with the neighbouring order as control
+        def squared_norm(order):
+            alg, tau = _tension(curve, order)
+            return alg.inner(tau, tau)
+
+        assert squared_norm(r) == 0
+        control = squared_norm(r + 1 if r < MAX_TENSION_ORDER else r - 1)
+        assert control != 0 and float(control) > 0
+
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_critical_only_at_its_order(self, r):
         assert intrinsic_tau_residual(r_planar(r), r) < 1e-9
@@ -638,22 +661,65 @@ class TestLagrangian:
         assert max(abs(v) for v in residuals) < 1e-10
 
 
+# -- the exact scalar of Q(sqrt d) ---------------------------------------------
+
+surds = st.builds(
+    QuadraticSurd,
+    st.integers(-10**30, 10**30),
+    st.integers(-10**30, 10**30).filter(bool),
+    st.integers(1, 10**30),
+    st.sampled_from([2, 3, 5, 8, 20, 10**40 + 1]),
+)
+
+
+class TestQuadraticSurd:
+    @given(surds)
+    @settings(max_examples=200, deadline=None)
+    def test_float_is_correctly_rounded(self, v):
+        with mpmath.workdps(200):
+            want = float((v.a + v.b * mpmath.sqrt(v.d)) / v.c)
+        assert float(v) == want
+
+    @given(surds, surds)
+    @settings(max_examples=100, deadline=None)
+    def test_field_arithmetic(self, v, w):
+        w = QuadraticSurd(w.a, w.b, w.c, v.d)
+        conjugate = QuadraticSurd(v.a, -v.b, v.c, v.d)
+        assert v * conjugate == Fraction(v.a * v.a - v.d * v.b * v.b, v.c * v.c)
+        assert (v + w) - w == v and (v - w) + w == v
+        assert v / w * w == v and 1 / v * v == 1
+        assert 2 * v == v + v and v * Fraction(1, 3) == v / 3 and -v + v == 0
+        assert Fraction(1, 2) - v == -(v - Fraction(1, 2))
+        assert hash(v * conjugate) == hash(Fraction(v.a * v.a - v.d * v.b * v.b, v.c * v.c))
+
+    def test_zero_and_mixed_operands(self):
+        root2 = QuadraticSurd(0, 1, 1, 2)
+        assert not root2 - root2 and root2 and root2 * root2 == 2
+        with pytest.raises(ZeroDivisionError):
+            root2 / (root2 - root2)
+        # an object array broadcasts the element; a float is no exact operand
+        assert list(root2 * np.array([1, root2], dtype=object)) == [root2, 2]
+        with pytest.raises(TypeError):
+            root2 * 1.5
+        with pytest.raises(TypeError):
+            root2 + QuadraticSurd(0, 1, 1, 3)
+
+
 # -- the Gram matrix from one moment per order --------------------------------
 
 GRAM_ORDER = 2 * MAX_TENSION_ORDER  # the longest jet a tension build reads
 
 
 def gram_defects(curve: TrigCurve, max_order: int) -> list[tuple[int, int]]:
-    """Entries of the covariant algebra's Gram matrix that differ, as mpf
-    values, from the per-pair block sums."""
-    with mpmath.workdps(WORKING_DPS):
-        gram = _CovariantAlgebra(curve, max_order).gram
-        return [
-            (p, q)
-            for p in range(max_order + 1)
-            for q in range(max_order + 1)
-            if not gram[p, q] == inner_exact(curve, p, q)
-        ]
+    """Entries of the covariant algebra's Gram matrix that differ, exactly,
+    from the per-pair block sums."""
+    gram = _CovariantAlgebra(curve, max_order).gram
+    return [
+        (p, q)
+        for p in range(max_order + 1)
+        for q in range(max_order + 1)
+        if not gram[p, q] == inner_exact(curve, p, q)
+    ]
 
 
 class TestGramMoments:
@@ -685,20 +751,28 @@ class TestGramMoments:
         "curve", [biharmonic_circle(), biharmonic_two_freq(), tri_hyperbola_curve(2)]
     )
     @pytest.mark.parametrize("max_order", [2, 6, GRAM_ORDER])
-    def test_gram_converts_each_block_once_per_moment(self, monkeypatch, curve, max_order):
-        # J + 1 moments of B blocks read 2 B (J + 1) parameters, plus the
-        # constant weight; a sum per (p, q) pair reads more from J = 2 on
+    def test_gram_multiplies_each_block_once_per_moment(self, curve, max_order):
+        # J + 1 moments of B blocks take B (J + 1) products of a block's
+        # frequency; a sum per (p, q) pair takes more from J = 2 on
         calls = [0]
-        convert = spherecurves._to_mpf
 
-        def counting(value):
-            calls[0] += 1
-            return convert(value)
+        class Counting:
+            """A block frequency that counts the products it enters."""
 
-        monkeypatch.setattr(spherecurves, "_to_mpf", counting)
-        with mpmath.workdps(WORKING_DPS):
-            _CovariantAlgebra(curve, max_order)
-        assert 0 < calls[0] <= 2 * len(curve.blocks) * (max_order + 1) + 1
+            def __init__(self, value):
+                self.value = value
+
+            def __rmul__(self, other):
+                calls[0] += 1
+                return other * self.value
+
+            def __float__(self):
+                return float(self.value)
+
+        counted = replace(curve, blocks=tuple((Counting(x), w) for x, w in curve.blocks))
+        gram = _CovariantAlgebra(counted, max_order).gram
+        assert 0 < calls[0] <= len(curve.blocks) * (max_order + 1)
+        assert gram.tolist() == _CovariantAlgebra(curve, max_order).gram.tolist()
 
 
 # -- one exact build per (curve, order) ---------------------------------------
@@ -774,7 +848,7 @@ class TestHyperbolaFamily:
         for row in rows:
             assert row.quartic_residual < 1e-12
             assert row.lambda_residual < 1e-10
-            assert row.tau3_residual < 1e-9
+            assert row.tau3_residual == 0.0
 
     def test_family_rejects_inadmissible_parameters(self):
         with pytest.raises(ValueError):
@@ -808,17 +882,17 @@ class TestHyperbolaFamily:
         ],
     )
     def test_hand_system_is_the_even_part_of_the_tension(self, curve):
-        # in working precision, with lambda = -c_0, each multiplier equation
-        # is minus the block's position component sum_(p even) c_p (-t)^(p/2)
-        with mpmath.workdps(WORKING_DPS):
-            (x, a1sq), (y, a3sq) = (
-                (spherecurves._to_mpf(f), spherecurves._to_mpf(w)) for f, w in curve.blocks
-            )
-            tau = _tension(curve, 3)[1]
-            r1, r2, _, _ = lambda_system_residual(x, y, a1sq, a3sq, -tau[0])
-            for hand, t in ((r1, x), (r2, y)):
-                even = sum(tau[p] * (-t) ** (p // 2) for p in range(0, len(tau), 2))
-                assert abs(hand + even) < mpmath.mpf("1e-40")
+        # exactly, with lambda = -c_0, each multiplier equation is minus the
+        # block's position component sum_(p even) c_p (-t)^(p/2)
+        (x, a1sq), (y, a3sq) = curve.blocks
+        tau = _tension(curve, 3)[1]
+        r1, r2, _, _ = lambda_system_residual(x, y, a1sq, a3sq, -tau[0])
+        for hand, t in ((r1, x), (r2, y)):
+            even, power = 0, 1
+            for p in range(0, len(tau), 2):
+                even += tau[p] * power
+                power = power * -t
+            assert hand + even == 0
 
     def test_multiplier_system_balances_on_the_geodesic(self):
         residuals = lambda_system_residual(1.0, 1.0, 0.4, 0.6, 0.0)
