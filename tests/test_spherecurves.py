@@ -751,7 +751,7 @@ class TestGramMoments:
         "curve", [biharmonic_circle(), biharmonic_two_freq(), tri_hyperbola_curve(2)]
     )
     @pytest.mark.parametrize("max_order", [2, 6, GRAM_ORDER])
-    def test_gram_multiplies_each_block_once_per_moment(self, curve, max_order):
+    def test_gram_converts_each_block_once_per_moment(self, curve, max_order):
         # J + 1 moments of B blocks take B (J + 1) products of a block's
         # frequency; a sum per (p, q) pair takes more from J = 2 on
         calls = [0]
