@@ -200,7 +200,7 @@ def _verify_checks(name: str, params: dict[str, Fraction]) -> tuple[int, dict, d
         }
     if name == "biharmonic-two-freq":
         curve = spherecurves.biharmonic_two_freq(params["a2"], params["b2"])
-        return 2, {name: float(value) for name, value in params.items()}, {
+        return 2, {key: float(value) for key, value in params.items()}, {
             "equation_residual": spherecurves.equation_residual(curve, 2),
             "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
         }

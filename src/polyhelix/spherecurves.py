@@ -26,7 +26,7 @@ built is kept, so checks that read one (curve, order) in turn build it once.
 
 The covariant algebra is exact.  Every curve parameter is an ``int``, a
 ``Fraction`` (a float is read as the binary fraction it stores) or, for the
-two-frequency family, an element of a quadratic field Q(sqrt D)
+two-frequency family, an element of a quadratic field Q(sqrt d)
 (:class:`QuadraticSurd`), so the Gram matrix, the tension field and every
 squared norm carry no rounding error: a matched-order tension field is exactly
 zero, and only the reported floats are rounded.  The tension field is
@@ -372,11 +372,11 @@ class _CovariantAlgebra:
 
     def __init__(self, curve: TrigCurve, max_order: int):
         self.size = max_order + 1
-        moments = []
         terms = [w for _, w in curve.blocks]
-        for _ in range(self.size):
-            moments.append(sum(terms, Fraction(0)))
+        moments = [sum(terms, Fraction(0))]
+        for _ in range(max_order):
             terms = [t * x for t, (x, _) in zip(terms, curve.blocks)]
+            moments.append(sum(terms, Fraction(0)))
         self.gram = np.array(
             [
                 [_C4[(p - q) % 4] * moments[(p + q) // 2] for q in range(self.size)]
