@@ -750,9 +750,10 @@ def first_variation(
 # -- the two-frequency family ------------------------------------------------
 
 # Each admitted sample is certified by an exact order-3 tension field, about
-# 1.35 ms of CPU on a shared 2-core Xeon (a quarter of the swept y fall
-# outside the family), and every row is kept: 10^5 samples took 101 s, far
-# past any resolution the CSV needs.
+# 1.1 ms of CPU on a shared 2-core Xeon (10^4 samples took 7.9 s; a quarter
+# of the swept y fall outside the family), and every row is kept: 10^5
+# samples take about ten times as long, far past any resolution the CSV
+# needs.
 MAX_FAMILY_SAMPLES = 10**5
 
 
