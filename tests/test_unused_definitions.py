@@ -3,7 +3,8 @@
 A definition counts as used when code in ``src/polyhelix`` outside the
 definition itself refers to its name (a bare name or an attribute), when an
 ``__all__`` of the package exports it, or when ``perfbench/spans.py`` wraps it
-(its ``TARGETS``).  Dunder methods are exempt: the interpreter calls them.
+(its ``TARGETS``).  Dunder functions and methods are exempt: the
+interpreter calls them (a module's PEP 562 ``__getattr__`` among them).
 References are matched by name alone, so dead code that shares a name with
 used code passes; code reached only from the tests does not.
 
@@ -30,16 +31,19 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, node) of each top-level definition and method."""
+    """(qualified name, node) of each top-level definition and method that
+    is not a dunder."""
     for node in tree.body:
-        if isinstance(node, _DEFS):
+        if isinstance(node, _DEFS) and not _dunder(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, _FUNCS) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
+                if isinstance(item, _FUNCS) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -208,3 +212,13 @@ def test_scan_flags_only_unreferenced_definitions():
     assert unused_definitions(sources, {("a", "wrapped")}) == [
         "a.Box.spare", "a.recursive", "b.Orphan", "b.Orphan.method",
     ]
+
+
+def test_scan_exempts_module_dunders_only():
+    sources = {
+        "lazy": (
+            "def __getattr__(name): raise AttributeError(name)\n"
+            "def orphan(): pass\n"
+        ),
+    }
+    assert unused_definitions(sources, set()) == ["lazy.orphan"]
