@@ -3,23 +3,16 @@ of the curvature constraint systems, numerical classification of helix
 solutions, closed-form verification of explicit sphere curves, and a small
 numerical lab for curvature-profile experiments."""
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .classify import HelixSpec, negative_K_scan, solve_helix
 from .frenet import (
     constraint_system,
     frenet_derivative,
     iterated_derivative,
     tangent,
     tau_space_form,
-)
-from .odelab import (
-    CurvatureProfile,
-    conjecture_scan,
-    conservation_monitor_four,
-    conservation_monitor_tri,
-    integrate_frenet,
-    parse_profile,
 )
 from .ratpoly import (
     AMBIENT,
@@ -30,15 +23,35 @@ from .ratpoly import (
     ambient,
     kvar,
 )
-from .spherecurves import (
-    biharmonic_circle,
-    biharmonic_two_freq,
-    four_planar,
-    great_circle,
-    tri_hyperbola_curve,
-    tri_hyperbola_family,
-    tri_planar,
-)
+
+# the numeric names, each with the module that defines it: these modules
+# import numpy, so they load on the first access to one of their names
+# (PEP 562), and a symbolic run such as ``polyhelix tau`` never loads them
+_NUMERIC = {
+    "HelixSpec": "classify",
+    "negative_K_scan": "classify",
+    "solve_helix": "classify",
+    "CurvatureProfile": "odelab",
+    "conjecture_scan": "odelab",
+    "conservation_monitor_four": "odelab",
+    "conservation_monitor_tri": "odelab",
+    "integrate_frenet": "odelab",
+    "parse_profile": "odelab",
+    "biharmonic_circle": "spherecurves",
+    "biharmonic_two_freq": "spherecurves",
+    "four_planar": "spherecurves",
+    "great_circle": "spherecurves",
+    "tri_hyperbola_curve": "spherecurves",
+    "tri_hyperbola_family": "spherecurves",
+    "tri_planar": "spherecurves",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_NUMERIC[name]}", __name__), name)
+
 
 __all__ = [
     "AMBIENT",

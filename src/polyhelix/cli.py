@@ -11,6 +11,11 @@ yields byte-identical output.  Wall-clock timing is therefore only included
 when explicitly requested with ``--timing``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Only the symbolic layers load with this module.  Each numeric module, and
+numpy with it, loads in the handler (or the ``--beta-grid`` parser) that
+uses it, so ``tau``, ``--help``, ``--version`` and a usage error that
+argparse reports for any other flag run without numpy.
 """
 
 from __future__ import annotations
@@ -23,9 +28,7 @@ import time
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
-from . import __version__, acceptance, classify, odelab, spherecurves
+from . import __version__
 from .frenet import constraint_system
 
 DEFAULT_SEED = 42
@@ -52,7 +55,7 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}") from None
-    if not (value > 0 and np.isfinite(value)):
+    if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
@@ -64,12 +67,16 @@ def _parse_span(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi with numeric bounds, got {text!r}"
         ) from None
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"span bounds must be finite, got {text}")
     return lo, hi
 
 
 def _parse_grid(text: str) -> list[float]:
+    import numpy as np
+
+    from . import odelab
+
     try:
         lo_text, hi_text, count_text = text.split(":")
         lo, hi, count = float(lo_text), float(hi_text), int(count_text)
@@ -77,7 +84,7 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"expected lo:hi:n with numeric bounds and a whole number n, got {text!r}"
         ) from None
-    if not (np.isfinite(lo) and np.isfinite(hi)):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text}")
     if count < 1:
         raise argparse.ArgumentTypeError("grid needs at least one point")
@@ -169,6 +176,8 @@ def _cmd_tau(args, started: float) -> int:
 
 
 def _cmd_classify(args, started: float) -> int:
+    from . import classify
+
     # solve_helix owns the default tolerance
     tol = {} if args.tol is None else {"tol": args.tol}
     report = classify.solve_helix(
@@ -192,6 +201,8 @@ def _cmd_classify(args, started: float) -> int:
 def _verify_checks(name: str, params: dict[str, Fraction]) -> tuple[int, dict, dict]:
     """Order, parameter echo and check values for one named curve, given
     every parameter it takes."""
+    from . import spherecurves
+
     if name == "biharmonic-circle":
         curve = spherecurves.biharmonic_circle()
         return 2, {}, {
@@ -233,6 +244,8 @@ def _cmd_verify(args, started: float) -> int:
         raise ValueError(
             f"--params: curve {args.curve} takes {takes}, got {', '.join(unknown)}"
         )
+    from . import acceptance
+
     order, parameters, values = _verify_checks(args.curve, {**defaults, **args.params})
     checks = {}
     passed = True
@@ -259,6 +272,8 @@ def _cmd_verify(args, started: float) -> int:
 
 
 def _cmd_family(args, started: float) -> int:
+    from . import spherecurves
+
     samples = spherecurves.tri_hyperbola_family(args.samples)
     header = "y,x,alpha1sq,alpha3sq,tau3_residual,lambda"
     lines = [header] + [sample.csv_row() for sample in samples]
@@ -279,6 +294,8 @@ def _cmd_family(args, started: float) -> int:
 
 
 def _cmd_integrate(args, started: float) -> int:
+    from . import odelab
+
     profile = odelab.parse_profile(args.profile)
     dimension = args.dimension or profile.count + 1
     samples = odelab.integrate_frenet(profile, dimension, args.span, args.step)
@@ -305,6 +322,8 @@ def _cmd_integrate(args, started: float) -> int:
 
 
 def _cmd_conserve(args, started: float) -> int:
+    from . import odelab
+
     samples = odelab.CurveSamples.from_csv(args.input)
     K = 0.0 if args.ambient == "flat" else 1.0
     if args.order == 3:
@@ -322,6 +341,8 @@ def _cmd_conserve(args, started: float) -> int:
 
 
 def _cmd_conjecture(args, started: float) -> int:
+    from . import odelab
+
     rows = odelab.conjecture_scan(args.order, args.alpha, args.beta_grid, args.span)
     payload = [row.to_json_dict() for row in rows]
     header = "beta,law_residual,exact_tension_sup,fd_tension_sup,fd_roundoff_floor,fd_below_floor"
@@ -340,6 +361,8 @@ def _cmd_conjecture(args, started: float) -> int:
 
 
 def _cmd_reproduce(args, started: float) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(args.only, seed=args.seed)
     passed = all(r.ok for r in results)
     payload = {
