@@ -47,7 +47,6 @@ import numpy as np
 
 from .frenet import check_tension_order, tension_field
 
-ARCLENGTH_TOL = 1e-9      # largest deviation of |gamma'|^2 from 1 at unit speed
 PERIOD_SAMPLES = 256      # points per fastest-block period of the sampled tension
 QUAD_TOL = 1e-10          # agreement of consecutive first-variation levels
 QUAD_LEVELS = (8, 16, 32, 64, 128, 256, 512)  # panel counts of the doubling quadrature
@@ -247,7 +246,10 @@ class TrigCurve:
         return math.fsum(float(w) * float(x) ** l for x, w in self.blocks)
 
     def is_arclength(self) -> bool:
-        return abs(self.moment(1) - 1.0) <= ARCLENGTH_TOL
+        """Whether ``|gamma'|^2 = sum_i alpha_i^2 a_i^2``, summed exactly in
+        the field of the curve's parameters, rounds to the float 1: a speed
+        defect below half an ulp of 1 cannot show in a reported float."""
+        return float(sum(w * x for x, w in self.blocks)) == 1.0
 
     def period(self) -> float:
         """Period of the slowest rotating block."""

@@ -282,6 +282,17 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_near_arclength_parameters_are_usage_errors(self, capsys):
+        # |gamma'|^2 = (a2 + b2)/2 = 1 + 5e-11 exactly: unit speed is checked
+        # in the curve's field, not to a float tolerance
+        code = dispatch(
+            ["verify", "--curve", "biharmonic-two-freq", "--params", "a2=1.5,b2=0.5000000001"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not arclength parametrized" in captured.err
+
 
 # -- family sweep ------------------------------------------------------------
 

@@ -53,13 +53,16 @@ SQRT3 = math.sqrt(3.0)
 
 def arclength_two_block(x: float, y: float) -> TrigCurve | None:
     """Two-block arclength curve with weights forced by the constraints,
-    or None when the weights leave (0, 1)."""
+    solved exactly from the binary values of ``x`` and ``y`` (float weights
+    would miss unit speed by a rounding error), or None when the weights
+    leave (0, 1)."""
     if abs(x - y) < 1e-6:
         return None
-    a1sq = (1.0 - y) / (x - y)
+    x, y = Fraction(x), Fraction(y)
+    a1sq = (1 - y) / (x - y)
     if not 0.02 < a1sq < 0.98:
         return None
-    return TrigCurve(((x, a1sq), (y, 1.0 - a1sq)))
+    return TrigCurve(((x, a1sq), (y, 1 - a1sq)))
 
 
 def exact_density(curve: TrigCurve, r: int) -> float:
