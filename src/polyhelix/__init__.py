@@ -18,7 +18,6 @@ from .ratpoly import (
     AMBIENT,
     CurvaturePolynomial,
     Monomial,
-    UnboundVariableError,
     ZeroPolynomialError,
     ambient,
     kvar,
@@ -28,7 +27,6 @@ from .ratpoly import (
 # import numpy, so they load on the first access to one of their names
 # (PEP 562), and a symbolic run such as ``polyhelix tau`` never loads them
 _NUMERIC = {
-    "HelixSpec": "classify",
     "negative_K_scan": "classify",
     "solve_helix": "classify",
     "CurvatureProfile": "odelab",
@@ -57,9 +55,7 @@ __all__ = [
     "AMBIENT",
     "CurvaturePolynomial",
     "CurvatureProfile",
-    "HelixSpec",
     "Monomial",
-    "UnboundVariableError",
     "ZeroPolynomialError",
     "__version__",
     "ambient",

@@ -22,16 +22,6 @@ import numpy as np
 from . import classify, frenet, odelab, spherecurves
 from .ratpoly import CurvaturePolynomial as Poly, ambient, kvar
 
-# Certification tolerance of each closed-form sphere-curve check; criteria
-# #4-#6 and the ``verify`` subcommand read the same table.
-TOLERANCES = {
-    "equation_residual": 1e-12,
-    "tension_residual": 1e-9,
-    "fourth_order_residual": 1e-10,
-    "quartic_residual": 1e-12,
-    "multiplier_residual": 1e-10,
-}
-
 
 def _squares(*idx: int) -> Poly:
     total = Poly.zero()
@@ -175,7 +165,7 @@ def _run_top_equation() -> tuple[bool, str]:
 
 
 def _run_biharmonic() -> tuple[bool, str]:
-    tol = TOLERANCES["equation_residual"]
+    tol = spherecurves.TOLERANCES["equation_residual"]
     worst = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 2)
     worst = max(worst, spherecurves.equation_residual(spherecurves.great_circle(), 2))
     for a2, b2 in ((1.5, 0.5), (1.2, 0.8), (1.75, 0.25)):
@@ -188,7 +178,7 @@ def _run_biharmonic() -> tuple[bool, str]:
 
 def _run_triharmonic() -> tuple[bool, str]:
     planar = spherecurves.intrinsic_tau_residual(spherecurves.tri_planar(), 3)
-    if planar >= TOLERANCES["tension_residual"]:
+    if planar >= spherecurves.TOLERANCES["tension_residual"]:
         return False, f"planar curve residual {planar:.3e}"
     family = spherecurves.tri_hyperbola_family(32)
     if len(family) < 16:
@@ -196,11 +186,11 @@ def _run_triharmonic() -> tuple[bool, str]:
     worst_tau = max(s.tau3_residual for s in family)
     worst_quartic = max(s.quartic_residual for s in family)
     worst_lambda = max(s.lambda_residual for s in family)
-    if worst_tau >= TOLERANCES["tension_residual"]:
+    if worst_tau >= spherecurves.TOLERANCES["tension_residual"]:
         return False, f"family tension residual {worst_tau:.3e}"
-    if worst_quartic >= TOLERANCES["quartic_residual"]:
+    if worst_quartic >= spherecurves.TOLERANCES["quartic_residual"]:
         return False, f"family quartic residual {worst_quartic:.3e}"
-    if worst_lambda >= TOLERANCES["multiplier_residual"]:
+    if worst_lambda >= spherecurves.TOLERANCES["multiplier_residual"]:
         return False, f"family multiplier residual {worst_lambda:.3e}"
     return True, (
         f"planar {planar:.1e}; {len(family)} family samples, "
@@ -214,9 +204,9 @@ def _run_fourharmonic() -> tuple[bool, str]:
     ode = spherecurves.equation_residual(curve, 4)
     tau = spherecurves.intrinsic_tau_residual(curve, 4)
     control = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 4)
-    if ode >= TOLERANCES["fourth_order_residual"]:
+    if ode >= spherecurves.TOLERANCES["fourth_order_residual"]:
         return False, f"solution curve residual {ode:.3e}"
-    if tau >= TOLERANCES["tension_residual"]:
+    if tau >= spherecurves.TOLERANCES["tension_residual"]:
         return False, f"solution tension residual {tau:.3e}"
     if control <= 0.1:
         return False, f"control curve residual {control:.3e} not > 0.1"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,9 +114,7 @@ class CompiledSystem:
     """
 
     def __init__(self, system: ConstraintSystem):
-        self.system = system
         self.x_equations = [squared_form(eq.factored) for eq in system.equations]
-        self.raw_equations = [eq.raw for eq in system.equations]
         self.unknowns = _unknowns(self.x_equations)
         self.columns = (AMBIENT,) + self.unknowns
         polys = self.x_equations + [
@@ -174,49 +172,23 @@ class CompiledSystem:
         J = self._powers(X, K) @ self.coeffs[:, n:]
         return J.reshape(X.shape[0], n, self.dimension)
 
-    def raw_residual(self, x: Sequence[float], K: float) -> float:
-        assign = {AMBIENT: K}
-        for j in range(1, self.system.order * 2 - 1):
-            assign[j] = 0.0
-        for v, value in zip(self.unknowns, x):
-            assign[v] = math.sqrt(max(value, 0.0))
-        return max(
-            (abs(p.evaluate(assign)) for p in self.raw_equations), default=0.0
-        )
-
 
 # -- solution containers -----------------------------------------------------
 
 @dataclass(frozen=True)
-class HelixSpec:
-    """A candidate helix: order, ambient curvature and the full tuple of
-    geodesic curvatures (length ``2r - 2``, conventionally nonnegative)."""
+class Solution:
+    """One root: the full tuple of geodesic curvatures (length ``2r - 2``,
+    nonnegative) and the residual of the unit system there."""
 
-    order: int
-    K: float
     curvatures: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.curvatures) != 2 * self.order - 2:
-            raise ValueError(
-                f"order {self.order} needs {2 * self.order - 2} curvatures, "
-                f"got {len(self.curvatures)}"
-            )
+    residual: float
 
     def is_proper(self) -> bool:
         return self.curvatures[0] > 0
 
-
-@dataclass(frozen=True)
-class Solution:
-    spec: HelixSpec
-    residual: float
-    raw_residual: float
-    jacobian_rank: int
-
     def to_json_dict(self) -> dict:
         return {
-            "curvatures": list(self.spec.curvatures),
+            "curvatures": list(self.curvatures),
             "residual": self.residual,
         }
 
@@ -238,7 +210,7 @@ class SolutionReport:
     underdetermined: bool
 
     def proper_solutions(self) -> list[Solution]:
-        return [s for s in self.solutions if s.spec.is_proper()]
+        return [s for s in self.solutions if s.is_proper()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -323,6 +295,18 @@ def _nonpositive_K_decision(
     return True, certificates
 
 
+def _exact_decision(
+    system: ConstraintSystem, K: float
+) -> tuple[tuple[int, ...], tuple[Solution, ...], list[dict]]:
+    """Decide a system exactly at ``K <= 0``, or one with no equation: its
+    unknowns, its roots (none, or only the geodesic) and its certificates
+    (:func:`_nonpositive_K_decision`)."""
+    equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
+    geodesic, certificates = _nonpositive_K_decision(equations, K)
+    roots = (Solution((0.0,) * (2 * system.order - 2), 0.0),) if geodesic else ()
+    return _unknowns(x for _, x in equations), roots, certificates
+
+
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The minimum-norm Newton steps ``-pinv(J) F`` for Jacobians ``(b, n, d)``
     and residuals ``(b, n)``.
@@ -368,7 +352,7 @@ def solve_helix(
     system over the squared curvatures.
 
     At ``K <= 0``, and for a system with no equation, the answer is exact
-    (:func:`_nonpositive_K_decision`): no root or only the geodesic, with the
+    (:func:`_exact_decision`): no root or only the geodesic, with the
     certificates at ``K < 0``.  No start runs, so ``starts`` is 0.
 
     At ``K > 0`` damped Newton iteration runs from a deterministic multistart
@@ -398,15 +382,11 @@ def solve_helix(
         raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
-    m = 2 * r - 2
     if K <= 0 or not system.equations:
         # with no equation every tension component vanished identically
-        equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
-        geodesic, certificates = _nonpositive_K_decision(equations, K)
-        solutions = (Solution(HelixSpec(r, K, (0.0,) * m), 0.0, 0.0, 0),) if geodesic else ()
+        unknowns, solutions, certificates = _exact_decision(system, K)
         return SolutionReport(
-            r, K, pattern, _unknowns(x for _, x in equations), solutions,
-            tuple(certificates), seed, 0, tol, False,
+            r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol, False,
         )
     compiled = CompiledSystem(system)
     if trials * len(compiled.exps) > MAX_POWER_TABLE:
@@ -475,13 +455,10 @@ def solve_helix(
 
     roots = candidates[accepted]
     ranks = np.linalg.matrix_rank(compiled.jacobians(roots, 1.0))
-    curvatures = np.zeros((len(roots), m))
+    curvatures = np.zeros((len(roots), 2 * r - 2))
     curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(roots) * math.sqrt(K)
     solutions = [
-        Solution(
-            HelixSpec(r, K, tuple(ks)), float(res), compiled.raw_residual(x, 1.0), int(rank)
-        )
-        for ks, x, res, rank in zip(curvatures.tolist(), roots, worst[accepted], ranks)
+        Solution(tuple(ks), float(res)) for ks, res in zip(curvatures.tolist(), worst[accepted])
     ]
 
     return SolutionReport(
@@ -494,7 +471,7 @@ def solve_helix(
         seed,
         len(starts),
         tol,
-        any(s.jacobian_rank < d for s in solutions),
+        bool((ranks < d).any()),
     )
 
 
@@ -533,7 +510,7 @@ def canonical_pattern(pattern: Iterable[int], m: int) -> tuple[int, ...]:
 
 def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> NegativeKReport:
     """Decide every zero pattern of order ``r`` at ``K < 0`` exactly
-    (:func:`_nonpositive_K_decision`); nothing is sampled, so ``trials`` and
+    (:func:`_exact_decision`); nothing is sampled, so ``trials`` and
     ``seed`` are ignored.  The ``2^(2r-2)`` patterns collapse to ``2r - 1``
     systems under the truncation rule: the full one, and ``t..2r-2``, which
     merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``."""
@@ -544,14 +521,11 @@ def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> Neg
     counts = [1] + [2 ** (m - t) for t in range(m, 0, -1)]
     entries = []
     for pattern, count in zip(patterns, counts):
-        system = constraint_system(r, set(pattern))
-        geodesic, certificates = _nonpositive_K_decision(
-            [(eq.frame, squared_form(eq.factored)) for eq in system.equations], K
-        )
+        _, solutions, certificates = _exact_decision(constraint_system(r, set(pattern)), K)
         entries.append({
             "zero_pattern": list(pattern),
             "merged_pattern_count": count,
-            "solutions": [{"curvatures": [0.0] * m, "residual": 0.0}] if geodesic else [],
+            "solutions": [s.to_json_dict() for s in solutions],
             "infeasibility_certificates": certificates,
         })
     rootless = ", ".join(str(e["zero_pattern"]) for e in entries if not e["solutions"])

@@ -191,7 +191,7 @@ def _cmd_classify(args, started: float) -> int:
         f" ({len(report.proper_solutions())} proper)",
     ]
     for solution in report.solutions:
-        ks = ", ".join(f"{k:.12g}" for k in solution.spec.curvatures)
+        ks = ", ".join(f"{k:.12g}" for k in solution.curvatures)
         lines.append(f"  ({ks})  residual {solution.residual:.3e}")
     for cert in report.certificates:
         lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
@@ -244,13 +244,13 @@ def _cmd_verify(args, started: float) -> int:
         raise ValueError(
             f"--params: curve {args.curve} takes {takes}, got {', '.join(unknown)}"
         )
-    from . import acceptance
+    from . import spherecurves
 
     order, parameters, values = _verify_checks(args.curve, {**defaults, **args.params})
     checks = {}
     passed = True
     for check, value in values.items():
-        tolerance = args.tol if args.tol is not None else acceptance.TOLERANCES[check]
+        tolerance = args.tol if args.tol is not None else spherecurves.TOLERANCES[check]
         ok = value < tolerance
         passed = passed and ok
         checks[check] = {"residual": value, "tolerance": tolerance, "passed": ok}

@@ -73,14 +73,6 @@ def _exact(value: Scalar) -> Scalar:
     return c.numerator if c.denominator == 1 else c
 
 
-class UnboundVariableError(ValueError):
-    """Raised when evaluation meets a variable without an assigned value."""
-
-    def __init__(self, variable: int):
-        self.variable = variable
-        super().__init__(f"no value bound for variable {variable_name(variable)}")
-
-
 class ZeroPolynomialError(ValueError):
     """Raised when an operation is undefined for the zero polynomial."""
 
@@ -149,9 +141,6 @@ class Monomial(int):
         canonical order."""
         return _exps(self)
 
-    def degree(self) -> int:
-        return self >> _DEGREE_SHIFT
-
     def exponent(self, vid: int) -> int:
         return (self >> _shift(vid)) & MAX_DEGREE
 
@@ -196,8 +185,8 @@ def _is_scalar(value) -> bool:
 class CurvaturePolynomial:
     """Canonical sparse polynomial: a map from packed monomials (see
     :class:`Monomial`) to nonzero exact coefficients (``int`` where integral,
-    else ``Fraction``).  Supports ring arithmetic, evaluation, zero
-    substitution, monomial-GCD factoring and deterministic text rendering."""
+    else ``Fraction``).  Supports ring arithmetic, zero substitution,
+    monomial-GCD factoring and deterministic text rendering."""
 
     __slots__ = ("_terms",)
 
@@ -331,18 +320,6 @@ class CurvaturePolynomial:
         return result
 
     # -- operations from the module contract --------------------------------
-
-    def evaluate(self, assignment: Mapping[int, float]) -> float:
-        """Evaluate at a point; every variable present must be bound."""
-        total = 0.0
-        for mono, coeff in self._terms.items():
-            value = float(coeff)
-            for vid, exp in _exps(mono):
-                if vid not in assignment:
-                    raise UnboundVariableError(vid)
-                value *= assignment[vid] ** exp
-            total += value
-        return total
 
     def substitute_zero(self, variables: Iterable[int]) -> "CurvaturePolynomial":
         """Set the listed variables to zero: drop every term containing one."""

@@ -55,6 +55,17 @@ MAX_PASS_NODES = QUAD_LEVELS[-1] * GAUSS_NODES  # nodes one quadrature pass may 
 BUMP_STARTS = (1.0, 6.0)  # range of random_bump support starts
 BUMP_WIDTHS = (2.0, 4.0)  # range of random_bump support widths
 
+# Certification tolerance of each closed-form sphere-curve check; criteria
+# #4-#6 of the acceptance registry and the ``verify`` subcommand read the
+# same table.
+TOLERANCES = {
+    "equation_residual": 1e-12,
+    "tension_residual": 1e-9,
+    "fourth_order_residual": 1e-10,
+    "quartic_residual": 1e-12,
+    "multiplier_residual": 1e-10,
+}
+
 # phase table: cos((p-q) pi/2) for (p-q) mod 4
 _C4 = (1, 0, -1, 0)
 
@@ -79,10 +90,10 @@ class QuadraticSurd:
     a radicand ``d > 0`` that is not a square, so ``sqrt(d)`` is irrational
     and the element is zero exactly when ``a = b = 0``.
 
-    ``+``, ``-``, ``*`` and ``/`` are exact against ``int``, ``Fraction`` and
-    elements of the same field; anything else, a numpy array among them,
-    gets ``NotImplemented``, so an object array broadcasts the element over
-    its entries.  ``float`` rounds correctly."""
+    ``+``, ``-``, ``*`` and ``/`` are exact against ``int``, ``Fraction``,
+    elements of the same field and rational elements of any; anything else,
+    a numpy array among them, gets ``NotImplemented``, so an object array
+    broadcasts the element over its entries.  ``float`` rounds correctly."""
 
     __slots__ = ("a", "b", "c", "d")
 
@@ -102,7 +113,8 @@ class QuadraticSurd:
         if isinstance(other, int):
             return other, 0, 1
         if isinstance(other, QuadraticSurd):
-            return (other.a, other.b, other.c) if other.d == self.d else None
+            # a rational element (b = 0) lies in every field
+            return (other.a, other.b, other.c) if other.d == self.d or not other.b else None
         if isinstance(other, Fraction):
             return other.numerator, 0, other.denominator
         return None
@@ -215,25 +227,25 @@ class TrigCurve:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("need at least one rotating block")
-        for x, w in self.blocks:
+        blocks = tuple((_exact(x), _exact(w)) for x, w in self.blocks)
+        constant_weight = _exact(self.constant_weight)
+        for x, w in blocks:
             if not 0 < float(x) < math.inf:
                 raise ValueError("squared frequencies must be positive and finite")
             if not 0 < float(w) <= 1:
                 raise ValueError("squared weights must lie in (0, 1]")
-        if not 0 <= float(self.constant_weight) < 1:
+        if not 0 <= float(constant_weight) < 1:
             raise ValueError("constant weight must lie in [0, 1)")
-        freqs = [float(x) for x, _ in self.blocks]
-        for i in range(len(freqs)):
-            for j in range(i + 1, len(freqs)):
-                if abs(freqs[i] - freqs[j]) <= 1e-12:
-                    raise ValueError("frequencies must be pairwise distinct")
-        total = math.fsum(float(w) for _, w in self.blocks) + float(
-            self.constant_weight
-        )
-        if abs(total - 1.0) > 1e-9:
+        freqs = [x for x, _ in blocks]
+        if any(x in freqs[i + 1:] for i, x in enumerate(freqs)):
+            raise ValueError("frequencies must be pairwise distinct")
+        # |gamma|^2, summed exactly, must round to the float 1: the rule
+        # is_arclength applies to |gamma'|^2
+        total = float(sum(w for _, w in blocks) + constant_weight)
+        if total != 1.0:
             raise ValueError(f"squared weights sum to {total}, not 1")
-        object.__setattr__(self, "blocks", tuple((_exact(x), _exact(w)) for x, w in self.blocks))
-        object.__setattr__(self, "constant_weight", _exact(self.constant_weight))
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "constant_weight", constant_weight)
 
     # -- structure -----------------------------------------------------------
 

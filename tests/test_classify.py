@@ -24,7 +24,6 @@ from polyhelix.classify import (
     MAX_TRIALS,
     SNAP_TOL,
     CompiledSystem,
-    HelixSpec,
     canonical_pattern,
     negative_K_scan,
     render_squares,
@@ -33,6 +32,15 @@ from polyhelix.classify import (
 )
 from polyhelix.frenet import MAX_TENSION_ORDER, constraint_system
 from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
+
+
+def evaluate(poly: Poly, point: dict[int, float]) -> float:
+    """``poly`` in floats at ``point`` (variable id to value): the oracle for
+    the compiled tables and for the raw systems."""
+    return sum(
+        float(coeff) * math.prod(point[v] ** e for v, e in mono.exps)
+        for mono, coeff in poly.terms()
+    )
 
 
 def family_residual(x1: float, x2: float, K: float = 1.0) -> float:
@@ -58,14 +66,6 @@ def test_render_squares_naming():
 
 
 # -- basic containers --------------------------------------------------------
-
-def test_helix_spec_validation():
-    with pytest.raises(ValueError):
-        HelixSpec(3, 1.0, (1.0, 2.0))
-    spec = HelixSpec(2, 1.0, (0.5, 0.5))
-    assert spec.is_proper()
-    assert not HelixSpec(2, 1.0, (0.0, 1.0)).is_proper()
-
 
 def test_solver_argument_validation():
     with pytest.raises(ValueError, match=f"between 2 and {MAX_SOLVE_ORDER}, got 9"):
@@ -110,10 +110,9 @@ def test_circle_solution_order_three():
     report = solve_helix(3, 1.0, {2, 3, 4}, trials=200)
     assert len(report.solutions) == 1
     sol = report.solutions[0]
-    assert sol.spec.curvatures[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
-    assert sol.spec.curvatures[1:] == (0.0, 0.0, 0.0)
+    assert sol.curvatures[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert sol.curvatures[1:] == (0.0, 0.0, 0.0)
     assert sol.residual < 1e-10
-    assert sol.raw_residual < 1e-9
     assert not report.underdetermined
 
 
@@ -122,8 +121,8 @@ def test_planar_circle_at_every_order(r):
     # with k2 = 0 only k1 is left: the planar circle k1^2 = (r - 1) K
     report = solve_helix(r, 1.0, {2}, trials=50)
     (root,) = report.proper_solutions()
-    assert root.spec.curvatures[0] ** 2 == pytest.approx(r - 1, rel=1e-12)
-    assert root.spec.curvatures[1:] == (0.0,) * (2 * r - 3)
+    assert root.curvatures[0] ** 2 == pytest.approx(r - 1, rel=1e-12)
+    assert root.curvatures[1:] == (0.0,) * (2 * r - 3)
 
 
 def test_two_curvature_family_is_sampled():
@@ -132,7 +131,7 @@ def test_two_curvature_family_is_sampled():
     assert len(report.solutions) >= 10
     x1s = []
     for sol in report.solutions:
-        x1, x2 = (k * k for k in sol.spec.curvatures[:2])
+        x1, x2 = (k * k for k in sol.curvatures[:2])
         assert family_residual(x1, x2) < 1e-9
         x1s.append(x1)
     assert max(x1s) - min(x1s) > 0.5  # points spread along the family
@@ -149,7 +148,7 @@ def test_order_two_solutions_fill_the_circle():
     assert report.underdetermined
     assert len(report.solutions) >= 5
     for sol in report.solutions:
-        x1, x2 = (k * k for k in sol.spec.curvatures)
+        x1, x2 = (k * k for k in sol.curvatures)
         assert abs(x1 + x2 - 1.0) < 1e-9
 
 
@@ -163,7 +162,7 @@ def test_flat_ambient_reports_the_geodesic(r, zeros):
     # at K = 0 the only nonnegative root is x = 0, on the corner of the orthant;
     # the exact decision reports it once and runs no start
     report = solve_helix(r, 0.0, zeros, trials=100)
-    assert [s.spec.curvatures for s in report.solutions] == [(0.0,) * (2 * r - 2)]
+    assert [s.curvatures for s in report.solutions] == [(0.0,) * (2 * r - 2)]
     assert report.solutions[0].residual == 0.0
     assert report.proper_solutions() == []
     assert report.starts == 0
@@ -175,9 +174,11 @@ def test_flat_ambient_reports_the_geodesic(r, zeros):
 ])
 def test_every_solution_satisfies_raw_system(pattern):
     report = solve_helix(3, 1.0, pattern, trials=80)
+    raw = [eq.raw for eq in constraint_system(3, set(pattern)).equations]
     for sol in report.solutions:
         assert sol.residual < report.tol
-        assert sol.raw_residual < 10 * report.tol
+        point = {AMBIENT: report.K, **dict(enumerate(sol.curvatures, 1))}
+        assert max((abs(evaluate(eq, point)) for eq in raw), default=0.0) < 10 * report.tol
 
 
 def test_reports_are_reproducible():
@@ -202,9 +203,9 @@ def test_compiled_table_matches_polynomial_evaluation(r, pattern):
     for b, x in enumerate(X):
         assign = {AMBIENT: 1.5, **dict(zip(compiled.unknowns, x))}
         for i, eq in enumerate(compiled.x_equations):
-            assert F[b, i] == pytest.approx(eq.evaluate(assign), rel=1e-12, abs=1e-12)
+            assert F[b, i] == pytest.approx(evaluate(eq, assign), rel=1e-12, abs=1e-12)
             for j, v in enumerate(compiled.unknowns):
-                expected = eq.differentiate(v).evaluate(assign)
+                expected = evaluate(eq.differentiate(v), assign)
                 assert J[b, i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -363,7 +364,7 @@ REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
 )
 def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
     report = solve_helix(r, K, pattern, trials=300)
-    got = np.array([s.spec.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
+    got = np.array([s.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
     want = reference_curvatures(r, K, pattern, trials=300)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=CURVATURE_TOL)
@@ -378,8 +379,8 @@ def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
 def test_isolated_root_survives_any_magnitude_of_K(r, pattern, K, ratio):
     report = solve_helix(r, K, pattern, trials=50)
     (root,) = report.proper_solutions()
-    assert root.spec.K == K
-    assert root.spec.curvatures[0] ** 2 == pytest.approx(ratio * K, rel=1e-12)
+    assert report.K == K
+    assert root.curvatures[0] ** 2 == pytest.approx(ratio * K, rel=1e-12)
     assert root.residual < report.tol
 
 
@@ -387,8 +388,8 @@ def test_roots_scale_exactly_with_K():
     unit = solve_helix(3, 1.0, {3, 4}, trials=150)
     scaled = solve_helix(3, 4.0, {3, 4}, trials=150)
     assert [s.residual for s in scaled.solutions] == [s.residual for s in unit.solutions]
-    assert [s.spec.curvatures for s in scaled.solutions] == [
-        tuple(2.0 * k for k in s.spec.curvatures) for s in unit.solutions
+    assert [s.curvatures for s in scaled.solutions] == [
+        tuple(2.0 * k for k in s.curvatures) for s in unit.solutions
     ]
     negative = solve_helix(3, -4.0, trials=50)
     assert negative.certificates == solve_helix(3, -1.0, trials=50).certificates
@@ -397,8 +398,8 @@ def test_roots_scale_exactly_with_K():
 def test_scaling_coherence_circle():
     at_one = solve_helix(3, 1.0, {2, 3, 4}, trials=100)
     at_four = solve_helix(3, 4.0, {2, 3, 4}, trials=100)
-    k1 = at_one.solutions[0].spec.curvatures[0]
-    k4 = at_four.solutions[0].spec.curvatures[0]
+    k1 = at_one.solutions[0].curvatures[0]
+    k4 = at_four.solutions[0].curvatures[0]
     assert k4 == pytest.approx(2.0 * k1, abs=1e-8)
 
 
@@ -659,7 +660,7 @@ def test_solver_decides_nonpositive_K_exactly(r, monkeypatch):
         assert [s.to_json_dict() for s in negative.solutions] == entry["solutions"]
         assert list(negative.certificates) == entry["infeasibility_certificates"]
         flat = solve_helix(r, 0.0, pattern)
-        assert [s.spec.curvatures for s in flat.solutions] == [(0.0,) * m]
+        assert [s.curvatures for s in flat.solutions] == [(0.0,) * m]
         assert flat.certificates == ()
         for report in (negative, flat):
             assert (report.starts, report.underdetermined) == (0, False)

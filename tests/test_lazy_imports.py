@@ -78,6 +78,13 @@ def test_classify_loads_numpy_and_classify_alone(tmp_path):
     assert fresh.read_bytes() == here.read_bytes()
 
 
+def test_verify_loads_spherecurves_alone():
+    argv = ["verify", "--curve", "tri-planar"]
+    assert probe(dispatch_statement(argv)) == {
+        "code": 0, "loaded": ["numpy", "polyhelix.spherecurves"],
+    }
+
+
 def test_a_numeric_name_loads_its_module():
     assert probe("import polyhelix; polyhelix.tri_hyperbola_family") == {
         "code": None, "loaded": ["numpy", "polyhelix.spherecurves"],

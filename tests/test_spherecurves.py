@@ -242,9 +242,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TrigCurve(((1, Fraction(1, 2)),), Fraction(1, 4))
 
+    def test_weights_must_sum_to_one_exactly_up_to_rounding(self):
+        # unit speed exactly, but |gamma|^2 is 1 + 1e-10: a float check within
+        # 1e-9 accepted it, and its order-2 tension residual read 9e-11
+        w2 = Fraction(1, 2) + Fraction(1e-10)
+        x2 = Fraction(1, 4) / w2
+        with pytest.raises(ValueError, match="squared weights sum to 1.0000000001"):
+            TrigCurve(((Fraction(3, 2), Fraction(1, 2)), (x2, w2)))
+
     def test_frequencies_must_be_distinct(self):
         with pytest.raises(ValueError):
             TrigCurve(((2, Fraction(1, 2)), (2, Fraction(1, 2))))
+        for twin in (Fraction(2), QuadraticSurd(2, 0, 1, 3)):
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                TrigCurve(((QuadraticSurd(2, 0, 1, 2), Fraction(1, 2)), (twin, Fraction(1, 2))))
+            with pytest.raises(ValueError, match="pairwise distinct"):
+                TrigCurve(((2.0, Fraction(1, 2)), (twin, Fraction(1, 2))))
+        # distinctness is exact: frequencies 1e-13 apart are two blocks
+        near = Fraction(2) + Fraction(1, 10**13)
+        assert TrigCurve(((2, Fraction(1, 2)), (near, Fraction(1, 2)))).dimension == 4
 
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
@@ -706,6 +722,9 @@ class TestQuadraticSurd:
             root2 * 1.5
         with pytest.raises(TypeError):
             root2 + QuadraticSurd(0, 1, 1, 3)
+        # a rational element of another field is a rational operand
+        assert QuadraticSurd(3, 0, 2, 3) == QuadraticSurd(3, 0, 2, 2) == Fraction(3, 2)
+        assert root2 + QuadraticSurd(1, 0, 1, 3) == 1 + root2
 
 
 # -- the Gram matrix from one moment per order --------------------------------

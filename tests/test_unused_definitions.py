@@ -1,12 +1,15 @@
 """Every top-level function, class and method of the package is used.
 
 A definition counts as used when code in ``src/polyhelix`` outside the
-definition itself refers to its name (a bare name or an attribute), when an
-``__all__`` of the package exports it, or when ``perfbench/spans.py`` wraps it
-(its ``TARGETS``).  Dunder functions and methods are exempt: the
-interpreter calls them (a module's PEP 562 ``__getattr__`` among them).
-References are matched by name alone, so dead code that shares a name with
-used code passes; code reached only from the tests does not.
+definition itself refers to its name, when an ``__all__`` of the package
+exports it, or when ``perfbench/spans.py`` wraps it (its ``TARGETS``).  A
+top-level function or class is referred to by a bare name or an attribute,
+a method only by an attribute, so a parameter or local variable that shares
+a method's name does not keep the method alive.  Dunder functions and
+methods are exempt: the interpreter calls them (a module's PEP 562
+``__getattr__`` among them).  References are matched by name alone, so dead
+code that shares a name with used code of the same kind passes; code
+reached only from the tests does not.
 
 Every defaulted parameter of those functions and methods is also set by
 some caller: a call in ``src/polyhelix`` whose callee has the function's
@@ -48,11 +51,12 @@ def _definitions(tree: ast.Module):
 
 
 def _references(node: ast.AST, enclosing: frozenset = frozenset()):
-    """(name, ids of the enclosing definitions) of each name and attribute."""
+    """(name, whether it is an attribute, ids of the enclosing definitions)
+    of each name and attribute."""
     if isinstance(node, ast.Name):
-        yield node.id, enclosing
+        yield node.id, False, enclosing
     elif isinstance(node, ast.Attribute):
-        yield node.attr, enclosing
+        yield node.attr, True, enclosing
     if isinstance(node, _DEFS):
         enclosing = enclosing | {id(node)}
     for child in ast.iter_child_nodes(node):
@@ -73,18 +77,21 @@ def unused_definitions(sources: dict[str, str], targets: set[tuple[str, str]]) -
     source text) that nothing else in ``sources`` refers to, that no
     ``__all__`` exports and that is not a ``(module, qualname)`` target."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    references: dict[str, list[frozenset]] = {}
+    references: dict[str, list[tuple[bool, frozenset]]] = {}
     for tree in trees.values():
-        for name, inside in _references(tree):
-            references.setdefault(name, []).append(inside)
+        for name, attribute, inside in _references(tree):
+            references.setdefault(name, []).append((attribute, inside))
     exported = set().union(*map(_exported, trees.values()))
     unused = []
     for module, tree in trees.items():
         for qualname, node in _definitions(tree):
-            name = qualname.rpartition(".")[2]
+            owner, _, name = qualname.rpartition(".")
             if name in exported or (module, qualname) in targets:
                 continue
-            if all(id(node) in inside for inside in references.get(name, ())):
+            if all(
+                id(node) in inside or (owner and not attribute)
+                for attribute, inside in references.get(name, ())
+            ):
                 unused.append(f"{module}.{qualname}")
     return sorted(unused)
 
@@ -222,3 +229,20 @@ def test_scan_exempts_module_dunders_only():
         ),
     }
     assert unused_definitions(sources, set()) == ["lazy.orphan"]
+
+
+def test_scan_counts_a_method_used_only_through_an_attribute():
+    # the parameter ``degree`` of check shares the method's name, and the
+    # bare name helper() still keeps a top-level function alive
+    sources = {
+        "a": (
+            "__all__ = ['check']\n"
+            "def check(degree): return degree > helper()\n"
+            "def helper(): return 0\n"
+            "class Box:\n"
+            "    def degree(self): return 1\n"
+            "    def area(self): return 2\n"
+        ),
+        "b": "from .a import Box\nprint(Box().area())\n",
+    }
+    assert unused_definitions(sources, set()) == ["a.Box.degree"]
