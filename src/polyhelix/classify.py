@@ -6,14 +6,18 @@ every geodesic curvature, so they are solved here in the squared variables
 degree, and lets nonnegativity stand in for realness of the curvatures.
 
 At ``K <= 0`` each system is decided exactly: no root, or only the
-geodesic.  :func:`solve_helix` takes one zero pattern, and samples ``K > 0``
-by deterministic multistart Newton; :func:`negative_K_scan` decides every
-pattern of one order.  A pattern is equivalent to its upward closure
-(:func:`canonical_pattern`), so order ``r`` has ``2r - 1`` distinct systems.
-At ``K > 0`` pattern ``{2}`` is the planar circle ``x1 = (r - 1) K`` and,
-for ``r >= 3``, pattern ``{3}`` the family
+geodesic.  At ``K > 0`` a system that keeps ``k3`` free is decided exactly
+too when frames 2 and 4 combine into a polynomial with only positive
+coefficients (:class:`PositiveCombination`); then no root has ``k1 > 0``.
+That holds for every such system of orders 3..8, so multistart Newton
+samples only the circle and the family patterns and the order-two system.
+:func:`solve_helix` takes one zero pattern; :func:`negative_K_scan` decides
+every pattern of one order at ``K < 0``.  A pattern is equivalent to its
+upward closure (:func:`canonical_pattern`), so order ``r`` has ``2r - 1``
+distinct systems.  At ``K > 0`` pattern ``{2}`` is the planar circle
+``x1 = (r - 1) K`` and, for ``r >= 3``, pattern ``{3}`` the family
 ``(x1 + x2)^2 = K ((r - 1) x1 + x2)``; the exact identities behind that, and
-the order-three infeasibility certificates, are checked in the tests.
+the certificates, are checked in the tests.
 """
 
 from __future__ import annotations
@@ -47,14 +51,16 @@ NEWTON_ITERATIONS = 60
 # such rows take the SVD step, which loses only log10 cond(J)
 GRAM_COND_MAX = 1e12
 GRID_POINTS_PER_DIM = 7
-# Work bounds, checked before anything is allocated.  At r = 8 (14 unknowns,
-# 2168 monomials) 1000 starts of the full system already take about 2 s, so
-# higher orders are not solved.  Each residual or Jacobian evaluation holds
-# a power table of trials x monomials floats, and a temporary of at most
-# that shape, so the product is bounded: 2^24 entries are 128 MiB, which
-# admits MAX_TRIALS starts up to r = 6 (282 monomials) and 7738 at r = 8.
-# MAX_TRIALS bounds the starts themselves, where the full 7^d grid would
-# need hundreds of GiB.
+# Work bounds, checked before anything is allocated.  Orders above 8 are not
+# solved: their certificates are not tested, and without one 1000 starts of
+# the full r = 8 system (14 unknowns, 2168 monomials) took about 2 s.  Up to
+# r = 8 every system that reaches Newton has one equation in at most 2
+# unknowns and at most 28 monomials.  Each residual or Jacobian evaluation
+# holds a power table of trials x monomials floats, and a temporary of at
+# most that shape, so the product is bounded: 2^24 entries are 128 MiB.
+# Those systems stay far below it; the bound guards the Newton path should a
+# certificate fail.  MAX_TRIALS bounds the starts themselves, where the full
+# 7^d grid would need hundreds of GiB.
 MAX_SOLVE_ORDER = 8
 MAX_TRIALS = 50_000
 MAX_POWER_TABLE = 2**24
@@ -78,6 +84,7 @@ _ODD_BITS = sum(
     for vid in (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1))
 )
 _K_MONO = Monomial([(AMBIENT, 1)])
+_X1_MONO = Monomial([(1, 1)])
 
 
 def squared_form(poly: Poly) -> Poly:
@@ -295,16 +302,80 @@ def _nonpositive_K_decision(
     return True, certificates
 
 
+@dataclass(frozen=True)
+class PositiveCombination:
+    """An exact proof that no root of a system has ``k1 > 0``.
+
+    Frames 2 and 4 split as ``F2 = P2 - K*Q2`` and ``F4 = P4 - K*Q4`` with
+    nonnegative parts (:func:`_nonnegative_split`), so the combination
+    ``N = -Q4*F2 + Q2*F4 = P4*Q2 - P2*Q4`` holds no K and vanishes on every
+    root, at every K.  Every coefficient of N is positive and one term is a
+    power of ``x1`` alone, so N is positive wherever ``x1 > 0`` and every
+    ``x_j >= 0``: each root has ``k1 = 0``, which the truncation rule makes
+    the geodesic (pattern ``{1}``).  ``multipliers`` pairs with ``frames``."""
+
+    order: int
+    frames: tuple[int, int]
+    multipliers: tuple[Poly, Poly]
+    combination: Poly
+
+    def to_json_dict(self) -> dict:
+        a, b = self.frames
+        return {
+            "frames": [a, b],
+            "multipliers": [render_squares(m) for m in self.multipliers],
+            "combination": render_squares(self.combination),
+            "reason": (
+                f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of F{a} "
+                f"and F{b}, contains no K and has {len(self.combination)} terms, all positive, "
+                f"among them x1^{min(_x1_powers(self.combination))}; N > 0 wherever x1 > 0 and every x_j >= 0, so "
+                "every root has k1 = 0, the geodesic"
+            ),
+        }
+
+
+def _x1_powers(poly: Poly) -> list[int]:
+    """The exponents ``e > 0`` of the terms ``c * x1^e`` of ``poly``."""
+    return [e for mono, _ in poly.terms() if (e := mono.exponent(1)) and mono == e * _X1_MONO]
+
+
+def _positive_combination(order: int, equations: dict[int, Poly]) -> PositiveCombination | None:
+    """The certificate for squared equations keyed by frame, built and
+    checked exactly, or None when it is undecided: frame 2 or 4 is missing,
+    one of them has no nonnegative split, or N holds K, has a coefficient
+    that is not positive, or has no term in ``x1`` alone."""
+    if 2 not in equations or 4 not in equations:
+        return None
+    splits = [_nonnegative_split(equations[frame]) for frame in (2, 4)]
+    if None in splits:
+        return None
+    (_, Q2), (_, Q4) = splits
+    N = -Q4 * equations[2] + Q2 * equations[4]
+    if any(c <= 0 or mono.exponent(AMBIENT) for mono, c in N.terms()) or not _x1_powers(N):
+        return None
+    return PositiveCombination(order, (2, 4), (-Q4, Q2), N)
+
+
 def _exact_decision(
     system: ConstraintSystem, K: float
-) -> tuple[tuple[int, ...], tuple[Solution, ...], list[dict]]:
-    """Decide a system exactly at ``K <= 0``, or one with no equation: its
-    unknowns, its roots (none, or only the geodesic) and its certificates
-    (:func:`_nonpositive_K_decision`)."""
+) -> tuple[tuple[int, ...], tuple[Solution, ...], list[dict]] | None:
+    """Decide a system exactly: its unknowns, its roots and its
+    certificates, or None where only Newton can answer.
+
+    At ``K <= 0``, or with no equation, the roots are none or only the
+    geodesic (:func:`_nonpositive_K_decision`), with certificates at
+    ``K < 0``.  At ``K > 0`` the answer is no root, with one
+    :class:`PositiveCombination`, or None when that is undecided."""
     equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
+    unknowns = _unknowns(x for _, x in equations)
+    if K > 0 and equations:
+        certificate = _positive_combination(system.order, dict(equations))
+        if certificate is None:
+            return None
+        return unknowns, (), [certificate.to_json_dict()]
     geodesic, certificates = _nonpositive_K_decision(equations, K)
     roots = (Solution((0.0,) * (2 * system.order - 2), 0.0),) if geodesic else ()
-    return _unknowns(x for _, x in equations), roots, certificates
+    return unknowns, roots, certificates
 
 
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -351,11 +422,14 @@ def solve_helix(
     """Find all distinct nonnegative roots of the order-``r`` constraint
     system over the squared curvatures.
 
-    At ``K <= 0``, and for a system with no equation, the answer is exact
-    (:func:`_exact_decision`): no root or only the geodesic, with the
-    certificates at ``K < 0``.  No start runs, so ``starts`` is 0.
+    Wherever it can be proved the answer is exact (:func:`_exact_decision`),
+    and no start runs, so ``starts`` is 0: at ``K <= 0``, and for a system
+    with no equation, no root or only the geodesic, with the certificates at
+    ``K < 0``; at ``K > 0``, no root for a system with a
+    :class:`PositiveCombination`, reported as its one certificate.  For
+    orders 3..8 that is every system that keeps ``k3`` free.
 
-    At ``K > 0`` damped Newton iteration runs from a deterministic multistart
+    Otherwise damped Newton iteration runs from a deterministic multistart
     grid.  Every x-space system is weighted-homogeneous in ``(x_j, K)``, so
     the search runs at ``K = 1`` and each curvature is then scaled by
     ``sqrt(K)``.  ``tol`` and the reported residuals refer to that unit
@@ -382,9 +456,10 @@ def solve_helix(
         raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
-    if K <= 0 or not system.equations:
-        # with no equation every tension component vanished identically
-        unknowns, solutions, certificates = _exact_decision(system, K)
+    # with no equation every tension component vanished identically
+    decided = _exact_decision(system, K)
+    if decided is not None:
+        unknowns, solutions, certificates = decided
         return SolutionReport(
             r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol, False,
         )

@@ -194,7 +194,12 @@ def _cmd_classify(args, started: float) -> int:
         ks = ", ".join(f"{k:.12g}" for k in solution.curvatures)
         lines.append(f"  ({ks})  residual {solution.residual:.3e}")
     for cert in report.certificates:
-        lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
+        if "frames" in cert:
+            # a PositiveCombination: N itself is in the JSON report
+            frames = ", ".join(f"F{frame}" for frame in cert["frames"])
+            lines.append(f"  certificate {frames}: {cert['reason']}")
+        else:
+            lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
     return _finish(args, payload, None, lines, started)
 
 

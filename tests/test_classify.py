@@ -31,7 +31,7 @@ from polyhelix.classify import (
     squared_form,
 )
 from polyhelix.frenet import MAX_TENSION_ORDER, constraint_system
-from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, ambient, kvar
+from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial, ambient, kvar
 
 
 def evaluate(poly: Poly, point: dict[int, float]) -> float:
@@ -91,9 +91,16 @@ def test_solver_caps_trials_before_allocating(trials):
         solve_helix(6, 1.0, trials=trials)
 
 
+def _undecided(monkeypatch):
+    """Make every split fail, so no certificate holds and K > 0 takes Newton."""
+    monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
+
+
 @pytest.mark.parametrize("r, trials, monomials", [(8, 7739, 2168), (7, 21346, 786)])
-def test_solver_bounds_the_power_table(r, trials, monomials):
+def test_solver_bounds_the_power_table(r, trials, monomials, monkeypatch):
+    # the full systems are certified; undecided, they reach the bound
     assert trials * monomials > MAX_POWER_TABLE >= (trials - 1) * monomials
+    _undecided(monkeypatch)
     with pytest.raises(ValueError, match=f"{trials} multistart trials x {monomials} monomials"):
         solve_helix(r, 1.0, trials=trials)
 
@@ -687,3 +694,101 @@ def test_stall_exit_ends_the_search_before_the_iteration_cap(r, monkeypatch):
     report = solve_helix(r, 1.0, {3}, trials=200, seed=42)
     assert report.proper_solutions()
     assert len(calls) < classify.NEWTON_ITERATIONS
+
+
+# -- the frame-2/frame-4 certificate at K > 0 ---------------------------------
+
+def _x_equations(r: int, pattern) -> dict[int, Poly]:
+    return {eq.frame: squared_form(eq.factored) for eq in constraint_system(r, set(pattern)).equations}
+
+
+def _k3_free(r: int) -> list[tuple[int, ...]]:
+    """The canonical systems of order r that keep k3 free: the full system
+    and every pattern {t..2r-2} with t >= 4."""
+    m = 2 * r - 2
+    return [()] + [canonical_pattern({t}, m) for t in range(4, m + 1)]
+
+
+@pytest.mark.parametrize("r", range(3, MAX_SOLVE_ORDER + 1))
+def test_every_k3_free_system_is_certified(r):
+    for pattern in _k3_free(r):
+        equations = _x_equations(r, pattern)
+        cert = classify._positive_combination(r, equations)
+        (P2, Q2), (P4, Q4) = (classify._nonnegative_split(equations[f]) for f in (2, 4))
+        assert (cert.order, cert.frames, cert.multipliers) == (r, (2, 4), (-Q4, Q2))
+        N = cert.combination
+        assert N == P4 * Q2 - P2 * Q4
+        assert AMBIENT not in N.variables()
+        assert all(c > 0 for _, c in N.terms())
+        assert dict(N.terms())[Monomial([(1, 2 * r - 4)])] == 1
+
+
+@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+def test_systems_that_force_k3_get_no_certificate(r):
+    # {1..} has no equation, {2..} is the circle and {3..} the family; the
+    # order-two systems have no frame 4
+    m = 2 * r - 2
+    patterns = [canonical_pattern({t}, m) for t in (1, 2, 3) if t <= m]
+    for pattern in patterns + ([()] if r == 2 else []):
+        assert classify._positive_combination(r, _x_equations(r, pattern)) is None
+
+
+_x1, _x2, _K = kvar(1), kvar(2), ambient()
+
+
+@pytest.mark.parametrize(
+    "equations",
+    [
+        {2: _x1 - _K},                          # no frame 4
+        {2: _x1 - _x2, 4: _x1 - _K},            # F2 has no nonnegative split
+        {2: _x1 - _K, 4: _x2 - _K},             # N = x2 - x1
+        {2: _x2 - _K, 4: _x1 * _x2 + _x2 - _K},  # N = x1*x2, no term in x1 alone
+        {2: _x1 - _K, 4: _x1 - _K},             # N = 0
+    ],
+    ids=["missing-frame", "no-split", "negative", "no-x1-term", "zero"],
+)
+def test_a_failed_check_leaves_the_certificate_undecided(equations):
+    assert classify._positive_combination(3, equations) is None
+
+
+def test_a_combination_that_holds_K_is_undecided(monkeypatch):
+    # a split that is not P - K*Q leaves K in N; here only that check fails
+    monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: (factored, Poly.constant(1)))
+    equations = {2: _x1, 4: _x1**2 + _x1 + _K}
+    assert -equations[2] + equations[4] == _x1**2 + _K
+    assert classify._positive_combination(3, equations) is None
+
+
+@pytest.mark.parametrize("r", range(3, MAX_SOLVE_ORDER + 1))
+def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
+    # every certified pattern at K = 1: no root, the one certificate, no
+    # start, and the curvatures the equations hold as the unknowns
+    monkeypatch.setattr(classify, "CompiledSystem", _refuse)
+    monkeypatch.setattr(classify, "_newton_step", _refuse)
+    for pattern in _k3_free(r):
+        report = solve_helix(r, 1.0, pattern)
+        equations = _x_equations(r, pattern)
+        cert = classify._positive_combination(r, equations)
+        assert report.solutions == ()
+        assert report.certificates == (cert.to_json_dict(),)
+        assert (report.starts, report.underdetermined) == (0, False)
+        held = set().union(*(eq.variables() for eq in equations.values())) - {AMBIENT}
+        assert report.unknowns == tuple(sorted(held))
+
+
+def test_an_undecided_certificate_takes_the_newton_path(monkeypatch):
+    _undecided(monkeypatch)
+    report = solve_helix(3, 1.0, trials=200)
+    assert (report.starts, report.certificates) == (200, ())
+    assert report.proper_solutions() == []
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_certified_systems_have_no_proper_newton_root(r):
+    # the reference Newton loop at K = 1 on the full, {4..} and {5..}
+    # patterns; it may stop at points with k1 = 0, which the truncation rule
+    # makes the geodesic, but never at one with k1 > 0
+    m = 2 * r - 2
+    for pattern in [()] + [canonical_pattern({t}, m) for t in (4, 5) if t <= m]:
+        found = reference_curvatures(r, 1.0, pattern, trials=100)
+        assert not (found[:, 0] > 0).any()

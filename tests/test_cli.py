@@ -198,6 +198,21 @@ class TestClassify:
         assert "{'frame'" not in out
         assert "certificate F4: " in out
 
+    def test_text_prints_the_positive_combination(self, capsys):
+        code, out = run(capsys, "classify", "--order", "3", "--K", "1")
+        assert code == 0
+        assert "solutions: 0 (0 proper)" in out
+        assert "  certificate F2, F4: N = -Q4*F2 + Q2*F4, " in out
+        assert "has 5 terms, all positive, among them x1^2;" in out
+
+    def test_certificate_answers_where_newton_would_pass_the_power_table(self, capsys):
+        # 8000 starts x 2168 monomials would exceed MAX_POWER_TABLE, but the
+        # full order-8 system is certified before anything is compiled
+        code, out = run(capsys, "classify", "--order", "8", "--K", "1", "--trials", "8000")
+        assert code == 0
+        assert "solutions: 0 (0 proper)" in out
+        assert "has 2375 terms, all positive, among them x1^12;" in out
+
     def test_seed_resolution(self, capsys):
         code, out = run(
             capsys, "classify", "--order", "2", "--K", "1",
@@ -560,8 +575,8 @@ class TestBadNumbers:
             (["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
              "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
             (["classify", "--order", "9", "--K", "1"], "between 2 and 8, got 9"),
-            (["classify", "--order", "8", "--K", "1", "--trials", "8000"],
-             "8000 multistart trials x 2168 monomials"),
+            # every argument check runs before the K > 0 certificate
+            (["classify", "--order", "8", "--K", "1", "--trials", "50001"], "got 50001"),
             # text that is no number names the flag and the text given
             (["integrate", "--profile", "k1=1", "--span", "a:b"],
              "--span: expected lo:hi with numeric bounds, got 'a:b'"),
