@@ -321,15 +321,16 @@ class PositiveCombination:
 
     def to_json_dict(self) -> dict:
         a, b = self.frames
+        N = self.combination
         return {
             "frames": [a, b],
             "multipliers": [render_squares(m) for m in self.multipliers],
-            "combination": render_squares(self.combination),
+            "combination": render_squares(N),
             "reason": (
-                f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of F{a} "
-                f"and F{b}, contains no K and has {len(self.combination)} terms, all positive, "
-                f"among them x1^{min(_x1_powers(self.combination))}; N > 0 wherever x1 > 0 and every x_j >= 0, so "
-                "every root has k1 = 0, the geodesic"
+                f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of "
+                f"F{a} and F{b}, contains no K and has {len(N)} terms, all positive, among "
+                f"them x1^{min(_x1_powers(N))}; N > 0 wherever x1 > 0 and every x_j >= 0, "
+                "so every root has k1 = 0, the geodesic"
             ),
         }
 
@@ -362,10 +363,11 @@ def _exact_decision(
     """Decide a system exactly: its unknowns, its roots and its
     certificates, or None where only Newton can answer.
 
-    At ``K <= 0``, or with no equation, the roots are none or only the
-    geodesic (:func:`_nonpositive_K_decision`), with certificates at
-    ``K < 0``.  At ``K > 0`` the answer is no root, with one
-    :class:`PositiveCombination`, or None when that is undecided."""
+    At ``K <= 0``, or with no equation (every tension component vanished
+    identically), the roots are none or only the geodesic
+    (:func:`_nonpositive_K_decision`), with certificates at ``K < 0``.  At
+    ``K > 0`` the answer is no root, with one :class:`PositiveCombination`,
+    or None when that is undecided."""
     equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
     unknowns = _unknowns(x for _, x in equations)
     if K > 0 and equations:
@@ -456,7 +458,6 @@ def solve_helix(
         raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
-    # with no equation every tension component vanished identically
     decided = _exact_decision(system, K)
     if decided is not None:
         unknowns, solutions, certificates = decided

@@ -4,8 +4,10 @@ Closed-form anchor values used below (circle k1^2 = 2K, the two-curvature
 family quadratic, the exact family point (2 - sqrt(2), 2*sqrt(2) - 2)) were
 derived independently by brute-force residual checks before being frozen.
 The case analysis by zero pattern is stated as exact ring identities: the
-circle and family equations for every derivable order, and at order three a
-multiplier that certifies the remaining patterns empty.
+circle and family equations for every derivable order, at order three a
+multiplier that certifies the remaining patterns empty, and for orders 3..8
+the positive combination of frames 2 and 4 that leaves every system keeping
+k3 free without a root with k1 > 0.
 """
 
 import collections
@@ -699,7 +701,8 @@ def test_stall_exit_ends_the_search_before_the_iteration_cap(r, monkeypatch):
 # -- the frame-2/frame-4 certificate at K > 0 ---------------------------------
 
 def _x_equations(r: int, pattern) -> dict[int, Poly]:
-    return {eq.frame: squared_form(eq.factored) for eq in constraint_system(r, set(pattern)).equations}
+    system = constraint_system(r, set(pattern))
+    return {eq.frame: squared_form(eq.factored) for eq in system.equations}
 
 
 def _k3_free(r: int) -> list[tuple[int, ...]]:
@@ -753,7 +756,7 @@ def test_a_failed_check_leaves_the_certificate_undecided(equations):
 
 def test_a_combination_that_holds_K_is_undecided(monkeypatch):
     # a split that is not P - K*Q leaves K in N; here only that check fails
-    monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: (factored, Poly.constant(1)))
+    monkeypatch.setattr(classify, "_nonnegative_split", lambda f: (f, Poly.constant(1)))
     equations = {2: _x1, 4: _x1**2 + _x1 + _K}
     assert -equations[2] + equations[4] == _x1**2 + _K
     assert classify._positive_combination(3, equations) is None
