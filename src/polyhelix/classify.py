@@ -9,34 +9,43 @@ At ``K <= 0`` each system is decided exactly: no root, or only the
 geodesic.  At ``K > 0`` a system that keeps ``k3`` free is decided exactly
 too when frames 2 and 4 combine into a polynomial with only positive
 coefficients (:class:`PositiveCombination`); then no root has ``k1 > 0``.
-That holds for every such system of orders 3..8, so multistart Newton
-samples only the circle and the family patterns and the order-two system.
+Each remaining system of orders 2..8 is one equation with a closed form
+(:class:`ClosedForm`): pattern ``{2}`` is the planar circle
+``x1 = (r - 1) K``, pattern ``{3}`` for ``r >= 3`` the arc
+``(x1 + x2)^2 = K ((r - 1) x1 + x2)`` and the full order-two system the
+segment ``x1 + x2 = K``.  So every canonical system of orders 2..8 is
+decided without a Newton start; multistart Newton, and numpy with it, loads
+only for a system that none of these exact checks decides.
 :func:`solve_helix` takes one zero pattern; :func:`negative_K_scan` decides
 every pattern of one order at ``K < 0``.  A pattern is equivalent to its
 upward closure (:func:`canonical_pattern`), so order ``r`` has ``2r - 1``
-distinct systems.  At ``K > 0`` pattern ``{2}`` is the planar circle
-``x1 = (r - 1) K`` and, for ``r >= 3``, pattern ``{3}`` the family
-``(x1 + x2)^2 = K ((r - 1) x1 + x2)``; the exact identities behind that, and
-the certificates, are checked in the tests.
+distinct systems.  The exact identities behind the closed forms, and the
+certificates, are checked in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable
 
 from .frenet import ConstraintSystem, constraint_system
 from .ratpoly import (
+    _BODY_FIELDS,
     AMBIENT,
+    EXPONENT_BITS,
     INVERSE_ARCLENGTH,
     MAX_CURVATURE_INDEX,
     CurvaturePolynomial as Poly,
     Monomial,
+    ambient,
     field_mask,
+    kvar,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEDUP_TOL = 1e-8
 SNAP_TOL = 1e-12
@@ -83,6 +92,12 @@ _ODD_BITS = sum(
     Monomial([(vid, 1)]) & field_mask(vid)
     for vid in (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1))
 )
+# each curvature's exponent field by its place counted from the lowest
+# field up (K's is place 0): the field's mask and the curvature
+_CURVATURE_FIELDS = {
+    (field_mask(vid).bit_length() - 1) // EXPONENT_BITS: (field_mask(vid), vid)
+    for vid in range(1, MAX_CURVATURE_INDEX + 1)
+}
 _K_MONO = Monomial([(AMBIENT, 1)])
 _X1_MONO = Monomial([(1, 1)])
 
@@ -110,7 +125,8 @@ def _unknowns(x_equations: Iterable[Poly]) -> tuple[int, ...]:
 # -- compiled evaluation -----------------------------------------------------
 
 class CompiledSystem:
-    """A factored constraint system compiled to numpy, in squared variables.
+    """A factored constraint system compiled to numpy, in squared variables,
+    for the Newton fallback of :func:`solve_helix`.
 
     Columns are ``[K, x_{j1}, ..., x_{jd}]`` where the ``j``s are the
     curvature indices that actually appear in the equations.  One monomial
@@ -121,6 +137,8 @@ class CompiledSystem:
     """
 
     def __init__(self, system: ConstraintSystem):
+        import numpy as np
+
         self.x_equations = [squared_form(eq.factored) for eq in system.equations]
         self.unknowns = _unknowns(self.x_equations)
         self.columns = (AMBIENT,) + self.unknowns
@@ -161,6 +179,8 @@ class CompiledSystem:
         an elementwise ``float ** int`` per entry, and multiply in only the
         rows whose exponent is not 0.  The table is built monomial-major so
         that those rows are contiguous; the returned array is its transpose."""
+        import numpy as np
+
         values = np.vstack([np.full(X.shape[0], K), X.T])
         table = np.ones((len(self.exps), X.shape[0]))
         for column, rows, exps in self.factors:
@@ -203,29 +223,34 @@ class Solution:
 @dataclass(frozen=True)
 class SolutionReport:
     """Output of :func:`solve_helix`: deduplicated roots plus the metadata
-    needed to reproduce them."""
+    needed to reproduce them.  A certificate is a rendered dict at ``K < 0``
+    and a :class:`PositiveCombination` at ``K > 0``, rendered only by
+    :meth:`to_json_dict`; ``exact_set`` names a :class:`ClosedForm`."""
 
     order: int
     K: float
     zero_pattern: tuple[int, ...]
     unknowns: tuple[int, ...]
     solutions: tuple[Solution, ...]
-    certificates: tuple[dict, ...]
+    certificates: tuple[dict | PositiveCombination, ...]
     seed: int
     starts: int
     tol: float
     underdetermined: bool
+    exact_set: ClosedForm | None = None
 
     def proper_solutions(self) -> list[Solution]:
         return [s for s in self.solutions if s.is_proper()]
 
     def to_json_dict(self) -> dict:
-        return {
+        payload = {
             "order": self.order,
             "K": self.K,
             "zero_pattern": list(self.zero_pattern),
             "solutions": [s.to_json_dict() for s in self.solutions],
-            "infeasibility_certificates": list(self.certificates),
+            "infeasibility_certificates": [
+                c if isinstance(c, dict) else c.to_json_dict() for c in self.certificates
+            ],
             "search": {
                 "seed": self.seed,
                 "starts": self.starts,
@@ -234,6 +259,9 @@ class SolutionReport:
                 "underdetermined": self.underdetermined,
             },
         }
+        if self.exact_set is not None:
+            payload["exact_set"] = self.exact_set.to_json_dict()
+        return payload
 
 
 def _nonnegative_split(factored: Poly) -> tuple[Poly, Poly] | None:
@@ -268,7 +296,8 @@ def _nonpositive_K_decision(
     ``x_j = 0``.  Setting an unknown to 0 only deletes terms, so no second
     pass forces more.  A missing split, or an unknown that no power of it
     alone forces (a term in several unknowns would need a branch), raises."""
-    terms: set[frozenset[int]] = set()
+    constant = False
+    forced: set[int] = set()
     unknowns: set[int] = set()
     certificates: list[dict] = []
     for frame, x_eq in equations:
@@ -277,7 +306,18 @@ def _nonpositive_K_decision(
             raise ValueError(f"undecided at K <= 0: {render_squares(x_eq)} has no nonnegative split")
         P, Q = split
         unknowns |= x_eq.variables() - {AMBIENT}
-        terms |= {mono.variables() for part in (split if K < 0 else (P,)) for mono, _ in part.terms()}
+        for part in split if K < 0 else (P,):
+            for mono, _ in part.terms():
+                # P and Q hold no K, so past the degree field a term sets
+                # bits in the curvature fields only; a power of one unknown
+                # sets them in one field, the lowest it sets
+                body = mono & _BODY_FIELDS
+                if not body:
+                    constant = True
+                    continue
+                mask, vid = _CURVATURE_FIELDS[((body & -body).bit_length() - 1) // EXPONENT_BITS]
+                if not body & ~mask:
+                    forced.add(vid)
         if K < 0:
             reason = (
                 "sum of squared curvatures cannot equal the negative number K; "
@@ -293,9 +333,9 @@ def _nonpositive_K_decision(
                 "K_multiplier": render_squares(Q),
                 "reason": reason,
             })
-    if frozenset() in terms:
+    if constant:
         return False, certificates
-    unforced = unknowns - {v for t in terms if len(t) == 1 for v in t}
+    unforced = unknowns - forced
     if unforced:
         left = ", ".join(f"x{v}" for v in sorted(unforced))
         raise ValueError(f"undecided at K <= 0: no power of one unknown forces {left} to 0")
@@ -319,19 +359,23 @@ class PositiveCombination:
     multipliers: tuple[Poly, Poly]
     combination: Poly
 
-    def to_json_dict(self) -> dict:
+    @property
+    def reason(self) -> str:
         a, b = self.frames
         N = self.combination
+        return (
+            f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of "
+            f"F{a} and F{b}, contains no K and has {len(N)} terms, all positive, among "
+            f"them x1^{min(_x1_powers(N))}; N > 0 wherever x1 > 0 and every x_j >= 0, "
+            "so every root has k1 = 0, the geodesic"
+        )
+
+    def to_json_dict(self) -> dict:
         return {
-            "frames": [a, b],
+            "frames": list(self.frames),
             "multipliers": [render_squares(m) for m in self.multipliers],
-            "combination": render_squares(N),
-            "reason": (
-                f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of "
-                f"F{a} and F{b}, contains no K and has {len(N)} terms, all positive, among "
-                f"them x1^{min(_x1_powers(N))}; N > 0 wherever x1 > 0 and every x_j >= 0, "
-                "so every root has k1 = 0, the geodesic"
-            ),
+            "combination": render_squares(self.combination),
+            "reason": self.reason,
         }
 
 
@@ -357,27 +401,121 @@ def _positive_combination(order: int, equations: dict[int, Poly]) -> PositiveCom
     return PositiveCombination(order, (2, 4), (-Q4, Q2), N)
 
 
+# the points a closed-form arc or segment reports: t at this many even steps
+# across its range
+CLOSED_FORM_POINTS = 8
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """The exact root set of a one-equation system at ``K > 0``.
+
+    The squared equation equals an expected factor exactly.  ``circle``:
+    ``x1 - (r - 1) K``, one root at ``t = x1 = (r - 1) K``.  ``arc``
+    (pattern ``{3}``, ``r >= 3``): ``T^(r - 3) (T^2 - K ((r - 1) x1 + x2))``
+    with ``T = t = x1 + x2``, so ``x1 = t (t - K) / ((r - 2) K)`` and
+    ``x2 = t - x1``; ``x1 > 0`` needs ``t > K``, ``x2 >= 0`` needs
+    ``t <= (r - 1) K``, where the arc meets the circle.  ``segment`` (the
+    full order-two system): ``x1 + x2 - K`` with ``t = x1`` in ``(0, K]``.
+    ``points`` holds ``x`` over the unknowns at ``K = 1``, one row per
+    ``t / K`` in ``t_values``, each an exact root by substitution."""
+
+    kind: str
+    factor: Poly
+    parametrization: str
+    t_range: str
+    t_values: tuple[Fraction, ...]
+    points: tuple[tuple[Fraction, ...], ...]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "kind": self.kind,
+            "equation": render_squares(self.factor) + " = 0",
+            "parametrization": self.parametrization,
+            "t_range": self.t_range,
+            "t_over_K": [str(t) for t in self.t_values],
+        }
+
+
+def _closed_form(order: int, pattern: frozenset[int], x_eq: Poly) -> ClosedForm | None:
+    """The closed form of a system's one squared equation, or None when the
+    equation is not the factor that ``(order, pattern)`` leads to expect or
+    a point fails its exact substitution."""
+    r = order
+    x1, x2, K = kvar(1), kvar(2), ambient()
+    least = min(pattern, default=None)
+    steps = [Fraction(j, CLOSED_FORM_POINTS) for j in range(1, CLOSED_FORM_POINTS + 1)]
+    if least == 2:
+        kind = "circle"
+        factor = expected = x1 - (r - 1) * K
+        parametrization = "x1 = t"
+        t_range = f"t = {render_squares((r - 1) * K)}"
+        t_values = (Fraction(r - 1),)
+        points = ((Fraction(r - 1),),)
+    elif least == 3 and r >= 3:
+        kind = "arc"
+        T = x1 + x2
+        factor = T**2 - K * ((r - 1) * x1 + x2)
+        expected = T ** (r - 3) * factor
+        denominator = "K" if r == 3 else f"({r - 2}*K)"
+        parametrization = f"t = x1 + x2, x1 = t*(t - K)/{denominator}, x2 = t - x1"
+        t_range = f"K < t <= {render_squares((r - 1) * K)}"
+        t_values = tuple(1 + (r - 2) * s for s in steps)
+        points = tuple((t * (t - 1) / (r - 2), t - t * (t - 1) / (r - 2)) for t in t_values)
+    elif least is None and r == 2:
+        kind = "segment"
+        factor = expected = x1 + x2 - K
+        parametrization = "t = x1, x2 = K - t"
+        t_range = "0 < t <= K"
+        t_values = tuple(steps)
+        points = tuple((t, 1 - t) for t in t_values)
+    else:
+        return None
+    if x_eq != expected:
+        return None
+    at_unit_K = x_eq.substitute(AMBIENT, Poly.constant(1))
+    for point in points:
+        value = at_unit_K
+        for vid, x in zip((1, 2), point):
+            value = value.substitute(vid, Poly.constant(x))
+        if not value.is_zero():
+            return None
+    return ClosedForm(kind, factor, parametrization, t_range, t_values, points)
+
+
 def _exact_decision(
     system: ConstraintSystem, K: float
-) -> tuple[tuple[int, ...], tuple[Solution, ...], list[dict]] | None:
-    """Decide a system exactly: its unknowns, its roots and its
-    certificates, or None where only Newton can answer.
+) -> tuple[tuple[int, ...], tuple[Solution, ...], list, ClosedForm | None] | None:
+    """Decide a system exactly: its unknowns, its roots, its certificates
+    and its closed form, or None where only Newton can answer.
 
     At ``K <= 0``, or with no equation (every tension component vanished
     identically), the roots are none or only the geodesic
     (:func:`_nonpositive_K_decision`), with certificates at ``K < 0``.  At
-    ``K > 0`` the answer is no root, with one :class:`PositiveCombination`,
-    or None when that is undecided."""
+    ``K > 0`` the answer is no root, with one :class:`PositiveCombination`;
+    failing that, the points of a :class:`ClosedForm`, each curvature scaled
+    by ``sqrt(K)``; or None when both are undecided."""
     equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
     unknowns = _unknowns(x for _, x in equations)
     if K > 0 and equations:
         certificate = _positive_combination(system.order, dict(equations))
-        if certificate is None:
+        if certificate is not None:
+            return unknowns, (), [certificate], None
+        if len(equations) != 1:
             return None
-        return unknowns, (), [certificate.to_json_dict()]
+        closed = _closed_form(system.order, system.zero_pattern, equations[0][1])
+        if closed is None:
+            return None
+        roots = []
+        for point in closed.points:
+            curvatures = [0.0] * (2 * system.order - 2)
+            for vid, x in zip(unknowns, point):
+                curvatures[vid - 1] = math.sqrt(x) * math.sqrt(K)
+            roots.append(Solution(tuple(curvatures), 0.0))
+        return unknowns, tuple(roots), [], closed
     geodesic, certificates = _nonpositive_K_decision(equations, K)
     roots = (Solution((0.0,) * (2 * system.order - 2), 0.0),) if geodesic else ()
-    return unknowns, roots, certificates
+    return unknowns, roots, certificates, None
 
 
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -391,6 +529,8 @@ def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     condition number.  Rows whose ``G`` is singular or has a condition number
     over ``GRAM_COND_MAX``, and every tall ``J``, take ``np.linalg.pinv``.
     """
+    import numpy as np
+
     b, n, d = J.shape
     if n > d:
         return -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
@@ -428,14 +568,19 @@ def solve_helix(
     and no start runs, so ``starts`` is 0: at ``K <= 0``, and for a system
     with no equation, no root or only the geodesic, with the certificates at
     ``K < 0``; at ``K > 0``, no root for a system with a
-    :class:`PositiveCombination`, reported as its one certificate.  For
-    orders 3..8 that is every system that keeps ``k3`` free.
+    :class:`PositiveCombination`, reported as its one certificate, and
+    otherwise the points of a :class:`ClosedForm` (the circle, the arc or
+    the order-two segment), named by ``exact_set``.  Exact roots carry
+    residual 0, and the arc and the segment are ``underdetermined``.  For
+    orders 2..8 that is every canonical system, so ``trials``, ``seed`` and
+    ``tol`` only set the search metadata there.
 
     Otherwise damped Newton iteration runs from a deterministic multistart
-    grid.  Every x-space system is weighted-homogeneous in ``(x_j, K)``, so
-    the search runs at ``K = 1`` and each curvature is then scaled by
-    ``sqrt(K)``.  ``tol`` and the reported residuals refer to that unit
-    system, which keeps them meaningful for any magnitude of ``K``.
+    grid; only this fallback loads numpy.  Every x-space system is
+    weighted-homogeneous in ``(x_j, K)``, so the search runs at ``K = 1``
+    and each curvature is then scaled by ``sqrt(K)``, as the exact points
+    are.  ``tol`` and the reported residuals refer to that unit system,
+    which keeps them meaningful for any magnitude of ``K``.
 
     Each start takes Newton steps until one moves it by at most ``STEP_TOL``
     in max-norm, or until its residual is below ``tol`` and its step no
@@ -460,10 +605,14 @@ def solve_helix(
     system = constraint_system(r, set(pattern))
     decided = _exact_decision(system, K)
     if decided is not None:
-        unknowns, solutions, certificates = decided
+        unknowns, solutions, certificates, closed = decided
+        underdetermined = closed is not None and closed.kind != "circle"
         return SolutionReport(
-            r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol, False,
+            r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol,
+            underdetermined, closed,
         )
+    import numpy as np
+
     compiled = CompiledSystem(system)
     if trials * len(compiled.exps) > MAX_POWER_TABLE:
         raise ValueError(
@@ -597,7 +746,7 @@ def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> Neg
     counts = [1] + [2 ** (m - t) for t in range(m, 0, -1)]
     entries = []
     for pattern, count in zip(patterns, counts):
-        _, solutions, certificates = _exact_decision(constraint_system(r, set(pattern)), K)
+        _, solutions, certificates, _ = _exact_decision(constraint_system(r, set(pattern)), K)
         entries.append({
             "zero_pattern": list(pattern),
             "merged_pattern_count": count,

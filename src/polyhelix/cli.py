@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 Only the symbolic layers load with this module.  Each numeric module, and
 numpy with it, loads in the handler (or the ``--beta-grid`` parser) that
 uses it, so ``tau``, ``--help``, ``--version`` and a usage error that
-argparse reports for any other flag run without numpy.
+argparse reports for any other flag run without numpy.  ``classify``
+decides every canonical system exactly and loads numpy only for its Newton
+fallback.
 """
 
 from __future__ import annotations
@@ -183,7 +185,6 @@ def _cmd_classify(args, started: float) -> int:
     report = classify.solve_helix(
         args.order, args.K, args.zeros, trials=args.trials, seed=args.seed, **tol
     )
-    payload = report.to_json_dict()
     lines = [
         f"order {report.order}, K = {report.K:g}, "
         f"zero pattern {sorted(report.zero_pattern) or '{}'}",
@@ -194,12 +195,20 @@ def _cmd_classify(args, started: float) -> int:
         ks = ", ".join(f"{k:.12g}" for k in solution.curvatures)
         lines.append(f"  ({ks})  residual {solution.residual:.3e}")
     for cert in report.certificates:
-        if "frames" in cert:
-            # a PositiveCombination: N itself is in the JSON report
-            frames = ", ".join(f"F{frame}" for frame in cert["frames"])
-            lines.append(f"  certificate {frames}: {cert['reason']}")
+        if isinstance(cert, classify.PositiveCombination):
+            # N itself is in the JSON report
+            frames = ", ".join(f"F{frame}" for frame in cert.frames)
+            lines.append(f"  certificate {frames}: {cert.reason}")
         else:
             lines.append(f"  certificate F{cert['frame']}: {cert['equation']} ({cert['reason']})")
+    if report.exact_set is not None:
+        exact = report.exact_set.to_json_dict()
+        lines.append(
+            f"  exact set: {exact['kind']} {exact['equation']}; "
+            f"{exact['parametrization']}; {exact['t_range']}"
+        )
+    # only the JSON report renders the certificates in full
+    payload = report.to_json_dict() if args.json else None
     return _finish(args, payload, None, lines, started)
 
 

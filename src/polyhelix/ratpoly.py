@@ -333,17 +333,26 @@ class CurvaturePolynomial:
         )
 
     def substitute(self, vid: int, replacement: "CurvaturePolynomial") -> "CurvaturePolynomial":
-        """Replace a variable by a polynomial (used for eliminations)."""
-        out = CurvaturePolynomial.zero()
-        powers: dict[int, CurvaturePolynomial] = {0: CurvaturePolynomial.constant(1)}
+        """Replace a variable by a polynomial (used for eliminations and for
+        exact point checks).  The powers of ``replacement`` are built one
+        multiplication apart, and each term adds its products into one term
+        map, so no partial sum is built."""
         shift = _shift(vid)
+        unit = _UNIT[vid]
+        powers = [CurvaturePolynomial.constant(1)]
+        terms: dict[int, Scalar] = {}
         for mono, coeff in self._terms.items():
             e = (mono >> shift) & MAX_DEGREE
-            rest = mono - e * _UNIT[vid]
-            if e not in powers:
-                powers[e] = replacement**e
-            out = out + powers[e] * CurvaturePolynomial({rest: coeff})
-        return out
+            rest = mono - e * unit
+            while len(powers) <= e:
+                powers.append(powers[-1] * replacement)
+            power = powers[e]._terms
+            if power:
+                _check_degree(_max_degree(power) + (rest >> _DEGREE_SHIFT))
+            for m, c in power.items():
+                prod = rest + m
+                terms[prod] = terms.get(prod, 0) + coeff * c
+        return CurvaturePolynomial(terms)
 
     def differentiate(self, vid: int) -> "CurvaturePolynomial":
         shift = _shift(vid)

@@ -7,18 +7,23 @@ The case analysis by zero pattern is stated as exact ring identities: the
 circle and family equations for every derivable order, at order three a
 multiplier that certifies the remaining patterns empty, and for orders 3..8
 the positive combination of frames 2 and 4 that leaves every system keeping
-k3 free without a root with k1 > 0.
+k3 free without a root with k1 > 0.  At K > 0 every other canonical system
+of orders 2..8 is a closed form (circle, arc or order-two segment); its
+reported points are checked as exact roots, and the reference Newton loop
+below, which still runs here, must find no root with k1 > 0 off that set.
 """
 
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from polyhelix import classify
 from polyhelix.classify import (
+    CLOSED_FORM_POINTS,
     DEDUP_TOL,
     GRID_POINTS_PER_DIM,
     MAX_POWER_TABLE,
@@ -32,7 +37,12 @@ from polyhelix.classify import (
     solve_helix,
     squared_form,
 )
-from polyhelix.frenet import MAX_TENSION_ORDER, constraint_system
+from polyhelix.frenet import (
+    MAX_TENSION_ORDER,
+    ConstraintEquation,
+    ConstraintSystem,
+    constraint_system,
+)
 from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial, ambient, kvar
 
 
@@ -47,6 +57,28 @@ def evaluate(poly: Poly, point: dict[int, float]) -> float:
 
 def family_residual(x1: float, x2: float, K: float = 1.0) -> float:
     return abs((x1 + x2) ** 2 - K * (2 * x1 + x2))
+
+
+def exact_value(poly: Poly, point: dict[int, Fraction]) -> Fraction:
+    """``poly`` at ``point`` in exact arithmetic, term by term."""
+    return sum(
+        coeff * math.prod(point[v] ** e for v, e in mono.exps) for mono, coeff in poly.terms()
+    )
+
+
+def on_exact_set(report, ks, tol: float = 1e-8) -> bool:
+    """Whether curvatures ``ks`` at ``report.K`` lie on the report's closed
+    form, to ``tol`` in the squared curvatures of the unit system."""
+    r, kind = report.order, report.exact_set.kind
+    x = [k * k / report.K for k in ks]
+    if any(x[2:]) or (kind == "circle" and x[1]):
+        return False
+    if kind == "circle":
+        return abs(x[0] - (r - 1)) < tol
+    if kind == "segment":
+        return 0 < x[0] <= 1 + tol and abs(x[0] + x[1] - 1) < tol
+    t = x[0] + x[1]
+    return 1 < t <= r - 1 + tol and abs(x[0] - t * (t - 1) / (r - 2)) < tol
 
 
 # -- squared-variable rewrite ------------------------------------------------
@@ -98,6 +130,12 @@ def _undecided(monkeypatch):
     monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
 
 
+def _no_closed_form(monkeypatch):
+    """Withhold every closed form, so the circle, the arc and the order-two
+    segment take Newton at K > 0."""
+    monkeypatch.setattr(classify, "_closed_form", lambda order, pattern, x_eq: None)
+
+
 @pytest.mark.parametrize("r, trials, monomials", [(8, 7739, 2168), (7, 21346, 786)])
 def test_solver_bounds_the_power_table(r, trials, monomials, monkeypatch):
     # the full systems are certified; undecided, they reach the bound
@@ -135,13 +173,19 @@ def test_planar_circle_at_every_order(r):
 
 
 def test_two_curvature_family_is_sampled():
+    # the solver reports the family exactly; the reference Newton loop
+    # samples it, and every one of its roots with k1 > 0 lies on that arc
     report = solve_helix(3, 1.0, {3, 4}, trials=400)
     assert report.underdetermined
-    assert len(report.solutions) >= 10
+    assert report.exact_set.kind == "arc"
+    found = reference_curvatures(3, 1.0, (3, 4), trials=400)
+    proper = found[found[:, 0] > 0]
+    assert len(proper) >= 10
     x1s = []
-    for sol in report.solutions:
-        x1, x2 = (k * k for k in sol.curvatures[:2])
+    for ks in proper:
+        x1, x2 = (k * k for k in ks[:2])
         assert family_residual(x1, x2) < 1e-9
+        assert on_exact_set(report, ks)
         x1s.append(x1)
     assert max(x1s) - min(x1s) > 0.5  # points spread along the family
 
@@ -371,10 +415,18 @@ REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
     REFERENCE_CASES,
     ids=[f"r{r}-zeros{''.join(map(str, p))}-K{K:g}" for r, p, K in REFERENCE_CASES],
 )
-def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
+def test_solver_matches_the_fixed_iteration_reference(r, pattern, K, monkeypatch):
     report = solve_helix(r, K, pattern, trials=300)
-    got = np.array([s.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
     want = reference_curvatures(r, K, pattern, trials=300)
+    if report.underdetermined:
+        # an arc: the solver reports fixed exact points, not Newton's, so
+        # each reference root with k1 > 0 must lie on the arc; the Newton
+        # fallback, forced, must still match the reference itself
+        assert all(on_exact_set(report, ks) for ks in want if ks[0] > 0)
+        _no_closed_form(monkeypatch)
+        report = solve_helix(r, K, pattern, trials=300)
+        assert report.exact_set is None
+    got = np.array([s.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=CURVATURE_TOL)
 
@@ -686,16 +738,18 @@ def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
 
 @pytest.mark.parametrize("r", [5, 6])
 def test_stall_exit_ends_the_search_before_the_iteration_cap(r, monkeypatch):
-    # pattern {3} at K = 1: the starts that land on the family are roots
-    # whose steps stop shrinking at the residual floor; only the stall exit
-    # drops them, so without it the loop would run all NEWTON_ITERATIONS
+    # pattern {3} at K = 1, with its closed form withheld: the starts that
+    # land on the family are roots whose steps stop shrinking at the
+    # residual floor; only the stall exit drops them, so without it the
+    # loop would run all NEWTON_ITERATIONS
+    _no_closed_form(monkeypatch)
     calls = []
     newton_step = classify._newton_step
     monkeypatch.setattr(classify, "_newton_step",
                         lambda J, F: calls.append(len(J)) or newton_step(J, F))
     report = solve_helix(r, 1.0, {3}, trials=200, seed=42)
     assert report.proper_solutions()
-    assert len(calls) < classify.NEWTON_ITERATIONS
+    assert 0 < len(calls) < classify.NEWTON_ITERATIONS
 
 
 # -- the frame-2/frame-4 certificate at K > 0 ---------------------------------
@@ -773,7 +827,7 @@ def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
         equations = _x_equations(r, pattern)
         cert = classify._positive_combination(r, equations)
         assert report.solutions == ()
-        assert report.certificates == (cert.to_json_dict(),)
+        assert report.certificates == (cert,)
         assert (report.starts, report.underdetermined) == (0, False)
         held = set().union(*(eq.variables() for eq in equations.values())) - {AMBIENT}
         assert report.unknowns == tuple(sorted(held))
@@ -795,3 +849,114 @@ def test_certified_systems_have_no_proper_newton_root(r):
     for pattern in [()] + [canonical_pattern({t}, m) for t in (4, 5) if t <= m]:
         found = reference_curvatures(r, 1.0, pattern, trials=100)
         assert not (found[:, 0] > 0).any()
+
+
+# -- the closed forms at K > 0 ------------------------------------------------
+
+def _canonical(r: int) -> list[tuple[int, ...]]:
+    m = 2 * r - 2
+    return [()] + [canonical_pattern({t}, m) for t in range(1, m + 1)]
+
+
+@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+def test_every_canonical_system_is_decided_without_newton(r, monkeypatch):
+    # at K = 1: the circle {2..}, the arc {3..} (r >= 3) or the segment (the
+    # full order-two system); every other system is certified or the geodesic
+    monkeypatch.setattr(classify, "CompiledSystem", _refuse)
+    monkeypatch.setattr(classify, "_newton_step", _refuse)
+    m = 2 * r - 2
+    expected = dict.fromkeys(_canonical(r))
+    expected[canonical_pattern({2}, m)] = "circle"
+    expected[canonical_pattern({3}, m) if r >= 3 else ()] = "arc" if r >= 3 else "segment"
+    kinds = {}
+    for pattern in _canonical(r):
+        report = solve_helix(r, 1.0, pattern)
+        assert report.starts == 0
+        kinds[pattern] = report.exact_set and report.exact_set.kind
+        assert report.underdetermined == (kinds[pattern] in ("arc", "segment"))
+    assert kinds == expected
+
+
+@pytest.mark.parametrize("K", [1.0, 4.0])
+@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+def test_every_reported_point_is_an_exact_root(r, K):
+    # each point, rebuilt from its t, makes the squared equation exactly 0,
+    # and its curvatures are the square roots scaled by sqrt(K)
+    m = 2 * r - 2
+    for pattern in _canonical(r):
+        report = solve_helix(r, K, pattern)
+        closed = report.exact_set
+        if closed is None:
+            continue
+        (x_eq,) = _x_system(r, set(pattern))
+        count = 1 if closed.kind == "circle" else CLOSED_FORM_POINTS
+        assert len(report.solutions) == len(closed.points) == len(closed.t_values) == count
+        for t, solution in zip(closed.t_values, report.solutions):
+            if closed.kind == "circle":
+                assert t == r - 1
+                point = {1: t}
+            elif closed.kind == "arc":
+                assert 1 < t <= r - 1
+                point = {1: t * (t - 1) / (r - 2), 2: t - t * (t - 1) / (r - 2)}
+            else:
+                assert 0 < t <= 1
+                point = {1: t, 2: 1 - t}
+            values = {AMBIENT: Fraction(1), **dict.fromkeys(range(1, m + 1), Fraction(0)), **point}
+            assert tuple(values[v] for v in report.unknowns) in closed.points
+            assert exact_value(x_eq, values) == 0
+            assert values[1] > 0 and all(x >= 0 for x in values.values())
+            assert solution.curvatures == tuple(
+                math.sqrt(values[v]) * math.sqrt(K) for v in range(1, m + 1)
+            )
+            assert solution.residual == 0.0
+        assert closed.t_values == tuple(sorted(closed.t_values))
+
+
+@pytest.mark.parametrize(
+    "r, pattern, equation",
+    [
+        (3, {2}, _x1 - 3 * _K),                        # the circle is x1 - 2K
+        (3, {3}, _family(3) + _x1 * _x2),
+        (5, {3}, _family(4)),                          # another order's arc
+        (2, set(), _x1 + 2 * _x2 - _K),
+        (4, {4}, _x1 - 3 * _K),                        # no closed form for {4..}
+    ],
+    ids=["circle", "arc", "arc-order", "segment", "pattern"],
+)
+def test_a_mismatched_equation_leaves_the_closed_form_undecided(r, pattern, equation):
+    assert classify._closed_form(r, frozenset(pattern), equation) is None
+
+
+def test_a_mismatched_system_reaches_newton(monkeypatch):
+    # k1^2 - 3K in place of the order-three circle k1^2 - 2K: Newton answers
+    # with that equation's root, not the expected circle
+    crafted = kvar(1) ** 2 - 3 * ambient()
+    system = ConstraintSystem(
+        3, frozenset({2}), (ConstraintEquation(2, crafted, Poly.constant(1), crafted),)
+    )
+    monkeypatch.setattr(classify, "constraint_system", lambda r, zeros: system)
+    report = solve_helix(3, 1.0, {2}, trials=50)
+    assert report.exact_set is None
+    assert report.starts > 0
+    (root,) = report.proper_solutions()
+    assert root.curvatures[0] ** 2 == pytest.approx(3.0, rel=1e-12)
+
+
+NEWTON_ON_CLOSED_FORMS = (
+    [(2, ())] + [(r, (2,)) for r in range(2, 9)] + [(r, (3,)) for r in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize(
+    "r, pattern",
+    NEWTON_ON_CLOSED_FORMS,
+    ids=[f"r{r}-zeros{''.join(map(str, p))}" for r, p in NEWTON_ON_CLOSED_FORMS],
+)
+def test_newton_roots_lie_on_the_exact_set(r, pattern):
+    # the reference Newton loop at K = 1 finds roots with k1 > 0, and each
+    # lies on the reported closed form; a root with k1 = 0 is the geodesic
+    report = solve_helix(r, 1.0, pattern)
+    found = reference_curvatures(r, 1.0, pattern, trials=100)
+    proper = found[found[:, 0] > 0]
+    assert len(proper)
+    assert all(on_exact_set(report, ks) for ks in proper)

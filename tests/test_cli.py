@@ -205,6 +205,15 @@ class TestClassify:
         assert "  certificate F2, F4: N = -Q4*F2 + Q2*F4, " in out
         assert "has 5 terms, all positive, among them x1^2;" in out
 
+    def test_text_names_the_exact_set(self, capsys):
+        code, out = run(capsys, "classify", "--order", "3", "--K", "1", "--zeros", "3,4")
+        assert code == 0
+        assert "solutions: 8 (8 proper)" in out
+        assert (
+            "  exact set: arc x1^2 + 2*x1*x2 - 2*K*x1 + x2^2 - K*x2 = 0; "
+            "t = x1 + x2, x1 = t*(t - K)/K, x2 = t - x1; K < t <= 2*K\n"
+        ) in out
+
     def test_certificate_answers_where_newton_would_pass_the_power_table(self, capsys):
         # 8000 starts x 2168 monomials would exceed MAX_POWER_TABLE, but the
         # full order-8 system is certified before anything is compiled

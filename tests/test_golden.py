@@ -25,12 +25,13 @@ systems of orders 9 and 10, the only ones whose curvatures reach
 ``k15 .. k18``: ``constraint_system(r).to_json_dict()`` hashed the same way,
 and ``render_latex()``.
 
-The ``classify`` snapshots guard ``solve_helix``: the multistart solver and
-the frame-2/frame-4 certificate at K > 0, and the exact decision at K <= 0.  Floating-point evaluation order
-may change under a refactor, so they are compared field by field rather
-than byte for byte: counts, flags, certificates and search metadata
-exactly, curvatures to :data:`CURVATURE_TOL`, and every residual must stay
-below the search tolerance.
+The ``classify`` snapshots guard ``solve_helix``: the frame-2/frame-4
+certificate and the closed forms (circle, arc, order-two segment) at K > 0,
+and the exact decision at K <= 0.  Floating-point evaluation order may
+change under a refactor, so they are compared field by field rather than
+byte for byte: counts, flags, certificates, closed forms and search
+metadata exactly, curvatures to :data:`CURVATURE_TOL`, and every residual
+must stay below the search tolerance.
 """
 
 import hashlib

@@ -2,8 +2,9 @@
 
 ``import polyhelix`` and ``import polyhelix.cli`` load only ``ratpoly`` and
 ``frenet``.  The numeric modules (``classify``, ``odelab``, ``spherecurves``,
-``acceptance``), and numpy with them, load when a command or a package name
-first needs one.  The load checks run in fresh interpreters, since this test
+``acceptance``) load when a command or a package name first needs one, and
+numpy with them, except with ``classify``: it loads numpy only for its
+Newton fallback.  The load checks run in fresh interpreters, since this test
 process has imported every module already.
 """
 
@@ -68,11 +69,13 @@ def test_tau_loads_no_numeric_module(tmp_path):
     assert json.loads(out.read_text())["command"] == "tau"
 
 
-def test_classify_loads_numpy_and_classify_alone(tmp_path):
+def test_classify_loads_classify_alone(tmp_path):
+    # every canonical system of orders 2..8 is decided exactly; numpy loads
+    # only with the Newton fallback, which none of them reaches
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     argv = ["classify", "--order", "3", "--K", "1", "--json", "--out"]
     assert probe(dispatch_statement(argv + [str(fresh)])) == {
-        "code": 0, "loaded": ["numpy", "polyhelix.classify"],
+        "code": 0, "loaded": ["polyhelix.classify"],
     }
     assert dispatch(argv + [str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()
