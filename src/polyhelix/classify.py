@@ -63,13 +63,12 @@ GRID_POINTS_PER_DIM = 7
 # Work bounds, checked before anything is allocated.  Orders above 8 are not
 # solved: their certificates are not tested, and without one 1000 starts of
 # the full r = 8 system (14 unknowns, 2168 monomials) took about 2 s.  Up to
-# r = 8 every system that reaches Newton has one equation in at most 2
-# unknowns and at most 28 monomials.  Each residual or Jacobian evaluation
-# holds a power table of trials x monomials floats, and a temporary of at
-# most that shape, so the product is bounded: 2^24 entries are 128 MiB.
-# Those systems stay far below it; the bound guards the Newton path should a
-# certificate fail.  MAX_TRIALS bounds the starts themselves, where the full
-# 7^d grid would need hundreds of GiB.
+# r = 8 no canonical system reaches Newton.  Each residual or Jacobian
+# evaluation holds a power table of trials x monomials floats, and a
+# temporary of at most that shape, so the product is bounded: 2^24 entries
+# are 128 MiB.  The bound guards the Newton fallback should an exact check
+# fail.  MAX_TRIALS bounds the starts themselves, where the full 7^d grid
+# would need hundreds of GiB.
 MAX_SOLVE_ORDER = 8
 MAX_TRIALS = 50_000
 MAX_POWER_TABLE = 2**24
