@@ -24,9 +24,9 @@ from .ratpoly import (
 )
 
 # the numeric names, each with the module that defines it: these modules
-# import numpy (classify only for its Newton fallback), so they load on the
-# first access to one of their names (PEP 562), and a symbolic run such as
-# ``polyhelix tau`` never loads them
+# import numpy (all but classify), so they load on the first access to one
+# of their names (PEP 562), and a symbolic run such as ``polyhelix tau``
+# never loads them
 _NUMERIC = {
     "negative_K_scan": "classify",
     "solve_helix": "classify",

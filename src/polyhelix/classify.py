@@ -14,13 +14,13 @@ Each remaining system of orders 2..8 is one equation with a closed form
 ``x1 = (r - 1) K``, pattern ``{3}`` for ``r >= 3`` the arc
 ``(x1 + x2)^2 = K ((r - 1) x1 + x2)`` and the full order-two system the
 segment ``x1 + x2 = K``.  So every canonical system of orders 2..8 is
-decided without a Newton start; multistart Newton, and numpy with it, loads
-only for a system that none of these exact checks decides.
-:func:`solve_helix` takes one zero pattern; :func:`negative_K_scan` decides
-every pattern of one order at ``K < 0``.  A pattern is equivalent to its
-upward closure (:func:`canonical_pattern`), so order ``r`` has ``2r - 1``
-distinct systems.  The exact identities behind the closed forms, and the
-certificates, are checked in the tests.
+decided exactly, and nothing is sampled; a system that none of these exact
+checks decides raises ``ValueError`` (the command line exits 2).  The
+module imports no numpy.  :func:`solve_helix` takes one zero pattern;
+:func:`negative_K_scan` decides every pattern of one order at ``K < 0``.  A
+pattern is equivalent to its upward closure (:func:`canonical_pattern`), so
+order ``r`` has ``2r - 1`` distinct systems.  The exact identities behind
+the closed forms, and the certificates, are checked in the tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .frenet import ConstraintSystem, constraint_system
 from .ratpoly import (
@@ -44,34 +44,12 @@ from .ratpoly import (
     kvar,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
-DEDUP_TOL = 1e-8
-SNAP_TOL = 1e-12
-# a start leaves the Newton iteration once an update moves it by at most this
-# much in max-norm; a residual test instead would freeze slowly converging
-# starts (the rank-0 geodesic at K = 0) before they come within SNAP_TOL
-STEP_TOL = 1e-14
-NEWTON_ITERATIONS = 60
-# the Newton step solves with the Gram matrix G = J J^T, and cond(G) is
-# cond(J)^2, so solving with G loses about log10 cond(G) of the step's 16
-# digits; past 1e12 (cond(J) above about 1e6) fewer than 4 would be left, and
-# such rows take the SVD step, which loses only log10 cond(J)
-GRAM_COND_MAX = 1e12
-GRID_POINTS_PER_DIM = 7
-# Work bounds, checked before anything is allocated.  Orders above 8 are not
-# solved: their certificates are not tested, and without one 1000 starts of
-# the full r = 8 system (14 unknowns, 2168 monomials) took about 2 s.  Up to
-# r = 8 no canonical system reaches Newton.  Each residual or Jacobian
-# evaluation holds a power table of trials x monomials floats, and a
-# temporary of at most that shape, so the product is bounded: 2^24 entries
-# are 128 MiB.  The bound guards the Newton fallback should an exact check
-# fail.  MAX_TRIALS bounds the starts themselves, where the full 7^d grid
-# would need hundreds of GiB.
+# Work bounds, checked before anything is built.  Orders above 8 are not
+# solved: their certificates and closed forms are not tested there.  Nothing
+# is sampled, so MAX_TRIALS bounds an input that sets no work; ``trials``
+# stays accepted, and bounded, for callers that still pass it.
 MAX_SOLVE_ORDER = 8
 MAX_TRIALS = 50_000
-MAX_POWER_TABLE = 2**24
 
 
 def _square_name(vid: int) -> str:
@@ -99,6 +77,7 @@ _CURVATURE_FIELDS = {
 }
 _K_MONO = Monomial([(AMBIENT, 1)])
 _X1_MONO = Monomial([(1, 1)])
+_ONE = Monomial()
 
 
 def squared_form(poly: Poly) -> Poly:
@@ -121,82 +100,50 @@ def _unknowns(x_equations: Iterable[Poly]) -> tuple[int, ...]:
     return tuple(sorted(set().union(*(p.variables() for p in x_equations)) - {AMBIENT}))
 
 
-# -- compiled evaluation -----------------------------------------------------
+# -- exact evaluation --------------------------------------------------------
 
 class CompiledSystem:
-    """A factored constraint system compiled to numpy, in squared variables,
-    for the Newton fallback of :func:`solve_helix`.
+    """A constraint system in the squared variables, evaluated exactly.
 
-    Columns are ``[K, x_{j1}, ..., x_{jd}]`` where the ``j``s are the
-    curvature indices that actually appear in the equations.  One monomial
-    table serves the ``n`` equations and their ``n * d`` partial derivatives:
-    ``exps`` holds the distinct monomials (one row each, one exponent per
-    column) and ``coeffs`` has one column per polynomial, the equations first,
-    then the Jacobian entries row by row.
+    ``x_equations`` holds the squared factored equations and ``unknowns`` the
+    curvature indices they hold, ascending.  :meth:`residuals` and
+    :meth:`jacobians` evaluate the equations and their partial derivatives
+    at rational points, each point a tuple over the unknowns, by
+    substitution: ``K`` once per polynomial, then each unknown.  A point is a
+    root exactly when its residuals are all 0; the closed forms of
+    :func:`_exact_decision` check their points this way.
     """
 
     def __init__(self, system: ConstraintSystem):
-        import numpy as np
-
         self.x_equations = [squared_form(eq.factored) for eq in system.equations]
         self.unknowns = _unknowns(self.x_equations)
-        self.columns = (AMBIENT,) + self.unknowns
-        polys = self.x_equations + [
-            p.differentiate(v) for p in self.x_equations for v in self.unknowns
+
+    def _values(self, polys: list[Poly], points, K) -> list[tuple]:
+        """Each polynomial at each point, one tuple per point."""
+        at_K = [p.substitute(AMBIENT, Poly.constant(K)) for p in polys]
+        rows = []
+        for point in points:
+            row = []
+            for value in at_K:
+                for vid, x in zip(self.unknowns, point):
+                    value = value.substitute(vid, Poly.constant(x))
+                row.append(value.coefficient(_ONE))
+            rows.append(tuple(row))
+        return rows
+
+    def residuals(self, points, K) -> list[tuple]:
+        """The equations at each point: one value per equation."""
+        return self._values(self.x_equations, points, K)
+
+    def jacobians(self, points, K) -> list[tuple]:
+        """The partial derivatives at each point: one row per equation, one
+        entry per unknown."""
+        d = len(self.unknowns)
+        polys = [p.differentiate(v) for p in self.x_equations for v in self.unknowns]
+        return [
+            tuple(row[i : i + d] for i in range(0, len(row), d))
+            for row in self._values(polys, points, K)
         ]
-        rows: dict[Monomial, int] = {}
-        for poly in polys:
-            for mono, _ in poly.terms():
-                rows.setdefault(mono, len(rows))
-        col_index = {v: i for i, v in enumerate(self.columns)}
-        self.exps = np.zeros((len(rows), len(self.columns)), dtype=np.int64)
-        for mono, row in rows.items():
-            for vid, e in mono.exps:
-                self.exps[row, col_index[vid]] = e
-        # each column with a nonzero exponent: the rows it enters, and with
-        # which exponents; about three quarters of the entries are 0 at r >= 5
-        self.factors = []
-        for column, exps in enumerate(self.exps.T):
-            entered = np.flatnonzero(exps)
-            if entered.size:
-                self.factors.append((column, entered, exps[entered]))
-        self.coeffs = np.zeros((len(rows), len(polys)))
-        for k, poly in enumerate(polys):
-            for mono, coeff in poly.terms():
-                self.coeffs[rows[mono], k] = float(coeff)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.unknowns)
-
-    def _powers(self, X: np.ndarray, K: float) -> np.ndarray:
-        """The power table: every monomial at every point, ``(points, rows)``.
-        Multiplying in one column at a time gives the products of
-        ``(full[:, None, :] ** exps).prod(axis=2)`` without its 3-d temporary.
-        Each column's powers ``v**1 .. v**top`` come from one ladder of
-        repeated multiplications, a few ulp from ``**`` and far cheaper than
-        an elementwise ``float ** int`` per entry, and multiply in only the
-        rows whose exponent is not 0.  The table is built monomial-major so
-        that those rows are contiguous; the returned array is its transpose."""
-        import numpy as np
-
-        values = np.vstack([np.full(X.shape[0], K), X.T])
-        table = np.ones((len(self.exps), X.shape[0]))
-        for column, rows, exps in self.factors:
-            ladder = np.empty((exps.max() + 1, X.shape[0]))
-            ladder[0] = 1.0
-            for e in range(1, len(ladder)):
-                np.multiply(ladder[e - 1], values[column], out=ladder[e])
-            table[rows] *= ladder[exps]
-        return table.T
-
-    def residuals(self, X: np.ndarray, K: float) -> np.ndarray:
-        return self._powers(X, K) @ self.coeffs[:, : len(self.x_equations)]
-
-    def jacobians(self, X: np.ndarray, K: float) -> np.ndarray:
-        n = len(self.x_equations)
-        J = self._powers(X, K) @ self.coeffs[:, n:]
-        return J.reshape(X.shape[0], n, self.dimension)
 
 
 # -- solution containers -----------------------------------------------------
@@ -221,10 +168,12 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Output of :func:`solve_helix`: deduplicated roots plus the metadata
+    """Output of :func:`solve_helix`: the exact roots plus the metadata
     needed to reproduce them.  A certificate is a rendered dict at ``K < 0``
     and a :class:`PositiveCombination` at ``K > 0``, rendered only by
-    :meth:`to_json_dict`; ``exact_set`` names a :class:`ClosedForm`."""
+    :meth:`to_json_dict`; ``exact_set`` names a :class:`ClosedForm`.
+    Nothing is sampled, so ``starts`` is always 0; the payload keeps it
+    under ``search`` with ``seed`` and ``tol``, which only echo the input."""
 
     order: int
     K: float
@@ -438,8 +387,7 @@ class ClosedForm:
 
 def _closed_form(order: int, pattern: frozenset[int], x_eq: Poly) -> ClosedForm | None:
     """The closed form of a system's one squared equation, or None when the
-    equation is not the factor that ``(order, pattern)`` leads to expect or
-    a point fails its exact substitution."""
+    equation is not the factor that ``(order, pattern)`` leads to expect."""
     r = order
     x1, x2, K = kvar(1), kvar(2), ambient()
     least = min(pattern, default=None)
@@ -472,28 +420,23 @@ def _closed_form(order: int, pattern: frozenset[int], x_eq: Poly) -> ClosedForm 
         return None
     if x_eq != expected:
         return None
-    at_unit_K = x_eq.substitute(AMBIENT, Poly.constant(1))
-    for point in points:
-        value = at_unit_K
-        for vid, x in zip((1, 2), point):
-            value = value.substitute(vid, Poly.constant(x))
-        if not value.is_zero():
-            return None
     return ClosedForm(kind, factor, parametrization, t_range, t_values, points)
 
 
 def _exact_decision(
     system: ConstraintSystem, K: float
-) -> tuple[tuple[int, ...], tuple[Solution, ...], list, ClosedForm | None] | None:
+) -> tuple[tuple[int, ...], tuple[Solution, ...], list, ClosedForm | None]:
     """Decide a system exactly: its unknowns, its roots, its certificates
-    and its closed form, or None where only Newton can answer.
+    and its closed form.
 
     At ``K <= 0``, or with no equation (every tension component vanished
     identically), the roots are none or only the geodesic
     (:func:`_nonpositive_K_decision`), with certificates at ``K < 0``.  At
     ``K > 0`` the answer is no root, with one :class:`PositiveCombination`;
-    failing that, the points of a :class:`ClosedForm`, each curvature scaled
-    by ``sqrt(K)``; or None when both are undecided."""
+    failing that, the points of a :class:`ClosedForm`, each checked as an
+    exact root by :class:`CompiledSystem` and each curvature scaled by
+    ``sqrt(K)``.  A system that neither decides raises ``ValueError``, as
+    an undecided one does at ``K <= 0``."""
     equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
     unknowns = _unknowns(x for _, x in equations)
     if K > 0 and equations:
@@ -501,10 +444,19 @@ def _exact_decision(
         if certificate is not None:
             return unknowns, (), [certificate], None
         if len(equations) != 1:
-            return None
-        closed = _closed_form(system.order, system.zero_pattern, equations[0][1])
+            raise ValueError(
+                f"undecided at K > 0: {len(equations)} equations and no positive "
+                "combination of frames 2 and 4"
+            )
+        x_eq = equations[0][1]
+        closed = _closed_form(system.order, system.zero_pattern, x_eq)
         if closed is None:
-            return None
+            raise ValueError(
+                f"undecided at K > 0: {render_squares(x_eq)} = 0 is no closed form "
+                f"of order {system.order}"
+            )
+        if any(any(row) for row in CompiledSystem(system).residuals(closed.points, 1)):
+            raise ValueError(f"undecided at K > 0: a point of the {closed.kind} is no exact root")
         roots = []
         for point in closed.points:
             curvatures = [0.0] * (2 * system.order - 2)
@@ -517,41 +469,6 @@ def _exact_decision(
     return unknowns, roots, certificates, None
 
 
-def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The minimum-norm Newton steps ``-pinv(J) F`` for Jacobians ``(b, n, d)``
-    and residuals ``(b, n)``.
-
-    For a wide or square ``J`` of full row rank the pseudoinverse is
-    ``J^T (J J^T)^-1`` (Ben-Israel 1966), so the step is ``-J^T y`` where
-    ``G y = F`` for the Gram matrix ``G = J J^T``: one small batched LU rather
-    than an SVD per row.  The same solve yields ``G^-1`` for the 1-norm
-    condition number.  Rows whose ``G`` is singular or has a condition number
-    over ``GRAM_COND_MAX``, and every tall ``J``, take ``np.linalg.pinv``.
-    """
-    import numpy as np
-
-    b, n, d = J.shape
-    if n > d:
-        return -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
-    G = J @ J.transpose(0, 2, 1)
-    rhs = np.concatenate((F[:, :, None], np.broadcast_to(np.eye(n), (b, n, n))), axis=2)
-    try:
-        solved = np.linalg.solve(G, rhs)
-    except np.linalg.LinAlgError:
-        # some G is exactly singular, so its LU meets a zero pivot; its row is
-        # left NaN, which fails the condition bound below
-        regular = np.linalg.det(G) != 0
-        solved = np.full(rhs.shape, np.nan)
-        solved[regular] = np.linalg.solve(G[regular], rhs[regular])
-    G_inv = solved[:, :, 1:]
-    cond = np.abs(G).sum(axis=1).max(axis=1) * np.abs(G_inv).sum(axis=1).max(axis=1)
-    step = -np.einsum("bji,bj->bi", J, solved[:, :, 0])
-    svd = ~(cond <= GRAM_COND_MAX)
-    if svd.any():
-        step[svd] = -np.einsum("bij,bj->bi", np.linalg.pinv(J[svd]), F[svd])
-    return step
-
-
 def solve_helix(
     r: int,
     K: float,
@@ -560,35 +477,19 @@ def solve_helix(
     trials: int = 1000,
     seed: int = 42,
 ) -> SolutionReport:
-    """Find all distinct nonnegative roots of the order-``r`` constraint
-    system over the squared curvatures.
+    """Decide the order-``r`` constraint system with the given zero pattern
+    exactly, over the squared curvatures, and report its nonnegative roots.
 
-    Wherever it can be proved the answer is exact (:func:`_exact_decision`),
-    and no start runs, so ``starts`` is 0: at ``K <= 0``, and for a system
-    with no equation, no root or only the geodesic, with the certificates at
-    ``K < 0``; at ``K > 0``, no root for a system with a
+    The answer is :func:`_exact_decision`'s: at ``K <= 0``, and for a
+    system with no equation, no root or only the geodesic, with the
+    certificates at ``K < 0``; at ``K > 0``, no root for a system with a
     :class:`PositiveCombination`, reported as its one certificate, and
     otherwise the points of a :class:`ClosedForm` (the circle, the arc or
-    the order-two segment), named by ``exact_set``.  Exact roots carry
-    residual 0, and the arc and the segment are ``underdetermined``.  For
-    orders 2..8 that is every canonical system, so ``trials``, ``seed`` and
-    ``tol`` only set the search metadata there.
-
-    Otherwise damped Newton iteration runs from a deterministic multistart
-    grid; only this fallback loads numpy.  Every x-space system is
-    weighted-homogeneous in ``(x_j, K)``, so the search runs at ``K = 1``
-    and each curvature is then scaled by ``sqrt(K)``, as the exact points
-    are.  ``tol`` and the reported residuals refer to that unit system,
-    which keeps them meaningful for any magnitude of ``K``.
-
-    Each start takes Newton steps until one moves it by at most ``STEP_TOL``
-    in max-norm, or until its residual is below ``tol`` and its step no
-    longer shrinks (it only jitters at the residual floor), at most
-    ``NEWTON_ITERATIONS`` of them; only the starts still moving are
-    evaluated.  Every step is the minimum-norm step ``-pinv(J) F``, which
-    handles underdetermined systems: the converged points then sample the
-    solution family.  It is solved through ``J J^T`` and takes an SVD only for
-    rank-deficient or ill-conditioned rows (:func:`_newton_step`).
+    the order-two segment), named by ``exact_set``.  Roots carry residual 0,
+    and the arc and the segment are ``underdetermined``.  For orders 2..8
+    that is every canonical system; a system that none of these checks
+    decides raises ``ValueError``.  Nothing is sampled: ``trials``,
+    ``seed`` and ``tol`` are checked and only fill the search metadata.
     """
     if not 2 <= r <= MAX_SOLVE_ORDER:
         raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
@@ -602,100 +503,11 @@ def solve_helix(
         raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
-    decided = _exact_decision(system, K)
-    if decided is not None:
-        unknowns, solutions, certificates, closed = decided
-        underdetermined = closed is not None and closed.kind != "circle"
-        return SolutionReport(
-            r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol,
-            underdetermined, closed,
-        )
-    import numpy as np
-
-    compiled = CompiledSystem(system)
-    if trials * len(compiled.exps) > MAX_POWER_TABLE:
-        raise ValueError(
-            f"{trials} multistart trials x {len(compiled.exps)} monomials is "
-            f"{trials * len(compiled.exps)} power-table entries, at most {MAX_POWER_TABLE}"
-        )
-
-    d = compiled.dimension
-    # the starts fill [0, hi]^d around the roots at K = 1
-    hi = 8.0
-    axis = np.linspace(0.0, hi, GRID_POINTS_PER_DIM)
-    grid_size = GRID_POINTS_PER_DIM**d
-    rng = np.random.default_rng(seed)
-    if grid_size <= trials:
-        flat = np.arange(grid_size)
-    else:
-        flat = np.sort(rng.choice(grid_size, size=trials, replace=False))
-    starts = axis[np.stack(np.unravel_index(flat, (GRID_POINTS_PER_DIM,) * d), axis=1)]
-    jitter_scale = hi / (GRID_POINTS_PER_DIM - 1) / 8.0
-    starts = starts + rng.uniform(-jitter_scale, jitter_scale, starts.shape)
-    starts = np.clip(starts, 0.0, hi)
-
-    X = starts.copy()
-    step_cap = 2.0 * hi
-    active = np.arange(len(X))
-    last_move = np.full(len(X), np.inf)
-    for _ in range(NEWTON_ITERATIONS):
-        X_active = X[active]
-        F = compiled.residuals(X_active, 1.0)
-        J = compiled.jacobians(X_active, 1.0)
-        with np.errstate(all="ignore"):
-            step = _newton_step(J, F)
-        step = np.clip(step, -step_cap, step_cap)
-        X_new = X_active + step
-        ok = np.isfinite(X_new).all(axis=1)
-        X_new = np.clip(np.where(ok[:, None], X_new, X_active), -hi, 1e7)
-        X[active] = X_new
-        # a start that no longer moves has reached its fixed point; one that
-        # is already a root and whose step stopped shrinking only jitters at
-        # the residual floor
-        move = np.abs(X_new - X_active).max(axis=1)
-        stalled = (np.abs(F).max(axis=1) < tol) & (move >= last_move[active])
-        last_move[active] = move
-        active = active[(move > STEP_TOL) & ~stalled]
-        if not active.size:
-            break
-
-    F = compiled.residuals(X, 1.0)
-    converged = np.abs(F).max(axis=1) < tol
-    nonneg = (X > -DEDUP_TOL).all(axis=1)
-    candidates = np.clip(X[converged & nonneg], 0.0, None)
-    # values that converged to numerical zero are snapped to exact zero when
-    # that preserves convergence, so geodesic components are reported as 0.0
-    # rather than sqrt(roundoff); sorting after the snap keeps roundoff in
-    # those components from deciding the order of the roots
-    snapped = np.where(candidates < SNAP_TOL, 0.0, candidates)
-    keeps_root = np.abs(compiled.residuals(snapped, 1.0)).max(axis=1) < tol
-    candidates = np.where(keeps_root[:, None], snapped, candidates)
-    candidates = candidates[np.lexsort(candidates.T[::-1])]
-    worst = np.abs(compiled.residuals(candidates, 1.0)).max(axis=1)
-    accepted: list[int] = []
-    for i in np.flatnonzero(worst < tol):
-        if all(np.abs(candidates[i] - candidates[j]).max() > DEDUP_TOL for j in accepted):
-            accepted.append(i)
-
-    roots = candidates[accepted]
-    ranks = np.linalg.matrix_rank(compiled.jacobians(roots, 1.0))
-    curvatures = np.zeros((len(roots), 2 * r - 2))
-    curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(roots) * math.sqrt(K)
-    solutions = [
-        Solution(tuple(ks), float(res)) for ks, res in zip(curvatures.tolist(), worst[accepted])
-    ]
-
+    unknowns, solutions, certificates, closed = _exact_decision(system, K)
+    underdetermined = closed is not None and closed.kind != "circle"
     return SolutionReport(
-        r,
-        K,
-        pattern,
-        compiled.unknowns,
-        tuple(solutions),
-        (),
-        seed,
-        len(starts),
-        tol,
-        bool((ranks < d).any()),
+        r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol,
+        underdetermined, closed,
     )
 
 

@@ -1,7 +1,7 @@
 """Command line entry point.
 
 Eight subcommands expose the package: ``tau`` prints helix constraint
-systems, ``classify`` searches for constant-curvature solutions, ``verify``
+systems, ``classify`` decides their constant-curvature solutions, ``verify``
 checks the closed-form sphere curves, ``family`` sweeps the two-frequency
 solution family, ``integrate``/``conserve``/``conjecture`` drive the
 numerical lab, and ``reproduce`` runs the acceptance registry.
@@ -16,8 +16,8 @@ Only the symbolic layers load with this module.  Each numeric module, and
 numpy with it, loads in the handler (or the ``--beta-grid`` parser) that
 uses it, so ``tau``, ``--help``, ``--version`` and a usage error that
 argparse reports for any other flag run without numpy.  ``classify``
-decides every canonical system exactly and loads numpy only for its Newton
-fallback.
+decides every system exactly and imports no numpy; a system it cannot
+decide exits 2 with the reason.
 """
 
 from __future__ import annotations

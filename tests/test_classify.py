@@ -24,12 +24,9 @@ import pytest
 from polyhelix import classify
 from polyhelix.classify import (
     CLOSED_FORM_POINTS,
-    DEDUP_TOL,
-    GRID_POINTS_PER_DIM,
-    MAX_POWER_TABLE,
     MAX_SOLVE_ORDER,
     MAX_TRIALS,
-    SNAP_TOL,
+    ClosedForm,
     CompiledSystem,
     canonical_pattern,
     negative_K_scan,
@@ -126,23 +123,8 @@ def test_solver_caps_trials_before_allocating(trials):
 
 
 def _undecided(monkeypatch):
-    """Make every split fail, so no certificate holds and K > 0 takes Newton."""
+    """Make every split fail, so no certificate holds at K > 0."""
     monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
-
-
-def _no_closed_form(monkeypatch):
-    """Withhold every closed form, so the circle, the arc and the order-two
-    segment take Newton at K > 0."""
-    monkeypatch.setattr(classify, "_closed_form", lambda order, pattern, x_eq: None)
-
-
-@pytest.mark.parametrize("r, trials, monomials", [(8, 7739, 2168), (7, 21346, 786)])
-def test_solver_bounds_the_power_table(r, trials, monomials, monkeypatch):
-    # the full systems are certified; undecided, they reach the bound
-    assert trials * monomials > MAX_POWER_TABLE >= (trials - 1) * monomials
-    _undecided(monkeypatch)
-    with pytest.raises(ValueError, match=f"{trials} multistart trials x {monomials} monomials"):
-        solve_helix(r, 1.0, trials=trials)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
@@ -151,7 +133,7 @@ def test_solver_needs_a_finite_K(K):
         solve_helix(3, K)
 
 
-# -- multistart solver -------------------------------------------------------
+# -- the exact solver -------------------------------------------------------
 
 def test_circle_solution_order_three():
     report = solve_helix(3, 1.0, {2, 3, 4}, trials=200)
@@ -240,132 +222,87 @@ def test_reports_are_reproducible():
     assert a == b
 
 
-# -- compiled monomial table -------------------------------------------------
+# -- exact evaluation --------------------------------------------------------
 
 @pytest.mark.parametrize("r, pattern", [(2, ()), (3, ()), (4, {3}), (5, ())])
 def test_compiled_table_matches_polynomial_evaluation(r, pattern):
+    # the exact residuals and Jacobians at rational points equal each squared
+    # equation, and its partial derivatives, evaluated term by term
     compiled = CompiledSystem(constraint_system(r, pattern))
-    n, d = len(compiled.x_equations), compiled.dimension
-    assert compiled.exps.shape == (len(compiled.coeffs), d + 1)
-    assert compiled.coeffs.shape[1] == n + n * d
-    rng = np.random.default_rng(7)
-    X = rng.uniform(0.0, 3.0, (5, d))
-    F = compiled.residuals(X, 1.5)
-    J = compiled.jacobians(X, 1.5)
-    assert F.shape == (5, n) and J.shape == (5, n, d)
-    for b, x in enumerate(X):
-        assign = {AMBIENT: 1.5, **dict(zip(compiled.unknowns, x))}
-        for i, eq in enumerate(compiled.x_equations):
-            assert F[b, i] == pytest.approx(evaluate(eq, assign), rel=1e-12, abs=1e-12)
-            for j, v in enumerate(compiled.unknowns):
-                expected = evaluate(eq.differentiate(v), assign)
-                assert J[b, i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("K", [-1.0, 0.0, 1.0])
-@pytest.mark.parametrize("r, pattern", [(2, ()), (3, ()), (4, {3}), (5, ()), (6, ())])
-def test_power_ladder_matches_pow(r, pattern, K):
-    compiled = CompiledSystem(constraint_system(r, pattern))
-    rng = np.random.default_rng(11)
-    X = rng.uniform(-3.0, 3.0, (60, compiled.dimension))
-    X[rng.random(X.shape) < 0.25] = 0.0
-    X[0] = 0.0  # with K = 0 every base is zero, so 0**0 = 1 must hold
-    full = np.hstack([np.full((len(X), 1), K), X])
-    want = (full[:, None, :] ** compiled.exps).prod(axis=2)
-    np.testing.assert_allclose(compiled._powers(X, K), want, rtol=1e-14, atol=0)
-
-
-# -- Newton step ---------------------------------------------------------------
-
-def pinv_step(J, F):
-    return -np.einsum("bij,bj->bi", np.linalg.pinv(J), F)
-
-
-@pytest.fixture
-def pinv_rows(monkeypatch):
-    """The Jacobians each call of ``np.linalg.pinv`` receives."""
-    calls = []
-    original = np.linalg.pinv
-
-    def recording(J, *args, **kwargs):
-        calls.append(np.array(J))
-        return original(J, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", recording)
-    return calls
-
-
-@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6), (4, 7), (4, 8)])
-def test_gram_step_matches_pinv_on_full_rank_rows(n, d, pinv_rows):
-    rng = np.random.default_rng(n * 10 + d)
-    J = rng.normal(size=(200, n, d))
-    F = rng.normal(size=(200, n))
-    got = classify._newton_step(J, F)
-    assert not pinv_rows
-    want = pinv_step(J, F)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
-def test_gram_step_takes_pinv_for_singular_rows(pinv_rows):
-    rng = np.random.default_rng(3)
-    J = rng.normal(size=(5, 2, 3))
-    J[1] = 0.0
-    J[3] = np.outer([1.0, 2.0], [1.0, 2.0, 3.0])  # rank 1
-    F = rng.normal(size=(5, 2))
-    got = classify._newton_step(J, F)
-    (fallback,) = pinv_rows
-    assert len(fallback) == 2
-    np.testing.assert_array_equal(fallback, J[[1, 3]])
-    np.testing.assert_array_equal(got[1], 0.0)
-    np.testing.assert_allclose(got, pinv_step(J, F), rtol=1e-12, atol=1e-14)
-
-
-def test_gram_step_takes_pinv_over_the_condition_bound(pinv_rows):
-    rng = np.random.default_rng(4)
-    J = rng.normal(size=(3, 2, 3))
-    # cond(G) = 1e14 > GRAM_COND_MAX, although G is far from singular
-    J[2] = [[1.0, 0.0, 0.0], [0.0, 1e-7, 0.0]]
-    F = rng.normal(size=(3, 2))
-    got = classify._newton_step(J, F)
-    (fallback,) = pinv_rows
-    np.testing.assert_array_equal(fallback, J[2:])
-    np.testing.assert_allclose(got, pinv_step(J, F), rtol=1e-12)
-
-
-def test_gram_step_takes_pinv_for_tall_jacobians(pinv_rows):
-    rng = np.random.default_rng(5)
-    J = rng.normal(size=(4, 3, 2))
-    F = rng.normal(size=(4, 3))
-    got = classify._newton_step(J, F)
-    (fallback,) = pinv_rows
-    np.testing.assert_array_equal(fallback, J)
-    np.testing.assert_array_equal(got, pinv_step(J, F))
+    unknowns = compiled.unknowns
+    assert [squared_form(eq.factored) for eq in constraint_system(r, pattern).equations] == (
+        compiled.x_equations
+    )
+    K = Fraction(3, 2)
+    points = [
+        tuple(Fraction(3 * i + j, 4 + i) for j in range(len(unknowns))) for i in range(3)
+    ] + [(0,) * len(unknowns)]
+    F = compiled.residuals(points, K)
+    J = compiled.jacobians(points, K)
+    assert len(F) == len(J) == len(points)
+    for point, values, rows in zip(points, F, J):
+        assign = {AMBIENT: K, **dict(zip(unknowns, point))}
+        assert values == tuple(exact_value(eq, assign) for eq in compiled.x_equations)
+        assert rows == tuple(
+            tuple(exact_value(eq.differentiate(v), assign) for v in unknowns)
+            for eq in compiled.x_equations
+        )
+    assert any(any(values) for values in F)
 
 
 # -- reference Newton loop --------------------------------------------------
 
 CURVATURE_TOL = 1e-12
+# the oracle's starts: a grid of this many points per unknown, jittered; two
+# roots closer than DEDUP_TOL in max-norm are one, and a coordinate below
+# SNAP_TOL is snapped to 0 where the point stays a root
+GRID_POINTS_PER_DIM = 7
+DEDUP_TOL = 1e-8
+SNAP_TOL = 1e-12
+
+
+def monomial_table(polys: list[Poly], columns: tuple[int, ...]):
+    """One float table for ``polys``: the distinct monomials as rows of
+    exponents over ``columns``, and one coefficient column per polynomial."""
+    rows: dict[Monomial, int] = {}
+    for poly in polys:
+        for mono, _ in poly.terms():
+            rows.setdefault(mono, len(rows))
+    exps = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for mono, row in rows.items():
+        for vid, e in mono.exps:
+            exps[row, columns.index(vid)] = e
+    coeffs = np.zeros((len(rows), len(polys)))
+    for k, poly in enumerate(polys):
+        for mono, coeff in poly.terms():
+            coeffs[rows[mono], k] = float(coeff)
+    return exps, coeffs
 
 
 def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
-    """The multistart solve as a fixed 60-iteration Newton loop over every
-    start, with the power table built by ``**``: the reference the solver's
-    roots are compared with.  Same starts, filters, snap, order and dedup as
-    :func:`solve_helix`; returns the curvature rows of the accepted roots."""
-    compiled = CompiledSystem(constraint_system(r, set(pattern)))
-    n, d = len(compiled.x_equations), compiled.dimension
+    """A multistart solve as a fixed 60-iteration Newton loop over every
+    start, with minimum-norm steps ``-pinv(J) F`` and the power table built
+    by ``**``: the oracle the exact answers are checked against.  The starts
+    fill a jittered grid over ``[0, hi]^d``; converged nonnegative points are
+    snapped, sorted and deduplicated.  Returns the curvature rows of the
+    accepted roots."""
+    x_equations = [squared_form(eq.factored) for eq in constraint_system(r, set(pattern)).equations]
+    unknowns = tuple(sorted(set().union(*(p.variables() for p in x_equations)) - {AMBIENT}))
+    n, d = len(x_equations), len(unknowns)
+    polys = x_equations + [p.differentiate(v) for p in x_equations for v in unknowns]
+    exps, coeffs = monomial_table(polys, (AMBIENT,) + unknowns)
     scale = abs(K) or 1.0
     unit_K = K / scale
 
     def table(X):
         full = np.hstack([np.full((len(X), 1), unit_K), X])
-        return (full[:, None, :] ** compiled.exps).prod(axis=2)
+        return (full[:, None, :] ** exps).prod(axis=2)
 
     def residuals(X):
-        return table(X) @ compiled.coeffs[:, :n]
+        return table(X) @ coeffs[:, :n]
 
     def jacobians(X):
-        return (table(X) @ compiled.coeffs[:, n:]).reshape(len(X), n, d)
+        return (table(X) @ coeffs[:, n:]).reshape(len(X), n, d)
 
     hi = 4.0 * abs(unit_K) + 4.0
     axis = np.linspace(0.0, hi, GRID_POINTS_PER_DIM)
@@ -399,13 +336,13 @@ def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
             accepted.append(x)
     curvatures = np.zeros((len(accepted), 2 * r - 2))
     if accepted:
-        curvatures[:, np.subtract(compiled.unknowns, 1)] = np.sqrt(accepted) * math.sqrt(scale)
+        curvatures[:, np.subtract(unknowns, 1)] = np.sqrt(accepted) * math.sqrt(scale)
     return curvatures
 
 
 REFERENCE_CASES = [(r, pattern, 1.0) for r in (3, 4, 5) for pattern in ((), (2,), (3,))]
-# at K <= 0 the solver decides exactly, and the reference Newton loop must
-# find nothing else; the stall exit fires at r = 6 pattern {3}, K = 1
+# every answer is exact, and the reference Newton loop must find nothing
+# else
 REFERENCE_CASES += [(3, (3, 4), 0.0), (3, (), -1.0), (4, (), -1.0)]
 REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
 
@@ -415,17 +352,14 @@ REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
     REFERENCE_CASES,
     ids=[f"r{r}-zeros{''.join(map(str, p))}-K{K:g}" for r, p, K in REFERENCE_CASES],
 )
-def test_solver_matches_the_fixed_iteration_reference(r, pattern, K, monkeypatch):
+def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
     report = solve_helix(r, K, pattern, trials=300)
     want = reference_curvatures(r, K, pattern, trials=300)
     if report.underdetermined:
         # an arc: the solver reports fixed exact points, not Newton's, so
-        # each reference root with k1 > 0 must lie on the arc; the Newton
-        # fallback, forced, must still match the reference itself
+        # each reference root with k1 > 0 must lie on the arc
         assert all(on_exact_set(report, ks) for ks in want if ks[0] > 0)
-        _no_closed_form(monkeypatch)
-        report = solve_helix(r, K, pattern, trials=300)
-        assert report.exact_set is None
+        return
     got = np.array([s.curvatures for s in report.solutions]).reshape(-1, 2 * r - 2)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0, atol=CURVATURE_TOL)
@@ -705,7 +639,7 @@ def test_negative_decision_agrees_with_newton(r):
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the K <= 0 decision must not compile or take a Newton step")
+    raise AssertionError("the K <= 0 decision and the certificate must not compile")
 
 
 @pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
@@ -713,7 +647,6 @@ def test_solver_decides_nonpositive_K_exactly(r, monkeypatch):
     # every canonical pattern: the scan's roots and certificates at K = -1,
     # only the geodesic and no certificate at K = 0; nothing is compiled
     monkeypatch.setattr(classify, "CompiledSystem", _refuse)
-    monkeypatch.setattr(classify, "_newton_step", _refuse)
     m = 2 * r - 2
     for entry in negative_K_scan(r, -1.0).patterns:
         pattern = entry["zero_pattern"]
@@ -734,22 +667,6 @@ def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
         compiled = CompiledSystem(constraint_system(r, set(pattern)))
         for K in (-1.0, 0.0):
             assert solve_helix(r, K, pattern).unknowns == compiled.unknowns
-
-
-@pytest.mark.parametrize("r", [5, 6])
-def test_stall_exit_ends_the_search_before_the_iteration_cap(r, monkeypatch):
-    # pattern {3} at K = 1, with its closed form withheld: the starts that
-    # land on the family are roots whose steps stop shrinking at the
-    # residual floor; only the stall exit drops them, so without it the
-    # loop would run all NEWTON_ITERATIONS
-    _no_closed_form(monkeypatch)
-    calls = []
-    newton_step = classify._newton_step
-    monkeypatch.setattr(classify, "_newton_step",
-                        lambda J, F: calls.append(len(J)) or newton_step(J, F))
-    report = solve_helix(r, 1.0, {3}, trials=200, seed=42)
-    assert report.proper_solutions()
-    assert 0 < len(calls) < classify.NEWTON_ITERATIONS
 
 
 # -- the frame-2/frame-4 certificate at K > 0 ---------------------------------
@@ -821,7 +738,6 @@ def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
     # every certified pattern at K = 1: no root, the one certificate, no
     # start, and the curvatures the equations hold as the unknowns
     monkeypatch.setattr(classify, "CompiledSystem", _refuse)
-    monkeypatch.setattr(classify, "_newton_step", _refuse)
     for pattern in _k3_free(r):
         report = solve_helix(r, 1.0, pattern)
         equations = _x_equations(r, pattern)
@@ -833,11 +749,12 @@ def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
         assert report.unknowns == tuple(sorted(held))
 
 
-def test_an_undecided_certificate_takes_the_newton_path(monkeypatch):
+def test_an_undecided_certificate_raises_at_positive_K(monkeypatch):
+    # the full order-three system without its certificate: two equations
+    # and no closed form
     _undecided(monkeypatch)
-    report = solve_helix(3, 1.0, trials=200)
-    assert (report.starts, report.certificates) == (200, ())
-    assert report.proper_solutions() == []
+    with pytest.raises(ValueError, match="undecided at K > 0: 2 equations and no positive"):
+        solve_helix(3, 1.0, trials=200)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -859,11 +776,9 @@ def _canonical(r: int) -> list[tuple[int, ...]]:
 
 
 @pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
-def test_every_canonical_system_is_decided_without_newton(r, monkeypatch):
+def test_every_canonical_system_is_decided_without_newton(r):
     # at K = 1: the circle {2..}, the arc {3..} (r >= 3) or the segment (the
     # full order-two system); every other system is certified or the geodesic
-    monkeypatch.setattr(classify, "CompiledSystem", _refuse)
-    monkeypatch.setattr(classify, "_newton_step", _refuse)
     m = 2 * r - 2
     expected = dict.fromkeys(_canonical(r))
     expected[canonical_pattern({2}, m)] = "circle"
@@ -927,19 +842,26 @@ def test_a_mismatched_equation_leaves_the_closed_form_undecided(r, pattern, equa
     assert classify._closed_form(r, frozenset(pattern), equation) is None
 
 
-def test_a_mismatched_system_reaches_newton(monkeypatch):
-    # k1^2 - 3K in place of the order-three circle k1^2 - 2K: Newton answers
-    # with that equation's root, not the expected circle
+def test_a_mismatched_system_is_undecided_at_positive_K(monkeypatch):
+    # k1^2 - 3K in place of the order-three circle k1^2 - 2K matches no
+    # closed form, and nothing guesses its root
     crafted = kvar(1) ** 2 - 3 * ambient()
     system = ConstraintSystem(
         3, frozenset({2}), (ConstraintEquation(2, crafted, Poly.constant(1), crafted),)
     )
     monkeypatch.setattr(classify, "constraint_system", lambda r, zeros: system)
-    report = solve_helix(3, 1.0, {2}, trials=50)
-    assert report.exact_set is None
-    assert report.starts > 0
-    (root,) = report.proper_solutions()
-    assert root.curvatures[0] ** 2 == pytest.approx(3.0, rel=1e-12)
+    with pytest.raises(ValueError, match=r"undecided at K > 0: x1 - 3\*K = 0 is no closed form"):
+        solve_helix(3, 1.0, {2}, trials=50)
+
+
+def test_a_point_that_is_no_exact_root_is_undecided(monkeypatch):
+    # a closed form whose point misses its equation is refused, not reported
+    def shifted(order, pattern, x_eq):
+        return ClosedForm("circle", x_eq, "x1 = t", "t = 2*K", (Fraction(2),), ((Fraction(3),),))
+
+    monkeypatch.setattr(classify, "_closed_form", shifted)
+    with pytest.raises(ValueError, match="undecided at K > 0: a point of the circle is no exact root"):
+        solve_helix(3, 1.0, {2})
 
 
 NEWTON_ON_CLOSED_FORMS = (
@@ -960,3 +882,19 @@ def test_newton_roots_lie_on_the_exact_set(r, pattern):
     proper = found[found[:, 0] > 0]
     assert len(proper)
     assert all(on_exact_set(report, ks) for ks in proper)
+
+
+# -- every input is answered ---------------------------------------------------
+
+@pytest.mark.parametrize("K", [1.0, 1e-300, 1e300, 0.0, -1.0])
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_every_zero_pattern_is_answered(r, K):
+    # each subset of 1..2r-2, canonical or not, gets an exact answer: no
+    # supported input is left undecided
+    m = 2 * r - 2
+    for size in range(m + 1):
+        for pattern in itertools.combinations(range(1, m + 1), size):
+            report = solve_helix(r, K, pattern)
+            assert report.starts == 0
+            for solution in report.solutions:
+                assert all(math.isfinite(k) and k >= 0 for k in solution.curvatures)

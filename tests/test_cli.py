@@ -28,7 +28,8 @@ from polyhelix.cli import (
     _parse_zeros,
     dispatch,
 )
-from polyhelix.frenet import ConstraintSystem
+from polyhelix.frenet import ConstraintEquation, ConstraintSystem
+from polyhelix.ratpoly import CurvaturePolynomial, ambient, kvar
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = dispatch(list(argv))
@@ -215,12 +216,26 @@ class TestClassify:
         ) in out
 
     def test_certificate_answers_where_newton_would_pass_the_power_table(self, capsys):
-        # 8000 starts x 2168 monomials would exceed MAX_POWER_TABLE, but the
-        # full order-8 system is certified before anything is compiled
+        # --trials sets no work: the full order-8 system is certified
+        # whatever the trial count
         code, out = run(capsys, "classify", "--order", "8", "--K", "1", "--trials", "8000")
         assert code == 0
         assert "solutions: 0 (0 proper)" in out
         assert "has 2375 terms, all positive, among them x1^12;" in out
+
+    def test_an_undecided_system_exits_2(self, capsys, monkeypatch):
+        # k1^2 - 3K in place of the order-three circle k1^2 - 2K matches no
+        # closed form: a usage-style exit with the reason, no traceback
+        crafted = kvar(1) ** 2 - 3 * ambient()
+        equation = ConstraintEquation(2, crafted, CurvaturePolynomial.constant(1), crafted)
+        system = ConstraintSystem(3, frozenset({2}), (equation,))
+        monkeypatch.setattr(classify, "constraint_system", lambda r, zeros: system)
+        code = dispatch(["classify", "--order", "3", "--K", "1", "--zeros", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("polyhelix classify: undecided at K > 0")
+        assert "Traceback" not in captured.err
 
     def test_seed_resolution(self, capsys):
         code, out = run(

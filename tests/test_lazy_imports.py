@@ -3,9 +3,9 @@
 ``import polyhelix`` and ``import polyhelix.cli`` load only ``ratpoly`` and
 ``frenet``.  The numeric modules (``classify``, ``odelab``, ``spherecurves``,
 ``acceptance``) load when a command or a package name first needs one, and
-numpy with them, except with ``classify``: it loads numpy only for its
-Newton fallback.  The load checks run in fresh interpreters, since this test
-process has imported every module already.
+numpy with them, except with ``classify``, which decides every system
+exactly and imports no numpy.  The load checks run in fresh interpreters,
+since this test process has imported every module already.
 """
 
 import json
@@ -70,8 +70,7 @@ def test_tau_loads_no_numeric_module(tmp_path):
 
 
 def test_classify_loads_classify_alone(tmp_path):
-    # every canonical system of orders 2..8 is decided exactly; numpy loads
-    # only with the Newton fallback, which none of them reaches
+    # every system is decided exactly, and classify imports no numpy
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     argv = ["classify", "--order", "3", "--K", "1", "--json", "--out"]
     assert probe(dispatch_statement(argv + [str(fresh)])) == {

@@ -6,7 +6,8 @@ must name a standard library module, ``polyhelix`` (a relative import) or a
 distribution listed in ``pyproject.toml``'s ``[project] dependencies``, and
 that list is numpy alone.  Packages the tests need (mpmath, sympy,
 hypothesis, pytest) belong to the ``test`` extra and must not reach the
-package.
+package.  ``classify`` decides every system exactly and imports no numpy at
+all.
 """
 
 import ast
@@ -55,3 +56,10 @@ def test_package_imports_only_the_standard_library_and_its_dependencies():
         if module not in allowed
     ]
     assert stray == []
+
+
+def test_classify_imports_no_numpy():
+    # anywhere in the module: at its top, inside a function or under
+    # TYPE_CHECKING
+    path = PACKAGE / "classify.py"
+    assert [line for module, line in _imports(path) if module == "numpy"] == []
