@@ -122,11 +122,6 @@ def test_solver_caps_trials_before_allocating(trials):
         solve_helix(6, 1.0, trials=trials)
 
 
-def _undecided(monkeypatch):
-    """Make every split fail, so no certificate holds at K > 0."""
-    monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
-
-
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
 def test_solver_needs_a_finite_K(K):
     with pytest.raises(ValueError, match=f"K must be finite, got {K}"):
@@ -750,9 +745,9 @@ def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
 
 
 def test_an_undecided_certificate_raises_at_positive_K(monkeypatch):
-    # the full order-three system without its certificate: two equations
-    # and no closed form
-    _undecided(monkeypatch)
+    # every split fails, so the full order-three system has no certificate:
+    # two equations and no closed form
+    monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
     with pytest.raises(ValueError, match="undecided at K > 0: 2 equations and no positive"):
         solve_helix(3, 1.0, trials=200)
 
