@@ -9,18 +9,21 @@ At ``K <= 0`` each system is decided exactly: no root, or only the
 geodesic.  At ``K > 0`` a system that keeps ``k3`` free is decided exactly
 too when frames 2 and 4 combine into a polynomial with only positive
 coefficients (:class:`PositiveCombination`); then no root has ``k1 > 0``.
-Each remaining system of orders 2..8 is one equation with a closed form
+Each remaining system of orders 2..10 is one equation with a closed form
 (:class:`ClosedForm`): pattern ``{2}`` is the planar circle
 ``x1 = (r - 1) K``, pattern ``{3}`` for ``r >= 3`` the arc
 ``(x1 + x2)^2 = K ((r - 1) x1 + x2)`` and the full order-two system the
-segment ``x1 + x2 = K``.  So every canonical system of orders 2..8 is
-decided exactly, and nothing is sampled; a system that none of these exact
-checks decides raises ``ValueError`` (the command line exits 2).  The
-module imports no numpy.  :func:`solve_helix` takes one zero pattern;
-:func:`negative_K_scan` decides every pattern of one order at ``K < 0``.  A
-pattern is equivalent to its upward closure (:func:`canonical_pattern`), so
-order ``r`` has ``2r - 1`` distinct systems.  The exact identities behind
-the closed forms, and the certificates, are checked in the tests.
+segment ``x1 + x2 = K``.  So every canonical system of orders 2..10 (the
+one bound, :func:`polyhelix.frenet.check_tension_order`) is decided
+exactly, each decision checking itself, and nothing is sampled; a system
+that none of these checks decides raises ``ValueError`` (the command line
+exits 2).  The module imports no numpy.  :func:`solve_helix` takes one zero
+pattern; :func:`negative_K_scan` decides every pattern of one order at
+``K < 0``.  A pattern is equivalent to its upward closure
+(:func:`canonical_pattern`), so order ``r`` has ``2r - 1`` distinct
+systems.  The tests check the identities behind the closed forms and the
+certificates for every pattern of orders 2..8, and the full, circle and
+arc systems of orders 9 and 10.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .frenet import ConstraintSystem, constraint_system
+from .frenet import ConstraintSystem, check_tension_order, constraint_system
 from .ratpoly import (
     _BODY_FIELDS,
     AMBIENT,
@@ -44,22 +47,17 @@ from .ratpoly import (
     kvar,
 )
 
-# Work bounds, checked before anything is built.  Orders above 8 are not
-# solved: their certificates and closed forms are not tested there.  Nothing
-# is sampled, so MAX_TRIALS bounds an input that sets no work; ``trials``
-# stays accepted, and bounded, for callers that still pass it.
-MAX_SOLVE_ORDER = 8
+# Nothing is sampled, so MAX_TRIALS bounds an input that sets no work;
+# ``trials`` stays accepted, and bounded, for callers that still pass it.
 MAX_TRIALS = 50_000
-
-
-def _square_name(vid: int) -> str:
-    return "K" if vid == AMBIENT else f"x{vid}"
 
 
 def render_squares(poly: Poly) -> str:
     """Render an x-space polynomial with ``x1, x2, ...`` variable names so it
     is not mistaken for a polynomial in the curvatures themselves."""
-    return poly.render(_square_name)
+    # in the text form the only lowercase k are the curvature names k1, k2,
+    # ...: coefficients are digits and "/", and K is uppercase
+    return poly.render().replace("k", "x")
 
 
 # squared_form's mask on a packed monomial (ratpoly.Monomial): the lowest bit
@@ -435,8 +433,9 @@ def _exact_decision(
     ``K > 0`` the answer is no root, with one :class:`PositiveCombination`;
     failing that, the points of a :class:`ClosedForm`, each checked as an
     exact root by :class:`CompiledSystem` and each curvature scaled by
-    ``sqrt(K)``.  A system that neither decides raises ``ValueError``, as
-    an undecided one does at ``K <= 0``."""
+    ``sqrt(K)``.  At orders 2..10 that decides every canonical system (the
+    tests run every pattern at orders 2..8); a system that neither decides
+    raises ``ValueError``, as an undecided one does at ``K <= 0``."""
     equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
     unknowns = _unknowns(x for _, x in equations)
     if K > 0 and equations:
@@ -486,21 +485,21 @@ def solve_helix(
     :class:`PositiveCombination`, reported as its one certificate, and
     otherwise the points of a :class:`ClosedForm` (the circle, the arc or
     the order-two segment), named by ``exact_set``.  Roots carry residual 0,
-    and the arc and the segment are ``underdetermined``.  For orders 2..8
-    that is every canonical system; a system that none of these checks
-    decides raises ``ValueError``.  Nothing is sampled: ``trials``,
+    and the arc and the segment are ``underdetermined``.  For orders 2..10
+    (:func:`polyhelix.frenet.check_tension_order`, checked first) that is
+    every canonical system; a system that none of these checks decides
+    raises ``ValueError``.  Nothing is sampled: ``trials``,
     ``seed`` and ``tol`` are checked and only fill the search metadata.
     """
-    if not 2 <= r <= MAX_SOLVE_ORDER:
-        raise ValueError(f"order must be between 2 and {MAX_SOLVE_ORDER}, got {r}")
+    check_tension_order(r)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not math.isfinite(K):
         raise ValueError(f"ambient curvature K must be finite, got {K}")
     if trials < 1:
-        raise ValueError(f"need at least 1 multistart trial, got {trials}")
+        raise ValueError(f"need at least 1 trial, got {trials}")
     if trials > MAX_TRIALS:
-        raise ValueError(f"at most {MAX_TRIALS} multistart trials, got {trials}")
+        raise ValueError(f"at most {MAX_TRIALS} trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
     unknowns, solutions, certificates, closed = _exact_decision(system, K)

@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, json_flag=False, seed_flag=True)
     p.set_defaults(handler=_cmd_tau)
 
-    p = sub.add_parser("classify", help="search for constant-curvature solutions")
+    p = sub.add_parser("classify", help="decide constant-curvature solutions exactly")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--zeros", type=_parse_zeros, default="")

@@ -32,7 +32,7 @@ Poly = CurvaturePolynomial
 # (cold, in a fresh interpreter) on a shared 2-core Xeon and grows about x3
 # per order, so order 20 would take over an hour.
 # Its curvatures k_1 .. k_{2r-2} must fit ratpoly.MAX_CURVATURE_INDEX.
-# The numeric sphere-curve checks in spherecurves take the same order range.
+# Every layer takes this one order range: classify and the sphere curves too.
 MAX_TENSION_ORDER = 10
 
 

@@ -417,12 +417,9 @@ class CurvaturePolynomial:
             return 0
         return self._terms[max(self._terms)]
 
-    def render(self, name: Callable[[int], str] = variable_name) -> str:
-        """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``;
-        ``name`` gives each variable id its display name."""
-        if name is variable_name:
-            return self._render_terms(_TEXT_TERMS)
-        return self._render_terms(_TermTexts("*", _factor_rows(partial(_text_factor, name))))
+    def render(self) -> str:
+        """Deterministic text form, e.g. ``k1^4 + 2*k1^2*k2^2 - 2*K*k1^2``."""
+        return self._render_terms(_TEXT_TERMS)
 
     def render_latex(self) -> str:
         return self._render_terms(_LATEX_TERMS)
@@ -498,8 +495,9 @@ class _TermTexts(dict):
         return text
 
 
-def _text_factor(name: Callable[[int], str], vid: int, exp: int) -> str:
-    return name(vid) if exp == 1 else f"{name(vid)}^{exp}"
+def _text_factor(vid: int, exp: int) -> str:
+    name = variable_name(vid)
+    return name if exp == 1 else f"{name}^{exp}"
 
 
 def _latex_factor(vid: int, exp: int) -> str:
@@ -511,12 +509,11 @@ def _latex_factor(vid: int, exp: int) -> str:
 # as terms are rendered: at most len(_SLOT_VARIABLES) * FACTOR_TABLE_MAX_EXPONENT
 # factor strings and TERM_TABLE_MAX_ENTRIES term texts per form.  A higher
 # exponent, or a monomial met once the term table is full, is formatted anew
-# each time; a custom variable name gets tables of its own that last one
-# render.  The 63 canonical systems of orders 2..8 hold about 5200 distinct
-# monomials.
+# each time.  The 63 canonical systems of orders 2..8 hold about 5200
+# distinct monomials.
 FACTOR_TABLE_MAX_EXPONENT = 32
 TERM_TABLE_MAX_ENTRIES = 2**13
-_TEXT_FACTORS = _factor_rows(partial(_text_factor, variable_name))
+_TEXT_FACTORS = _factor_rows(_text_factor)
 _LATEX_FACTORS = _factor_rows(_latex_factor)
 _TEXT_TERMS = _TermTexts("*", _TEXT_FACTORS)
 _LATEX_TERMS = _TermTexts(" ", _LATEX_FACTORS)

@@ -11,6 +11,7 @@ k3 free without a root with k1 > 0.  At K > 0 every other canonical system
 of orders 2..8 is a closed form (circle, arc or order-two segment); its
 reported points are checked as exact roots, and the reference Newton loop
 below, which still runs here, must find no root with k1 > 0 off that set.
+Orders 9 and 10 are checked on their full, circle and arc systems.
 """
 
 import collections
@@ -24,7 +25,6 @@ import pytest
 from polyhelix import classify
 from polyhelix.classify import (
     CLOSED_FORM_POINTS,
-    MAX_SOLVE_ORDER,
     MAX_TRIALS,
     ClosedForm,
     CompiledSystem,
@@ -41,6 +41,11 @@ from polyhelix.frenet import (
     constraint_system,
 )
 from polyhelix.ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial, ambient, kvar
+
+# the per-pattern tests decide every canonical system up to this order;
+# above it, up to MAX_TENSION_ORDER, only the full, circle and arc systems
+# are checked, which keeps them within tier-1's time
+EXHAUSTIVE_ORDER = 8
 
 
 def evaluate(poly: Poly, point: dict[int, float]) -> float:
@@ -99,8 +104,9 @@ def test_render_squares_naming():
 # -- basic containers --------------------------------------------------------
 
 def test_solver_argument_validation():
-    with pytest.raises(ValueError, match=f"between 2 and {MAX_SOLVE_ORDER}, got 9"):
-        solve_helix(MAX_SOLVE_ORDER + 1, 1.0)
+    too_high = MAX_TENSION_ORDER + 1
+    with pytest.raises(ValueError, match=f"between 2 and {MAX_TENSION_ORDER}, got {too_high}"):
+        solve_helix(too_high, 1.0)
     with pytest.raises(ValueError, match="got 1"):
         solve_helix(1, 1.0)
     with pytest.raises(ValueError):
@@ -112,13 +118,13 @@ def test_solver_argument_validation():
 
 @pytest.mark.parametrize("trials", [0, -5])
 def test_solver_needs_a_trial(trials):
-    with pytest.raises(ValueError, match=f"at least 1 multistart trial, got {trials}"):
+    with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}"):
         solve_helix(3, 1.0, trials=trials)
 
 
 @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 7**10])
 def test_solver_caps_trials_before_allocating(trials):
-    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} multistart trials, got {trials}"):
+    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} trials, got {trials}"):
         solve_helix(6, 1.0, trials=trials)
 
 
@@ -140,7 +146,7 @@ def test_circle_solution_order_three():
     assert not report.underdetermined
 
 
-@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_planar_circle_at_every_order(r):
     # with k2 = 0 only k1 is left: the planar circle k1^2 = (r - 1) K
     report = solve_helix(r, 1.0, {2}, trials=50)
@@ -637,7 +643,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the K <= 0 decision and the certificate must not compile")
 
 
-@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_solver_decides_nonpositive_K_exactly(r, monkeypatch):
     # every canonical pattern: the scan's roots and certificates at K = -1,
     # only the geodesic and no certificate at K = 0; nothing is compiled
@@ -678,7 +684,7 @@ def _k3_free(r: int) -> list[tuple[int, ...]]:
     return [()] + [canonical_pattern({t}, m) for t in range(4, m + 1)]
 
 
-@pytest.mark.parametrize("r", range(3, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(3, EXHAUSTIVE_ORDER + 1))
 def test_every_k3_free_system_is_certified(r):
     for pattern in _k3_free(r):
         equations = _x_equations(r, pattern)
@@ -692,7 +698,7 @@ def test_every_k3_free_system_is_certified(r):
         assert dict(N.terms())[Monomial([(1, 2 * r - 4)])] == 1
 
 
-@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_systems_that_force_k3_get_no_certificate(r):
     # {1..} has no equation, {2..} is the circle and {3..} the family; the
     # order-two systems have no frame 4
@@ -728,7 +734,7 @@ def test_a_combination_that_holds_K_is_undecided(monkeypatch):
     assert classify._positive_combination(3, equations) is None
 
 
-@pytest.mark.parametrize("r", range(3, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(3, EXHAUSTIVE_ORDER + 1))
 def test_solver_decides_k3_free_systems_exactly(r, monkeypatch):
     # every certified pattern at K = 1: no root, the one certificate, no
     # start, and the curvatures the equations hold as the unknowns
@@ -770,7 +776,7 @@ def _canonical(r: int) -> list[tuple[int, ...]]:
     return [()] + [canonical_pattern({t}, m) for t in range(1, m + 1)]
 
 
-@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_every_canonical_system_is_decided_without_newton(r):
     # at K = 1: the circle {2..}, the arc {3..} (r >= 3) or the segment (the
     # full order-two system); every other system is certified or the geodesic
@@ -788,7 +794,7 @@ def test_every_canonical_system_is_decided_without_newton(r):
 
 
 @pytest.mark.parametrize("K", [1.0, 4.0])
-@pytest.mark.parametrize("r", range(2, MAX_SOLVE_ORDER + 1))
+@pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_every_reported_point_is_an_exact_root(r, K):
     # each point, rebuilt from its t, makes the squared equation exactly 0,
     # and its curvatures are the square roots scaled by sqrt(K)
@@ -877,6 +883,54 @@ def test_newton_roots_lie_on_the_exact_set(r, pattern):
     proper = found[found[:, 0] > 0]
     assert len(proper)
     assert all(on_exact_set(report, ks) for ks in proper)
+
+
+# -- orders above the exhaustive range ------------------------------------------
+
+HIGH_ORDERS = range(EXHAUSTIVE_ORDER + 1, MAX_TENSION_ORDER + 1)
+
+
+@pytest.mark.parametrize("r, terms", [(9, 7373), (10, 22803)])
+def test_high_order_full_system_is_certified(r, terms):
+    # at K = 1: N holds no K, every coefficient is positive and x1^(2r-4)
+    # has coefficient 1, so the full system has no root
+    report = solve_helix(r, 1.0)
+    (cert,) = report.certificates
+    N = cert.combination
+    assert (report.solutions, cert.frames, len(N)) == ((), (2, 4), terms)
+    assert AMBIENT not in N.variables()
+    assert all(c > 0 for _, c in N.terms())
+    assert N.coefficient(Monomial([(1, 2 * r - 4)])) == 1
+
+
+@pytest.mark.parametrize("r", HIGH_ORDERS)
+def test_high_order_circle_and_arc_points_are_exact_roots(r):
+    # --zeros 2 gives the circle and --zeros 3 the arc, at K = 1
+    m = 2 * r - 2
+    for zeros, kind in (({2}, "circle"), ({3}, "arc")):
+        report = solve_helix(r, 1.0, zeros)
+        closed = report.exact_set
+        assert closed.kind == kind
+        assert len(report.solutions) == len(closed.points) == (1 if kind == "circle" else CLOSED_FORM_POINTS)
+        (x_eq,) = _x_system(r, zeros)
+        for point, solution in zip(closed.points, report.solutions):
+            values = {AMBIENT: Fraction(1), **dict.fromkeys(range(1, m + 1), Fraction(0))}
+            values.update(zip(report.unknowns, point))
+            assert exact_value(x_eq, values) == 0 and values[1] > 0
+            assert on_exact_set(report, solution.curvatures)
+
+
+@pytest.mark.parametrize("r", HIGH_ORDERS)
+def test_high_order_full_system_at_nonpositive_K(r):
+    # no root at K = -1, with one certificate per equation; only the
+    # geodesic at K = 0
+    frames = [eq.frame for eq in constraint_system(r, set()).equations]
+    negative = solve_helix(r, -1.0)
+    assert negative.solutions == ()
+    assert [c["frame"] for c in negative.certificates] == frames
+    flat = solve_helix(r, 0.0)
+    assert [s.curvatures for s in flat.solutions] == [(0.0,) * (2 * r - 2)]
+    assert flat.certificates == ()
 
 
 # -- every input is answered ---------------------------------------------------

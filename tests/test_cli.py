@@ -28,7 +28,7 @@ from polyhelix.cli import (
     _parse_zeros,
     dispatch,
 )
-from polyhelix.frenet import ConstraintEquation, ConstraintSystem
+from polyhelix.frenet import MAX_TENSION_ORDER, ConstraintEquation, ConstraintSystem
 from polyhelix.ratpoly import CurvaturePolynomial, ambient, kvar
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -222,6 +222,23 @@ class TestClassify:
         assert code == 0
         assert "solutions: 0 (0 proper)" in out
         assert "has 2375 terms, all positive, among them x1^12;" in out
+
+    def test_every_layer_shares_one_order_bound(self, capsys):
+        # tau, classify and negative_K_scan take orders 2..10 and reject 1
+        # and 11 with one message; the command line exits 2 without a traceback
+        top = str(MAX_TENSION_ORDER)
+        for K in ("1", "0", "-1"):
+            assert dispatch(["classify", "--order", top, f"--K={K}"]) == 0
+        assert dispatch(["tau", "--order", top]) == 0
+        assert classify.negative_K_scan(MAX_TENSION_ORDER, -1.0).order == MAX_TENSION_ORDER
+        capsys.readouterr()
+        for r in (1, MAX_TENSION_ORDER + 1):
+            message = f"tension order must be between 2 and {MAX_TENSION_ORDER}, got {r}"
+            for argv in (["tau"], ["classify", "--K", "1"]):
+                assert dispatch([*argv, "--order", str(r)]) == 2
+                assert capsys.readouterr() == ("", f"polyhelix {argv[0]}: {message}\n")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                classify.negative_K_scan(r, -1.0)
 
     def test_an_undecided_system_exits_2(self, capsys, monkeypatch):
         # k1^2 - 3K in place of the order-three circle k1^2 - 2K matches no
@@ -598,7 +615,7 @@ class TestBadNumbers:
              " curvature indices such as 3,4, got 'a'"),
             (["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
              "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
-            (["classify", "--order", "9", "--K", "1"], "between 2 and 8, got 9"),
+            (["classify", "--order", "11", "--K", "1"], "between 2 and 10, got 11"),
             # every argument check runs before the K > 0 certificate
             (["classify", "--order", "8", "--K", "1", "--trials", "50001"], "got 50001"),
             # text that is no number names the flag and the text given
@@ -639,8 +656,8 @@ class TestBadNumbers:
              "--tol: must be positive and finite, got 'nan'"),
             # at K <= 0 nothing is sampled, but the same input checks hold
             (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
-            (["classify", "--order", "9", "--K", "-1"], "between 2 and 8, got 9"),
-            (["classify", "--order", "1", "--K", "0"], "between 2 and 8, got 1"),
+            (["classify", "--order", "11", "--K", "-1"], "between 2 and 10, got 11"),
+            (["classify", "--order", "1", "--K", "0"], "between 2 and 10, got 1"),
             (["classify", "--order", "3", "--K", "0", "--trials", "0"], "got 0"),
             (["classify", "--order", "3", "--K", "-1", "--trials", "50001"], "got 50001"),
             (["classify", "--order", "3", "--K", "-1", "--tol", "inf"],

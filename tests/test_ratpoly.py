@@ -125,7 +125,6 @@ def test_inverse_arclength_naming():
     p = 2 * ambient() * u**3 * kvar(1) - u
     assert p.render() == "2*K*u^3*k1 - u"
     assert p.render_latex() == "2 K u^{3} k_{1} - u"
-    assert p.render(lambda vid: f"v{vid}") == "2*v0*v-1^3*v1 - v-1"
 
 
 def test_factor_monomial_gcd_exact_split():
@@ -458,8 +457,8 @@ def test_unchecked_results_with_fraction_coefficients():
 # render and render_latex take each term's factor text from a lazily filled
 # per-process table keyed by monomial (at most TERM_TABLE_MAX_ENTRIES per
 # form), built on a miss from factor strings kept for exponents up to
-# FACTOR_TABLE_MAX_EXPONENT only; a higher exponent or a custom variable name
-# is formatted anew, never stored.
+# FACTOR_TABLE_MAX_EXPONENT only; a higher exponent is formatted anew, never
+# stored.
 
 
 def _polys_with_exponents(exponents):
@@ -477,11 +476,6 @@ high_exponents = st.one_of(
     st.integers(FACTOR_TABLE_MAX_EXPONENT - 1, FACTOR_TABLE_MAX_EXPONENT + 2),
     st.integers(FACTOR_TABLE_MAX_EXPONENT + 3, 5000),
 )
-custom_names = st.lists(
-    st.text(alphabet="abxyz_{}^", min_size=1, max_size=3),
-    min_size=len(VARIABLE_IDS),
-    max_size=len(VARIABLE_IDS),
-).map(lambda texts: dict(zip(VARIABLE_IDS, texts)).__getitem__)
 
 
 def assert_factor_tables_within_cap():
@@ -522,28 +516,25 @@ def test_render_matches_reference_above_the_table_cap(p):
     assert_factor_tables_within_cap()
 
 
-@settings(max_examples=100, deadline=None)
-@given(_polys_with_exponents(high_exponents), custom_names)
-def test_render_matches_reference_with_a_custom_name(p, name):
-    assert p.render(name) == _reference_render(p, name)
-    assert_factor_tables_within_cap()
-
-
 def _square_reference_name(vid):
-    return "K" if vid == AMBIENT else f"x{vid}"
+    # render_squares renames only k, so u keeps its name (no squared helix
+    # system holds u)
+    return "K" if vid == AMBIENT else "u" if vid == INVERSE_ARCLENGTH else f"x{vid}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys_with_exponents(st.integers(1, 6)))
-def test_custom_name_render_leaves_the_term_table_alone(p):
-    text = p.render()
-    assert text == _reference_render(p)
-    stored = dict(ratpoly._TEXT_TERMS), dict(ratpoly._LATEX_TERMS)
+def test_render_squares_fills_the_shared_term_table(p):
+    # render_squares renames the text form, so it fills the text table as
+    # render() does and leaves the LaTeX table alone
+    latex = dict(ratpoly._LATEX_TERMS)
     assert render_squares(p) == _reference_render(p, _square_reference_name)
-    assert (dict(ratpoly._TEXT_TERMS), dict(ratpoly._LATEX_TERMS)) == stored
-    assert p.render() == text
+    assert dict(ratpoly._LATEX_TERMS) == latex
+    assert all(mono in ratpoly._TEXT_TERMS for mono, _ in p.terms()) or (
+        len(ratpoly._TEXT_TERMS) == TERM_TABLE_MAX_ENTRIES
+    )
+    assert p.render() == _reference_render(p)
     assert p.render_latex() == _reference_render(p, latex=True)
-    assert p.render() == text
     assert_term_texts_stored(p)
     assert_factor_tables_within_cap()
 
@@ -552,7 +543,6 @@ def test_render_above_the_table_cap_is_not_stored():
     p = kvar(1) ** 1000 - ambient() * kvar(2) ** (FACTOR_TABLE_MAX_EXPONENT + 1)
     assert p.render() == f"k1^1000 - K*k2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
     assert p.render_latex() == f"k_{{1}}^{{1000}} - K k_{{2}}^{{{FACTOR_TABLE_MAX_EXPONENT + 1}}}"
-    assert p.render(lambda vid: f"v{vid}") == f"v1^1000 - v0*v2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
     assert_factor_tables_within_cap()
 
 
