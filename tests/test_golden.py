@@ -23,7 +23,9 @@ triples; recapture it the same way.  ``scan_sha256.json`` pins the exact
 compact JSON with sorted keys.  ``high_order_sha256.json`` pins the full
 systems of orders 9 and 10, the only ones whose curvatures reach
 ``k15 .. k18``: ``constraint_system(r).to_json_dict()`` hashed the same way,
-and ``render_latex()``.
+``render_latex()``, and ``solve_helix(r, 1.0).to_json_dict()`` hashed the
+same way, whose frame-2/frame-4 combination N (7 373 and 22 803 terms) is the
+largest polynomial the package renders.
 
 The ``classify`` snapshots guard ``solve_helix``: the frame-2/frame-4
 certificate and the closed forms (circle, arc, order-two segment) at K > 0,
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import pytest
 
-from polyhelix.classify import negative_K_scan
+from polyhelix.classify import negative_K_scan, solve_helix
 from polyhelix.cli import dispatch
 from polyhelix.frenet import constraint_system
 
@@ -204,6 +206,8 @@ def test_highest_order_systems_match_digests(r):
     text = json.dumps(system.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert _sha256(text) == digests[str(r)]["json"]
     assert _sha256(system.render_latex()) == digests[str(r)]["latex"]
+    report = json.dumps(solve_helix(r, 1.0).to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert _sha256(report) == digests[str(r)]["classify_K1"]
 
 
 def test_text_digests_cover_the_cases():
