@@ -444,50 +444,29 @@ class CurvaturePolynomial:
         return f"CurvaturePolynomial({self.render()})"
 
 
-class _FactorRow(dict):
-    """The factor strings of one variable by exponent, formatted on first
-    use; only exponents up to :data:`FACTOR_TABLE_MAX_EXPONENT` are kept."""
-
-    __slots__ = ("vid", "fmt")
-
-    def __init__(self, vid: int, fmt: Callable[[int, int], str]):
-        super().__init__()
-        self.vid, self.fmt = vid, fmt
-
-    def __missing__(self, exp: int) -> str:
-        text = self.fmt(self.vid, exp)
-        if exp <= FACTOR_TABLE_MAX_EXPONENT:
-            self[exp] = text
-        return text
-
-
-def _factor_rows(fmt: Callable[[int, int], str]) -> tuple[_FactorRow, ...]:
-    """One empty :class:`_FactorRow` per variable, in slot order."""
-    return tuple(_FactorRow(vid, fmt) for vid in _SLOT_VARIABLES)
-
-
 class _TermTexts(dict):
-    """The factor text of each monomial in one form, ``sep`` between the
-    factors, formatted on first use from ``rows``; at most
-    :data:`TERM_TABLE_MAX_ENTRIES` monomials are kept."""
+    """The factor text of each monomial in one form: ``power(name, e)`` of
+    each variable with a nonzero exponent, ``names`` giving the variables'
+    names in slot order, ``sep`` between the factors; formatted on first use,
+    and at most :data:`TERM_TABLE_MAX_ENTRIES` monomials are kept."""
 
-    __slots__ = ("sep", "rows")
+    __slots__ = ("sep", "names", "power")
 
-    def __init__(self, sep: str, rows: tuple[_FactorRow, ...]):
+    def __init__(self, sep: str, names: tuple[str, ...], power: Callable[[str, int], str]):
         super().__init__()
-        self.sep, self.rows = sep, rows
+        self.sep, self.names, self.power = sep, names, power
 
     def __missing__(self, mono: int) -> str:
-        rows = self.rows
+        names, power = self.names, self.power
         # K's field first, then only the nonzero fields from u down, each the
         # top field of what is left (found as in factor_monomial_gcd)
         k = mono & MAX_DEGREE
-        factors = [rows[-1][k]] if k else []
+        factors = [power(names[_K_SLOT], k)] if k else []
         rest = mono & _BODY_FIELDS
         while rest:
             shift = (rest.bit_length() - 1) & -EXPONENT_BITS
             e = rest >> shift
-            factors.append(rows[_K_SLOT - shift // EXPONENT_BITS][e])
+            factors.append(power(names[_K_SLOT - shift // EXPONENT_BITS], e))
             rest ^= e << shift
         text = self.sep.join(factors)
         if len(self) < TERM_TABLE_MAX_ENTRIES:
@@ -495,28 +474,26 @@ class _TermTexts(dict):
         return text
 
 
-def _text_factor(vid: int, exp: int) -> str:
-    name = variable_name(vid)
+def _text_power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
-def _latex_factor(vid: int, exp: int) -> str:
-    name = f"k_{{{vid}}}" if vid > 0 else variable_name(vid)
+def _latex_power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{{{exp}}}"
 
 
-# The factor strings and the term texts of the text and LaTeX forms, filled
-# as terms are rendered: at most len(_SLOT_VARIABLES) * FACTOR_TABLE_MAX_EXPONENT
-# factor strings and TERM_TABLE_MAX_ENTRIES term texts per form.  A higher
-# exponent, or a monomial met once the term table is full, is formatted anew
-# each time.  The 63 canonical systems of orders 2..8 hold about 5200
-# distinct monomials.
-FACTOR_TABLE_MAX_EXPONENT = 32
-TERM_TABLE_MAX_ENTRIES = 2**13
-_TEXT_FACTORS = _factor_rows(_text_factor)
-_LATEX_FACTORS = _factor_rows(_latex_factor)
-_TEXT_TERMS = _TermTexts("*", _TEXT_FACTORS)
-_LATEX_TERMS = _TermTexts(" ", _LATEX_FACTORS)
+# The term texts of the text and LaTeX forms, filled as terms are rendered; a
+# monomial met once a form's table is full is formatted anew each time.  The
+# 63 canonical systems of orders 2..8 render about 5200 distinct monomials;
+# at order 10 the canonical systems render about 28 700, negative_K_scan
+# about 14 400 and solve_helix at K = 1 about 23 600.
+TERM_TABLE_MAX_ENTRIES = 2**15
+_TEXT_TERMS = _TermTexts("*", tuple(map(variable_name, _SLOT_VARIABLES)), _text_power)
+_LATEX_TERMS = _TermTexts(
+    " ",
+    tuple(f"k_{{{vid}}}" if vid > 0 else variable_name(vid) for vid in _SLOT_VARIABLES),
+    _latex_power,
+)
 
 
 def kvar(i: int) -> CurvaturePolynomial:

@@ -17,7 +17,6 @@ from polyhelix.classify import render_squares, squared_form
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.ratpoly import (
     AMBIENT,
-    FACTOR_TABLE_MAX_EXPONENT,
     INVERSE_ARCLENGTH,
     MAX_CURVATURE_INDEX,
     MAX_DEGREE,
@@ -453,12 +452,11 @@ def test_unchecked_results_with_fraction_coefficients():
         assert_canonical(result)
 
 
-# -- the factor-string and term-text tables ------------------------------------
+# -- the term-text tables ------------------------------------------------------
 # render and render_latex take each term's factor text from a lazily filled
 # per-process table keyed by monomial (at most TERM_TABLE_MAX_ENTRIES per
-# form), built on a miss from factor strings kept for exponents up to
-# FACTOR_TABLE_MAX_EXPONENT only; a higher exponent is formatted anew, never
-# stored.
+# form); a miss formats the monomial's factors directly, whatever their
+# exponents.
 
 
 def _polys_with_exponents(exponents):
@@ -471,22 +469,10 @@ def _polys_with_exponents(exponents):
     ).map(CurvaturePolynomial)
 
 
-high_exponents = st.one_of(
-    st.integers(1, 3),
-    st.integers(FACTOR_TABLE_MAX_EXPONENT - 1, FACTOR_TABLE_MAX_EXPONENT + 2),
-    st.integers(FACTOR_TABLE_MAX_EXPONENT + 3, 5000),
-)
+high_exponents = st.one_of(st.integers(1, 3), st.integers(4, 5000))
 
 
-def assert_factor_tables_within_cap():
-    for rows, latex in ((ratpoly._TEXT_FACTORS, False), (ratpoly._LATEX_FACTORS, True)):
-        assert len(rows) == len(VARIABLE_IDS)
-        for vid, row in zip(VARIABLE_IDS, rows):
-            assert len(row) <= FACTOR_TABLE_MAX_EXPONENT
-            for exp, text in row.items():
-                assert 1 <= exp <= FACTOR_TABLE_MAX_EXPONENT
-                # only the default names are stored
-                assert text == _reference_render(P({Monomial([(vid, exp)]): 1}), latex=latex)
+def assert_term_tables_within_cap():
     for terms in (ratpoly._TEXT_TERMS, ratpoly._LATEX_TERMS):
         assert len(terms) <= TERM_TABLE_MAX_ENTRIES
 
@@ -505,15 +491,15 @@ def assert_term_texts_stored(p):
 def test_render_matches_reference_with_fraction_coefficients(p):
     assert p.render() == _reference_render(p)
     assert p.render_latex() == _reference_render(p, latex=True)
-    assert_factor_tables_within_cap()
+    assert_term_tables_within_cap()
 
 
 @settings(max_examples=100, deadline=None)
 @given(_polys_with_exponents(high_exponents))
-def test_render_matches_reference_above_the_table_cap(p):
+def test_render_matches_reference_with_high_exponents(p):
     assert p.render() == _reference_render(p)
     assert p.render_latex() == _reference_render(p, latex=True)
-    assert_factor_tables_within_cap()
+    assert_term_tables_within_cap()
 
 
 def _square_reference_name(vid):
@@ -536,31 +522,29 @@ def test_render_squares_fills_the_shared_term_table(p):
     assert p.render() == _reference_render(p)
     assert p.render_latex() == _reference_render(p, latex=True)
     assert_term_texts_stored(p)
-    assert_factor_tables_within_cap()
+    assert_term_tables_within_cap()
 
 
-def test_render_above_the_table_cap_is_not_stored():
-    p = kvar(1) ** 1000 - ambient() * kvar(2) ** (FACTOR_TABLE_MAX_EXPONENT + 1)
-    assert p.render() == f"k1^1000 - K*k2^{FACTOR_TABLE_MAX_EXPONENT + 1}"
-    assert p.render_latex() == f"k_{{1}}^{{1000}} - K k_{{2}}^{{{FACTOR_TABLE_MAX_EXPONENT + 1}}}"
-    assert_factor_tables_within_cap()
+def test_render_high_exponents():
+    p = kvar(1) ** 1000 - ambient() * kvar(2) ** 33
+    assert p.render() == "k1^1000 - K*k2^33"
+    assert p.render_latex() == "k_{1}^{1000} - K k_{2}^{33}"
+    assert_term_tables_within_cap()
 
 
-def test_factor_tables_fill_lazily():
+def test_term_tables_fill_lazily():
     # a fresh interpreter: importing the package renders nothing, and a
-    # polynomial with more monomials than the term table's cap fills each
+    # polynomial with one monomial more than the term table's cap fills each
     # form's table to the cap and no further
     probe = (
         "import polyhelix.cli, polyhelix.ratpoly as r; "
-        "print(sum(map(len, r._TEXT_FACTORS + r._LATEX_FACTORS)), "
-        "len(r._TEXT_TERMS), len(r._LATEX_TERMS)); "
-        "p = r.CurvaturePolynomial({r.Monomial([(1, a), (2, b)]): 1 "
-        "for a in range(100) for b in range(100)}); "
+        "print(len(r._TEXT_TERMS), len(r._LATEX_TERMS)); "
+        "p = r.CurvaturePolynomial({r.Monomial([(1, a)]): 1 "
+        "for a in range(r.TERM_TABLE_MAX_ENTRIES + 1)}); "
         "texts = [p.render(), p.render_latex()]; "
         "print(texts == [p.render(), p.render_latex()], len(r._TEXT_TERMS), len(r._LATEX_TERMS))"
     )
-    assert TERM_TABLE_MAX_ENTRIES < 100 * 100
     env = dict(os.environ, PYTHONPATH=str(Path(ratpoly.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.split("\n")[:2] == ["0 0 0", f"True {TERM_TABLE_MAX_ENTRIES} {TERM_TABLE_MAX_ENTRIES}"]
+    assert out.split("\n")[:2] == ["0 0", f"True {TERM_TABLE_MAX_ENTRIES} {TERM_TABLE_MAX_ENTRIES}"]
