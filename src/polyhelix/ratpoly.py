@@ -445,10 +445,10 @@ class CurvaturePolynomial:
 
 
 class _TermTexts(dict):
-    """The factor text of each monomial in one form: ``power(name, e)`` of
-    each variable with a nonzero exponent, ``names`` giving the variables'
-    names in slot order, ``sep`` between the factors; formatted on first use,
-    and at most :data:`TERM_TABLE_MAX_ENTRIES` monomials are kept."""
+    """The factor text of each monomial in one form, formatted on first use:
+    ``power(name, e)`` for each variable with a nonzero exponent, its name
+    read from ``names`` (in slot order), joined by ``sep``; at most
+    :data:`TERM_TABLE_MAX_ENTRIES` monomials are kept."""
 
     __slots__ = ("sep", "names", "power")
 
