@@ -34,18 +34,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .frenet import ConstraintSystem, check_tension_order, constraint_system
-from .ratpoly import (
-    _BODY_FIELDS,
-    AMBIENT,
-    EXPONENT_BITS,
-    INVERSE_ARCLENGTH,
-    MAX_CURVATURE_INDEX,
-    CurvaturePolynomial as Poly,
-    Monomial,
-    ambient,
-    field_mask,
-    kvar,
-)
+from .ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial, ambient, kvar
 
 # Nothing is sampled, so MAX_TRIALS bounds an input that sets no work;
 # ``trials`` stays accepted, and bounded, for callers that still pass it.
@@ -60,37 +49,8 @@ def render_squares(poly: Poly) -> str:
     return poly.render().replace("k", "x")
 
 
-# squared_form's mask on a packed monomial (ratpoly.Monomial): the lowest bit
-# of the exponent field of u and of every curvature, set exactly where one of
-# those exponents is odd
-_ODD_BITS = sum(
-    Monomial([(vid, 1)]) & field_mask(vid)
-    for vid in (INVERSE_ARCLENGTH, *range(1, MAX_CURVATURE_INDEX + 1))
-)
-# each curvature's exponent field by its place counted from the lowest
-# field up (K's is place 0): the field's mask and the curvature
-_CURVATURE_FIELDS = {
-    (field_mask(vid).bit_length() - 1) // EXPONENT_BITS: (field_mask(vid), vid)
-    for vid in range(1, MAX_CURVATURE_INDEX + 1)
-}
 _K_MONO = Monomial([(AMBIENT, 1)])
-_X1_MONO = Monomial([(1, 1)])
 _ONE = Monomial()
-
-
-def squared_form(poly: Poly) -> Poly:
-    """Rewrite an everywhere-even polynomial in the curvatures as a polynomial
-    in the squared curvatures (ambient curvature exponents are kept as-is)."""
-    terms = {}
-    for mono, coeff in poly.terms():
-        if mono & _ODD_BITS:
-            vid, e = next((v, e) for v, e in mono.exps if v != AMBIENT and e % 2)
-            raise ValueError(f"odd exponent {e} for k{vid}; not expressible in squares")
-        # K^k packs as k times K's monomial; without it every field is even,
-        # the degree too, so one shift halves them all; then K^k goes back
-        k_part = mono.exponent(AMBIENT) * _K_MONO
-        terms[((mono - k_part) >> 1) + k_part] = coeff
-    return Poly(terms)
 
 
 def _unknowns(x_equations: Iterable[Poly]) -> tuple[int, ...]:
@@ -113,7 +73,7 @@ class CompiledSystem:
     """
 
     def __init__(self, system: ConstraintSystem):
-        self.x_equations = [squared_form(eq.factored) for eq in system.equations]
+        self.x_equations = [eq.factored.squared_form() for eq in system.equations]
         self.unknowns = _unknowns(self.x_equations)
 
     def _values(self, polys: list[Poly], points, K) -> list[tuple]:
@@ -254,15 +214,11 @@ def _nonpositive_K_decision(
         unknowns |= x_eq.variables() - {AMBIENT}
         for part in split if K < 0 else (P,):
             for mono, _ in part.terms():
-                # P and Q hold no K, so past the degree field a term sets
-                # bits in the curvature fields only; a power of one unknown
-                # sets them in one field, the lowest it sets
-                body = mono & _BODY_FIELDS
-                if not body:
+                # P and Q hold no K: a term is the constant, a power of one
+                # unknown or a product of several, which forces none alone
+                if not mono:
                     constant = True
-                    continue
-                mask, vid = _CURVATURE_FIELDS[((body & -body).bit_length() - 1) // EXPONENT_BITS]
-                if not body & ~mask:
+                elif (vid := mono.sole_variable()) is not None:
                     forced.add(vid)
         if K < 0:
             reason = (
@@ -327,7 +283,7 @@ class PositiveCombination:
 
 def _x1_powers(poly: Poly) -> list[int]:
     """The exponents ``e > 0`` of the terms ``c * x1^e`` of ``poly``."""
-    return [e for mono, _ in poly.terms() if (e := mono.exponent(1)) and mono == e * _X1_MONO]
+    return [mono.exponent(1) for mono, _ in poly.terms() if mono.sole_variable() == 1]
 
 
 def _positive_combination(order: int, equations: dict[int, Poly]) -> PositiveCombination | None:
@@ -436,7 +392,7 @@ def _exact_decision(
     ``sqrt(K)``.  At orders 2..10 that decides every canonical system (the
     tests run every pattern at orders 2..8); a system that neither decides
     raises ``ValueError``, as an undecided one does at ``K <= 0``."""
-    equations = [(eq.frame, squared_form(eq.factored)) for eq in system.equations]
+    equations = [(eq.frame, eq.factored.squared_form()) for eq in system.equations]
     unknowns = _unknowns(x for _, x in equations)
     if K > 0 and equations:
         certificate = _positive_combination(system.order, dict(equations))

@@ -311,7 +311,7 @@ def _cmd_integrate(args, started: float) -> int:
     from . import odelab
 
     profile = odelab.parse_profile(args.profile)
-    dimension = args.dimension or profile.count + 1
+    dimension = profile.count + 1 if args.dimension is None else args.dimension
     samples = odelab.integrate_frenet(profile, dimension, args.span, args.step)
     if args.out is None:
         samples.to_csv(sys.stdout)

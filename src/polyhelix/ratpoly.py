@@ -59,6 +59,9 @@ _UNIT = {vid: _DEGREE_UNIT | 1 << shift for vid, shift in _SHIFT.items()}
 _EXPONENT_FIELDS = _DEGREE_UNIT - 1
 _BODY_FIELDS = _EXPONENT_FIELDS - MAX_DEGREE
 _K_SLOT = len(_SLOT_VARIABLES) - 1
+# the lowest bit of every exponent field but K's: a monomial sets one exactly
+# where the exponent of u or of a curvature is odd
+_ODD_BITS = sum(1 << _SHIFT[vid] for vid in _SLOT_VARIABLES[:_K_SLOT])
 # every field of a packed monomial, the degree's first, as big-endian bytes
 # and back
 _FIELD_BYTES = 2 * (len(_SLOT_VARIABLES) + 1)
@@ -90,11 +93,6 @@ def _shift(vid: int) -> int:
             f"variable id {vid} is not u (-1), K (0) or a curvature k1..k{MAX_CURVATURE_INDEX}"
         )
     return shift
-
-
-def field_mask(vid: int) -> int:
-    """The bits of a packed monomial that hold the exponent of ``vid``."""
-    return MAX_DEGREE << _shift(vid)
 
 
 def _check_degree(degree: int) -> None:
@@ -147,6 +145,19 @@ class Monomial(int):
     def variables(self) -> frozenset[int]:
         return frozenset(vid for vid, _ in _exps(self))
 
+    def sole_variable(self) -> int | None:
+        """The variable this monomial is a positive power of, or None for the
+        constant and for a product of several variables."""
+        body = self & _EXPONENT_FIELDS
+        if not body:
+            return None
+        # the top nonzero field, found as in factor_monomial_gcd, must hold
+        # every set bit
+        shift = (body.bit_length() - 1) & -EXPONENT_BITS
+        if body & ((1 << shift) - 1):
+            return None
+        return _SLOT_VARIABLES[_K_SLOT - shift // EXPONENT_BITS]
+
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -186,7 +197,8 @@ class CurvaturePolynomial:
     """Canonical sparse polynomial: a map from packed monomials (see
     :class:`Monomial`) to nonzero exact coefficients (``int`` where integral,
     else ``Fraction``).  Supports ring arithmetic, zero substitution,
-    monomial-GCD factoring and deterministic text rendering."""
+    monomial-GCD factoring, the rewrite in squared variables and
+    deterministic text rendering."""
 
     __slots__ = ("_terms",)
 
@@ -325,7 +337,7 @@ class CurvaturePolynomial:
         """Set the listed variables to zero: drop every term containing one."""
         dead = 0
         for vid in variables:
-            dead |= field_mask(vid)
+            dead |= MAX_DEGREE << _shift(vid)
         if not dead:
             return self
         return CurvaturePolynomial._canonical(
@@ -409,6 +421,24 @@ class CurvaturePolynomial:
             {mono - gcd: c for mono, c in self._terms.items()}
         )
         return _monomial(gcd), quotient
+
+    def squared_form(self) -> "CurvaturePolynomial":
+        """Rewrite a polynomial even in ``u`` and in every curvature as a
+        polynomial in their squares; the exponents of ``K`` are kept as-is."""
+        terms: dict[int, Scalar] = {}
+        k_unit = _UNIT[AMBIENT]
+        for mono, coeff in self._terms.items():
+            if mono & _ODD_BITS:
+                vid, e = next((v, e) for v, e in _exps(mono) if v != AMBIENT and e % 2)
+                raise ValueError(
+                    f"odd exponent {e} for {variable_name(vid)}; not expressible in squares"
+                )
+            # K^k packs as k times K's monomial; without it every field is
+            # even, the degree too, so one shift halves them all; then K^k
+            # goes back
+            k_part = (mono & MAX_DEGREE) * k_unit
+            terms[((mono - k_part) >> 1) + k_part] = coeff
+        return CurvaturePolynomial._canonical(terms)
 
     # -- ordering and rendering ---------------------------------------------
 

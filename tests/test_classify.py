@@ -32,7 +32,6 @@ from polyhelix.classify import (
     negative_K_scan,
     render_squares,
     solve_helix,
-    squared_form,
 )
 from polyhelix.frenet import (
     MAX_TENSION_ORDER,
@@ -87,17 +86,17 @@ def on_exact_set(report, ks, tol: float = 1e-8) -> bool:
 
 def test_squared_form_basics():
     p = (kvar(1) ** 2 + kvar(2) ** 2) ** 2 - ambient() * kvar(2) ** 2
-    q = squared_form(p)
+    q = p.squared_form()
     assert q == (kvar(1) + kvar(2)) ** 2 - ambient() * kvar(2)
 
 
 def test_squared_form_rejects_odd_exponents():
     with pytest.raises(ValueError):
-        squared_form(kvar(1) ** 3)
+        (kvar(1) ** 3).squared_form()
 
 
 def test_render_squares_naming():
-    p = squared_form(kvar(2) ** 2 * ambient() + kvar(2) ** 2 * kvar(3) ** 2)
+    p = (kvar(2) ** 2 * ambient() + kvar(2) ** 2 * kvar(3) ** 2).squared_form()
     assert render_squares(p) == "x2*x3 + K*x2"
 
 
@@ -231,7 +230,7 @@ def test_compiled_table_matches_polynomial_evaluation(r, pattern):
     # equation, and its partial derivatives, evaluated term by term
     compiled = CompiledSystem(constraint_system(r, pattern))
     unknowns = compiled.unknowns
-    assert [squared_form(eq.factored) for eq in constraint_system(r, pattern).equations] == (
+    assert [eq.factored.squared_form() for eq in constraint_system(r, pattern).equations] == (
         compiled.x_equations
     )
     K = Fraction(3, 2)
@@ -287,7 +286,8 @@ def reference_curvatures(r, K, pattern, trials, seed=42, tol=1e-10):
     fill a jittered grid over ``[0, hi]^d``; converged nonnegative points are
     snapped, sorted and deduplicated.  Returns the curvature rows of the
     accepted roots."""
-    x_equations = [squared_form(eq.factored) for eq in constraint_system(r, set(pattern)).equations]
+    system = constraint_system(r, set(pattern))
+    x_equations = [eq.factored.squared_form() for eq in system.equations]
     unknowns = tuple(sorted(set().union(*(p.variables() for p in x_equations)) - {AMBIENT}))
     n, d = len(x_equations), len(unknowns)
     polys = x_equations + [p.differentiate(v) for p in x_equations for v in unknowns]
@@ -411,7 +411,7 @@ def test_negative_K_report_carries_certificates():
 # -- the case analysis by zero pattern, as exact identities -------------------
 
 def _x_system(r: int, zeros: set[int]) -> list[Poly]:
-    return [squared_form(eq.factored) for eq in constraint_system(r, zeros).equations]
+    return [eq.factored.squared_form() for eq in constraint_system(r, zeros).equations]
 
 
 def _circle(r: int) -> Poly:
@@ -674,7 +674,7 @@ def test_solver_reports_the_compiled_unknowns_at_nonpositive_K(r):
 
 def _x_equations(r: int, pattern) -> dict[int, Poly]:
     system = constraint_system(r, set(pattern))
-    return {eq.frame: squared_form(eq.factored) for eq in system.equations}
+    return {eq.frame: eq.factored.squared_form() for eq in system.equations}
 
 
 def _k3_free(r: int) -> list[tuple[int, ...]]:

@@ -669,6 +669,9 @@ class TestBadNumbers:
             (["integrate", "--profile", "k1=1", "--span", "-1:-inf"], "-1:-inf"),
             (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "-inf:1:2"],
              "-inf:1:2"),
+            # 0 is a dimension like any other, not "use the default"
+            (["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.001",
+              "--dimension", "0"], "ambient dimension must be at least 2"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhelix import ratpoly
-from polyhelix.classify import render_squares, squared_form
+from polyhelix.classify import render_squares
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.ratpoly import (
     AMBIENT,
@@ -281,12 +281,13 @@ def _reference_gcd(a, b):
     return Monomial((v, min(e, b.exponent(v))) for v, e in a.exps if b.exponent(v))
 
 
+wide_monos = st.dictionaries(
+    st.integers(min_value=-1, max_value=18),
+    st.integers(min_value=1, max_value=3),
+    max_size=4,
+).map(lambda d: Monomial(d.items()))
 wide_polys = st.dictionaries(
-    st.dictionaries(
-        st.integers(min_value=-1, max_value=18),
-        st.integers(min_value=1, max_value=3),
-        max_size=4,
-    ).map(lambda d: Monomial(d.items())),
+    wide_monos,
     st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
     min_size=1,
     max_size=6,
@@ -365,8 +366,8 @@ def test_every_operation_keeps_the_degree_slot(p, q, vid, dead):
         for mono, c in p.terms()
     })
     assert_degree_slots(even)
-    assert squared_form(even) == p
-    assert_degree_slots(squared_form(even))
+    assert even.squared_form() == p
+    assert_degree_slots(even.squared_form())
 
 
 def test_degree_bound_is_checked_before_any_term_is_built(monkeypatch):
@@ -416,7 +417,39 @@ def test_a_monomial_is_not_a_constant():
 
 def test_squared_form_rejects_an_odd_exponent():
     with pytest.raises(ValueError, match="odd exponent 3 for k2; not expressible in squares"):
-        squared_form(ambient() ** 3 * kvar(1) ** 2 * kvar(2) ** 3 * kvar(3))
+        (ambient() ** 3 * kvar(1) ** 2 * kvar(2) ** 3 * kvar(3)).squared_form()
+
+
+def test_squared_form_names_an_odd_power_of_u():
+    u = P.variable(INVERSE_ARCLENGTH)
+    with pytest.raises(ValueError, match="odd exponent 3 for u; not expressible in squares"):
+        (u**3 * kvar(1) ** 2).squared_form()
+
+
+# -- the lone-variable test ------------------------------------------------------
+# sole_variable reads the top nonzero field of a packed monomial and checks
+# that no bit below it is set.
+
+
+@pytest.mark.parametrize("pairs, expected", [
+    ([], None),
+    ([(AMBIENT, 3)], AMBIENT),
+    ([(INVERSE_ARCLENGTH, 2)], INVERSE_ARCLENGTH),
+    ([(1, 7)], 1),
+    ([(MAX_CURVATURE_INDEX, 5)], MAX_CURVATURE_INDEX),
+    ([(7, MAX_DEGREE)], 7),
+    ([(1, 1), (2, 1)], None),
+    ([(AMBIENT, 1), (1, 1)], None),
+])
+def test_sole_variable(pairs, expected):
+    assert Monomial(pairs).sole_variable() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(monos, wide_monos))
+def test_sole_variable_is_the_one_variable(mono):
+    variables = mono.variables()
+    assert mono.sole_variable() == (next(iter(variables)) if len(variables) == 1 else None)
 
 
 # -- the canonical constructor ---------------------------------------------------

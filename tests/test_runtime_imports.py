@@ -7,7 +7,9 @@ distribution listed in ``pyproject.toml``'s ``[project] dependencies``, and
 that list is numpy alone.  Packages the tests need (mpmath, sympy,
 hypothesis, pytest) belong to the ``test`` extra and must not reach the
 package.  ``classify`` decides every system exactly and imports no numpy at
-all.
+all.  No module imports another one's private (underscore-prefixed) names:
+a data layout, such as ``ratpoly``'s packed monomial, stays behind the
+methods of the module that owns it.
 """
 
 import ast
@@ -63,3 +65,23 @@ def test_classify_imports_no_numpy():
     # TYPE_CHECKING
     path = PACKAGE / "classify.py"
     assert [line for module, line in _imports(path) if module == "numpy"] == []
+
+
+def _package_import(node: ast.ImportFrom) -> bool:
+    """Whether a ``from ... import`` names a module of the package."""
+    return bool(node.level) or node.module.partition(".")[0] == "polyhelix"
+
+
+def test_no_module_imports_another_ones_private_names():
+    files = sorted(PACKAGE.rglob("*.py"))
+    assert files
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and _package_import(node)
+        for alias in node.names
+        # a dunder such as __version__ is public
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

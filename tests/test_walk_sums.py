@@ -26,7 +26,7 @@ from functools import cache
 
 import pytest
 
-from polyhelix.classify import _nonnegative_split, squared_form
+from polyhelix.classify import _nonnegative_split
 from polyhelix.frenet import MAX_TENSION_ORDER, constraint_system
 from polyhelix.ratpoly import CurvaturePolynomial as Poly, kvar
 
@@ -60,7 +60,7 @@ def test_each_split_is_a_walk_sum(r):
     equations = {eq.frame: eq for eq in constraint_system(r, set()).equations}
     W = walk_sums(r)
     for j in sorted(equations) if r <= ALL_FRAMES_ORDER else (2, 4):
-        P, Q = _nonnegative_split(squared_form(equations[j].factored))
+        P, Q = _nonnegative_split(equations[j].factored.squared_form())
         X = math.prod((kvar(i) for i in range(1, j)), start=Poly.constant(1))
         assert P * X == W[2 * r - 1][j]
         assert Q * X == sum(
