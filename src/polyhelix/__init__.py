@@ -1,5 +1,5 @@
 """Polyharmonic curves and helices in space forms: exact symbolic derivation
-of the curvature constraint systems, numerical classification of helix
+of the curvature constraint systems, exact classification of helix
 solutions, closed-form verification of explicit sphere curves, and a small
 numerical lab for curvature-profile experiments."""
 

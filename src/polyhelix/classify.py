@@ -36,10 +36,6 @@ from typing import Iterable
 from .frenet import ConstraintSystem, check_tension_order, constraint_system
 from .ratpoly import AMBIENT, CurvaturePolynomial as Poly, Monomial, ambient, kvar
 
-# Nothing is sampled, so MAX_TRIALS bounds an input that sets no work;
-# ``trials`` stays accepted, and bounded, for callers that still pass it.
-MAX_TRIALS = 50_000
-
 
 def render_squares(poly: Poly) -> str:
     """Render an x-space polynomial with ``x1, x2, ...`` variable names so it
@@ -126,12 +122,11 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Output of :func:`solve_helix`: the exact roots plus the metadata
-    needed to reproduce them.  A certificate is a rendered dict at ``K < 0``
-    and a :class:`PositiveCombination` at ``K > 0``, rendered only by
-    :meth:`to_json_dict`; ``exact_set`` names a :class:`ClosedForm`.
-    Nothing is sampled, so ``starts`` is always 0; the payload keeps it
-    under ``search`` with ``seed`` and ``tol``, which only echo the input."""
+    """Output of :func:`solve_helix`: the exact roots of one system, a
+    function of its order, ``K`` and zero pattern alone.  A certificate is a
+    rendered dict at ``K < 0`` and a :class:`PositiveCombination` at
+    ``K > 0``, rendered only by :meth:`to_json_dict`; ``exact_set`` names a
+    :class:`ClosedForm`."""
 
     order: int
     K: float
@@ -139,11 +134,10 @@ class SolutionReport:
     unknowns: tuple[int, ...]
     solutions: tuple[Solution, ...]
     certificates: tuple[dict | PositiveCombination, ...]
-    seed: int
-    starts: int
-    tol: float
     underdetermined: bool
     exact_set: ClosedForm | None = None
+    # always 0 and not in the payload; perfbench/spans.py reads it until ROADMAP item 1
+    starts: int = 0
 
     def proper_solutions(self) -> list[Solution]:
         return [s for s in self.solutions if s.is_proper()]
@@ -158,9 +152,6 @@ class SolutionReport:
                 c if isinstance(c, dict) else c.to_json_dict() for c in self.certificates
             ],
             "search": {
-                "seed": self.seed,
-                "starts": self.starts,
-                "tol": self.tol,
                 "unknowns": [f"k{v}" for v in self.unknowns],
                 "underdetermined": self.underdetermined,
             },
@@ -254,12 +245,14 @@ class PositiveCombination:
     root, at every K.  Every coefficient of N is positive and one term is a
     power of ``x1`` alone, so N is positive wherever ``x1 > 0`` and every
     ``x_j >= 0``: each root has ``k1 = 0``, which the truncation rule makes
-    the geodesic (pattern ``{1}``).  ``multipliers`` pairs with ``frames``."""
+    the geodesic (pattern ``{1}``).  ``multipliers`` pairs with ``frames``,
+    and ``x1_power`` is the least power of ``x1`` alone in N."""
 
     order: int
     frames: tuple[int, int]
     multipliers: tuple[Poly, Poly]
     combination: Poly
+    x1_power: int
 
     @property
     def reason(self) -> str:
@@ -268,7 +261,7 @@ class PositiveCombination:
         return (
             f"N = -Q{b}*F{a} + Q{a}*F{b}, with Q{a} and Q{b} the K multipliers of "
             f"F{a} and F{b}, contains no K and has {len(N)} terms, all positive, among "
-            f"them x1^{min(_x1_powers(N))}; N > 0 wherever x1 > 0 and every x_j >= 0, "
+            f"them x1^{self.x1_power}; N > 0 wherever x1 > 0 and every x_j >= 0, "
             "so every root has k1 = 0, the geodesic"
         )
 
@@ -298,9 +291,12 @@ def _positive_combination(order: int, equations: dict[int, Poly]) -> PositiveCom
         return None
     (_, Q2), (_, Q4) = splits
     N = -Q4 * equations[2] + Q2 * equations[4]
-    if any(c <= 0 or mono.exponent(AMBIENT) for mono, c in N.terms()) or not _x1_powers(N):
+    if any(c <= 0 or mono.exponent(AMBIENT) for mono, c in N.terms()):
         return None
-    return PositiveCombination(order, (2, 4), (-Q4, Q2), N)
+    powers = _x1_powers(N)
+    if not powers:
+        return None
+    return PositiveCombination(order, (2, 4), (-Q4, Q2), N, min(powers))
 
 
 # the points a closed-form arc or segment reports: t at this many even steps
@@ -424,14 +420,7 @@ def _exact_decision(
     return unknowns, roots, certificates, None
 
 
-def solve_helix(
-    r: int,
-    K: float,
-    zero_pattern: Iterable[int] = (),
-    tol: float = 1e-10,
-    trials: int = 1000,
-    seed: int = 42,
-) -> SolutionReport:
+def solve_helix(r: int, K: float, zero_pattern: Iterable[int] = ()) -> SolutionReport:
     """Decide the order-``r`` constraint system with the given zero pattern
     exactly, over the squared curvatures, and report its nonnegative roots.
 
@@ -444,25 +433,17 @@ def solve_helix(
     and the arc and the segment are ``underdetermined``.  For orders 2..10
     (:func:`polyhelix.frenet.check_tension_order`, checked first) that is
     every canonical system; a system that none of these checks decides
-    raises ``ValueError``.  Nothing is sampled: ``trials``,
-    ``seed`` and ``tol`` are checked and only fill the search metadata.
+    raises ``ValueError``.  Nothing is sampled.
     """
     check_tension_order(r)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     if not math.isfinite(K):
         raise ValueError(f"ambient curvature K must be finite, got {K}")
-    if trials < 1:
-        raise ValueError(f"need at least 1 trial, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"at most {MAX_TRIALS} trials, got {trials}")
     pattern = tuple(sorted(set(zero_pattern)))
     system = constraint_system(r, set(pattern))
     unknowns, solutions, certificates, closed = _exact_decision(system, K)
     underdetermined = closed is not None and closed.kind != "circle"
     return SolutionReport(
-        r, K, pattern, unknowns, solutions, tuple(certificates), seed, 0, tol,
-        underdetermined, closed,
+        r, K, pattern, unknowns, solutions, tuple(certificates), underdetermined, closed
     )
 
 
@@ -502,7 +483,8 @@ def canonical_pattern(pattern: Iterable[int], m: int) -> tuple[int, ...]:
 def negative_K_scan(r: int, K: float, trials: int = 1000, seed: int = 42) -> NegativeKReport:
     """Decide every zero pattern of order ``r`` at ``K < 0`` exactly
     (:func:`_exact_decision`); nothing is sampled, so ``trials`` and
-    ``seed`` are ignored.  The ``2^(2r-2)`` patterns collapse to ``2r - 1``
+    ``seed`` are ignored (the benchmark's scan passes them until ROADMAP
+    item 1).  The ``2^(2r-2)`` patterns collapse to ``2r - 1``
     systems under the truncation rule: the full one, and ``t..2r-2``, which
     merges the ``2^(2r-2-t)`` patterns whose least zero index is ``t``."""
     if not (math.isfinite(K) and K < 0):

@@ -180,11 +180,7 @@ def _cmd_tau(args, started: float) -> int:
 def _cmd_classify(args, started: float) -> int:
     from . import classify
 
-    # solve_helix owns the default tolerance
-    tol = {} if args.tol is None else {"tol": args.tol}
-    report = classify.solve_helix(
-        args.order, args.K, args.zeros, trials=args.trials, seed=args.seed, **tol
-    )
+    report = classify.solve_helix(args.order, args.K, args.zeros)
     lines = [
         f"order {report.order}, K = {report.K:g}, "
         f"zero pattern {sorted(report.zero_pattern) or '{}'}",
@@ -288,7 +284,8 @@ def _cmd_verify(args, started: float) -> int:
 def _cmd_family(args, started: float) -> int:
     from . import spherecurves
 
-    samples = spherecurves.tri_hyperbola_family(args.samples)
+    sweep = {"tri-hyperbola": spherecurves.tri_hyperbola_family}[args.family]
+    samples = sweep(args.samples)
     header = "y,x,alpha1sq,alpha3sq,tau3_residual,lambda"
     lines = [header] + [sample.csv_row() for sample in samples]
     payload = [
@@ -400,33 +397,34 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, json_flag: bool = True, tol_flag: bool = False, seed_flag: bool = False):
+    def common(p, json_flag: bool = True):
         p.add_argument("--out", help="write the report to this path")
-        if seed_flag:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help=f"RNG seed (default {DEFAULT_SEED})")
-        if tol_flag:
-            p.add_argument("--tol", type=_positive_float, default=None,
-                           help="override default tolerances")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock time in the report")
         if json_flag:
             p.add_argument("--json", action="store_true", help="emit JSON")
+
+    def ignored(p, *flags):
+        # perfbench/workloads.py passes these on every operation until
+        # ROADMAP item 1; they set no work
+        for flag in flags:
+            p.add_argument(flag, type=int, help="accepted and ignored")
 
     p = sub.add_parser("tau", help="print a helix constraint system")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--zeros", type=_parse_zeros, default="",
                    help="comma-separated vanishing k indices")
     p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    common(p, json_flag=False, seed_flag=True)
+    common(p, json_flag=False)
+    ignored(p, "--seed")
     p.set_defaults(handler=_cmd_tau)
 
     p = sub.add_parser("classify", help="decide constant-curvature solutions exactly")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--K", type=float, required=True)
     p.add_argument("--zeros", type=_parse_zeros, default="")
-    p.add_argument("--trials", type=int, default=1000)
-    common(p, tol_flag=True, seed_flag=True)
+    common(p)
+    ignored(p, "--trials", "--seed")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("verify", help="check a closed-form solution curve")
@@ -437,7 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--params", type=_parse_params, default="",
                    help="e.g. a2=1.2,b2=0.8 or y=2.5")
-    common(p, tol_flag=True)
+    p.add_argument("--tol", type=_positive_float, default=None,
+                   help="override default tolerances")
+    common(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("family", help="sweep the two-frequency solution family")
@@ -472,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance criteria")
     p.add_argument("--only", default=None,
                    help="filter criteria by tag, number or name substring")
-    common(p, seed_flag=True)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help=f"RNG seed (default {DEFAULT_SEED})")
+    common(p)
     p.set_defaults(handler=_cmd_reproduce)
 
     return parser

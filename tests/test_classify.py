@@ -25,7 +25,6 @@ import pytest
 from polyhelix import classify
 from polyhelix.classify import (
     CLOSED_FORM_POINTS,
-    MAX_TRIALS,
     ClosedForm,
     CompiledSystem,
     canonical_pattern,
@@ -108,23 +107,6 @@ def test_solver_argument_validation():
         solve_helix(too_high, 1.0)
     with pytest.raises(ValueError, match="got 1"):
         solve_helix(1, 1.0)
-    with pytest.raises(ValueError):
-        solve_helix(3, 1.0, tol=0.0)
-    for tol in (math.nan, math.inf):
-        with pytest.raises(ValueError, match=f"positive and finite, got {tol}"):
-            solve_helix(3, 1.0, tol=tol)
-
-
-@pytest.mark.parametrize("trials", [0, -5])
-def test_solver_needs_a_trial(trials):
-    with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}"):
-        solve_helix(3, 1.0, trials=trials)
-
-
-@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 7**10])
-def test_solver_caps_trials_before_allocating(trials):
-    with pytest.raises(ValueError, match=f"at most {MAX_TRIALS} trials, got {trials}"):
-        solve_helix(6, 1.0, trials=trials)
 
 
 @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
@@ -136,7 +118,7 @@ def test_solver_needs_a_finite_K(K):
 # -- the exact solver -------------------------------------------------------
 
 def test_circle_solution_order_three():
-    report = solve_helix(3, 1.0, {2, 3, 4}, trials=200)
+    report = solve_helix(3, 1.0, {2, 3, 4})
     assert len(report.solutions) == 1
     sol = report.solutions[0]
     assert sol.curvatures[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
@@ -148,7 +130,7 @@ def test_circle_solution_order_three():
 @pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
 def test_planar_circle_at_every_order(r):
     # with k2 = 0 only k1 is left: the planar circle k1^2 = (r - 1) K
-    report = solve_helix(r, 1.0, {2}, trials=50)
+    report = solve_helix(r, 1.0, {2})
     (root,) = report.proper_solutions()
     assert root.curvatures[0] ** 2 == pytest.approx(r - 1, rel=1e-12)
     assert root.curvatures[1:] == (0.0,) * (2 * r - 3)
@@ -157,7 +139,7 @@ def test_planar_circle_at_every_order(r):
 def test_two_curvature_family_is_sampled():
     # the solver reports the family exactly; the reference Newton loop
     # samples it, and every one of its roots with k1 > 0 lies on that arc
-    report = solve_helix(3, 1.0, {3, 4}, trials=400)
+    report = solve_helix(3, 1.0, {3, 4})
     assert report.underdetermined
     assert report.exact_set.kind == "arc"
     found = reference_curvatures(3, 1.0, (3, 4), trials=400)
@@ -179,7 +161,7 @@ def test_family_contains_known_exact_point():
 
 
 def test_order_two_solutions_fill_the_circle():
-    report = solve_helix(2, 1.0, trials=300)
+    report = solve_helix(2, 1.0)
     assert report.underdetermined
     assert len(report.solutions) >= 5
     for sol in report.solutions:
@@ -188,7 +170,7 @@ def test_order_two_solutions_fill_the_circle():
 
 
 def test_full_order_three_system_has_no_proper_solutions():
-    report = solve_helix(3, 1.0, trials=600)
+    report = solve_helix(3, 1.0)
     assert report.proper_solutions() == []
 
 
@@ -196,7 +178,7 @@ def test_full_order_three_system_has_no_proper_solutions():
 def test_flat_ambient_reports_the_geodesic(r, zeros):
     # at K = 0 the only nonnegative root is x = 0, on the corner of the orthant;
     # the exact decision reports it once and runs no start
-    report = solve_helix(r, 0.0, zeros, trials=100)
+    report = solve_helix(r, 0.0, zeros)
     assert [s.curvatures for s in report.solutions] == [(0.0,) * (2 * r - 2)]
     assert report.solutions[0].residual == 0.0
     assert report.proper_solutions() == []
@@ -208,17 +190,17 @@ def test_flat_ambient_reports_the_geodesic(r, zeros):
     (1, 3), (1, 4), (2, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4),
 ])
 def test_every_solution_satisfies_raw_system(pattern):
-    report = solve_helix(3, 1.0, pattern, trials=80)
+    report = solve_helix(3, 1.0, pattern)
     raw = [eq.raw for eq in constraint_system(3, set(pattern)).equations]
     for sol in report.solutions:
-        assert sol.residual < report.tol
+        assert sol.residual < 1e-10
         point = {AMBIENT: report.K, **dict(enumerate(sol.curvatures, 1))}
-        assert max((abs(evaluate(eq, point)) for eq in raw), default=0.0) < 10 * report.tol
+        assert max((abs(evaluate(eq, point)) for eq in raw), default=0.0) < 1e-9
 
 
 def test_reports_are_reproducible():
-    a = solve_helix(3, 1.0, {3, 4}, trials=150).to_json_dict()
-    b = solve_helix(3, 1.0, {3, 4}, trials=150).to_json_dict()
+    a = solve_helix(3, 1.0, {3, 4}).to_json_dict()
+    b = solve_helix(3, 1.0, {3, 4}).to_json_dict()
     assert a == b
 
 
@@ -354,7 +336,7 @@ REFERENCE_CASES += [(6, (3,), 1.0), (6, (3,), 0.0), (3, (), 0.0)]
     ids=[f"r{r}-zeros{''.join(map(str, p))}-K{K:g}" for r, p, K in REFERENCE_CASES],
 )
 def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
-    report = solve_helix(r, K, pattern, trials=300)
+    report = solve_helix(r, K, pattern)
     want = reference_curvatures(r, K, pattern, trials=300)
     if report.underdetermined:
         # an arc: the solver reports fixed exact points, not Newton's, so
@@ -373,34 +355,34 @@ def test_solver_matches_the_fixed_iteration_reference(r, pattern, K):
     [(3, {2, 3, 4}, 1e7, 2), (3, {2, 3, 4}, 1e300, 2), (4, {2}, 1e8, 3), (3, {2, 3, 4}, 1e-300, 2)],
 )
 def test_isolated_root_survives_any_magnitude_of_K(r, pattern, K, ratio):
-    report = solve_helix(r, K, pattern, trials=50)
+    report = solve_helix(r, K, pattern)
     (root,) = report.proper_solutions()
     assert report.K == K
     assert root.curvatures[0] ** 2 == pytest.approx(ratio * K, rel=1e-12)
-    assert root.residual < report.tol
+    assert root.residual < 1e-10
 
 
 def test_roots_scale_exactly_with_K():
-    unit = solve_helix(3, 1.0, {3, 4}, trials=150)
-    scaled = solve_helix(3, 4.0, {3, 4}, trials=150)
+    unit = solve_helix(3, 1.0, {3, 4})
+    scaled = solve_helix(3, 4.0, {3, 4})
     assert [s.residual for s in scaled.solutions] == [s.residual for s in unit.solutions]
     assert [s.curvatures for s in scaled.solutions] == [
         tuple(2.0 * k for k in s.curvatures) for s in unit.solutions
     ]
-    negative = solve_helix(3, -4.0, trials=50)
-    assert negative.certificates == solve_helix(3, -1.0, trials=50).certificates
+    negative = solve_helix(3, -4.0)
+    assert negative.certificates == solve_helix(3, -1.0).certificates
 
 
 def test_scaling_coherence_circle():
-    at_one = solve_helix(3, 1.0, {2, 3, 4}, trials=100)
-    at_four = solve_helix(3, 4.0, {2, 3, 4}, trials=100)
+    at_one = solve_helix(3, 1.0, {2, 3, 4})
+    at_four = solve_helix(3, 4.0, {2, 3, 4})
     k1 = at_one.solutions[0].curvatures[0]
     k4 = at_four.solutions[0].curvatures[0]
     assert k4 == pytest.approx(2.0 * k1, abs=1e-8)
 
 
 def test_negative_K_report_carries_certificates():
-    report = solve_helix(3, -1.0, trials=200)
+    report = solve_helix(3, -1.0)
     assert report.solutions == ()
     assert report.certificates
     top = [c for c in report.certificates if c["K_multiplier"] == "1"]
@@ -696,6 +678,20 @@ def test_every_k3_free_system_is_certified(r):
         assert AMBIENT not in N.variables()
         assert all(c > 0 for _, c in N.terms())
         assert dict(N.terms())[Monomial([(1, 2 * r - 4)])] == 1
+        assert cert.x1_power == 2 * r - 4
+
+
+def test_the_certificate_scans_N_for_x1_once(monkeypatch):
+    # the x1 power found when the certificate is accepted is kept, so the
+    # JSON reason and the text reason read it without scanning N again
+    scans = []
+    scan = classify._x1_powers
+    monkeypatch.setattr(classify, "_x1_powers", lambda poly: scans.append(len(poly)) or scan(poly))
+    report = solve_helix(3, 1.0)
+    (cert,) = report.certificates
+    assert "among them x1^2;" in report.to_json_dict()["infeasibility_certificates"][0]["reason"]
+    assert "among them x1^2;" in cert.reason
+    assert scans == [len(cert.combination)]
 
 
 @pytest.mark.parametrize("r", range(2, EXHAUSTIVE_ORDER + 1))
@@ -755,7 +751,7 @@ def test_an_undecided_certificate_raises_at_positive_K(monkeypatch):
     # two equations and no closed form
     monkeypatch.setattr(classify, "_nonnegative_split", lambda factored: None)
     with pytest.raises(ValueError, match="undecided at K > 0: 2 equations and no positive"):
-        solve_helix(3, 1.0, trials=200)
+        solve_helix(3, 1.0)
 
 
 @pytest.mark.parametrize("r", [3, 4, 5])
@@ -852,7 +848,7 @@ def test_a_mismatched_system_is_undecided_at_positive_K(monkeypatch):
     )
     monkeypatch.setattr(classify, "constraint_system", lambda r, zeros: system)
     with pytest.raises(ValueError, match=r"undecided at K > 0: x1 - 3\*K = 0 is no closed form"):
-        solve_helix(3, 1.0, {2}, trials=50)
+        solve_helix(3, 1.0, {2})
 
 
 def test_a_point_that_is_no_exact_root_is_undecided(monkeypatch):
