@@ -294,9 +294,7 @@ def _positive_combination(order: int, equations: dict[int, Poly]) -> PositiveCom
     if any(c <= 0 or mono.exponent(AMBIENT) for mono, c in N.terms()):
         return None
     powers = _x1_powers(N)
-    if not powers:
-        return None
-    return PositiveCombination(order, (2, 4), (-Q4, Q2), N, min(powers))
+    return PositiveCombination(order, (2, 4), (-Q4, Q2), N, min(powers)) if powers else None
 
 
 # the points a closed-form arc or segment reports: t at this many even steps
