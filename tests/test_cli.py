@@ -646,6 +646,7 @@ class TestBadNumbers:
             (["classify", "--order", "1", "--K", "0"], "between 2 and 10, got 1"),
             (["classify", "--order", "0", "--K", "0"], "got 0"),
             (["classify", "--order", "50001", "--K", "-1"], "got 50001"),
+            # the joined form of a flag is checked the same way
             (["verify", "--curve", "four-planar", "--tol=inf"],
              "--tol: must be positive and finite, got 'inf'"),
             # a separate value that begins with "-" parses as the joined form
@@ -724,7 +725,7 @@ class TestReproduce:
 # -- exit codes and determinism ----------------------------------------------
 
 # the flags no handler reads: perfbench/workloads.py passes them on every
-# operation, so they stay accepted and ignored until ROADMAP item 1
+# operation, so they stay accepted and ignored
 IGNORED_FLAGS = {
     ("classify", "trials"): ["--trials"],  # until ROADMAP item 1
     ("classify", "seed"): ["--seed"],  # until ROADMAP item 1
@@ -801,7 +802,7 @@ class TestContract:
 
         # the seed is resolved on every call, not once per parser
         parser = cli.build_parser()
-        seeds = [parser.parse_args(argv).seed for argv in (["reproduce", "--seed", "7"],
+        seeds = [parser.parse_args(line).seed for line in (["reproduce", "--seed", "7"],
                                                            ["reproduce"])]
         assert seeds == [7, DEFAULT_SEED] == [7, 42]
 
