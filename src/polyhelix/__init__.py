@@ -36,13 +36,10 @@ _NUMERIC = {
     "conservation_monitor_tri": "odelab",
     "integrate_frenet": "odelab",
     "parse_profile": "odelab",
-    "biharmonic_circle": "spherecurves",
     "biharmonic_two_freq": "spherecurves",
-    "four_planar": "spherecurves",
-    "great_circle": "spherecurves",
+    "planar_circle": "spherecurves",
     "tri_hyperbola_curve": "spherecurves",
     "tri_hyperbola_family": "spherecurves",
-    "tri_planar": "spherecurves",
 }
 
 
@@ -60,24 +57,21 @@ __all__ = [
     "ZeroPolynomialError",
     "__version__",
     "ambient",
-    "biharmonic_circle",
     "biharmonic_two_freq",
     "conjecture_scan",
     "conservation_monitor_four",
     "conservation_monitor_tri",
     "constraint_system",
-    "four_planar",
     "frenet_derivative",
-    "great_circle",
     "integrate_frenet",
     "iterated_derivative",
     "kvar",
     "negative_K_scan",
     "parse_profile",
+    "planar_circle",
     "solve_helix",
     "tangent",
     "tau_space_form",
     "tri_hyperbola_curve",
     "tri_hyperbola_family",
-    "tri_planar",
 ]

@@ -166,8 +166,8 @@ def _run_top_equation() -> tuple[bool, str]:
 
 def _run_biharmonic() -> tuple[bool, str]:
     tol = spherecurves.TOLERANCES["equation_residual"]
-    worst = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 2)
-    worst = max(worst, spherecurves.equation_residual(spherecurves.great_circle(), 2))
+    worst = spherecurves.equation_residual(spherecurves.planar_circle(2), 2)
+    worst = max(worst, spherecurves.equation_residual(spherecurves.planar_circle(1), 2))
     for a2, b2 in ((1.5, 0.5), (1.2, 0.8), (1.75, 0.25)):
         curve = spherecurves.biharmonic_two_freq(a2, b2)
         worst = max(worst, spherecurves.equation_residual(curve, 2))
@@ -177,7 +177,7 @@ def _run_biharmonic() -> tuple[bool, str]:
 
 
 def _run_triharmonic() -> tuple[bool, str]:
-    planar = spherecurves.intrinsic_tau_residual(spherecurves.tri_planar(), 3)
+    planar = spherecurves.intrinsic_tau_residual(spherecurves.planar_circle(3), 3)
     if planar >= spherecurves.TOLERANCES["tension_residual"]:
         return False, f"planar curve residual {planar:.3e}"
     family = spherecurves.tri_hyperbola_family(32)
@@ -200,10 +200,10 @@ def _run_triharmonic() -> tuple[bool, str]:
 
 
 def _run_fourharmonic() -> tuple[bool, str]:
-    curve = spherecurves.four_planar()
+    curve = spherecurves.planar_circle(4)
     ode = spherecurves.equation_residual(curve, 4)
     tau = spherecurves.intrinsic_tau_residual(curve, 4)
-    control = spherecurves.equation_residual(spherecurves.biharmonic_circle(), 4)
+    control = spherecurves.equation_residual(spherecurves.planar_circle(2), 4)
     if ode >= spherecurves.TOLERANCES["fourth_order_residual"]:
         return False, f"solution curve residual {ode:.3e}"
     if tau >= spherecurves.TOLERANCES["tension_residual"]:
@@ -215,9 +215,9 @@ def _run_fourharmonic() -> tuple[bool, str]:
 
 def _run_curvature_values() -> tuple[bool, str]:
     expected = (
-        (spherecurves.biharmonic_circle(), 1.0),
-        (spherecurves.tri_planar(), math.sqrt(2.0)),
-        (spherecurves.four_planar(), math.sqrt(3.0)),
+        (spherecurves.planar_circle(2), 1.0),
+        (spherecurves.planar_circle(3), math.sqrt(2.0)),
+        (spherecurves.planar_circle(4), math.sqrt(3.0)),
     )
     for curve, k1 in expected:
         got = spherecurves.geodesic_curvatures(curve, 1)[0]
@@ -228,11 +228,11 @@ def _run_curvature_values() -> tuple[bool, str]:
 
 def _run_first_variation(seed: int) -> tuple[bool, str]:
     certified = (
-        (spherecurves.biharmonic_circle(), 2),
+        (spherecurves.planar_circle(2), 2),
         (spherecurves.biharmonic_two_freq(), 2),
-        (spherecurves.tri_planar(), 3),
+        (spherecurves.planar_circle(3), 3),
         (spherecurves.tri_hyperbola_curve(2.0), 3),
-        (spherecurves.four_planar(), 4),
+        (spherecurves.planar_circle(4), 4),
     )
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -243,7 +243,7 @@ def _run_first_variation(seed: int) -> tuple[bool, str]:
             if value > 1e-5:
                 return False, f"order-{order} variation {value:.3e} > 1e-5"
     mismatched = 0.0
-    curve = spherecurves.tri_planar()
+    curve = spherecurves.planar_circle(3)
     bumps = [spherecurves.random_bump(curve.dimension, rng) for _ in range(10)]
     for value in spherecurves.first_variation(curve, 2, bumps):
         mismatched = max(mismatched, abs(value))
@@ -272,7 +272,7 @@ def _run_negative_curvature() -> tuple[bool, str]:
 
 
 def _run_conservation() -> tuple[bool, str]:
-    curve = spherecurves.tri_planar()
+    curve = spherecurves.planar_circle(3)
     samples = odelab.sample_trig_curve(curve, (0.0, curve.period()), 513)
     tri_report = odelab.conservation_monitor_tri(samples, 1.0)
     if tri_report.drift >= 1e-6:

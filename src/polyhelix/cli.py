@@ -29,6 +29,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from . import __version__
 from .frenet import constraint_system
@@ -39,14 +40,31 @@ DEFAULT_SEED = 42
 # "-inf" or "-1:1" as an option unless the value is joined to its flag
 SIGNED_FLAGS = ("--K", "--alpha", "--span", "--beta-grid")
 
-# the parameters each verify curve takes in --params, with their defaults;
-# any other name is a usage error
-VERIFY_PARAMETERS = {
-    "biharmonic-circle": {},
-    "biharmonic-two-freq": {"a2": 1.5, "b2": 0.5},
-    "tri-planar": {},
-    "tri-hyperbola": {"y": 2.0},
-    "four-planar": {},
+
+class VerifyCurve(NamedTuple):
+    """A ``verify`` curve: its order, its ``--params`` defaults (any other
+    name is a usage error), its checks in report order, and the
+    ``spherecurves`` function that builds it from those parameters by name;
+    a curve with none is the r-planar circle of its order."""
+
+    order: int
+    params: dict[str, float]
+    checks: tuple[str, ...]
+    builder: str | None = None
+
+
+VERIFY_CURVES = {
+    "biharmonic-circle": VerifyCurve(2, {}, ("equation_residual", "tension_residual")),
+    "biharmonic-two-freq": VerifyCurve(
+        2, {"a2": 1.5, "b2": 0.5}, ("equation_residual", "tension_residual"),
+        "biharmonic_two_freq",
+    ),
+    "tri-planar": VerifyCurve(3, {}, ("tension_residual",)),
+    "tri-hyperbola": VerifyCurve(
+        3, {"y": 2.0}, ("tension_residual", "quartic_residual", "multiplier_residual"),
+        "tri_hyperbola_curve",
+    ),
+    "four-planar": VerifyCurve(4, {}, ("fourth_order_residual", "tension_residual")),
 }
 
 
@@ -208,46 +226,8 @@ def _cmd_classify(args, started: float) -> int:
     return _finish(args, payload, None, lines, started)
 
 
-def _verify_checks(name: str, params: dict[str, Fraction]) -> tuple[int, dict, dict]:
-    """Order, parameter echo and check values for one named curve, given
-    every parameter it takes."""
-    from . import spherecurves
-
-    if name == "biharmonic-circle":
-        curve = spherecurves.biharmonic_circle()
-        return 2, {}, {
-            "equation_residual": spherecurves.equation_residual(curve, 2),
-            "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
-        }
-    if name == "biharmonic-two-freq":
-        curve = spherecurves.biharmonic_two_freq(params["a2"], params["b2"])
-        return 2, {key: float(value) for key, value in params.items()}, {
-            "equation_residual": spherecurves.equation_residual(curve, 2),
-            "tension_residual": spherecurves.intrinsic_tau_residual(curve, 2),
-        }
-    if name == "tri-planar":
-        curve = spherecurves.tri_planar()
-        return 3, {}, {
-            "tension_residual": spherecurves.intrinsic_tau_residual(curve, 3),
-        }
-    if name == "tri-hyperbola":
-        sample = spherecurves.family_sample(spherecurves.tri_hyperbola_curve(params["y"]))
-        return 3, {"y": sample.y, "x": sample.x}, {
-            "tension_residual": sample.tau3_residual,
-            "quartic_residual": sample.quartic_residual,
-            "multiplier_residual": sample.lambda_residual,
-        }
-    if name == "four-planar":
-        curve = spherecurves.four_planar()
-        return 4, {}, {
-            "fourth_order_residual": spherecurves.equation_residual(curve, 4),
-            "tension_residual": spherecurves.intrinsic_tau_residual(curve, 4),
-        }
-    raise ValueError(f"unknown curve {name!r}")
-
-
 def _cmd_verify(args, started: float) -> int:
-    defaults = VERIFY_PARAMETERS[args.curve]
+    order, defaults, names, builder = VERIFY_CURVES[args.curve]
     unknown = sorted(set(args.params) - set(defaults))
     if unknown:
         takes = ", ".join(defaults) if defaults else "no parameters"
@@ -256,10 +236,29 @@ def _cmd_verify(args, started: float) -> int:
         )
     from . import spherecurves
 
-    order, parameters, values = _verify_checks(args.curve, {**defaults, **args.params})
+    params = {**defaults, **args.params}
+    if builder is None:
+        curve = spherecurves.planar_circle(order)
+    else:
+        curve = getattr(spherecurves, builder)(**params)
+    # each check name (fourth_order_residual is an alias) reads one function
+    # of (curve, order); the family checks share one certified sample
+    sample = cache(spherecurves.family_sample)
+    compute = {
+        "equation_residual": spherecurves.equation_residual,
+        "fourth_order_residual": spherecurves.equation_residual,
+        "tension_residual": spherecurves.intrinsic_tau_residual,
+        "quartic_residual": lambda curve, _: sample(curve).quartic_residual,
+        "multiplier_residual": lambda curve, _: sample(curve).lambda_residual,
+    }
+    parameters = {key: float(value) for key, value in params.items()}
+    if args.curve == "tri-hyperbola":
+        # the family's other squared frequency, solved from y
+        parameters["x"] = float(curve.blocks[0][0])
     checks = {}
     passed = True
-    for check, value in values.items():
+    for check in names:
+        value = compute[check](curve, order)
         tolerance = args.tol if args.tol is not None else spherecurves.TOLERANCES[check]
         ok = value < tolerance
         passed = passed and ok
@@ -286,21 +285,8 @@ def _cmd_family(args, started: float) -> int:
 
     sweep = {"tri-hyperbola": spherecurves.tri_hyperbola_family}[args.family]
     samples = sweep(args.samples)
-    header = "y,x,alpha1sq,alpha3sq,tau3_residual,lambda"
-    lines = [header] + [sample.csv_row() for sample in samples]
-    payload = [
-        {
-            "y": s.y,
-            "x": s.x,
-            "alpha1sq": s.alpha1sq,
-            "alpha3sq": s.alpha3sq,
-            "tau3_residual": s.tau3_residual,
-            "lambda": s.lagrange_multiplier,
-            "quartic_residual": s.quartic_residual,
-            "lambda_residual": s.lambda_residual,
-        }
-        for s in samples
-    ]
+    lines = [spherecurves.FamilySample.CSV_HEADER] + [s.csv_row() for s in samples]
+    payload = [s.to_json_dict() for s in samples]
     return _finish(args, payload, None, lines, started)
 
 
@@ -356,18 +342,7 @@ def _cmd_conjecture(args, started: float) -> int:
 
     rows = odelab.conjecture_scan(args.order, args.alpha, args.beta_grid, args.span)
     payload = [row.to_json_dict() for row in rows]
-    header = "beta,law_residual,exact_tension_sup,fd_tension_sup,fd_roundoff_floor,fd_below_floor"
-    if args.order == 4:
-        header += ",scaling"
-    lines = [header]
-    for row in rows:
-        line = (
-            f"{row.beta!r},{row.law_residual!r},{row.exact_tension_sup!r},"
-            f"{row.fd_tension_sup!r},{row.fd_roundoff_floor!r},{str(row.fd_below_floor).lower()}"
-        )
-        if row.scaling is not None:
-            line += "," + ";".join(f"s^{p}*{c!r}" for p, c in row.scaling)
-        lines.append(line)
+    lines = [odelab.ConjectureRow.csv_header(args.order)] + [row.csv_row() for row in rows]
     return _finish(args, payload, None, lines, started)
 
 
@@ -431,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--curve",
         required=True,
-        choices=tuple(VERIFY_PARAMETERS),
+        choices=tuple(VERIFY_CURVES),
     )
     p.add_argument("--params", type=_parse_params, default="",
                    help="e.g. a2=1.2,b2=0.8 or y=2.5")

@@ -758,6 +758,22 @@ class ConjectureRow:
     def fd_below_floor(self) -> bool:
         return self.fd_tension_sup <= self.fd_roundoff_floor
 
+    @staticmethod
+    def csv_header(order: int) -> str:
+        """The CSV header of an order's scan: order four adds the scaling."""
+        fields = "beta,law_residual,exact_tension_sup,fd_tension_sup,fd_roundoff_floor"
+        return fields + ",fd_below_floor" + (",scaling" if order == 4 else "")
+
+    def csv_row(self) -> str:
+        line = (
+            f"{self.beta!r},{self.law_residual!r},{self.exact_tension_sup!r},"
+            f"{self.fd_tension_sup!r},{self.fd_roundoff_floor!r},"
+            f"{str(self.fd_below_floor).lower()}"
+        )
+        if self.scaling is not None:
+            line += "," + ";".join(f"s^{p}*{c!r}" for p, c in self.scaling)
+        return line
+
     def to_json_dict(self) -> dict:
         row = {
             "order": self.order,

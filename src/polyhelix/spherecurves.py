@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
@@ -303,14 +303,13 @@ class TrigCurve:
 
 # -- named curves ------------------------------------------------------------
 
-def great_circle() -> TrigCurve:
-    """The unit-speed geodesic."""
-    return TrigCurve(((1, 1),))
-
-
-def biharmonic_circle() -> TrigCurve:
-    """Circle with frequency sqrt(2) and half the mass on a constant axis."""
-    return TrigCurve(((2, Fraction(1, 2)),), Fraction(1, 2))
+def planar_circle(r: int) -> TrigCurve:
+    """The r-planar circle, r-harmonic on the unit sphere: squared frequency
+    r and weight 1/r on one rotating block, the rest on a constant axis, so
+    k1^2 = r - 1.  r = 1 is the great circle."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"planar circle order must be an integer >= 1, got {r!r}")
+    return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
 
 
 def biharmonic_two_freq(
@@ -318,16 +317,6 @@ def biharmonic_two_freq(
 ) -> TrigCurve:
     """Two equally weighted blocks with squared frequencies summing to 2."""
     return TrigCurve(((a2, Fraction(1, 2)), (b2, Fraction(1, 2))))
-
-
-def tri_planar() -> TrigCurve:
-    """Planar curve with squared frequency 3 and weight one third."""
-    return TrigCurve(((3, Fraction(1, 3)),), Fraction(2, 3))
-
-
-def four_planar() -> TrigCurve:
-    """Planar curve with frequency 2 and weight one quarter."""
-    return TrigCurve(((4, Fraction(1, 4)),), Fraction(3, 4))
 
 
 def tri_hyperbola_curve(y: int | float | Fraction) -> TrigCurve:
@@ -786,11 +775,18 @@ class FamilySample:
     quartic_residual: float
     lambda_residual: float
 
+    CSV_HEADER = "y,x,alpha1sq,alpha3sq,tau3_residual,lambda"
+
     def csv_row(self) -> str:
         return (
             f"{self.y!r},{self.x!r},{self.alpha1sq!r},{self.alpha3sq!r},"
             f"{self.tau3_residual!r},{self.lagrange_multiplier!r}"
         )
+
+    def to_json_dict(self) -> dict:
+        row = asdict(self)
+        row["lambda"] = row.pop("lagrange_multiplier")
+        return row
 
 
 def family_sample(curve: TrigCurve) -> FamilySample:

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from polyhelix import acceptance, classify, cli, odelab, spherecurves
 from polyhelix.cli import (
     DEFAULT_SEED,
-    VERIFY_PARAMETERS,
+    VERIFY_CURVES,
     _parse_grid,
     _parse_params,
     _parse_span,
@@ -32,6 +32,17 @@ from polyhelix.cli import (
 )
 from polyhelix.frenet import MAX_TENSION_ORDER, ConstraintEquation, ConstraintSystem
 from polyhelix.ratpoly import CurvaturePolynomial, ambient, kvar
+
+
+def case(label: str, *values):
+    """A parametrized case whose id is ``label`` joined to its string values
+    by "-", as pytest joins them: fixed here, so that removing a case
+    renames no other one.  The ``argv<n>`` labels keep the ids the cases
+    had when pytest numbered them by position."""
+    return pytest.param(
+        *values, id="-".join([label, *(v for v in values if isinstance(v, str))])
+    )
+
 
 def run(capsys, *argv: str) -> tuple[int, str]:
     code = dispatch(list(argv))
@@ -265,16 +276,7 @@ class TestClassify:
 
 
 class TestVerify:
-    @pytest.mark.parametrize(
-        "curve",
-        [
-            "biharmonic-circle",
-            "biharmonic-two-freq",
-            "tri-planar",
-            "tri-hyperbola",
-            "four-planar",
-        ],
-    )
+    @pytest.mark.parametrize("curve", list(VERIFY_CURVES))
     def test_all_curves_verify(self, capsys, curve):
         code, out = run(capsys, "verify", "--curve", curve)
         assert code == 0
@@ -411,7 +413,7 @@ class TestIntegrateConserve:
         assert len(out.strip().split("\n")) == 12
 
     def test_sphere_monitor_from_csv(self, capsys, tmp_path):
-        curve = spherecurves.tri_planar()
+        curve = spherecurves.planar_circle(3)
         samples = odelab.sample_trig_curve(curve, (0.0, curve.period()), 513)
         path = tmp_path / "circle.csv"
         samples.to_csv(path)
@@ -572,93 +574,108 @@ class TestBadNumbers:
     @pytest.mark.parametrize(
         "argv, value",
         [
-            (["integrate", "--profile", "k1=1e400", "--span", "1:2"], "inf"),
-            (["conjecture", "--order", "3", "--alpha", "nan", "--beta-grid", "0:1:2"], "nan"),
-            (["conjecture", "--order", "3", "--alpha", "inf", "--beta-grid", "0:1:2"], "inf"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:inf:2"], "0:inf:2"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:2",
-              "--span", "1:inf"], "1:inf"),
-            (["integrate", "--profile", "k1=1", "--span", "0:nan"], "0:nan"),
-            (["classify", "--order", "3", "--K", "nan"], "nan"),
-            (["classify", "--order", "3", "--K", "inf"], "inf"),
-            (["tau", "--order", "0"], "got 0"),
-            (["classify", "--order", "-5", "--K", "1"], "got -5"),
+            case("argv0", ["integrate", "--profile", "k1=1e400", "--span", "1:2"], "inf"),
+            case("argv1", ["conjecture", "--order", "3", "--alpha", "nan", "--beta-grid", "0:1:2"],
+                 "nan"),
+            case("argv2", ["conjecture", "--order", "3", "--alpha", "inf", "--beta-grid", "0:1:2"],
+                 "inf"),
+            case("argv3", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:inf:2"],
+                 "0:inf:2"),
+            case("argv4", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:2",
+                           "--span", "1:inf"],
+                 "1:inf"),
+            case("argv5", ["integrate", "--profile", "k1=1", "--span", "0:nan"], "0:nan"),
+            case("argv6", ["classify", "--order", "3", "--K", "nan"], "nan"),
+            case("argv7", ["classify", "--order", "3", "--K", "inf"], "inf"),
+            case("argv8", ["tau", "--order", "0"], "got 0"),
+            case("argv9", ["classify", "--order", "-5", "--K", "1"], "got -5"),
             # work bounds, checked before anything is allocated
-            (["classify", "--order", "282475249", "--K", "1"], "got 282475249"),
-            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "1e-12"], "step 1e-12"),
-            (["integrate", "--profile", "k1=1", "--span", "1:2", "--dimension", "1000000000"],
-             "dimension 1000000000"),
-            (["tau", "--order", "1000000"], "got 1000000"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:10000000000"],
-             "10000000000 points"),
+            case("argv10", ["classify", "--order", "282475249", "--K", "1"], "got 282475249"),
+            case("argv11", ["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "1e-12"],
+                 "step 1e-12"),
+            case("argv12", ["integrate", "--profile", "k1=1", "--span", "1:2", "--dimension",
+                            "1000000000"],
+                 "dimension 1000000000"),
+            case("argv13", ["tau", "--order", "1000000"], "got 1000000"),
+            case("argv14", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid",
+                            "0:1:10000000000"],
+                 "10000000000 points"),
             # the error estimate's 2h pass needs two steps
-            (["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.01"],
-             "span 0.0:0.01 is shorter than one step at 2h = 0.02"),
+            case("argv15", ["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.01"],
+                 "span 0.0:0.01 is shorter than one step at 2h = 0.02"),
             # a malformed zero pattern names the flag and the text given
-            (["tau", "--order", "3", "--zeros", "2,,3"], "--zeros: expected comma-separated"
-             " curvature indices such as 3,4, got '2,,3'"),
-            (["tau", "--order", "3", "--zeros", "a"], "--zeros: expected comma-separated"
-             " curvature indices such as 3,4, got 'a'"),
-            (["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
-             "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
-            (["classify", "--order", "11", "--K", "1"], "between 2 and 10, got 11"),
+            case("argv16", ["tau", "--order", "3", "--zeros", "2,,3"],
+                 "--zeros: expected comma-separated curvature indices such as 3,4, got '2,,3'"),
+            case("argv17", ["tau", "--order", "3", "--zeros", "a"],
+                 "--zeros: expected comma-separated curvature indices such as 3,4, got 'a'"),
+            case("argv18", ["classify", "--order", "3", "--K", "1", "--zeros", "3;4"],
+                 "--zeros: expected comma-separated curvature indices such as 3,4, got '3;4'"),
+            case("argv19", ["classify", "--order", "11", "--K", "1"], "between 2 and 10, got 11"),
             # every argument check runs before the K > 0 certificate
-            (["classify", "--order", "50001", "--K", "1", "--zeros", "3"], "got 50001"),
+            case("argv20", ["classify", "--order", "50001", "--K", "1", "--zeros", "3"],
+                 "got 50001"),
             # text that is no number names the flag and the text given
-            (["integrate", "--profile", "k1=1", "--span", "a:b"],
-             "--span: expected lo:hi with numeric bounds, got 'a:b'"),
-            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "abc"],
-             "--step: expected a positive number, got 'abc'"),
-            (["verify", "--curve", "tri-planar", "--tol", "1e-x"],
-             "--tol: expected a positive number, got '1e-x'"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:x"],
-             "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got '0:1:x'"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:y:3"],
-             "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got '0:y:3'"),
-            (["verify", "--curve", "tri-hyperbola", "--params", "y=abc"],
-             "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'y=abc'"),
-            (["verify", "--curve", "tri-hyperbola", "--params", "abc"],
-             "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'abc'"),
+            case("argv21", ["integrate", "--profile", "k1=1", "--span", "a:b"],
+                 "--span: expected lo:hi with numeric bounds, got 'a:b'"),
+            case("argv22", ["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "abc"],
+                 "--step: expected a positive number, got 'abc'"),
+            case("argv23", ["verify", "--curve", "tri-planar", "--tol", "1e-x"],
+                 "--tol: expected a positive number, got '1e-x'"),
+            case("argv24", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:1:x"],
+                 "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got "
+                 "'0:1:x'"),
+            case("argv25", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:y:3"],
+                 "--beta-grid: expected lo:hi:n with numeric bounds and a whole number n, got "
+                 "'0:y:3'"),
+            case("argv26", ["verify", "--curve", "tri-hyperbola", "--params", "y=abc"],
+                 "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'y=abc'"),
+            case("argv27", ["verify", "--curve", "tri-hyperbola", "--params", "abc"],
+                 "--params: expected name=value pairs such as a2=1.2,b2=0.8, got 'abc'"),
             # a name the curve does not take names it and the accepted ones
-            (["verify", "--curve", "tri-planar", "--params", "y=0.5"],
-             "--params: curve tri-planar takes no parameters, got y"),
-            (["verify", "--curve", "biharmonic-two-freq", "--params", "a2=1.5,b2=0.5,c=3"],
-             "--params: curve biharmonic-two-freq takes a2, b2, got c"),
+            case("argv28", ["verify", "--curve", "tri-planar", "--params", "y=0.5"],
+                 "--params: curve tri-planar takes no parameters, got y"),
+            case("argv29", ["verify", "--curve", "biharmonic-two-freq", "--params",
+                            "a2=1.5,b2=0.5,c=3"],
+                 "--params: curve biharmonic-two-freq takes a2, b2, got c"),
             # work bound on the family sweep, checked before the sweep
-            (["family", "tri-hyperbola", "--samples", "100000000"], "got 100000000"),
+            case("argv30", ["family", "tri-hyperbola", "--samples", "100000000"], "got 100000000"),
             # arithmetic overflow in the integrator is reported, never written out
-            (["integrate", "--profile", "k1=1e308", "--span", "0:1", "--step", "0.01",
-              "--out", os.devnull], "integration at step 0.01 overflowed"),
-            (["conjecture", "--order", "3", "--alpha", "1e200", "--beta-grid", "0:1:2"],
-             "integration at step 0.001 overflowed"),
+            case("argv31", ["integrate", "--profile", "k1=1e308", "--span", "0:1", "--step",
+                            "0.01", "--out", os.devnull],
+                 "integration at step 0.01 overflowed"),
+            case("argv32", ["conjecture", "--order", "3", "--alpha", "1e200", "--beta-grid",
+                            "0:1:2"],
+                 "integration at step 0.001 overflowed"),
             # an infinite step or tolerance would accept any residual
-            (["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "inf"],
-             "--step: must be positive and finite, got 'inf'"),
-            (["verify", "--curve", "biharmonic-circle", "--tol", "inf"],
-             "--tol: must be positive and finite, got 'inf'"),
-            (["verify", "--curve", "tri-planar", "--tol", "inf"],
-             "--tol: must be positive and finite, got 'inf'"),
-            (["verify", "--curve", "tri-planar", "--tol", "nan"],
-             "--tol: must be positive and finite, got 'nan'"),
+            case("argv33", ["integrate", "--profile", "k1=1", "--span", "1:2", "--step", "inf"],
+                 "--step: must be positive and finite, got 'inf'"),
+            case("argv34", ["verify", "--curve", "biharmonic-circle", "--tol", "inf"],
+                 "--tol: must be positive and finite, got 'inf'"),
+            case("argv35", ["verify", "--curve", "tri-planar", "--tol", "inf"],
+                 "--tol: must be positive and finite, got 'inf'"),
+            case("argv36", ["verify", "--curve", "tri-planar", "--tol", "nan"],
+                 "--tol: must be positive and finite, got 'nan'"),
             # at K <= 0 nothing is sampled, but the same input checks hold
-            (["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
-            (["classify", "--order", "11", "--K", "-1"], "between 2 and 10, got 11"),
-            (["classify", "--order", "1", "--K", "0"], "between 2 and 10, got 1"),
-            (["classify", "--order", "0", "--K", "0"], "got 0"),
-            (["classify", "--order", "50001", "--K", "-1"], "got 50001"),
+            case("argv37", ["classify", "--order", "3", "--K=-inf"], "K must be finite, got -inf"),
+            case("argv38", ["classify", "--order", "11", "--K", "-1"], "between 2 and 10, got 11"),
+            case("argv39", ["classify", "--order", "1", "--K", "0"], "between 2 and 10, got 1"),
+            case("argv40", ["classify", "--order", "0", "--K", "0"], "got 0"),
+            case("argv41", ["classify", "--order", "50001", "--K", "-1"], "got 50001"),
             # the joined form of a flag is checked the same way
-            (["verify", "--curve", "four-planar", "--tol=inf"],
-             "--tol: must be positive and finite, got 'inf'"),
+            case("argv42", ["verify", "--curve", "four-planar", "--tol=inf"],
+                 "--tol: must be positive and finite, got 'inf'"),
             # a separate value that begins with "-" parses as the joined form
-            (["classify", "--order", "3", "--K", "-inf"], "K must be finite, got -inf"),
-            (["conjecture", "--order", "3", "--alpha", "-inf", "--beta-grid", "0:1:2"],
-             "alpha must be finite and nonzero, got -inf"),
-            (["integrate", "--profile", "k1=1", "--span", "-1:-inf"], "-1:-inf"),
-            (["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "-inf:1:2"],
-             "-inf:1:2"),
+            case("argv43", ["classify", "--order", "3", "--K", "-inf"],
+                 "K must be finite, got -inf"),
+            case("argv44", ["conjecture", "--order", "3", "--alpha", "-inf", "--beta-grid", "0:1:2"],
+                 "alpha must be finite and nonzero, got -inf"),
+            case("argv45", ["integrate", "--profile", "k1=1", "--span", "-1:-inf"], "-1:-inf"),
+            case("argv46", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "-inf:1:2"],
+                 "-inf:1:2"),
             # 0 is a dimension like any other, not "use the default"
-            (["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step", "0.001",
-              "--dimension", "0"], "ambient dimension must be at least 2"),
+            case("argv47", ["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step",
+                            "0.001", "--dimension", "0"],
+                 "ambient dimension must be at least 2"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):
@@ -668,12 +685,12 @@ class TestBadNumbers:
         assert value in captured.err
 
     @pytest.mark.parametrize("argv, flag, value", [
-        (["classify", "--order", "2"], "--K", "-1e-3"),
-        (["classify", "--order", "2"], "--K", "-1e300"),
-        (["classify", "--order", "2"], "--K", "-0.5"),
-        (["conjecture", "--order", "3", "--beta-grid", "0:1:2"], "--alpha", "-1e-1"),
-        (["integrate", "--profile", "k1=1", "--step", "0.01"], "--span", "-1:1"),
-        (["conjecture", "--order", "3", "--alpha", "1"], "--beta-grid", "-1:1:3"),
+        case("argv0", ["classify", "--order", "2"], "--K", "-1e-3"),
+        case("argv1", ["classify", "--order", "2"], "--K", "-1e300"),
+        case("argv2", ["classify", "--order", "2"], "--K", "-0.5"),
+        case("argv3", ["conjecture", "--order", "3", "--beta-grid", "0:1:2"], "--alpha", "-1e-1"),
+        case("argv4", ["integrate", "--profile", "k1=1", "--step", "0.01"], "--span", "-1:1"),
+        case("argv5", ["conjecture", "--order", "3", "--alpha", "1"], "--beta-grid", "-1:1:3"),
     ])
     def test_signed_value_parses_like_the_joined_form(self, capsys, argv, flag, value):
         assert dispatch(argv + [f"{flag}={value}"]) == 0
@@ -742,32 +759,32 @@ class TestContract:
         assert dispatch(["tau", "--order", "3", "--tol", "-1"]) == 2
 
     @pytest.mark.parametrize("argv", [
-        ["tau", "--order", "3"],
-        ["family", "tri-hyperbola"],
-        ["integrate", "--profile", "k1=1", "--span", "0:1"],
-        ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"],
-        ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"],
-        ["reproduce"],
-        ["classify", "--order", "3", "--K", "1"],
+        case("argv0", ["tau", "--order", "3"]),
+        case("argv1", ["family", "tri-hyperbola"]),
+        case("argv2", ["integrate", "--profile", "k1=1", "--span", "0:1"]),
+        case("argv3", ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"]),
+        case("argv4", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"]),
+        case("argv5", ["reproduce"]),
+        case("argv6", ["classify", "--order", "3", "--K", "1"]),
     ])
     def test_tol_is_not_a_flag_of_commands_that_ignore_it(self, capsys, argv):
         assert dispatch(argv + ["--tol", "1e-3"]) == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--curve", "tri-planar"],
-        ["family", "tri-hyperbola"],
-        ["integrate", "--profile", "k1=1", "--span", "0:1"],
-        ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"],
-        ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"],
+        case("argv0", ["verify", "--curve", "tri-planar"]),
+        case("argv1", ["family", "tri-hyperbola"]),
+        case("argv2", ["integrate", "--profile", "k1=1", "--span", "0:1"]),
+        case("argv3", ["conserve", "--order", "3", "--in", "samples.csv", "--ambient", "flat"]),
+        case("argv4", ["conjecture", "--order", "3", "--alpha", "1", "--beta-grid", "0:3:2"]),
     ])
     def test_seed_is_not_a_flag_of_commands_that_ignore_it(self, capsys, argv):
         assert dispatch(argv + ["--seed", "7"]) == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--curve", "four-planar"],
-        ["verify", "--curve", "tri-planar"],
+        case("argv0", ["verify", "--curve", "four-planar"]),
+        case("argv1", ["verify", "--curve", "tri-planar"]),
     ])
     def test_negative_tol_is_rejected(self, capsys, argv):
         assert dispatch(argv + ["--tol", "-1"]) == 2
@@ -881,10 +898,10 @@ def verify_requests(draw) -> tuple[str, str]:
     """A curve and --params text: name=value pairs, usually over the names
     the curve takes, with values usually inside the tri-hyperbola domain
     (0, 3), uniform or across every decade of scale; or any text."""
-    curve = draw(st.sampled_from(sorted(VERIFY_PARAMETERS)))
+    curve = draw(st.sampled_from(sorted(VERIFY_CURVES)))
     if draw(st.integers(0, 4)) == 0:
         return curve, draw(st.text(max_size=20))
-    names = mostly(st.sampled_from(sorted(VERIFY_PARAMETERS[curve]) or ["y"]),
+    names = mostly(st.sampled_from(sorted(VERIFY_CURVES[curve].params) or ["y"]),
                    st.sampled_from(["y", "a2", "b2", "x"]))
     scales = st.integers(-320, 0).map(lambda e: 3.0 * 10.0**e)
     values = mostly(st.one_of(st.floats(0.0, 3.0), scales).map(repr), number_texts)

@@ -43,7 +43,7 @@ from pathlib import Path
 import pytest
 
 from polyhelix.classify import negative_K_scan, solve_helix
-from polyhelix.cli import dispatch
+from polyhelix.cli import VERIFY_CURVES, dispatch
 from polyhelix.frenet import constraint_system
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -55,14 +55,6 @@ HIGH_ORDER_DIGESTS = Path(__file__).parent / "high_order_sha256.json"
 HIGH_ORDERS = (9, 10)
 DIGEST_ORDERS = range(2, 9)
 TAU_FORMATS = ("text", "latex", "json")
-
-VERIFY_CURVES = (
-    "biharmonic-circle",
-    "biharmonic-two-freq",
-    "tri-planar",
-    "tri-hyperbola",
-    "four-planar",
-)
 
 CASES = {
     **{f"tau_r{r}": ["tau", "--order", str(r), "--format", "json"] for r in range(2, 8)},

@@ -50,12 +50,7 @@ from polyhelix.odelab import (
     parse_profile,
     sample_trig_curve,
 )
-from polyhelix.spherecurves import (
-    biharmonic_circle,
-    four_planar,
-    great_circle,
-    tri_planar,
-)
+from polyhelix.spherecurves import planar_circle
 from polyhelix.ratpoly import INVERSE_ARCLENGTH, CurvaturePolynomial as Poly, Monomial
 
 FLAT = 0.0    # ambient curvature of Euclidean space
@@ -325,7 +320,7 @@ class TestCurveSamples:
             samples.gram_defect()
 
     def test_closed_form_sampling(self):
-        curve = great_circle()
+        curve = planar_circle(1)
         samples = sample_trig_curve(curve, (0.0, 2.0 * math.pi), 257)
         assert len(samples) == 257
         assert samples.dimension == 2
@@ -617,7 +612,7 @@ class TestFlatChain:
 
 class TestMonitors:
     def test_tri_planar_invariant_is_minus_four(self):
-        curve = tri_planar()
+        curve = planar_circle(3)
         samples = sample_trig_curve(curve, (0.0, curve.period()), 512)
         report = conservation_monitor_tri(samples, SPHERE)
         assert report.drift < 1e-6
@@ -625,13 +620,13 @@ class TestMonitors:
         assert np.abs(report.values + 4.0).max() < 1e-6
 
     def test_great_circle_invariant_vanishes(self):
-        samples = sample_trig_curve(great_circle(), (0.0, 4.0 * math.pi), 1024)
+        samples = sample_trig_curve(planar_circle(1), (0.0, 4.0 * math.pi), 1024)
         report = conservation_monitor_tri(samples, SPHERE)
         assert report.drift < 1e-12
         assert abs(report.empirical_constant) < 1e-12
 
     def test_biharmonic_circle_tri_constant(self):
-        curve = biharmonic_circle()
+        curve = planar_circle(2)
         samples = sample_trig_curve(curve, (0.0, 4.0 * curve.period()), 2048)
         report = conservation_monitor_tri(samples, SPHERE)
         assert report.drift < 1e-6
@@ -644,14 +639,14 @@ class TestMonitors:
         assert abs(report.empirical_constant) < 1e-5
 
     def test_four_planar_invariant_is_twenty_seven(self):
-        curve = four_planar()
+        curve = planar_circle(4)
         samples = sample_trig_curve(curve, (0.0, 4.0 * curve.period()), 2048)
         report = conservation_monitor_four(samples, SPHERE)
         assert report.drift < 1e-5
         assert abs(report.empirical_constant - 27.0) < 1e-5
 
     def test_great_circle_four_invariant_vanishes(self):
-        samples = sample_trig_curve(great_circle(), (0.0, 4.0 * math.pi), 1024)
+        samples = sample_trig_curve(planar_circle(1), (0.0, 4.0 * math.pi), 1024)
         report = conservation_monitor_four(samples, SPHERE)
         assert report.drift < 1e-12
         assert abs(report.empirical_constant) < 1e-12
@@ -660,7 +655,7 @@ class TestMonitors:
         # a circle makes every squared covariant norm constant, so the
         # invariant is trivially constant; its value 1 = k1^6 records that
         # constancy alone cannot certify the order-four equation here
-        curve = biharmonic_circle()
+        curve = planar_circle(2)
         samples = sample_trig_curve(curve, (0.0, 4.0 * curve.period()), 2048)
         report = conservation_monitor_four(samples, SPHERE)
         assert report.drift < 1e-5
@@ -675,7 +670,7 @@ class TestMonitors:
         assert np.abs(report.values - predicted).max() < 1e-4
 
     def test_monitor_input_validation(self):
-        curve = great_circle()
+        curve = planar_circle(1)
         short = sample_trig_curve(curve, (0.0, 2.0 * math.pi), 63)
         with pytest.raises(ValueError, match="64"):
             conservation_monitor_tri(short, SPHERE)
@@ -689,11 +684,11 @@ class TestMonitors:
     @pytest.mark.parametrize(
         "monitor, curve, minimum, end, stride, interior, invariant",
         [
-            (conservation_monitor_tri, tri_planar(), 64, 2.0 * math.pi, 1, 44, -4.0),
+            (conservation_monitor_tri, planar_circle(3), 64, 2.0 * math.pi, 1, 44, -4.0),
             # a short span caps the stride at n // budget: 32 of 64 samples
             # for the budget 28, and exactly the budget 32 of 128 samples
-            (conservation_monitor_tri, tri_planar(), 64, 1.0, 2, 12, -4.0),
-            (conservation_monitor_four, four_planar(), 128, 1.0, 4, 8, 27.0),
+            (conservation_monitor_tri, planar_circle(3), 64, 1.0, 2, 12, -4.0),
+            (conservation_monitor_four, planar_circle(4), 128, 1.0, 4, 8, 27.0),
         ],
     )
     @pytest.mark.parametrize("K", [FLAT, SPHERE])
@@ -709,7 +704,7 @@ class TestMonitors:
             monitor(sample_trig_curve(curve, (0.0, end), minimum - 1), K)
 
     def test_report_serialization(self):
-        curve = tri_planar()
+        curve = planar_circle(3)
         samples = sample_trig_curve(curve, (0.0, curve.period()), 512)
         report = conservation_monitor_tri(samples, SPHERE)
         payload = report.to_json_dict()
@@ -851,7 +846,7 @@ class TestConjectureScan:
     def test_closed_curves_use_stencil_estimates(self):
         # a full period of the great circle: the estimate still comes from
         # the stride-2 stencil, whose window drops 7 strided points per end
-        samples = sample_trig_curve(great_circle(), (0.0, 2.0 * math.pi), 513)
+        samples = sample_trig_curve(planar_circle(1), (0.0, 2.0 * math.pi), 513)
         sup, floor, window = _fd_tension_sup(samples, 6, 0.02)
         assert np.array_equal(window, samples.s_values()[::2][7:-7])
         assert math.isclose(sup, 1.0, rel_tol=1e-3)

@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyhelix import acceptance, spherecurves
-from polyhelix.cli import VERIFY_PARAMETERS, dispatch
+from polyhelix.classify import solve_helix
+from polyhelix.cli import VERIFY_CURVES, dispatch
 from polyhelix.frenet import MAX_TENSION_ORDER
 from polyhelix.spherecurves import (
     BumpPerturbation,
@@ -30,21 +31,18 @@ from polyhelix.spherecurves import (
     _tension,
     _jet_rsqrt,
     _projected_jet,
-    biharmonic_circle,
     biharmonic_two_freq,
     covariant_jets,
     equation_residual,
     family_quartic_residual,
     first_variation,
-    four_planar,
     geodesic_curvatures,
-    great_circle,
     intrinsic_tau_residual,
+    planar_circle,
     random_bump,
     tension_at,
     tri_hyperbola_curve,
     tri_hyperbola_family,
-    tri_planar,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -85,12 +83,6 @@ def sampled_density_defect(curve: TrigCurve, r: int) -> float:
     top = covariant_jets(jet, 1, r - 1)[-1]
     sampled = np.einsum("...i,...i->...", top, top)
     return float(np.abs(sampled - density).max()) / (1.0 + abs(density))
-
-
-def r_planar(r: int) -> TrigCurve:
-    """Planar curve critical at order r: squared frequency r, weight 1/r
-    (k1^2 = r - 1); tri_planar and four_planar are r = 3 and 4."""
-    return TrigCurve(((r, Fraction(1, r)),), 1 - Fraction(1, r))
 
 
 def inner_exact(curve: TrigCurve, p: int, q: int):
@@ -155,7 +147,7 @@ def lambda_system_residual(x, y, a1sq, a3sq, lam):
 def highest_order_group(r: int) -> tuple[TrigCurve, list[BumpPerturbation]]:
     """The r-planar curve and three sin^10 bumps: sharp enough for orders up
     to 10."""
-    curve = r_planar(r)
+    curve = planar_circle(r)
     rng = np.random.default_rng(r)
     return curve, [
         replace(random_bump(curve.dimension, rng), sharpness=5) for _ in range(3)
@@ -271,27 +263,54 @@ class TestConstruction:
             TrigCurve(())
 
     def test_dimension_counts_constant_axis(self):
-        assert great_circle().dimension == 2
-        assert biharmonic_circle().dimension == 3
+        assert planar_circle(1).dimension == 2
+        assert planar_circle(2).dimension == 3
         assert biharmonic_two_freq().dimension == 4
-        assert tri_planar().dimension == 3
+        assert planar_circle(3).dimension == 3
 
     def test_named_curves_are_arclength(self):
         for curve in (
-            great_circle(),
-            biharmonic_circle(),
+            planar_circle(1),
+            planar_circle(2),
             biharmonic_two_freq(),
-            tri_planar(),
-            four_planar(),
+            planar_circle(3),
+            planar_circle(4),
             tri_hyperbola_curve(2),
         ):
             assert abs(curve.moment(1) - 1.0) < 1e-12
 
     def test_point_lies_on_unit_sphere(self):
-        for curve in (biharmonic_circle(), biharmonic_two_freq(), four_planar()):
+        for curve in (planar_circle(2), biharmonic_two_freq(), planar_circle(4)):
             s = np.linspace(0.0, 7.0, 11)
             radii = np.linalg.norm(curve(s), axis=-1)
             assert np.abs(radii - 1.0).max() < 1e-12
+
+
+
+class TestPlanarCircle:
+    @pytest.mark.parametrize("r, blocks, constant_weight", [
+        (1, ((1, 1),), 0),
+        (2, ((2, Fraction(1, 2)),), Fraction(1, 2)),
+        (3, ((3, Fraction(1, 3)),), Fraction(2, 3)),
+        (4, ((4, Fraction(1, 4)),), Fraction(3, 4)),
+    ])
+    def test_low_orders_are_the_great_biharmonic_tri_and_four_circles(
+        self, r, blocks, constant_weight
+    ):
+        assert planar_circle(r) == TrigCurve(blocks, constant_weight)
+
+    @pytest.mark.parametrize("r", range(2, 11))
+    def test_first_curvature_squared_is_the_classified_circle(self, r):
+        # k1^2 = (r - 1) K at K = 1: the circle root of the {2..} system
+        (k1,) = geodesic_curvatures(planar_circle(r), 1)
+        assert k1**2 == pytest.approx(r - 1, rel=1e-12, abs=0)
+        (root,) = solve_helix(r, 1.0, {2}).solutions
+        assert k1**2 == pytest.approx(root.curvatures[0] ** 2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("r", [0, -3, True, 2.0, Fraction(3), "3"])
+    def test_order_must_be_an_integer_from_one(self, r):
+        with pytest.raises(ValueError, match="planar circle order"):
+            planar_circle(r)
 
 
 # -- derivative evaluators ---------------------------------------------------
@@ -305,12 +324,12 @@ class TestDerivatives:
             assert np.abs(norms_sq - curve.moment(l)).max() < 1e-10
 
     def test_great_circle_second_derivative_is_minus_point(self):
-        curve = great_circle()
+        curve = planar_circle(1)
         s = np.linspace(0.0, 6.0, 7)
         assert np.abs(curve.derivative(2)(s) + curve(s)).max() < 1e-14
 
     def test_biharmonic_circle_acceleration_norm(self):
-        assert abs(biharmonic_circle().moment(2) - 2.0) < 1e-15
+        assert abs(planar_circle(2).moment(2) - 2.0) < 1e-15
 
     def test_finite_difference_agrees_with_closed_form(self):
         curve = tri_hyperbola_curve(Fraction(5, 2))
@@ -344,11 +363,11 @@ class TestSphereIdentities:
     def test_arclength_curves_satisfy_identities(self):
         s = np.linspace(0.0, 9.0, 33)
         for curve in (
-            great_circle(),
-            biharmonic_circle(),
+            planar_circle(1),
+            planar_circle(2),
             biharmonic_two_freq(),
-            tri_planar(),
-            four_planar(),
+            planar_circle(3),
+            planar_circle(4),
             tri_hyperbola_curve(2),
         ):
             assert sphere_identities_defect(curve, s) < 1e-11
@@ -430,7 +449,7 @@ def off_shell_curves() -> list[TrigCurve]:
     """Named curves off their own order and random two-block curves: none
     solves the order-two or the order-four equation."""
     rng = np.random.default_rng(7)
-    curves = [tri_planar(), r_planar(5), tri_hyperbola_curve(2)]
+    curves = [planar_circle(3), planar_circle(5), tri_hyperbola_curve(2)]
     while len(curves) < 20:
         curve = arclength_two_block(*rng.uniform(0.3, 4.0, size=2))
         if curve is not None:
@@ -440,10 +459,10 @@ def off_shell_curves() -> list[TrigCurve]:
 
 class TestHandExpandedOracles:
     def test_oracles_vanish_on_their_solutions(self):
-        assert biharmonic_ode_residual(biharmonic_circle()) < 1e-12
+        assert biharmonic_ode_residual(planar_circle(2)) < 1e-12
         assert biharmonic_ode_residual(biharmonic_two_freq()) < 1e-12
-        assert fourharmonic_ode_residual(four_planar()) < 1e-10
-        assert fourharmonic_ode_residual(great_circle()) < 1e-12
+        assert fourharmonic_ode_residual(planar_circle(4)) < 1e-10
+        assert fourharmonic_ode_residual(planar_circle(1)) < 1e-12
 
     @pytest.mark.parametrize(
         "r, oracle", [(2, biharmonic_ode_residual), (4, fourharmonic_ode_residual)]
@@ -468,7 +487,7 @@ class TestHandExpandedOracles:
 
 class TestBiharmonicResidual:
     def test_circle_solves_the_ode(self):
-        assert equation_residual(biharmonic_circle(), 2) < 1e-12
+        assert equation_residual(planar_circle(2), 2) < 1e-12
 
     def test_two_frequency_family_solves_the_ode(self):
         for a2, b2 in (
@@ -479,10 +498,10 @@ class TestBiharmonicResidual:
             assert equation_residual(biharmonic_two_freq(a2, b2), 2) < 1e-12
 
     def test_great_circle_solves_the_ode(self):
-        assert equation_residual(great_circle(), 2) < 1e-12
+        assert equation_residual(planar_circle(1), 2) < 1e-12
 
     def test_higher_order_curve_fails_the_ode(self):
-        assert equation_residual(tri_planar(), 2) > 0.1
+        assert equation_residual(planar_circle(3), 2) > 0.1
 
     def test_rejects_non_arclength_input(self):
         slow = TrigCurve(((1, Fraction(1, 2)),), Fraction(1, 2))
@@ -494,13 +513,13 @@ class TestBiharmonicResidual:
 
 class TestFourharmonicResidual:
     def test_planar_frequency_two_curve_solves_the_ode(self):
-        assert equation_residual(four_planar(), 4) < 1e-10
+        assert equation_residual(planar_circle(4), 4) < 1e-10
 
     def test_great_circle_solves_the_ode(self):
-        assert equation_residual(great_circle(), 4) < 1e-12
+        assert equation_residual(planar_circle(1), 4) < 1e-12
 
     def test_biharmonic_circle_misses_by_two(self):
-        residual = equation_residual(biharmonic_circle(), 4)
+        residual = equation_residual(planar_circle(2), 4)
         assert residual > 0.1
         assert abs(residual - 2.0) < 1e-10
 
@@ -509,37 +528,37 @@ class TestFourharmonicResidual:
 
 class TestIntrinsicTension:
     def test_certified_curves_have_zero_tension_at_own_order(self):
-        assert intrinsic_tau_residual(biharmonic_circle(), 2) < 1e-12
+        assert intrinsic_tau_residual(planar_circle(2), 2) < 1e-12
         assert intrinsic_tau_residual(biharmonic_two_freq(), 2) < 1e-12
-        assert intrinsic_tau_residual(tri_planar(), 3) < 1e-10
-        assert intrinsic_tau_residual(four_planar(), 4) < 1e-10
+        assert intrinsic_tau_residual(planar_circle(3), 3) < 1e-10
+        assert intrinsic_tau_residual(planar_circle(4), 4) < 1e-10
         assert intrinsic_tau_residual(tri_hyperbola_curve(2), 3) < 1e-10
 
     def test_geodesic_has_zero_tension_at_every_order(self):
         for r in (2, 3, 4):
-            assert intrinsic_tau_residual(great_circle(), r) < 1e-12
+            assert intrinsic_tau_residual(planar_circle(1), r) < 1e-12
 
     def test_orders_do_not_transfer(self):
-        assert intrinsic_tau_residual(biharmonic_circle(), 3) > 0.1
-        assert intrinsic_tau_residual(tri_planar(), 2) > 0.1
-        assert intrinsic_tau_residual(four_planar(), 3) > 0.1
+        assert intrinsic_tau_residual(planar_circle(2), 3) > 0.1
+        assert intrinsic_tau_residual(planar_circle(3), 2) > 0.1
+        assert intrinsic_tau_residual(planar_circle(4), 3) > 0.1
 
     def test_rejects_unsupported_order(self):
         bump = BumpPerturbation(start=1.0, width=2.0, direction=(1.0, 0.0, 0.0))
         for r in (1, MAX_TENSION_ORDER + 1):
             with pytest.raises(ValueError, match=f"got {r}$"):
-                intrinsic_tau_residual(biharmonic_circle(), r)
+                intrinsic_tau_residual(planar_circle(2), r)
             with pytest.raises(ValueError, match=f"got {r}$"):
-                first_variation(biharmonic_circle(), r, [bump])
+                first_variation(planar_circle(2), r, [bump])
 
     @pytest.mark.parametrize(
         "curve, r",
         [
-            (biharmonic_circle(), 2),
+            (planar_circle(2), 2),
             (biharmonic_two_freq(), 2),
             (biharmonic_two_freq(Fraction(6, 5), Fraction(4, 5)), 2),
         ]
-        + [(r_planar(r), r) for r in range(3, MAX_TENSION_ORDER + 1)]
+        + [(planar_circle(r), r) for r in range(3, MAX_TENSION_ORDER + 1)]
         + [
             (tri_hyperbola_curve(y), 3)
             for y in (0.0625, 0.5, 2, 2.98, 1e-300, Fraction("1e-300"))
@@ -557,16 +576,16 @@ class TestIntrinsicTension:
 
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_critical_only_at_its_order(self, r):
-        assert intrinsic_tau_residual(r_planar(r), r) < 1e-9
-        assert intrinsic_tau_residual(r_planar(r), r + 1) > 0.1
+        assert intrinsic_tau_residual(planar_circle(r), r) < 1e-9
+        assert intrinsic_tau_residual(planar_circle(r), r + 1) > 0.1
 
     @pytest.mark.parametrize("r", range(2, MAX_TENSION_ORDER + 1))
     def test_equation_residual_separates_every_order(self, r):
         # the sampled residual sits near 4e-15 relative to its largest term,
         # so its floor grows with r; the neighbouring order is the control
         control = r + 1 if r < MAX_TENSION_ORDER else r - 1
-        on_shell = equation_residual(r_planar(r), r)
-        assert on_shell <= 1e-10 * equation_residual(r_planar(r), control)
+        on_shell = equation_residual(planar_circle(r), r)
+        assert on_shell <= 1e-10 * equation_residual(planar_circle(r), control)
 
     def test_tension_and_ode_residual_agree_across_sweep(self):
         # planted solutions plus random two-block curves: the intrinsic and
@@ -594,16 +613,16 @@ class TestIntrinsicTension:
 
 class TestGeodesicCurvatures:
     def test_biharmonic_circle_curvature_is_one(self):
-        (k1,) = geodesic_curvatures(biharmonic_circle(), 1)
+        (k1,) = geodesic_curvatures(planar_circle(2), 1)
         assert abs(k1 - 1.0) < 1e-12
 
     def test_planar_curves_hit_frozen_curvatures(self):
-        assert abs(geodesic_curvatures(tri_planar(), 1)[0] - SQRT2) < 1e-12
-        assert abs(geodesic_curvatures(four_planar(), 1)[0] - SQRT3) < 1e-12
+        assert abs(geodesic_curvatures(planar_circle(3), 1)[0] - SQRT2) < 1e-12
+        assert abs(geodesic_curvatures(planar_circle(4), 1)[0] - SQRT3) < 1e-12
 
     def test_planar_curves_degenerate_at_second_curvature(self):
         with pytest.raises(FrameDegeneracyError) as info:
-            geodesic_curvatures(tri_planar(), 2)
+            geodesic_curvatures(planar_circle(3), 2)
         assert info.value.curvatures == pytest.approx((SQRT2,), abs=1e-12)
 
     def test_hyperbola_sample_curvatures(self):
@@ -617,14 +636,14 @@ class TestGeodesicCurvatures:
 
     def test_great_circle_degenerates_immediately(self):
         with pytest.raises(FrameDegeneracyError) as info:
-            geodesic_curvatures(great_circle(), 1)
+            geodesic_curvatures(planar_circle(1), 1)
         assert info.value.curvatures == ()
 
     def test_count_bounded_by_frame_capacity(self):
         with pytest.raises(ValueError):
-            geodesic_curvatures(biharmonic_circle(), 3)
+            geodesic_curvatures(planar_circle(2), 3)
         with pytest.raises(ValueError):
-            geodesic_curvatures(biharmonic_circle(), 0)
+            geodesic_curvatures(planar_circle(2), 0)
 
     @given(x=st.floats(0.3, 5.0), y=st.floats(0.3, 5.0))
     @settings(max_examples=30, deadline=None)
@@ -652,18 +671,18 @@ class TestLagrangian:
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_exact_density_matches_sampled_jets(self, r):
         for curve in (
-            biharmonic_circle(),
+            planar_circle(2),
             biharmonic_two_freq(),
-            tri_planar(),
+            planar_circle(3),
             tri_hyperbola_curve(2),
-            four_planar(),
+            planar_circle(4),
         ):
             assert sampled_density_defect(curve, r) < 1e-8
 
     def test_frozen_densities_of_certified_curves(self):
-        assert exact_density(biharmonic_circle(), 2) == pytest.approx(1.0, abs=1e-12)
-        assert exact_density(tri_planar(), 3) == pytest.approx(4.0, abs=1e-12)
-        assert exact_density(four_planar(), 4) == pytest.approx(27.0, abs=1e-12)
+        assert exact_density(planar_circle(2), 2) == pytest.approx(1.0, abs=1e-12)
+        assert exact_density(planar_circle(3), 3) == pytest.approx(4.0, abs=1e-12)
+        assert exact_density(planar_circle(4), 4) == pytest.approx(27.0, abs=1e-12)
 
     def test_density_matches_single_block_closed_form(self):
         # one rotating block of weight w and squared frequency x gives
@@ -748,11 +767,11 @@ class TestGramMoments:
     @pytest.mark.parametrize(
         "curve",
         [
-            great_circle(),
-            biharmonic_circle(),
+            planar_circle(1),
+            planar_circle(2),
             biharmonic_two_freq(),
-            tri_planar(),
-            four_planar(),
+            planar_circle(3),
+            planar_circle(4),
             tri_hyperbola_curve(2),
         ]
         + [tri_hyperbola_curve(y) for y in (1e-300, 0.0625, 0.5, 1.625, 2.98)],
@@ -770,7 +789,7 @@ class TestGramMoments:
         assert gram_defects(curve, GRAM_ORDER) == []
 
     @pytest.mark.parametrize(
-        "curve", [biharmonic_circle(), biharmonic_two_freq(), tri_hyperbola_curve(2)]
+        "curve", [planar_circle(2), biharmonic_two_freq(), tri_hyperbola_curve(2)]
     )
     @pytest.mark.parametrize("max_order", [2, 6, GRAM_ORDER])
     def test_gram_converts_each_block_once_per_moment(self, curve, max_order):
@@ -817,7 +836,7 @@ class TestTensionBuilds:
         yield count
         _tension.cache_clear()
 
-    @pytest.mark.parametrize("curve", sorted(VERIFY_PARAMETERS))
+    @pytest.mark.parametrize("curve", sorted(VERIFY_CURVES))
     def test_verify_builds_once_per_curve(self, builds, capsys, curve):
         assert dispatch(["verify", "--curve", curve, "--json"]) == 0
         assert builds[0] == 1
@@ -984,9 +1003,9 @@ class TestFirstVariation:
     def test_certified_curves_are_stationary(self):
         rng = np.random.default_rng(7)
         for curve, order in (
-            (biharmonic_circle(), 2),
-            (tri_planar(), 3),
-            (four_planar(), 4),
+            (planar_circle(2), 2),
+            (planar_circle(3), 3),
+            (planar_circle(4), 4),
         ):
             bump = random_bump(curve.dimension, rng)
             (value,) = first_variation(curve, order, [bump])
@@ -994,13 +1013,13 @@ class TestFirstVariation:
 
     def test_non_critical_pair_shows_nonzero_variation(self):
         rng = np.random.default_rng(42)
-        bump = random_bump(tri_planar().dimension, rng)
-        (value,) = first_variation(tri_planar(), 2, [bump])
+        bump = random_bump(planar_circle(3).dimension, rng)
+        (value,) = first_variation(planar_circle(3), 2, [bump])
         assert abs(value) > 1e-3
 
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_stationary_only_at_its_order(self, r):
-        curve = r_planar(r)
+        curve = planar_circle(r)
         bumps = [random_bump(curve.dimension, np.random.default_rng(r))]
         assert abs(first_variation(curve, r, bumps)[0]) < 1e-6
         assert abs(first_variation(curve, r + 1, bumps)[0]) > 1e-3
@@ -1020,7 +1039,7 @@ class TestFirstVariation:
         # each pair is critical one order below, so both routes read far
         # from 0; orders 8-10 take one bump each, since those bumps run all
         # quadrature levels
-        curve = tri_planar() if r == 2 else r_planar(r - 1)
+        curve = planar_circle(3) if r == 2 else planar_circle(r - 1)
         rng = np.random.default_rng(r)
         bumps = [
             replace(random_bump(curve.dimension, rng), sharpness=5)
@@ -1032,7 +1051,7 @@ class TestFirstVariation:
 
     def test_rejects_a_bump_too_blunt_for_the_order(self):
         # a sin^8 bump's ninth derivative does not vanish at its support ends
-        curve = r_planar(9)
+        curve = planar_circle(9)
         bump = random_bump(curve.dimension, np.random.default_rng(0))
         assert bump.sharpness == 4
         with pytest.raises(ValueError, match="sharpness at least 5, got sharpness 4"):
@@ -1041,15 +1060,15 @@ class TestFirstVariation:
     def test_rejects_bumps_of_mixed_sharpness(self):
         bump = random_bump(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"share a sharpness, got \[4, 5\]"):
-            first_variation(tri_planar(), 3, [bump, replace(bump, sharpness=5)])
+            first_variation(planar_circle(3), 3, [bump, replace(bump, sharpness=5)])
 
     def test_empty_group_has_no_values(self, passes):
-        assert first_variation(tri_planar(), 3, []) == []
+        assert first_variation(planar_circle(3), 3, []) == []
         assert passes == []
 
     @pytest.mark.parametrize(
         "curve, matched, wrong",
-        [(tri_planar(), 3, 2), (four_planar(), 4, 3), (biharmonic_circle(), 2, 3)],
+        [(planar_circle(3), 3, 2), (planar_circle(4), 4, 3), (planar_circle(2), 2, 3)],
         ids=["tri-planar", "four-planar", "biharmonic-circle"],
     )
     def test_agrees_with_five_point_stencil_oracle(self, curve, matched, wrong):
@@ -1124,7 +1143,7 @@ class TestFirstVariation:
             return jet(bump, s, orders)
 
         monkeypatch.setattr(BumpPerturbation, "jet", record)
-        curve = four_planar()
+        curve = planar_circle(4)
         rng = np.random.default_rng(5)
         bumps = [random_bump(curve.dimension, rng) for _ in range(10)]
         values = first_variation(curve, 4, bumps)
@@ -1158,7 +1177,7 @@ class TestJets:
     def test_covariant_jets_match_push_forward_formulas(self):
         # oracle: hand push-forward of nabla^l T (l <= 3) for an arclength
         # curve on the unit sphere
-        curve = tri_planar()
+        curve = planar_circle(3)
         s = np.linspace(0.0, curve.period(), 33)
         g = [curve.derivative(l)(s) for l in range(5)]
 
@@ -1183,7 +1202,7 @@ class TestJets:
                 assert np.abs(got - want).max() < 1e-12
 
     def test_flat_covariant_jets_are_plain_derivatives(self):
-        curve = four_planar()
+        curve = planar_circle(4)
         s = np.linspace(0.0, 1.0, 5)
         g = [curve.derivative(l)(s) for l in range(5)]
         fields = covariant_jets(g, 0.0, 3)
