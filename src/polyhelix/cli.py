@@ -53,6 +53,7 @@ class VerifyCurve(NamedTuple):
     builder: str | None = None
 
 
+# here, not in spherecurves: the parser names the curves without loading numpy
 VERIFY_CURVES = {
     "biharmonic-circle": VerifyCurve(2, {}, ("equation_residual", "tension_residual")),
     "biharmonic-two-freq": VerifyCurve(

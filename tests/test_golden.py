@@ -7,6 +7,8 @@ Each file under ``tests/golden/`` is the standard output of the command of
 the same name below.  Recapture a file only for an intended output change,
 by running its command with ``--out`` pointing at the file.  The ``conserve``
 cases read a trajectory that the test first writes with :data:`TRAJECTORY`.
+The default ``verify`` case of each curve comes from ``cli.VERIFY_CURVES``,
+so a curve added there without its golden file fails.
 
 Every canonical constraint system of orders 2..8 (the full system and each
 upward-closed zero pattern, 63 in all) must render to the SHA-256 digest

@@ -286,7 +286,6 @@ class TestConstruction:
             assert np.abs(radii - 1.0).max() < 1e-12
 
 
-
 class TestPlanarCircle:
     @pytest.mark.parametrize("r, blocks, constant_weight", [
         (1, ((1, 1),), 0),
