@@ -228,7 +228,7 @@ def _cmd_classify(args, started: float) -> int:
 
 
 def _cmd_verify(args, started: float) -> int:
-    order, defaults, names, builder = VERIFY_CURVES[args.curve]
+    order, defaults, check_names, builder = VERIFY_CURVES[args.curve]
     unknown = sorted(set(args.params) - set(defaults))
     if unknown:
         takes = ", ".join(defaults) if defaults else "no parameters"
@@ -258,7 +258,7 @@ def _cmd_verify(args, started: float) -> int:
         parameters["x"] = float(curve.blocks[0][0])
     checks = {}
     passed = True
-    for check in names:
+    for check in check_names:
         value = compute[check](curve, order)
         tolerance = args.tol if args.tol is not None else spherecurves.TOLERANCES[check]
         ok = value < tolerance
