@@ -6,7 +6,8 @@ curvature-profile lab.
 Each file under ``tests/golden/`` is the standard output of the command of
 the same name below.  Recapture a file only for an intended output change,
 by running its command with ``--out`` pointing at the file.  The ``conserve``
-cases read a trajectory that the test first writes with :data:`TRAJECTORY`.
+cases read a trajectory that the test first writes with :data:`TRAJECTORY`;
+an ``integrate`` case with ``--out`` writes its samples to a temporary file.
 The default ``verify`` case of each curve comes from ``cli.VERIFY_CURVES``,
 so a curve added there without its golden file fails.
 
@@ -114,10 +115,13 @@ CONSERVE_CASES = {
 }
 
 # 201 RK4 steps (an odd count) of a constant-curvature helix in R^4
+HELIX_ODD = ["integrate", "--profile", "k1=0.6,k2=0.4,k3=0.3", "--span", "0:2.01", "--step", "0.01"]
+OUT_FILE = "{out}"  # stands for a file in the test's temporary directory
 INTEGRATE_CASES = {
-    "integrate_helix_odd.csv": [
-        "integrate", "--profile", "k1=0.6,k2=0.4,k3=0.3", "--span", "0:2.01", "--step", "0.01",
-    ],
+    "integrate_helix_odd.csv": HELIX_ODD,
+    # with --out the samples go to the file and the report, with the
+    # Richardson error estimate and the frame defect, to stdout
+    "integrate_helix_odd_out.json": HELIX_ODD + ["--out", OUT_FILE, "--json"],
 }
 
 
@@ -144,8 +148,9 @@ def test_conserve_report_is_byte_identical(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize("name", sorted(INTEGRATE_CASES))
-def test_integrate_csv_is_byte_identical(capsys, name):
-    assert dispatch(INTEGRATE_CASES[name]) == 0
+def test_integrate_csv_is_byte_identical(capsys, tmp_path, name):
+    argv = [str(tmp_path / "samples.csv") if a == OUT_FILE else a for a in INTEGRATE_CASES[name]]
+    assert dispatch(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
