@@ -297,6 +297,8 @@ def _cmd_integrate(args, started: float) -> int:
     profile = odelab.parse_profile(args.profile)
     dimension = profile.count + 1 if args.dimension is None else args.dimension
     samples = odelab.integrate_frenet(profile, dimension, args.span, args.step)
+    # before any output, so that an overflow of the 2h pass exits 2 on both paths
+    error_estimate = odelab.richardson_error(profile, samples)
     if args.out is None:
         samples.to_csv(sys.stdout)
         return 0
@@ -307,13 +309,10 @@ def _cmd_integrate(args, started: float) -> int:
         "span": list(samples.span),
         "step": samples.h,
         "samples": len(samples),
-        "error_estimate": samples.error_estimate,
+        "error_estimate": error_estimate,
         "frame_defect": samples.gram_defect(),
     }
-    line = (
-        f"wrote {len(samples)} samples to {args.out} "
-        f"(error estimate {samples.error_estimate:.3e})"
-    )
+    line = f"wrote {len(samples)} samples to {args.out} (error estimate {error_estimate:.3e})"
     # the samples went to --out, so the report goes to stdout
     args.out = None
     return _finish(args, summary, None, [line], started)

@@ -4,9 +4,9 @@ curvature functions.
 Three instruments live here:
 
 * a fixed-step RK4 Frenet-frame integrator for Euclidean ambient space,
-  with periodic frame re-orthonormalization and a Richardson error estimate
-  that refers to the returned samples (a pass at twice the step over the
-  first 2*floor(steps/2) steps, compared at that sample).  The frame obeys
+  with periodic frame re-orthonormalization, and on request a Richardson
+  error estimate that refers to its samples (a pass at twice the step over
+  the first 2*floor(steps/2) steps, compared at that sample).  The frame obeys
   a linear system, so each RK4 step is one matrix: the step maps are built
   in batched chunks and chained by prefix products within each block of
   :data:`REORTHO_INTERVAL` steps, one Python iteration per block;
@@ -57,8 +57,9 @@ REORTHO_INTERVAL = 100
 CHUNK_BLOCKS = 10
 # An integration stores (steps + 1) x (m + 2) x d frame and position values,
 # plus the step maps of one chunk; 2^25 float64s are 256 MiB.  At about
-# 1.3 us per step of the two passes (shared 2-core Xeon, one BLAS thread) a
-# one-curvature planar run reaches the bound in about 11 s.
+# 1.3 us per step of the h pass and the 2h pass of `polyhelix integrate`
+# (shared 2-core Xeon, one BLAS thread) a one-curvature planar run reaches
+# the bound in about 11 s.
 MAX_FRAME_VALUES = 2**25
 # Each scan point integrates its own trajectory and derives its own exact
 # chain, about 7 ms a point at order 3 and 9 ms at order 4 at the default
@@ -280,14 +281,12 @@ def inverse_power_profile(
 
 @dataclass
 class CurveSamples:
-    """Uniformly spaced samples of a curve, optionally with frame samples
-    and the integrator's Richardson error estimate."""
+    """Uniformly spaced samples of a curve, optionally with frame samples."""
 
     h: float
     span: tuple[float, float]
     positions: np.ndarray
     frames: np.ndarray | None = None
-    error_estimate: float | None = None
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -532,31 +531,41 @@ def integrate_frenet(
     h: float,
 ) -> CurveSamples:
     """Integrate the position together with the Frenet frame equations
-    by classical fourth-order Runge-Kutta at fixed step ``h``.
-
-    ``error_estimate`` is the Richardson estimate ``|p_h - p_2h| / 15`` of
-    the error of the returned sample 2*floor(steps/2), from a second pass at
-    step 2h over the steps up to it; the span must cover at least two steps.
-    """
+    by classical fourth-order Runge-Kutta at fixed step ``h``; the span must
+    cover at least two steps, so that :func:`richardson_error` applies."""
     steps = _check_run(profile, d, span, h)
     positions = np.zeros((steps + 1, d))
     frames = np.empty((steps + 1, profile.count + 1, d))
     frames[0] = np.eye(profile.count + 1, d)
     for rows, block_frames, block_points in _rk4_pass(profile, d, span[0], h, steps):
         frames[rows], positions[rows] = block_frames, block_points
-    for _, _, block_points in _rk4_pass(profile, d, span[0], 2 * h, steps // 2):
+    _check_finite(h, positions, frames)
+    return CurveSamples(
+        h=h, span=(span[0], span[0] + steps * h), positions=positions, frames=frames
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported below
+def richardson_error(profile: CurvatureProfile, samples: CurveSamples) -> float:
+    """Richardson estimate ``|p_h - p_2h| / 15`` of the error of sample
+    2*floor(steps/2) of ``samples``, which :func:`integrate_frenet` returned
+    for ``profile``: a second pass at step 2h over the steps up to it."""
+    steps = len(samples) - 1
+    if steps < 2:
+        raise ValueError("a Richardson estimate needs at least two steps")
+    for _, _, block_points in _rk4_pass(
+        profile, samples.dimension, samples.span[0], 2 * samples.h, steps // 2
+    ):
         coarse_end = block_points[-1]
-    if not all(np.isfinite(a).all() for a in (positions, frames, coarse_end)):
+    _check_finite(samples.h, coarse_end)
+    return float(np.linalg.norm(samples.positions[2 * (steps // 2)] - coarse_end) / 15.0)
+
+
+def _check_finite(h: float, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(
             f"integration at step {h} overflowed: the curvatures are too large for this step"
         )
-    return CurveSamples(
-        h=h,
-        span=(span[0], span[0] + steps * h),
-        positions=positions,
-        frames=frames,
-        error_estimate=float(np.linalg.norm(positions[2 * (steps // 2)] - coarse_end) / 15.0),
-    )
 
 
 # -- conservation monitors ---------------------------------------------------

@@ -676,6 +676,14 @@ class TestBadNumbers:
             case("argv47", ["integrate", "--profile", "k1=1", "--span", "0:0.01", "--step",
                             "0.001", "--dimension", "0"],
                  "ambient dimension must be at least 2"),
+            # the h pass stays finite and only the error estimate's 2h pass
+            # overflows: reported on both output paths, never written out
+            case("coarse-overflow-stdout", ["integrate", "--profile", "k1=8", "--span", "0:200",
+                                            "--step", "1"],
+                 "integration at step 1.0 overflowed"),
+            case("coarse-overflow-out", ["integrate", "--profile", "k1=8", "--span", "0:200",
+                                         "--step", "1", "--out", os.devnull],
+                 "integration at step 1.0 overflowed"),
         ],
     )
     def test_usage_error_names_the_value(self, capsys, argv, value):

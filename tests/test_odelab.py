@@ -48,6 +48,7 @@ from polyhelix.odelab import (
     integrate_frenet,
     inverse_power_profile,
     parse_profile,
+    richardson_error,
     sample_trig_curve,
 )
 from polyhelix.spherecurves import planar_circle
@@ -389,11 +390,11 @@ def held_bytes(array: np.ndarray) -> int:
 class TestIntegrator:
     def test_unit_circle_closes(self):
         h = 2.0 * math.pi / 6400
-        samples = integrate_frenet(parse_profile("k1=1"), 2, (0.0, 2.0 * math.pi), h)
+        profile = parse_profile("k1=1")
+        samples = integrate_frenet(profile, 2, (0.0, 2.0 * math.pi), h)
         assert np.linalg.norm(samples.positions[-1] - samples.positions[0]) < 1e-8
         assert samples.gram_defect() < 1e-9
-        assert samples.error_estimate is not None
-        assert samples.error_estimate < 1e-10
+        assert richardson_error(profile, samples) < 1e-10
 
     def test_circle_against_exact_solution(self):
         # identity initial frame: gamma(s) = (sin s, 1 - cos s)
@@ -433,7 +434,7 @@ class TestIntegrator:
     def test_singular_profile_sampling(self):
         samples = integrate_frenet(sqrt5_profile(), 3, (1.0, 3.0), 1e-3)
         assert samples.gram_defect() < 1e-10
-        assert samples.error_estimate < 1e-10
+        assert richardson_error(sqrt5_profile(), samples) < 1e-10
         speeds = np.linalg.norm(np.diff(samples.positions, axis=0), axis=1) / samples.h
         assert np.abs(speeds - 1.0).max() < 1e-5
 
@@ -451,18 +452,34 @@ class TestIntegrator:
     @pytest.mark.parametrize("h", [5e-3, 1e-2, 2e-2])
     def test_error_estimate_measures_the_returned_endpoint(self, h):
         # identity initial frame: gamma(s) = (sin s, 1 - cos s)
-        samples = integrate_frenet(parse_profile("k1=1"), 2, (0.0, 10.0), h)
+        profile = parse_profile("k1=1")
+        samples = integrate_frenet(profile, 2, (0.0, 10.0), h)
         exact = np.array([math.sin(10.0), 1.0 - math.cos(10.0)])
-        ratio = np.linalg.norm(samples.positions[-1] - exact) / samples.error_estimate
+        ratio = np.linalg.norm(samples.positions[-1] - exact) / richardson_error(profile, samples)
         assert 0.5 <= ratio <= 2.0
 
     def test_error_estimate_with_an_odd_step_count(self):
         # 1001 steps: the 2h pass pairs the first 1000, ending at s = 10
-        samples = integrate_frenet(parse_profile("k1=1"), 2, (0.0, 10.01), 1e-2)
+        profile = parse_profile("k1=1")
+        samples = integrate_frenet(profile, 2, (0.0, 10.01), 1e-2)
         assert len(samples) == 1002
         exact = np.array([math.sin(10.0), 1.0 - math.cos(10.0)])
-        ratio = np.linalg.norm(samples.positions[1000] - exact) / samples.error_estimate
+        ratio = np.linalg.norm(samples.positions[1000] - exact) / richardson_error(profile, samples)
         assert 0.5 <= ratio <= 2.0
+
+    def test_error_estimate_reports_an_overflow_of_its_own_pass(self):
+        # k h = 8 grows each RK4 step about 170-fold and stays finite over
+        # one block; k 2h = 16 grows it about 2700-fold and overflows
+        profile = parse_profile("k1=8")
+        samples = integrate_frenet(profile, 2, (0.0, 200.0), 1.0)
+        assert np.isfinite(samples.positions).all()
+        with pytest.raises(ValueError, match="integration at step 1.0 overflowed"):
+            richardson_error(profile, samples)
+
+    def test_error_estimate_needs_two_steps(self):
+        samples = CurveSamples(h=0.1, span=(0.0, 0.1), positions=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="at least two steps"):
+            richardson_error(parse_profile("k1=1"), samples)
 
     @pytest.mark.parametrize("h, d", [(1e-12, 3), (5e-324, 3), (1e-3, 10**9)])
     def test_storage_bound_fires_before_allocation(self, h, d):
@@ -476,29 +493,33 @@ class TestIntegrator:
 
     def assert_matches_lone_loop(self, monkeypatch, profile, d, span, h) -> int:
         """Check one integration against :func:`lone_rk4` within
-        :func:`lone_loop_bound`; return its re-orthonormalization count."""
+        :func:`lone_loop_bound`: the h pass of :func:`integrate_frenet`, then
+        the 2h pass of :func:`richardson_error`.  Return the
+        re-orthonormalization count of both passes."""
         steps = int(round((span[1] - span[0]) / h))
         paired = 2 * (steps // 2)
-        given = []
-        monkeypatch.setattr(odelab, "_reorthonormalize",
-                            lambda frame: given.append(frame.copy()) or _reorthonormalize(frame))
-        result = integrate_frenet(profile, d, span, h)
-        monkeypatch.undo()
         positions, frames, fine_fixes = lone_rk4(profile, d, span, h)
         coarse, _, coarse_fixes = lone_rk4(profile, d, (span[0], span[0] + paired * h), 2 * h)
         estimate = float(np.linalg.norm(positions[paired] - coarse[-1]) / 15.0)
         bound = lone_loop_bound(steps, np.abs(positions).max())
+        given = []
+        monkeypatch.setattr(odelab, "_reorthonormalize",
+                            lambda frame: given.append(frame.copy()) or _reorthonormalize(frame))
+        result = integrate_frenet(profile, d, span, h)
+        fine_given = given[:]
+        error = richardson_error(profile, result)
+        monkeypatch.undo()
         assert np.abs(result.positions - positions).max() <= bound
         assert np.abs(result.frames - frames).max() <= lone_loop_bound(steps, 1.0)
-        assert abs(result.error_estimate - estimate) <= bound
-        # the same steps fire, in the same order: the h pass, then the 2h pass
-        fixes = fine_fixes + coarse_fixes
-        assert len(given) == len(fixes)
-        for frame, (step, lone_frame) in zip(given, fixes):
+        assert abs(error - estimate) <= bound
+        # the same steps fire, in the same order, in each pass
+        assert len(fine_given) == len(fine_fixes)
+        assert len(given) == len(fine_fixes) + len(coarse_fixes)
+        for frame, (step, lone_frame) in zip(given, fine_fixes + coarse_fixes):
             assert np.abs(frame - lone_frame).max() <= lone_loop_bound(steps, 1.0), step
         assert held_bytes(result.positions) == result.positions.nbytes
         assert held_bytes(result.frames) == result.frames.nbytes
-        return len(fixes)
+        return len(given)
 
     # 280 steps in the frame's own dimension, 281 in a larger ambient space
     @pytest.mark.parametrize("span, d", [((0.2, 3.0), 3), ((0.2, 3.01), 4)])
@@ -515,11 +536,12 @@ class TestIntegrator:
         assert self.assert_matches_lone_loop(monkeypatch, helix, 4, (0.0, 100.0), 1e-2) == 6
 
     def test_python_work_grows_with_blocks_not_steps(self, monkeypatch):
-        # one 10 000-step run: one block call per REORTHO_INTERVAL steps of
-        # each pass, and fewer traced odelab lines than half the steps (about
-        # 3400 today), so a Python loop over the steps, or over the steps of a
-        # block, anywhere in the module fails here
+        # one 10 000-step run and its error estimate: one block call per
+        # REORTHO_INTERVAL steps of each pass, and fewer traced odelab lines
+        # than half the steps (about 3400 today), so a Python loop over the
+        # steps, or over the steps of a block, anywhere in the module fails here
         steps = 10_000
+        profile = parse_profile("k1=0.6,k2=0.4,k3=0.3")
         calls = []
         advance = odelab._advance_block
         monkeypatch.setattr(odelab, "_advance_block",
@@ -536,10 +558,13 @@ class TestIntegrator:
         previous = sys.gettrace()
         sys.settrace(trace)
         try:
-            integrate_frenet(parse_profile("k1=0.6,k2=0.4,k3=0.3"), 4, (0.0, 100.0), 1e-2)
+            samples = integrate_frenet(profile, 4, (0.0, 100.0), 1e-2)
+            fine_calls = len(calls)
+            richardson_error(profile, samples)
         finally:
             sys.settrace(previous)
-        assert len(calls) == steps // REORTHO_INTERVAL + steps // 2 // REORTHO_INTERVAL
+        assert fine_calls == steps // REORTHO_INTERVAL
+        assert len(calls) - fine_calls == steps // 2 // REORTHO_INTERVAL
         assert len(lines) < steps // 2
 
 
@@ -775,9 +800,10 @@ class TestConjectureScan:
     # step maps are stacked CHUNK_BLOCKS blocks at a time; the chunk steps
     # that one trajectory's h and 2h passes build (2000 and 1000 steps)
     @pytest.mark.parametrize("chunk, sizes", [
-        (None, [1000, 1000, 1000]),   # the default bound, ten blocks
-        (2, [200] * 15),
-        (1, [100] * 30),
+        # each point's 2000 steps, with no 2h pass: no scan row reads it
+        (None, [1000, 1000]),   # the default bound, ten blocks
+        (2, [200] * 10),
+        (1, [100] * 20),
     ])
     def test_chunked_stacks_give_the_same_rows(self, monkeypatch, chunk, sizes):
         grid = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
