@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
@@ -568,13 +569,17 @@ def _scaled_power(base, exponent: int, factor: float):
     )
 
 
-def random_bump(dimension: int, rng: np.random.Generator) -> BumpPerturbation:
-    direction = rng.normal(size=dimension)
-    direction /= np.linalg.norm(direction)
+def random_bump(dimension: int, rng: random.Random) -> BumpPerturbation:
+    """A bump with a uniformly random unit direction (normalized Gaussian
+    draws) and a uniform start and width in :data:`BUMP_STARTS` and
+    :data:`BUMP_WIDTHS`, drawn in that order.  The standard library's
+    generator: numpy has already loaded it, and ``numpy.random`` is not."""
+    direction = [rng.gauss(0.0, 1.0) for _ in range(dimension)]
+    norm = math.hypot(*direction)
     return BumpPerturbation(
-        start=float(rng.uniform(*BUMP_STARTS)),
-        width=float(rng.uniform(*BUMP_WIDTHS)),
-        direction=tuple(direction),
+        start=rng.uniform(*BUMP_STARTS),
+        width=rng.uniform(*BUMP_WIDTHS),
+        direction=tuple(x / norm for x in direction),
     )
 
 

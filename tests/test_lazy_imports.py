@@ -4,8 +4,10 @@
 ``frenet``.  The numeric modules (``classify``, ``odelab``, ``spherecurves``,
 ``acceptance``) load when a command or a package name first needs one, and
 numpy with them, except with ``classify``, which decides every system
-exactly and imports no numpy.  The load checks run in fresh interpreters,
-since this test process has imported every module already.
+exactly and imports no numpy.  No command loads ``numpy.random``: criterion
+#8 draws its bumps from the standard library's ``random``.  The load checks
+run in fresh interpreters, since this test process has imported every module
+already.
 """
 
 import json
@@ -20,7 +22,7 @@ import polyhelix
 from polyhelix import ratpoly
 from polyhelix.cli import dispatch
 
-NUMERIC = ("numpy", "polyhelix.classify", "polyhelix.odelab",
+NUMERIC = ("numpy", "numpy.random", "polyhelix.classify", "polyhelix.odelab",
            "polyhelix.spherecurves", "polyhelix.acceptance")
 
 # runs one statement in a fresh interpreter and prints the exit code of the
@@ -52,11 +54,12 @@ def test_import_loads_no_numeric_module(statement):
     assert probe(statement) == {"code": None, "loaded": []}
 
 
+# explicit ids, so that removing a case renames no other one
 @pytest.mark.parametrize("argv, code", [
-    (["--version"], 0),
-    (["--help"], 0),
-    (["tau", "--order", "x"], 2),
-    (["verify", "--curve", "tri-planar", "--params", "y=2"], 2),
+    pytest.param(["--version"], 0, id="argv0-0"),
+    pytest.param(["--help"], 0, id="argv1-0"),
+    pytest.param(["tau", "--order", "x"], 2, id="argv2-2"),
+    pytest.param(["verify", "--curve", "tri-planar", "--params", "y=2"], 2, id="argv3-2"),
 ])
 def test_help_version_and_usage_errors_load_no_numeric_module(argv, code):
     assert probe(dispatch_statement(argv)) == {"code": code, "loaded": []}
@@ -84,6 +87,16 @@ def test_verify_loads_spherecurves_alone():
     argv = ["verify", "--curve", "tri-planar"]
     assert probe(dispatch_statement(argv)) == {
         "code": 0, "loaded": ["numpy", "polyhelix.spherecurves"],
+    }
+
+
+def test_first_variation_criterion_loads_no_numpy_random():
+    # numpy loads numpy.random only on first access, and #8 seeds the
+    # standard library's generator
+    assert probe(dispatch_statement(["reproduce", "--only", "8"])) == {
+        "code": 0,
+        "loaded": ["numpy", "polyhelix.classify", "polyhelix.odelab",
+                   "polyhelix.spherecurves", "polyhelix.acceptance"],
     }
 
 

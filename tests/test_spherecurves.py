@@ -8,6 +8,7 @@ family against its quadratic closed form.
 """
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -47,6 +48,18 @@ from polyhelix.spherecurves import (
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def numpy_bump(dimension: int, rng: np.random.Generator) -> BumpPerturbation:
+    """A bump drawn from a numpy generator, as :func:`random_bump` drew it
+    before it took the standard library's: the tests keep their bumps."""
+    direction = rng.normal(size=dimension)
+    direction /= np.linalg.norm(direction)
+    return BumpPerturbation(
+        start=float(rng.uniform(*spherecurves.BUMP_STARTS)),
+        width=float(rng.uniform(*spherecurves.BUMP_WIDTHS)),
+        direction=tuple(direction),
+    )
 
 
 def arclength_two_block(x: float, y: float) -> TrigCurve | None:
@@ -150,7 +163,7 @@ def highest_order_group(r: int) -> tuple[TrigCurve, list[BumpPerturbation]]:
     curve = planar_circle(r)
     rng = np.random.default_rng(r)
     return curve, [
-        replace(random_bump(curve.dimension, rng), sharpness=5) for _ in range(3)
+        replace(numpy_bump(curve.dimension, rng), sharpness=5) for _ in range(3)
     ]
 
 
@@ -948,6 +961,42 @@ class TestHyperbolaFamily:
         assert len(row.csv_row().split(",")) == 6
 
 
+# -- random bumps ------------------------------------------------------------
+
+class TestRandomBump:
+    def test_the_same_seed_gives_the_same_bumps(self):
+        first, second = random.Random(9101), random.Random(9101)
+        bumps = [random_bump(4, first) for _ in range(5)]
+        assert bumps == [random_bump(4, second) for _ in range(5)]
+        assert bumps[0] != bumps[1]
+
+    def test_direction_is_a_unit_vector(self):
+        rng = random.Random(0)
+        for dimension in (2, 3, 4, 5, 8):
+            for _ in range(50):
+                direction = random_bump(dimension, rng).direction
+                assert len(direction) == dimension
+                assert all(type(x) is float for x in direction)
+                assert abs(math.hypot(*direction) - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_start_and_width_stay_in_their_ranges(self):
+        rng = random.Random(0)
+        bumps = [random_bump(3, rng) for _ in range(1000)]
+        for name, (low, high) in (("start", spherecurves.BUMP_STARTS),
+                                  ("width", spherecurves.BUMP_WIDTHS)):
+            values = [getattr(bump, name) for bump in bumps]
+            assert all(low <= v <= high for v in values)
+            # and they fill the range, not one corner of it
+            assert min(values) < low + 0.05 * (high - low)
+            assert max(values) > high - 0.05 * (high - low)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_variation_criterion_passes(self, seed):
+        passed, detail = acceptance._run_first_variation(seed)
+        assert passed, detail
+        assert detail.startswith("50 matched-order bumps <= ")
+
+
 # -- first variation ---------------------------------------------------------
 
 class TestFirstVariation:
@@ -1006,20 +1055,20 @@ class TestFirstVariation:
             (planar_circle(3), 3),
             (planar_circle(4), 4),
         ):
-            bump = random_bump(curve.dimension, rng)
+            bump = numpy_bump(curve.dimension, rng)
             (value,) = first_variation(curve, order, [bump])
             assert abs(value) < 1e-6
 
     def test_non_critical_pair_shows_nonzero_variation(self):
         rng = np.random.default_rng(42)
-        bump = random_bump(planar_circle(3).dimension, rng)
+        bump = numpy_bump(planar_circle(3).dimension, rng)
         (value,) = first_variation(planar_circle(3), 2, [bump])
         assert abs(value) > 1e-3
 
     @pytest.mark.parametrize("r", [5, 6, 7])
     def test_r_planar_curve_is_stationary_only_at_its_order(self, r):
         curve = planar_circle(r)
-        bumps = [random_bump(curve.dimension, np.random.default_rng(r))]
+        bumps = [numpy_bump(curve.dimension, np.random.default_rng(r))]
         assert abs(first_variation(curve, r, bumps)[0]) < 1e-6
         assert abs(first_variation(curve, r + 1, bumps)[0]) > 1e-3
 
@@ -1041,7 +1090,7 @@ class TestFirstVariation:
         curve = planar_circle(3) if r == 2 else planar_circle(r - 1)
         rng = np.random.default_rng(r)
         bumps = [
-            replace(random_bump(curve.dimension, rng), sharpness=5)
+            replace(numpy_bump(curve.dimension, rng), sharpness=5)
             for _ in range(3 if r <= 7 else 1)
         ]
         tol = 1e-10 if r <= 7 else 1e-7
@@ -1051,13 +1100,13 @@ class TestFirstVariation:
     def test_rejects_a_bump_too_blunt_for_the_order(self):
         # a sin^8 bump's ninth derivative does not vanish at its support ends
         curve = planar_circle(9)
-        bump = random_bump(curve.dimension, np.random.default_rng(0))
+        bump = numpy_bump(curve.dimension, np.random.default_rng(0))
         assert bump.sharpness == 4
         with pytest.raises(ValueError, match="sharpness at least 5, got sharpness 4"):
             first_variation(curve, 9, [replace(bump, sharpness=5), bump])
 
     def test_rejects_bumps_of_mixed_sharpness(self):
-        bump = random_bump(3, np.random.default_rng(0))
+        bump = numpy_bump(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match=r"share a sharpness, got \[4, 5\]"):
             first_variation(planar_circle(3), 3, [bump, replace(bump, sharpness=5)])
 
@@ -1080,7 +1129,7 @@ class TestFirstVariation:
             ) / (12 * h)
 
         rng = np.random.default_rng(11)
-        bump = random_bump(curve.dimension, rng)
+        bump = numpy_bump(curve.dimension, rng)
         want = stencil(wrong, bump)
         (got,) = first_variation(curve, wrong, [bump])
         assert abs(want) > 1e-3
@@ -1144,7 +1193,7 @@ class TestFirstVariation:
         monkeypatch.setattr(BumpPerturbation, "jet", record)
         curve = planar_circle(4)
         rng = np.random.default_rng(5)
-        bumps = [random_bump(curve.dimension, rng) for _ in range(10)]
+        bumps = [numpy_bump(curve.dimension, rng) for _ in range(10)]
         values = first_variation(curve, 4, bumps)
         assert max(nodes) <= MAX_PASS_NODES == 12288
         assert sum(nodes) == 10 * 24 * (8 + 16 + 32 + 64 + 128 + 256 + 512)
