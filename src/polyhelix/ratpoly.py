@@ -516,8 +516,9 @@ def _latex_power(name: str, exp: int) -> str:
 # monomial met once a form's table is full is formatted anew each time.  The
 # 63 canonical systems of orders 2..8 render about 5200 distinct monomials;
 # at order 10 the canonical systems render about 28 700, negative_K_scan
-# about 14 400 and solve_helix at K = 1 about 23 600.
-TERM_TABLE_MAX_ENTRIES = 2**15
+# about 14 400, solve_helix at K = 1 about 23 600, and the two in one
+# process about 37 200.
+TERM_TABLE_MAX_ENTRIES = 2**16
 _TEXT_TERMS = _TermTexts("*", tuple(map(variable_name, _SLOT_VARIABLES)), _text_power)
 _LATEX_TERMS = _TermTexts(
     " ",

@@ -568,11 +568,12 @@ def test_render_high_exponents():
 def test_term_tables_fill_lazily():
     # a fresh interpreter: importing the package renders nothing, and a
     # polynomial with one monomial more than the term table's cap fills each
-    # form's table to the cap and no further
+    # form's table to the cap and no further (its monomials k1^a k2^b keep
+    # each exponent within MAX_DEGREE)
     probe = (
         "import polyhelix.cli, polyhelix.ratpoly as r; "
         "print(len(r._TEXT_TERMS), len(r._LATEX_TERMS)); "
-        "p = r.CurvaturePolynomial({r.Monomial([(1, a)]): 1 "
+        "p = r.CurvaturePolynomial({r.Monomial([(1, 1 + a // 256), (2, 1 + a % 256)]): 1 "
         "for a in range(r.TERM_TABLE_MAX_ENTRIES + 1)}); "
         "texts = [p.render(), p.render_latex()]; "
         "print(texts == [p.render(), p.render_latex()], len(r._TEXT_TERMS), len(r._LATEX_TERMS))"
