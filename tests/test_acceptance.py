@@ -7,7 +7,7 @@ The same registry backs ``polyhelix reproduce``.
 
 import pytest
 
-from polyhelix import acceptance
+from polyhelix import acceptance, odelab
 
 CRITERIA = {criterion.number: criterion for criterion in acceptance.CRITERIA}
 
@@ -68,6 +68,28 @@ def test_criterion_11_inverse_power_profile_scan():
 
 def test_criterion_12_integrator_order():
     check(12)
+
+
+def test_lab_criteria_take_no_step_beyond_their_samples(monkeypatch):
+    # #10-#12 read no error estimate, so each RK4 step they take is the step
+    # to one of their samples: no 2h pass runs
+    sample_steps, rk4_steps = [], []
+    integrate, step_maps = odelab.integrate_frenet, odelab._step_maps
+
+    def record_run(*args):
+        samples = integrate(*args)
+        sample_steps.append(len(samples) - 1)
+        return samples
+
+    def record_steps(*args):
+        rk4_steps.append(args[-1])
+        return step_maps(*args)
+
+    monkeypatch.setattr(odelab, "integrate_frenet", record_run)
+    monkeypatch.setattr(odelab, "_step_maps", record_steps)
+    for number in (10, 11, 12):
+        check(number)
+    assert sum(rk4_steps) == sum(sample_steps) == 35_000
 
 
 def test_registry_is_complete():
