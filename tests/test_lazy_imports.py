@@ -4,10 +4,10 @@
 ``frenet``.  The numeric modules (``classify``, ``odelab``, ``spherecurves``,
 ``acceptance``) load when a command or a package name first needs one, and
 numpy with them, except with ``classify``, which decides every system
-exactly and imports no numpy.  No command loads ``numpy.random``: criterion
-#8 draws its bumps from the standard library's ``random``.  The load checks
-run in fresh interpreters, since this test process has imported every module
-already.
+exactly and imports no numpy.  No command probed here loads ``numpy.random``:
+criterion #8 draws its bumps from the standard library's ``random``.  The
+load checks run in fresh interpreters, since this test process has imported
+every module already.
 """
 
 import json
